@@ -15,6 +15,7 @@ degree-ascending order.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ __all__ = [
     "ratfunc_normalize",
     "nullspace",
     "matrix_inverse",
+    "scalar_nullspace",
     "poly_roots_numeric",
 ]
 
@@ -883,6 +885,178 @@ def nullspace(M: ExactMatrix) -> list[list[ExactRatFunc]]:
 def matrix_inverse(M: ExactMatrix) -> ExactMatrix:
     """Exact inverse; raises SingularMatrixError on singular input."""
     return M.inverse()
+
+
+# ---------------------------------------------------------------------------
+# Multi-modular elimination over Q(i)
+# ---------------------------------------------------------------------------
+
+_MODULI: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p), extended on use
+
+
+def _modulus(k: int) -> tuple[int, int]:
+    """The k-th prime p = 1 (mod 4) below 2^62, counting down, with a square
+    root of -1 modulo p."""
+    from sympy import prevprime, sqrt_mod
+
+    while len(_MODULI) <= k:
+        p = prevprime(_MODULI[-1][0] if _MODULI else 1 << 62)
+        while p % 4 != 1:
+            p = prevprime(p)
+        _MODULI.append((int(p), int(sqrt_mod(-1, p))))
+    return _MODULI[k]
+
+
+def _gaussian_integer_row(row) -> tuple[list[int], list[int]]:
+    """Real and imaginary integer parts of a row scaled into Z[i]."""
+    den = math.lcm(*(f.denominator for e in row for f in (e.re, e.im)))
+    return (
+        [e.re.numerator * (den // e.re.denominator) for e in row],
+        [e.im.numerator * (den // e.im.denominator) for e in row],
+    )
+
+
+def _rref_mod(m: list[list[int]], p: int) -> list[int]:
+    """Gauss-Jordan modulo p in place; returns the pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        row = m[r]
+        inv = pow(row[c], -1, p)
+        # earlier columns of the pivot row are already zero
+        row[c:] = tail = [x * inv % p for x in row[c:]]
+        for i, other in enumerate(m):
+            f = other[c]
+            if f and i != r:
+                other[c:] = [(a - f * b) % p for a, b in zip(other[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots
+
+
+def _ratrec(u: int, M: int, bound: int):
+    """(n, d) with n = u d (mod M), |n| <= bound and 0 < d <= bound, by the
+    extended Euclidean algorithm; None if there is none."""
+    r0, r1, t0, t1 = M, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(residues: list[int], M: int):
+    """Rationals with the given residues modulo M, sharing one running
+    denominator so that entries with a common denominator come cheaply;
+    None if reconstruction fails."""
+    bound = math.isqrt(M // 2)
+    den = 1
+    out = []
+    for u in residues:
+        nd = _ratrec(u * den % M, M, bound)
+        if nd is None:
+            return None
+        den *= nd[1]
+        if den > bound:
+            return None
+        out.append(Fraction(nd[0], den))
+    return out
+
+
+def _annihilates(A, support, v) -> bool:
+    """A v = 0 exactly, for v with Gaussian-rational entries on `support`."""
+    den = math.lcm(*(f.denominator for e in v for f in e))
+    wr = [e[0].numerator * (den // e[0].denominator) for e in v]
+    wi = [e[1].numerator * (den // e[1].denominator) for e in v]
+    for re, im in A:
+        a = [re[j] for j in support]
+        b = [im[j] for j in support]
+        if sum(x * y for x, y in zip(a, wr)) != sum(x * y for x, y in zip(b, wi)):
+            return False
+        if sum(x * y for x, y in zip(a, wi)) + sum(x * y for x, y in zip(b, wr)):
+            return False
+    return True
+
+
+def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
+    """Right-kernel basis and rank of a matrix of ExactScalar entries.
+
+    The basis is the reduced-echelon one that Gauss-Jordan elimination
+    gives: one vector per free column, with a 1 there and a 0 at every
+    other free column.  It is computed modulo primes p = 1 (mod 4) under
+    both embeddings i -> +-sqrt(-1) (mod p), which give the real and the
+    imaginary parts, lifted by CRT and rational reconstruction, and
+    certified by exact substitution.
+
+    The result is exact, not probabilistic.  The rank modulo p is at most
+    the rank over Q(i), so n - rank_p independent vectors that all pass the
+    exact check span the whole kernel.  A kernel vector whose last nonzero
+    entry is at column c shows that c is not a pivot, so the free columns,
+    and with them the basis, are those of exact Gauss-Jordan.  A prime whose
+    pivot columns differ from the true ones has fewer, or has them further
+    right, and its candidates fail the check; such primes are skipped or
+    replaced as better pivot lists appear, and only finitely many primes
+    are unlucky, so the loop ends."""
+    if not rows or not rows[0]:
+        return [], 0
+    ncols = len(rows[0])
+    A = [_gaussian_integer_row(r) for r in rows]
+    best = None
+    k = 0
+    while True:
+        p, s = _modulus(k)
+        k += 1
+        plus, minus = (
+            [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
+            for root in (s, p - s)
+        )
+        pivots = _rref_mod(plus, p)
+        if _rref_mod(minus, p) != pivots:
+            continue  # unlucky for one embedding
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue  # unlucky: fewer pivots, or pivots further right
+        free = [c for c in range(ncols) if c not in pivots]
+        # entries -rref[r][fc] of the basis vectors, split into the real
+        # part (x+ + x-)/2 and the imaginary part (x+ - x-)/(2s)
+        half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
+        re_p, im_p = [], []
+        for r in range(len(pivots)):
+            for fc in free:
+                x, y = -plus[r][fc], -minus[r][fc]
+                re_p.append((x + y) * half % p)
+                im_p.append((x - y) * half_s % p)
+        if best is None or key < best:
+            best, M, re_acc, im_acc = key, p, re_p, im_p
+        else:
+            c = pow(M, -1, p)
+            re_acc = [x + M * ((y - x) * c % p) for x, y in zip(re_acc, re_p)]
+            im_acc = [x + M * ((y - x) * c % p) for x, y in zip(im_acc, im_p)]
+            M *= p
+        re_q = _reconstruct(re_acc, M)
+        im_q = _reconstruct(im_acc, M) if re_q is not None else None
+        if im_q is None:
+            continue
+        basis = []
+        nfree = len(free)
+        for j, fc in enumerate(free):
+            v = [(re_q[r * nfree + j], im_q[r * nfree + j]) for r in range(len(pivots))]
+            v.append((Fraction(1), Fraction(0)))
+            if not _annihilates(A, pivots + [fc], v):
+                break
+            vec = [_ZERO] * ncols
+            for c, (x, y) in zip(pivots + [fc], v):
+                vec[c] = ExactScalar(x, y)
+            basis.append(vec)
+        else:
+            return basis, len(pivots)
 
 
 def poly_roots_numeric(p: ExactPoly, tol: float = 1e-9) -> list[complex]:

@@ -25,6 +25,7 @@ from .exactalg import (
     ExactRatFunc,
     ExactScalar,
     poly_roots_numeric,
+    scalar_nullspace,
     squarefree_decomposition,
 )
 
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 _ZERO = ExactScalar(0)
-_ONE = ExactScalar(1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,53 +219,6 @@ def parabolic_from_ode(ode) -> ParabolicParams:
 
 
 # ---------------------------------------------------------------------------
-# Scalar linear algebra (fast path over Q(i) numbers)
-# ---------------------------------------------------------------------------
-
-def _scalar_rref(rows):
-    """Gauss-Jordan over ExactScalar; returns (rref, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [e * inv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def _scalar_nullspace(rows):
-    """Right-kernel basis of a matrix of ExactScalar entries."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = _scalar_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Exact root helpers (Gaussian-rational roots by rationalize-and-verify)
 # ---------------------------------------------------------------------------
 
@@ -282,15 +235,23 @@ def _rationalize(x: complex, maxden: int) -> ExactScalar:
 def gaussian_roots(p: ExactPoly) -> list:
     """Roots of p lying in Q(i), found numerically and certified exactly.
 
-    Small denominators are tried first so that clustered numeric roots
-    (e.g. from double roots) still rationalize correctly."""
+    Only the squarefree part is rooted: the numeric roots of a factor of
+    high multiplicity scatter too far to rationalize.  Small denominators
+    are tried first, and a candidate counts for a numeric root only when it
+    lies nearer to it than half its distance to any other numeric root, so
+    that a coarse rationalization cannot land on a neighbouring root."""
     if p.degree < 1:
         return []
+    sqf = ExactPoly([1], var=p.var)
+    for f, _m in squarefree_decomposition(p):
+        sqf = sqf * f
+    zs = poly_roots_numeric(sqf, tol=1e-5)
     out = []
-    for z in poly_roots_numeric(p, tol=1e-5):
+    for i, z in enumerate(zs):
+        sep = min((abs(z - w) for j, w in enumerate(zs) if j != i), default=math.inf)
         for maxden in _MAXDENS:
             cand = _rationalize(z, maxden)
-            if p(cand).is_zero():
+            if 2 * abs(cand.to_complex() - z) < sep and sqf(cand).is_zero():
                 if cand not in out:
                     out.append(cand)
                 break
@@ -361,7 +322,7 @@ def _polynomial_solutions(polys, var) -> list:
                 if not c.is_zero():
                     rows[d + s - j][s] = rows[d + s - j][s] + c * fs
     sols = []
-    for v in _scalar_nullspace(rows):
+    for v in scalar_nullspace(rows)[0]:
         q = ExactPoly(v, var=var)
         if not q.is_zero():
             sols.append(q)
@@ -659,20 +620,20 @@ def _eval_tower(tower, upto, x: ExactScalar):
 
 def _rank_of_cols(cols) -> int:
     rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-    return len(_scalar_rref(rows)[1])
+    return scalar_nullspace(rows)[1]
 
 
 def _solve_dependency(cols, m):
     """b with sum_{j<m} b_j cols[j] = -cols[m]; None if the specialized
-    system is singular."""
-    rows = [
-        [cols[j][r] for j in range(m)] + [cols[m][r]]
-        for r in range(len(cols[0]))
-    ]
-    R, pivots = _scalar_rref(rows)
-    if pivots != list(range(m)):
+    system is singular.
+
+    That is the kernel of [cols[0] ... cols[m]] when it is one-dimensional
+    with its last entry nonzero (echelon-normalised to 1)."""
+    rows = [[col[r] for col in cols[: m + 1]] for r in range(len(cols[0]))]
+    basis, _ = scalar_nullspace(rows)
+    if len(basis) != 1 or basis[0][m].is_zero():
         return None
-    return [-R[i][m] for i in range(m)]
+    return basis[0][:m]
 
 
 def _interp_ratfunc(xs, ys, deg, var):
@@ -683,7 +644,7 @@ def _interp_ratfunc(xs, ys, deg, var):
         xp = [ExactScalar(x**k) for k in range(deg + 1)]
         xq = [(-y) * ExactScalar(x**k) for k in range(deg + 1)]
         rows.append(xp + xq)
-    for v in _scalar_nullspace(rows):
+    for v in scalar_nullspace(rows)[0]:
         p = ExactPoly(v[: deg + 1], var=var)
         q = ExactPoly(v[deg + 1 :], var=var)
         if not q.is_zero():
@@ -1153,7 +1114,7 @@ def _poly_vector_solutions(B: ExactMatrix, sprime: ExactRatFunc, degree_bound: i
                     if not c.is_zero():
                         M[off + d + s][col(j, s)] = M[off + d + s][col(j, s)] - c
     out = []
-    for v in _scalar_nullspace(M):
+    for v in scalar_nullspace(M)[0]:
         vec = [
             ExactPoly([v[col(i, s)] for s in range(N + 1)], var=var)
             for i in range(n)

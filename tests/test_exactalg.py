@@ -14,7 +14,9 @@ from heisenkep.exactalg import (
     matrix_inverse,
     nullspace,
     poly_roots_numeric,
+    _modulus,
     ratfunc_normalize,
+    scalar_nullspace,
     squarefree_decomposition,
 )
 
@@ -187,6 +189,97 @@ def test_matrix_inverse_round_trip_random():
 def test_singular_matrix_signalled():
     with pytest.raises(SingularMatrixError):
         matrix_inverse(ExactMatrix([[1, 1], [2, 2]]))
+
+
+# -- multi-modular Q(i) kernel ---------------------------------------------
+
+def _reference_nullspace(rows):
+    """(basis, rank) by Gauss-Jordan over ExactScalar."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [e * inv for e in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ExactScalar(0)] * ncols
+        v[fc] = ExactScalar(1)
+        for row, pc in enumerate(pivots):
+            v[pc] = -m[row][fc]
+        basis.append(v)
+    return basis, len(pivots)
+
+
+big_fracs = st.builds(
+    Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)
+)
+big_scalars = st.one_of(
+    st.just(ExactScalar(0)), st.builds(ExactScalar, big_fracs, big_fracs)
+)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """U V with U n x k and V k x c, so the rank is at most k."""
+    n, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(n, c)))
+    U = draw(st.lists(st.lists(big_scalars, min_size=k, max_size=k), min_size=n, max_size=n))
+    V = draw(st.lists(st.lists(big_scalars, min_size=c, max_size=c), min_size=k, max_size=k))
+    return [
+        [sum((U[i][l] * V[l][j] for l in range(k)), ExactScalar(0)) for j in range(c)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_matrices())
+def test_scalar_nullspace_matches_gauss_jordan(rows):
+    assert scalar_nullspace(rows) == _reference_nullspace(rows)
+
+
+def _ints(rows):
+    return [[ExactScalar(x) for x in row] for row in rows]
+
+
+def test_scalar_nullspace_prime_disagreement():
+    p, s = _modulus(0)
+    # full rank over Q, singular modulo p: the first prime's kernel vector
+    # (1, -2, 1) fails the exact check
+    A = _ints([[1, 2, 3], [4, 5, 6], [7, 8, 9 + p]])
+    assert ExactMatrix(A).det() == ExactRatFunc.coerce(-3 * p)
+    assert scalar_nullspace(A) == ([], 3)
+    # same rank modulo p, but the second pivot moves right: pivots (0, 2)
+    # modulo p against (0, 1) over Q
+    B = _ints([[1, 0, 0], [0, p, 1]])
+    assert scalar_nullspace(B) == _reference_nullspace(B)
+    assert scalar_nullspace(B)[0][0][1] == ExactScalar(Fraction(-1, p))
+    # s - i vanishes under i -> s only: the two embeddings disagree
+    assert scalar_nullspace([[ExactScalar(s, -1)]]) == ([], 1)
+
+
+def test_scalar_nullspace_degenerate_shapes():
+    assert scalar_nullspace([]) == ([], 0)
+    zero = _ints([[0, 0, 0], [0, 0, 0]])
+    assert scalar_nullspace(zero) == _reference_nullspace(zero)
+    assert scalar_nullspace(zero)[1] == 0
+    full = [[ExactScalar(1), ExactScalar(0, 1)], [ExactScalar(2), ExactScalar(Fraction(1, 3))]]
+    assert scalar_nullspace(full) == ([], 2)
+    wide = _ints([[1, 2, 3]])
+    assert scalar_nullspace(wide) == _reference_nullspace(wide)
 
 
 # -- numeric roots ----------------------------------------------------------

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import json
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenkep.exactalg import (
     ExactMatrix,
@@ -11,6 +13,7 @@ from heisenkep.exactalg import (
 )
 from heisenkep.galois import (
     DiffOperator,
+    _solve_dependency,
     FactorizationBasis,
     GaloisVerdict,
     ParabolicParams,
@@ -20,6 +23,7 @@ from heisenkep.galois import (
     exterior_square,
     factorization_basis,
     fuchsian_check,
+    gaussian_roots,
     liouvillian_verdict_o3r,
     o3r_operator,
     parabolic_from_ode,
@@ -124,6 +128,29 @@ def test_parabolic_from_ode_rejections():
         parabolic_from_ode(ScalarODE([0, 1]))  # wrong order
 
 
+# -- exact roots ------------------------------------------------------------
+
+def test_gaussian_roots_fourfold_root():
+    r = ExactScalar(Fraction(7, 13))
+    assert gaussian_roots(ExactPoly([-r, 1]) ** 4) == [r]
+
+
+small_den_fracs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+gaussian_rationals = st.builds(ExactScalar, small_den_fracs, small_den_fracs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(gaussian_rationals, min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 4), min_size=3, max_size=3),
+)
+def test_gaussian_roots_ground_truth(roots, mults):
+    p = ExactPoly([1])
+    for r, m in zip(roots, mults):
+        p = p * ExactPoly([-r, 1]) ** m
+    assert sorted(map(str, gaussian_roots(p))) == sorted(map(str, roots))
+
+
 # -- exponential solutions --------------------------------------------------
 
 def test_exp_solutions_constant_first_order():
@@ -185,6 +212,20 @@ def test_exp_solutions_completeness_class(pcoeffs, qcoeffs):
 
 
 # -- symmetric powers -------------------------------------------------------
+
+def _cols(*vecs):
+    return [[ExactScalar(x) for x in v] for v in vecs]
+
+
+def test_solve_dependency():
+    assert _solve_dependency(_cols([1, 0, 0], [0, 1, 0], [1, 2, 0]), 2) == [
+        ExactScalar(-1), ExactScalar(-2)
+    ]
+    # the leading columns are dependent
+    assert _solve_dependency(_cols([1, 2, 0], [2, 4, 0], [0, 0, 1]), 2) is None
+    # the last column lies outside their span
+    assert _solve_dependency(_cols([1, 0, 0], [0, 1, 0], [0, 0, 1]), 2) is None
+
 
 def test_sym_square_of_free_particle():
     S = sym_power(DiffOperator([0, 0, 1]), 2)
