@@ -26,9 +26,6 @@ __all__ = [
     "ExactPoly",
     "ExactRatFunc",
     "ExactMatrix",
-    "ratfunc_normalize",
-    "nullspace",
-    "matrix_inverse",
     "scalar_nullspace",
     "poly_roots_numeric",
 ]
@@ -623,15 +620,6 @@ class ExactRatFunc:
         )
 
 
-def ratfunc_normalize(f: ExactRatFunc) -> ExactRatFunc:
-    """Canonical form of a rational function (coprime, monic denominator).
-
-    Construction already canonicalizes, so this re-runs the reduction on the
-    stored numerator/denominator pair and is idempotent.
-    """
-    return ExactRatFunc(f.num, f.den)
-
-
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -877,16 +865,6 @@ class ExactMatrix:
         return f"ExactMatrix(\n{self}\n)"
 
 
-def nullspace(M: ExactMatrix) -> list[list[ExactRatFunc]]:
-    """Exact right-kernel basis of M; empty list iff M is injective."""
-    return M.nullspace()
-
-
-def matrix_inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse; raises SingularMatrixError on singular input."""
-    return M.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Multi-modular elimination over Q(i)
 # ---------------------------------------------------------------------------
@@ -970,11 +948,37 @@ def _reconstruct(residues: list[int], M: int):
     return out
 
 
+def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
+    """Fold one prime into the multi-modular lift of a list of Gaussian
+    rationals.
+
+    `plus` and `minus` are their images modulo p under i -> s and i -> -s;
+    the half sum and the half difference over s are the real and imaginary
+    parts modulo p.  `acc` holds (M, real residues, imaginary residues)
+    modulo the product M of the primes folded in so far, or is None to
+    start afresh.  Returns the new accumulator and the values as
+    ExactScalar by CRT and rational reconstruction, or None in their place
+    while reconstruction fails."""
+    half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
+    re_p = [(x + y) * half % p for x, y in zip(plus, minus)]
+    im_p = [(x - y) * half_s % p for x, y in zip(plus, minus)]
+    if acc is None:
+        M, re_acc, im_acc = p, re_p, im_p
+    else:
+        M, re_acc, im_acc = acc
+        c = pow(M, -1, p)
+        re_acc = [x + M * ((y - x) * c % p) for x, y in zip(re_acc, re_p)]
+        im_acc = [x + M * ((y - x) * c % p) for x, y in zip(im_acc, im_p)]
+        M *= p
+    re_q = _reconstruct(re_acc, M)
+    im_q = _reconstruct(im_acc, M) if re_q is not None else None
+    values = None if im_q is None else list(map(ExactScalar, re_q, im_q))
+    return (M, re_acc, im_acc), values
+
+
 def _annihilates(A, support, v) -> bool:
     """A v = 0 exactly, for v with Gaussian-rational entries on `support`."""
-    den = math.lcm(*(f.denominator for e in v for f in e))
-    wr = [e[0].numerator * (den // e[0].denominator) for e in v]
-    wi = [e[1].numerator * (den // e[1].denominator) for e in v]
+    wr, wi = _gaussian_integer_row(v)
     for re, im in A:
         a = [re[j] for j in support]
         b = [im[j] for j in support]
@@ -1008,7 +1012,7 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
         return [], 0
     ncols = len(rows[0])
     A = [_gaussian_integer_row(r) for r in rows]
-    best = None
+    best = acc = None
     k = 0
     while True:
         p, s = _modulus(k)
@@ -1024,36 +1028,24 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
         if best is not None and key > best:
             continue  # unlucky: fewer pivots, or pivots further right
         free = [c for c in range(ncols) if c not in pivots]
-        # entries -rref[r][fc] of the basis vectors, split into the real
-        # part (x+ + x-)/2 and the imaginary part (x+ - x-)/(2s)
-        half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
-        re_p, im_p = [], []
-        for r in range(len(pivots)):
-            for fc in free:
-                x, y = -plus[r][fc], -minus[r][fc]
-                re_p.append((x + y) * half % p)
-                im_p.append((x - y) * half_s % p)
-        if best is None or key < best:
-            best, M, re_acc, im_acc = key, p, re_p, im_p
-        else:
-            c = pow(M, -1, p)
-            re_acc = [x + M * ((y - x) * c % p) for x, y in zip(re_acc, re_p)]
-            im_acc = [x + M * ((y - x) * c % p) for x, y in zip(im_acc, im_p)]
-            M *= p
-        re_q = _reconstruct(re_acc, M)
-        im_q = _reconstruct(im_acc, M) if re_q is not None else None
-        if im_q is None:
+        # entries -rref[r][fc] of the basis vectors
+        acc, vals = _lift_gaussian(
+            acc if key == best else None, p, s,
+            [-plus[r][fc] for r in range(len(pivots)) for fc in free],
+            [-minus[r][fc] for r in range(len(pivots)) for fc in free],
+        )
+        best = key
+        if vals is None:
             continue
         basis = []
         nfree = len(free)
         for j, fc in enumerate(free):
-            v = [(re_q[r * nfree + j], im_q[r * nfree + j]) for r in range(len(pivots))]
-            v.append((Fraction(1), Fraction(0)))
+            v = [vals[r * nfree + j] for r in range(len(pivots))] + [_ONE]
             if not _annihilates(A, pivots + [fc], v):
                 break
             vec = [_ZERO] * ncols
-            for c, (x, y) in zip(pivots + [fc], v):
-                vec[c] = ExactScalar(x, y)
+            for c, x in zip(pivots + [fc], v):
+                vec[c] = x
             basis.append(vec)
         else:
             return basis, len(pivots)

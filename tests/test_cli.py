@@ -239,13 +239,17 @@ def test_factorize_malformed_matrix(runner, tmp_path):
 
 # -- sweep ------------------------------------------------------------------
 
-def test_sweep_preset(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("HEISENKEP_THREADS", "2")
-    res = _run(runner, ["sweep", "--config", "sweep_onebody",
-                        "--out", str(tmp_path)])
-    assert res.exit_code == 0
-    doc = _load(tmp_path / "sweep.json")
-    assert doc["threads"] == 2
+def test_sweep_preset(runner, tmp_path):
+    blobs = []
+    for sub in ("a", "b"):
+        res = _run(runner, ["sweep", "--config", "sweep_onebody",
+                            "--out", str(tmp_path / sub)])
+        assert res.exit_code == 0
+        blobs.append((tmp_path / sub / "sweep.json").read_bytes())
+    # nothing machine-dependent is recorded, so reruns are byte-identical
+    assert blobs[0] == blobs[1]
+    doc = _load(tmp_path / "a" / "sweep.json")
+    assert "threads" not in doc
     assert doc["all_pass"] is True
     assert [r["index"] for r in doc["runs"]] == [0, 1, 2, 3]
     assert all(r["checks"]["H"]["pass"] for r in doc["runs"])

@@ -1,6 +1,9 @@
+import hashlib
+import itertools
+import json
+import math
 from fractions import Fraction
 
-import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +13,13 @@ from heisenkep.exactalg import (
     ExactPoly,
     ExactRatFunc,
     ExactScalar,
+    _modulus,
 )
 from heisenkep.galois import (
     DiffOperator,
-    _solve_dependency,
+    _certified,
+    _dependency_mod,
+    _sym_module,
     FactorizationBasis,
     GaloisVerdict,
     ParabolicParams,
@@ -213,18 +219,13 @@ def test_exp_solutions_completeness_class(pcoeffs, qcoeffs):
 
 # -- symmetric powers -------------------------------------------------------
 
-def _cols(*vecs):
-    return [[ExactScalar(x) for x in v] for v in vecs]
-
-
 def test_solve_dependency():
-    assert _solve_dependency(_cols([1, 0, 0], [0, 1, 0], [1, 2, 0]), 2) == [
-        ExactScalar(-1), ExactScalar(-2)
-    ]
+    p = _modulus(0)[0]
+    assert _dependency_mod([[1, 0, 0], [0, 1, 0], [1, 2, 0]], p) == (2, [p - 1, p - 2])
     # the leading columns are dependent
-    assert _solve_dependency(_cols([1, 2, 0], [2, 4, 0], [0, 0, 1]), 2) is None
-    # the last column lies outside their span
-    assert _solve_dependency(_cols([1, 0, 0], [0, 1, 0], [0, 0, 1]), 2) is None
+    assert _dependency_mod([[1, 2, 0], [2, 4, 0], [0, 0, 1]], p)[1] is None
+    # the last column lies outside their span: full rank
+    assert _dependency_mod([[1, 0, 0], [0, 1, 0], [0, 0, 1]], p) == (3, None)
 
 
 def test_sym_square_of_free_particle():
@@ -258,6 +259,94 @@ def test_sym_cube_order_and_lead(sym3):
     assert lead.coeff(13) == ExactScalar(Fraction(-1415, 18))
     assert lead.coeff(11) == ExactScalar(Fraction(64070, 27))
     assert lead.coeff(0).is_zero()  # tau = 0 is a singular point
+
+
+def test_sym_power_skips_prime_dividing_a_denominator():
+    # y'' + y/p with p the first modulus: sym^2 is D^3 + (4/p) D
+    p = _modulus(0)[0]
+    S = sym_power(DiffOperator([Fraction(1, p), 0, 1]), 2)
+    assert S.order == 3
+    assert S.coeff(1) == ExactRatFunc.coerce(Fraction(4, p))
+    assert S.coeff(0).is_zero() and S.coeff(2).is_zero()
+
+
+def test_sym_power_certificate_rejects_a_wrong_coefficient():
+    L = _euler_operator((0, Fraction(1, 2)), 2)
+    S = sym_power(L, 2)
+    _, tower = _sym_module(L, 2)
+    coeffs = [(c.num, c.den) for c in S.coeffs[:-1]]
+    assert _certified(tower, S.order, coeffs)
+    num, den = coeffs[1]
+    coeffs[1] = (num + ExactPoly([Fraction(1, 10**9)]), den)
+    assert not _certified(tower, S.order, coeffs)
+
+
+def test_sym_cube_digest(sym3):
+    # the whole symmetric cube, byte for byte
+    doc = json.dumps(sym3.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "9f2333402c82f0a7889b658af8c2b9806174aad1e7ff30bd8915d12d42f56f0b"
+    )
+
+
+def _falling(r, j):
+    return math.prod((r - i for i in range(j)), start=Fraction(1))
+
+
+def _euler_operator(exps, shift):
+    """Euler operator in u = t - shift with local exponents `exps` at u = 0:
+    sum_j a_j u^j D^j, with sum_j a_j r(r-1)...(r-j+1) = prod (r - e)."""
+    n = len(exps)
+    vals = [math.prod((r - e for e in exps), start=Fraction(1)) for r in range(n + 1)]
+    a = [
+        sum((-1) ** (j - i) * math.comb(j, i) * vals[i] for i in range(j + 1))
+        / math.factorial(j)
+        for j in range(n + 1)
+    ]
+    u = ExactPoly([-shift, 1])
+    return DiffOperator([ExactRatFunc(ExactPoly([a[j]]), u ** (n - j)) for j in range(n)] + [1])
+
+
+def _check_sym_of_euler(exps, shift, k, order):
+    S = sym_power(_euler_operator(exps, shift), k)
+    assert S.order == order
+    # S u^R = sum_j s_j R(R-1)...(R-j+1) u^(R-j) for every product u^R
+    u = ExactPoly([-shift, 1])
+    for combo in itertools.combinations_with_replacement(exps, k):
+        R = sum(combo)
+        residual = sum(
+            (S.coeff(j) * ExactRatFunc(ExactPoly([_falling(R, j)]), u**j)
+             for j in range(order + 1)),
+            ExactRatFunc.coerce(0),
+        )
+        assert residual.is_zero()
+
+
+small_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(small_fracs, min_size=2, max_size=2, unique=True),
+    st.sampled_from([0, 2, Fraction(-1, 2)]),
+    st.sampled_from([2, 3]),
+)
+def test_sym_power_of_euler_operators(exps, shift, k):
+    # products t^(sum of k exponents) are distinct, so the order is k + 1
+    _check_sym_of_euler(exps, shift, k, k + 1)
+
+
+@pytest.mark.parametrize(
+    "exps,shift",
+    [
+        ((0, 1, 2), 0),
+        ((Fraction(1, 3), Fraction(5, 6), Fraction(4, 3)), 2),  # pole at t = 2
+    ],
+)
+def test_sym_square_below_module_dimension(exps, shift):
+    # equally spaced exponents: the six products have only five exponents,
+    # so the minimal order is 5, below the module dimension 6
+    _check_sym_of_euler(exps, shift, 2, 5)
 
 
 def test_sym_power_rejects_bad_k(o3r):
