@@ -53,7 +53,6 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .variational import (
-    GaugeMatrix,
     LinearSystem,
     cyclic_to_scalar,
     exp_substitution,
@@ -408,7 +407,9 @@ def _parabolic_json(p) -> dict:
     }
 
 
-def _ve_kepler(cfg: dict) -> dict:
+def _ve_kepler(cfg: dict) -> tuple:
+    """The ve document of the Kepler branch, and the ParabolicParams of
+    its reduced equation for the galois verdict."""
     kappa = _frac(cfg.get("kappa", 1))
     spec = SystemSpec("one-body", kappa)
     c = _kepler_c(cfg, kappa)
@@ -418,6 +419,7 @@ def _ve_kepler(cfg: dict) -> dict:
     ode = cyclic_to_scalar(blocks.subsystem([0, 1]), 0)
     # y = w exp(-i a t^2 / 2) removes the first-derivative term
     reduced = exp_substitution(ode, ExactPoly([0, 0, ExactScalar(0, -a / 2)]))
+    p = parabolic_from_ode(reduced)
     return {
         "system": "kepler",
         "a": str(a),
@@ -427,8 +429,18 @@ def _ve_kepler(cfg: dict) -> dict:
         "blocks_transformed": _matrix_strs(blocks.A),
         "scalar_ode": [str(cf) for cf in ode.coeffs],
         "reduced_ode": [str(cf) for cf in reduced.coeffs],
-        "parabolic": _parabolic_json(parabolic_from_ode(reduced)),
-    }
+        "parabolic": _parabolic_json(p),
+    }, p
+
+
+def _generic_reduction(a1: LinearSystem, mu) -> tuple:
+    """A1 of the tau0 = 0 two-body system under the reduction gauge, the
+    scalar operator of its middle block, and the parabolic-cylinder
+    operator that y = w exp((1 - mu) tau^2 / 2) turns it into."""
+    g = gauge_transform(a1, reduction_gauge(mu))
+    ode = cyclic_to_scalar(g.subsystem([1, 2]), 0)
+    reduced = exp_substitution(ode, ExactPoly([0, 0, (1 - mu) / 2], var="tau"))
+    return g, ode, reduced
 
 
 def _ve_twobody(cfg: dict) -> dict:
@@ -460,11 +472,7 @@ def _ve_twobody(cfg: dict) -> dict:
         return out
     if tau0 != 0:
         raise click.ClickException("the generic reduction needs tau0 = 0")
-    g = gauge_transform(a1, reduction_gauge(mu))
-    ode = cyclic_to_scalar(g.subsystem([1, 2]), 0)
-    reduced = exp_substitution(
-        ode, ExactPoly([0, 0, (1 - mu) / 2], var="tau")
-    )
+    g, ode, reduced = _generic_reduction(a1, mu)
     out.update({
         "A1_reduced": _matrix_strs(g.A),
         "scalar_ode": [str(cf) for cf in ode.coeffs],
@@ -481,7 +489,7 @@ def ve(config, out_dir, seed, fmt):
     rc = _load_config("ve", config, out_dir, seed, fmt)
     try:
         if rc.config["system"] == "kepler":
-            doc = _ve_kepler(rc.config)
+            doc = _ve_kepler(rc.config)[0]
         elif rc.config["system"] == "twobody":
             doc = _ve_twobody(rc.config)
         else:
@@ -498,14 +506,8 @@ def ve(config, out_dir, seed, fmt):
 # ---------------------------------------------------------------------------
 
 def _galois_kepler(cfg: dict) -> dict:
-    data = _ve_kepler(cfg)
-    spec = SystemSpec("one-body", _frac(cfg.get("kappa", 1)))
-    c = _kepler_c(cfg, _frac(cfg.get("kappa", 1)))
-    blocks = ve_blocks_transformed(spec, c)
-    ode = cyclic_to_scalar(blocks.subsystem([0, 1]), 0)
-    a = condition_coefficient_a(spec, c)
-    reduced = exp_substitution(ode, ExactPoly([0, 0, ExactScalar(0, -a / 2)]))
-    verdict = rehm_classify(parabolic_from_ode(reduced))
+    data, p = _ve_kepler(cfg)
+    verdict = rehm_classify(p)
     return {"branch": "kepler", "a": data["a"],
             "parabolic": data["parabolic"], "verdict": json.loads(verdict.to_json())}
 
@@ -513,10 +515,7 @@ def _galois_kepler(cfg: dict) -> dict:
 def _galois_twobody_generic(cfg: dict) -> dict:
     mu = _frac(cfg["mu"])
     a1 = ve_twobody_blocks(mu, 0, _frac(cfg.get("w2", 1))).subsystem(range(4))
-    g = gauge_transform(a1, reduction_gauge(mu))
-    ode = cyclic_to_scalar(g.subsystem([1, 2]), 0)
-    reduced = exp_substitution(ode, ExactPoly([0, 0, (1 - mu) / 2], var="tau"))
-    p = parabolic_from_ode(reduced)
+    p = parabolic_from_ode(_generic_reduction(a1, mu)[2])
     verdict = rehm_classify(p)
     return {"branch": "twobody", "mu": str(ExactScalar.coerce(mu)),
             "parabolic": _parabolic_json(p), "verdict": json.loads(verdict.to_json())}

@@ -500,10 +500,12 @@ class ExactRatFunc:
             if num.is_zero():
                 den = ExactPoly.constant(1, var=den.var)
             else:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                # the monic gcd with a nonzero constant is 1
+                if den.degree > 0:
+                    g = num.gcd(den)
+                    if g.degree > 0:
+                        num = num.exact_div(g)
+                        den = den.exact_div(g)
                 lead = den.leading()
                 if lead != _ONE:
                     inv = lead.inverse()
@@ -749,15 +751,21 @@ class ExactMatrix:
         )
 
     def _rref(self):
-        """Reduced row echelon form; returns (rref rows, pivot column list)."""
+        """Reduced row echelon form: (rref rows, pivot column list, d), where
+        d is the product of the pivots, negated once per row swap; for a
+        square matrix of full rank it is the determinant."""
         m = [list(r) for r in self.entries]
         pivots = []
+        d = ExactRatFunc.coerce(1, self.var)
         r = 0
         for c in range(self.cols):
             pr = next((i for i in range(r, self.rows) if not m[i][c].is_zero()), None)
             if pr is None:
                 continue
-            m[r], m[pr] = m[pr], m[r]
+            if pr != r:
+                m[r], m[pr] = m[pr], m[r]
+                d = -d
+            d = d * m[r][c]
             inv = m[r][c].inverse()
             m[r] = [e * inv for e in m[r]]
             for i in range(self.rows):
@@ -768,7 +776,7 @@ class ExactMatrix:
             r += 1
             if r == self.rows:
                 break
-        return m, pivots
+        return m, pivots, d
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -779,7 +787,7 @@ class ExactMatrix:
         Basis vectors are in reduced echelon normalization: each has a 1 in
         its free coordinate and the pivot coordinates filled in.
         """
-        m, pivots = self._rref()
+        m, pivots, _ = self._rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         one = ExactRatFunc.coerce(1, self.var)
@@ -803,7 +811,7 @@ class ExactMatrix:
             ],
             var=self.var,
         )
-        m, pivots = aug._rref()
+        m, pivots, _ = aug._rref()
         if len(pivots) < n or pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         return ExactMatrix([row[n:] for row in m])
@@ -811,27 +819,8 @@ class ExactMatrix:
     def det(self) -> ExactRatFunc:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = [list(r) for r in self.entries]
-        n = self.rows
-        det = ExactRatFunc.coerce(1, self.var)
-        sign = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-            if pr is None:
-                return ExactRatFunc.coerce(0, self.var)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                sign = -sign
-            det = det * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, n):
-                if m[i][c].is_zero():
-                    continue
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        if sign < 0:
-            det = -det
-        return det
+        _, pivots, d = self._rref()
+        return d if len(pivots) == self.rows else ExactRatFunc.coerce(0, self.var)
 
     def to_json(self) -> dict:
         return {

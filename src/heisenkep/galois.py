@@ -32,6 +32,8 @@ from .exactalg import (
     scalar_nullspace,
     squarefree_decomposition,
 )
+from . import variational
+from .variational import DiffOperator, _minimal_annihilator, _twist
 
 __all__ = [
     "DiffOperator",
@@ -55,81 +57,6 @@ __all__ = [
 ]
 
 _ZERO = ExactScalar(0)
-
-
-# ---------------------------------------------------------------------------
-# Operator type
-# ---------------------------------------------------------------------------
-
-class DiffOperator:
-    """Monic scalar operator D^n + a_{n-1} D^{n-1} + ... + a_0 over C(t)."""
-
-    def __init__(self, coeffs, var: str = "t"):
-        cs = [ExactRatFunc.coerce(c, var) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        if len(cs) < 2:
-            raise ValueError("operator order must be at least 1")
-        lead = cs[-1]
-        if not (lead.is_poly() and lead.num == 1):
-            cs = [c / lead for c in cs]
-        self.coeffs = tuple(cs)
-        self.var = var
-
-    @staticmethod
-    def from_ode(ode) -> "DiffOperator":
-        return DiffOperator(ode.coeffs, var=ode.var)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> ExactRatFunc:
-        return self.coeffs[k]
-
-    def cleared(self) -> list:
-        """Coefficients as polynomials after clearing denominators and
-        removing any common polynomial factor."""
-        den = ExactPoly([1], var=self.var)
-        for c in self.coeffs:
-            den = den.lcm(c.den)
-        polys = [c.num * den.exact_div(c.den) for c in self.coeffs]
-        g = ExactPoly((), var=self.var)
-        for p in polys:
-            g = p if g.is_zero() else g.gcd(p)
-        if g.degree > 0:
-            polys = [p.exact_div(g) for p in polys]
-        return polys
-
-    def apply_exp_ansatz(self, r) -> ExactRatFunc:
-        """L(e^{int r}) / e^{int r}: zero iff D - r is a right factor."""
-        r = ExactRatFunc.coerce(r, self.var)
-        N = ExactRatFunc.coerce(1, self.var)
-        total = self.coeffs[0] * N
-        for j in range(1, self.order + 1):
-            N = N.derivative() + r * N
-            total = total + self.coeffs[j] * N
-        return total
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOperator) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"DiffOperator(order={self.order}, var={self.var!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "var": self.var,
-            "coeffs": [c.to_json() for c in self.coeffs],
-        }
-
-    @staticmethod
-    def from_json(doc) -> "DiffOperator":
-        return DiffOperator(
-            [ExactRatFunc.from_json(c, doc["var"]) for c in doc["coeffs"]],
-            var=doc["var"],
-        )
 
 
 @dataclass(frozen=True)
@@ -335,26 +262,6 @@ def _polynomial_solutions(polys, var) -> list:
     return sols
 
 
-def _twist(coeffs, rprime, var):
-    """Coefficients of the operator for u where y = u * exp(int rprime);
-    monic in, monic out.  rprime is rational."""
-    rp = ExactRatFunc.coerce(rprime, var)
-    n = len(coeffs) - 1
-    zero = ExactRatFunc.coerce(0, var)
-    B = [[zero] * (n + 1) for _ in range(n + 1)]
-    B[0][0] = ExactRatFunc.coerce(1, var)
-    for j in range(n):
-        for i in range(j + 2):
-            term = B[j][i].derivative() + rp * B[j][i] if i <= j else zero
-            if i > 0:
-                term = term + B[j][i - 1]
-            B[j + 1][i] = term
-    return [
-        sum((coeffs[j] * B[j][i] for j in range(n + 1)), zero)
-        for i in range(n + 1)
-    ]
-
-
 def _newton_polygon_slopes(polys):
     """Candidate leading degrees of the polynomial part of r, with edge
     polynomials: pairs (d, edge) where d >= 0 is an integer slope of the
@@ -545,7 +452,7 @@ def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
             if v is None:
                 continue
             tail = tail + ExactRatFunc(g.derivative().scale(v), g, var=var)
-        base = _twist(list(L.coeffs), tail, var)
+        base = _twist(L.coeffs, tail, var)
         for spoly in _poly_part_candidates(base, var):
             twisted = (
                 base
@@ -1064,19 +971,12 @@ def case2_obstruction(
 def o3r_operator() -> DiffOperator:
     """The third-order reduced operator of the resonant mass-ratio branch,
     derived through the actual reduction chain rather than hard-coded."""
-    from .variational import (
-        cyclic_to_scalar,
-        exp_substitution,
-        gauge_transform,
-        reduction_gauge_resonant,
-        ve_twobody_blocks,
+    sys = variational.ve_twobody_blocks(Fraction(-1), 1, 1).subsystem(range(4))
+    g = variational.gauge_transform(sys, variational.reduction_gauge_resonant())
+    ode = variational.cyclic_to_scalar(g.subsystem(range(3)), 1)
+    return variational.exp_substitution(
+        ode, ExactPoly([0, 0, Fraction(2, 3)], var="tau")
     )
-
-    sys = ve_twobody_blocks(Fraction(-1), 1, 1).subsystem(range(4))
-    g = gauge_transform(sys, reduction_gauge_resonant()).subsystem(range(3))
-    ode = cyclic_to_scalar(g, 1)
-    red = exp_substitution(ode, ExactPoly([0, 0, Fraction(2, 3)], var="tau"))
-    return DiffOperator.from_ode(red)
 
 
 def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdict:
@@ -1168,32 +1068,6 @@ def plucker_check(Y) -> bool:
     return (v[2] * v[3] - v[1] * v[4] + v[5] * v[0]).is_zero()
 
 
-def _minimal_annihilator(B: ExactMatrix, index: int, var: str):
-    """Minimal scalar operator annihilating component `index` of every
-    solution of y' = B y (the order may be below the dimension)."""
-    n = B.rows
-    zero = ExactRatFunc.coerce(0, var)
-    e = [ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]
-    rows = [e]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        rows.append(
-            [
-                sum((prev[k] * B[k, j] for k in range(n)), zero)
-                + prev[j].derivative()
-                for j in range(n)
-            ]
-        )
-        M = ExactMatrix(
-            [[rows[k][j] for k in range(m + 1)] for j in range(n)], var=var
-        )
-        if M.rank() <= m:
-            for v in M.nullspace():
-                if not v[m].is_zero():
-                    return DiffOperator([c / v[m] for c in v[: m + 1]], var=var)
-    return None
-
-
 def _poly_vector_solutions(B: ExactMatrix, sprime: ExactRatFunc, degree_bound: int):
     """Exact polynomial vector solutions of v' = (B - s' I) v."""
     n = B.rows
@@ -1275,8 +1149,6 @@ def system_exp_solutions(sys, degree_bound: int = 8) -> list:
     seen = {str(s_candidates[0])}
     for i in range(n):
         ode = _minimal_annihilator(B, i, var)
-        if ode is None:
-            continue
         for spoly in _poly_part_candidates(list(ode.coeffs), var):
             s = _integrate_poly(spoly)
             if str(s) not in seen:
@@ -1293,7 +1165,7 @@ def system_exp_solutions(sys, degree_bound: int = 8) -> list:
 
 @dataclass
 class FactorizationBasis:
-    Q: object  # GaugeMatrix
+    Q: variational.GaugeMatrix
     complete: bool
     kernels: list
 
@@ -1308,8 +1180,6 @@ def factorization_basis(solutions) -> FactorizationBasis:
     coordinate is 1 and ordered by descending pivot index.  If the columns
     do not span, the basis is completed with unit vectors and flagged as
     partial (the factorization is then only block-triangular)."""
-    from .variational import GaugeMatrix
-
     cols = []
     kernels = []
     for Y in solutions:
@@ -1335,10 +1205,10 @@ def factorization_basis(solutions) -> FactorizationBasis:
         kernels.append([c for c, _ in canon])
         cols.extend(c for c, _ in canon)
 
-    complete = False
-    if len(cols) == 4:
-        trial = ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
-        complete = not trial.det().is_zero()
+    complete = (
+        len(cols) == 4
+        and ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)]).rank() == 4
+    )
     if not complete:
         for i in range(4):
             if len(cols) == 4:
@@ -1353,4 +1223,6 @@ def factorization_basis(solutions) -> FactorizationBasis:
             if trial.rank() == len(cols) + 1:
                 cols.append(unit)
     Qm = ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
-    return FactorizationBasis(Q=GaugeMatrix(Qm), complete=complete, kernels=kernels)
+    return FactorizationBasis(
+        Q=variational.GaugeMatrix(Qm), complete=complete, kernels=kernels
+    )

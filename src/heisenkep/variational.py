@@ -12,26 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import sympy as sp
 from scipy.special import jv, yv
 
-from .exactalg import (
-    ExactMatrix,
-    ExactPoly,
-    ExactRatFunc,
-    ExactScalar,
-    SingularMatrixError,
-)
+from .exactalg import ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar
 from .heisenmodel import SystemSpec, condition_coefficient_a, hamiltonian
 from .dynamics import Trajectory, hamilton_jacobian, hamilton_rhs
 
 __all__ = [
     "LinearSystem",
     "SampledLinearSystem",
-    "ScalarODE",
+    "DiffOperator",
     "GaugeMatrix",
     "NotCyclicError",
     "ve_along",
@@ -112,17 +105,19 @@ class SampledLinearSystem:
         return hamilton_jacobian(self.spec, self.traj.at(float(t)))
 
 
-class ScalarODE:
-    """Monic scalar ODE sum_k c_k(t) y^(k) = 0 with ExactRatFunc c_k."""
+class DiffOperator:
+    """Monic scalar operator D^n + a_{n-1} D^{n-1} + ... + a_0 over C(t)."""
 
     def __init__(self, coeffs, var: str = "t"):
         cs = [ExactRatFunc.coerce(c, var) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         if len(cs) < 2:
-            raise ValueError("order must be at least 1")
+            raise ValueError("operator order must be at least 1")
         lead = cs[-1]
-        self.coeffs = tuple(c / lead for c in cs)
+        if not (lead.is_poly() and lead.num == 1):
+            cs = [c / lead for c in cs]
+        self.coeffs = tuple(cs)
         self.var = var
 
     @property
@@ -131,6 +126,30 @@ class ScalarODE:
 
     def coeff(self, k: int) -> ExactRatFunc:
         return self.coeffs[k]
+
+    def cleared(self) -> list:
+        """Coefficients as polynomials after clearing denominators and
+        removing any common polynomial factor."""
+        den = ExactPoly([1], var=self.var)
+        for c in self.coeffs:
+            den = den.lcm(c.den)
+        polys = [c.num * den.exact_div(c.den) for c in self.coeffs]
+        g = ExactPoly((), var=self.var)
+        for p in polys:
+            g = p if g.is_zero() else g.gcd(p)
+        if g.degree > 0:
+            polys = [p.exact_div(g) for p in polys]
+        return polys
+
+    def apply_exp_ansatz(self, r) -> ExactRatFunc:
+        """L(e^{int r}) / e^{int r}: zero iff D - r is a right factor."""
+        r = ExactRatFunc.coerce(r, self.var)
+        N = ExactRatFunc.coerce(1, self.var)
+        total = self.coeffs[0] * N
+        for j in range(1, self.order + 1):
+            N = N.derivative() + r * N
+            total = total + self.coeffs[j] * N
+        return total
 
     def companion(self) -> LinearSystem:
         n = self.order
@@ -142,10 +161,10 @@ class ScalarODE:
         return LinearSystem(ExactMatrix(rows, var=self.var), var=self.var)
 
     def __eq__(self, other):
-        return isinstance(other, ScalarODE) and self.coeffs == other.coeffs
+        return isinstance(other, DiffOperator) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"ScalarODE(order={self.order}, var={self.var!r})"
+        return f"DiffOperator(order={self.order}, var={self.var!r})"
 
     def to_json(self) -> dict:
         return {
@@ -155,26 +174,20 @@ class ScalarODE:
         }
 
     @staticmethod
-    def from_json(doc) -> "ScalarODE":
-        return ScalarODE(
+    def from_json(doc) -> "DiffOperator":
+        return DiffOperator(
             [ExactRatFunc.from_json(c, doc["var"]) for c in doc["coeffs"]],
             var=doc["var"],
         )
 
 
 class GaugeMatrix:
-    """Polynomial matrix Q(t) with nonzero determinant and cached inverse."""
+    """Polynomial matrix Q(t) with its inverse, taken at construction: a
+    non-square Q raises ValueError and a singular one SingularMatrixError."""
 
     def __init__(self, Q: ExactMatrix):
-        if Q.rows != Q.cols:
-            raise ValueError("gauge matrix must be square")
-        if Q.det().is_zero():
-            raise SingularMatrixError("gauge matrix identically singular")
         self.Q = Q
-
-    @cached_property
-    def inverse(self) -> ExactMatrix:
-        return self.Q.inverse()
+        self.inverse = Q.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -436,58 +449,65 @@ def reduction_gauge_resonant() -> GaugeMatrix:
     return GaugeMatrix(Q)
 
 
-def cyclic_to_scalar(sys: LinearSystem, index: int) -> ScalarODE:
-    """Minimal scalar ODE satisfied by component `index` of every solution.
+def _minimal_annihilator(B: ExactMatrix, index: int, var: str) -> DiffOperator:
+    """Minimal monic operator annihilating component `index` of every
+    solution of y' = B y; its order is at most the dimension."""
+    n = B.rows
+    zero = ExactRatFunc.coerce(0, var)
+    rows = [[ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]]
+    while True:
+        prev = rows[-1]
+        rows.append(
+            [
+                sum((prev[k] * B[k, j] for k in range(n)), zero)
+                + prev[j].derivative()
+                for j in range(n)
+            ]
+        )
+        M = ExactMatrix([[row[j] for row in rows] for j in range(n)], var=var)
+        ker = M.nullspace()
+        if ker:
+            # the earlier rows are independent, so the kernel is one vector
+            # whose reduced-echelon form ends in 1
+            return DiffOperator(ker[0], var=var)
+
+
+def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:
+    """Minimal scalar operator satisfied by component `index` of every solution.
 
     Requires the component to be a cyclic vector: the rows e, eA + e',
     ... must span; otherwise NotCyclicError."""
-    n = sys.dim
-    var = sys.var
-    e = [ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]
-    rows = [e]
-    for _ in range(n):
-        prev = rows[-1]
-        nxt = [
-            sum(
-                (prev[k] * sys.A[k, j] for k in range(n)),
-                ExactRatFunc.coerce(0, var),
-            )
-            + prev[j].derivative()
-            for j in range(n)
-        ]
-        rows.append(nxt)
-    # columns v_0 .. v_n of the (n x (n+1)) dependency matrix
-    M_full = ExactMatrix([[rows[k][j] for k in range(n + 1)] for j in range(n)], var=var)
-    M_head = ExactMatrix([[rows[k][j] for k in range(n)] for j in range(n)], var=var)
-    if M_head.rank() < n:
+    L = _minimal_annihilator(sys.A, index, sys.var)
+    if L.order < sys.dim:
         raise NotCyclicError(f"component {index} is not cyclic for this system")
-    ker = M_full.nullspace()
-    coeffs = ker[0]
-    lead = coeffs[n]
-    return ScalarODE([c / lead for c in coeffs], var=var)
+    return L
 
 
-def exp_substitution(ode: ScalarODE, s: ExactPoly) -> ScalarODE:
-    """ODE satisfied by w where y = w * exp(s(t)), s polynomial; exact."""
-    s = ExactPoly.coerce(s, ode.var)
-    ds = ExactRatFunc(s.derivative(), var=ode.var)
-    n = ode.order
-    var = ode.var
+def _twist(coeffs, rprime, var):
+    """Coefficients of the operator for u where y = u * exp(int rprime);
+    monic in, monic out.  rprime is rational."""
+    rp = ExactRatFunc.coerce(rprime, var)
+    n = len(coeffs) - 1
     zero = ExactRatFunc.coerce(0, var)
-    # y^(j) = e^s * sum_i B[j][i] w^(i)
+    # y^(j) = e^(int rp) * sum_i B[j][i] u^(i)
     B = [[zero] * (n + 1) for _ in range(n + 1)]
     B[0][0] = ExactRatFunc.coerce(1, var)
     for j in range(n):
         for i in range(j + 2):
-            term = B[j][i].derivative() + ds * B[j][i] if i <= j else zero
+            term = B[j][i].derivative() + rp * B[j][i] if i <= j else zero
             if i > 0:
                 term = term + B[j][i - 1]
             B[j + 1][i] = term
-    new = [
-        sum((ode.coeff(j) * B[j][i] for j in range(n + 1)), zero)
+    return [
+        sum((coeffs[j] * B[j][i] for j in range(n + 1)), zero)
         for i in range(n + 1)
     ]
-    return ScalarODE(new, var=var)
+
+
+def exp_substitution(ode: DiffOperator, s: ExactPoly) -> DiffOperator:
+    """Operator satisfied by w where y = w * exp(s(t)), s polynomial; exact."""
+    ds = ExactRatFunc(ExactPoly.coerce(s, ode.var).derivative(), var=ode.var)
+    return DiffOperator(_twist(ode.coeffs, ds, ode.var), var=ode.var)
 
 
 # ---------------------------------------------------------------------------

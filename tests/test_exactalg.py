@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -190,6 +191,54 @@ def test_matrix_inverse_round_trip_random():
 def test_singular_matrix_signalled():
     with pytest.raises(SingularMatrixError):
         ExactMatrix([[1, 1], [2, 2]]).inverse()
+
+
+def _permutation_det(M):
+    """Determinant as the signed sum over permutations."""
+    n = M.rows
+    total = ExactRatFunc.coerce(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ExactRatFunc.coerce(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * M[i, perm[i]]
+        total = total + term
+    return total
+
+
+def test_det_row_swaps_and_singular():
+    t = ExactPoly.x()
+    assert ExactMatrix([[0, 1], [1, 0]]).det() == ExactRatFunc.coerce(-1)
+    # a swap at the second pivot, then swaps at the first and second
+    assert ExactMatrix([[1, 0, 0], [0, 0, 1], [0, t, 0]]).det() == -ExactRatFunc(t)
+    two_swaps = ExactMatrix([[0, 1, t], [0, 0, 1], [1, t, 0]])
+    assert two_swaps.det() == ExactRatFunc.coerce(1)
+    assert ExactMatrix([[t, t * t], [1, t]]).det().is_zero()
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 0, 0], [0, 1, 0]]).det()
+
+
+def test_det_matches_permutation_expansion():
+    rng = random.Random(17)
+    swapped = singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        rows = [
+            [ExactPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.4:
+            rows[0][0] = ExactPoly(())          # the first pivot needs a swap
+        if n > 1 and rng.random() < 0.25:
+            k = rng.randint(-2, 2)
+            rows[-1] = [p.scale(k) for p in rows[0]]   # dependent rows
+        M = ExactMatrix(rows)
+        d = M.det()
+        assert d == _permutation_det(M)
+        singular += d.is_zero()
+        swapped += n > 1 and rows[0][0].is_zero() and not d.is_zero()
+    assert swapped >= 5 and singular >= 5
 
 
 # -- multi-modular Q(i) kernel ---------------------------------------------

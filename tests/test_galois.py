@@ -40,7 +40,7 @@ from heisenkep.galois import (
     system_exp_solutions,
 )
 from heisenkep.heisenmodel import SystemSpec
-from heisenkep.variational import ScalarODE, gauge_transform, ve_along
+from heisenkep.variational import gauge_transform, ve_along
 
 I = ExactScalar(0, 1)
 
@@ -99,7 +99,7 @@ def test_rehm_odd_ratio_is_inconclusive():
 
 def test_rehm_kepler_branch_not_solvable():
     # w'' + a^2 t^2 w = 0 with a = 2: alpha^2 = -4, beta = gamma = 0
-    ode = ScalarODE([ExactPoly([0, 0, 4]), 0, 1])
+    ode = DiffOperator([ExactPoly([0, 0, 4]), 0, 1])
     p = parabolic_from_ode(ode)
     assert p.alpha_sq == ExactScalar(-4)
     assert p.gamma == ExactScalar(0)
@@ -112,7 +112,7 @@ def test_rehm_two_body_branch_not_solvable():
     # w'' - (1+mu)[2 + (1+mu) tau^2] w = 0: ratio = -2 sgn(1+mu)
     mu = Fraction(1, 2)
     c0 = ExactPoly([-(1 + mu) * 2, 0, -((1 + mu) ** 2)], var="tau")
-    p = parabolic_from_ode(ScalarODE([c0, 0, 1], var="tau"))
+    p = parabolic_from_ode(DiffOperator([c0, 0, 1], var="tau"))
     assert p.alpha_sq == ExactScalar((1 + mu) ** 2)
     assert p.gamma == ExactScalar(2 * (1 + mu))
     assert rehm_classify(p).tag == "NotSolvableIdentityComponent"
@@ -127,11 +127,11 @@ def test_rehm_sign_invariance():
 
 def test_parabolic_from_ode_rejections():
     with pytest.raises(ValueError):
-        parabolic_from_ode(ScalarODE([1, 0, 1]))  # alpha = 0
+        parabolic_from_ode(DiffOperator([1, 0, 1]))  # alpha = 0
     with pytest.raises(ValueError):
-        parabolic_from_ode(ScalarODE([ExactPoly([0, 0, 1]), 1, 1]))  # y' term
+        parabolic_from_ode(DiffOperator([ExactPoly([0, 0, 1]), 1, 1]))  # y' term
     with pytest.raises(ValueError):
-        parabolic_from_ode(ScalarODE([0, 1]))  # wrong order
+        parabolic_from_ode(DiffOperator([0, 1]))  # wrong order
 
 
 # -- exact roots ------------------------------------------------------------

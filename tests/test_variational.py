@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from heisenkep.dynamics import IntegratorConfig, integrate
-from heisenkep.exactalg import ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar
+from heisenkep.exactalg import (
+    ExactMatrix,
+    ExactPoly,
+    ExactRatFunc,
+    ExactScalar,
+    SingularMatrixError,
+)
 from heisenkep.heisenmodel import PhaseState1B, SystemSpec, particular_solution
 from heisenkep.variational import (
+    DiffOperator,
     GaugeMatrix,
     LinearSystem,
     NotCyclicError,
     SampledLinearSystem,
-    ScalarODE,
     bessel_closed_form,
     cyclic_to_scalar,
     exp_substitution,
@@ -306,6 +312,14 @@ def test_gauge_functoriality():
         done += 1
 
 
+def test_gauge_matrix_rejects_singular_and_non_square():
+    t = ExactPoly.x()
+    with pytest.raises(SingularMatrixError):
+        GaugeMatrix(ExactMatrix([[t, t * t], [1, t]]))
+    with pytest.raises(ValueError):
+        GaugeMatrix(ExactMatrix([[1, 0, 0], [0, 1, 0]]))
+
+
 def test_gauge_fundamental_conjugation(ve_a2):
     blk = ve_a2.subsystem(range(4))
     Q = ExactMatrix([[0, -I, 0, I], [-I, 0, I, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
@@ -397,6 +411,33 @@ def test_exp_substitution_third_order():
     )
 
 
+def _rand_gaussian_poly(rng):
+    return ExactPoly([
+        ExactScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 4))
+    ])
+
+
+def test_exp_substitution_inverse_round_trip():
+    rng = random.Random(23)
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        coeffs = []
+        for _ in range(n):
+            den = _rand_gaussian_poly(rng)
+            coeffs.append(ExactRatFunc(
+                _rand_gaussian_poly(rng), den if not den.is_zero() else 1
+            ))
+        L = DiffOperator(coeffs + [1])
+        s = _rand_gaussian_poly(rng)
+        twisted = exp_substitution(L, s)
+        assert exp_substitution(twisted, -s) == L
+        # twisted(u) = e^-s L(e^s u), tested on u = exp(int (r - s'))
+        r = ExactRatFunc(_rand_gaussian_poly(rng), ExactPoly([1, 1]))
+        ds = ExactRatFunc(s.derivative())
+        assert twisted.apply_exp_ansatz(r - ds) == L.apply_exp_ansatz(r)
+
+
 # -- Bessel closed form -----------------------------------------------------
 
 def test_bessel_residual_oracle():
@@ -442,4 +483,4 @@ def test_scalar_ode_json_round_trip():
     sys = ve_twobody_blocks(Fraction(-1), 1, 1).subsystem(range(4))
     g = gauge_transform(sys, reduction_gauge_resonant()).subsystem(range(3))
     ode = cyclic_to_scalar(g, 1)
-    assert ScalarODE.from_json(ode.to_json()) == ode
+    assert DiffOperator.from_json(ode.to_json()) == ode
