@@ -4,6 +4,13 @@ Provides scalars, univariate polynomials, rational functions and matrices
 with bit-exact arithmetic.  All values are immutable and canonical at
 construction time, so equality is structural and instances are hashable.
 
+A scalar is the Gaussian integer a + b*i over one positive integer
+denominator d, held as the three ints (a, b, d) with gcd(a, b, d) = 1, and
+zero as (0, 0, 1).  Arithmetic is integer arithmetic with one gcd per
+result, in place of a gcd for each of two ``Fraction`` parts.  Readers of
+the integer parts (the multi-modular kernel, reduction modulo a prime)
+scale by d directly.
+
 The coefficient field is Q(i) only; no further algebraic extensions are
 introduced.  Quantities that genuinely live outside Q(i) (square roots of
 parameters, numeric root locations) are handled by the numeric layers.
@@ -40,20 +47,36 @@ class SingularMatrixError(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 
 class ExactScalar:
-    """A Gaussian rational a/b + (c/d)i with Fraction parts.
+    """A Gaussian rational (a + b*i)/d held as three Python ints.
 
-    ``Fraction`` keeps each part in lowest terms with a positive
-    denominator, which is exactly the canonical form required here.
+    The canonical form is d > 0 and gcd(a, b, d) = 1, with zero as
+    (0, 0, 1).  Every constructor returns it, so equality is structural.
+    Arithmetic works on the integers and normalizes once per result with a
+    single three-way gcd.  ``re`` and ``im`` are read-only ``Fraction``
+    views of a/d and b/d.  ``hash`` is ``hash((re, im))``, the hash of the
+    former pair-of-``Fraction`` form, so set and dict orders do not move.
+
+    ``ExactScalar(re, im)`` takes int or ``Fraction`` parts, as ``coerce``
+    does, and raises ``TypeError`` for anything else, floats included.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __new__(cls, re=0, im=0):
+        p, q = _rational_parts(re)
+        r, s = _rational_parts(im)
+        return _mk(p * s, r * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- constructors -------------------------------------------------------
 
@@ -61,23 +84,20 @@ class ExactScalar:
     def coerce(x) -> "ExactScalar":
         if isinstance(x, ExactScalar):
             return x
-        if isinstance(x, (int, Fraction)):
-            return ExactScalar(x)
-        if isinstance(x, complex):
-            raise TypeError("floats/complex are not exact; convert explicitly")
-        raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
+        p, q = _rational_parts(x)
+        return _mk(p, 0, q)
 
     @staticmethod
     def i() -> "ExactScalar":
-        return ExactScalar(0, 1)
+        return _mk(0, 1, 1)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -85,35 +105,42 @@ class ExactScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        if not isinstance(other, ExactScalar):
+            other = ExactScalar.coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _mk(self.a + other.a, self.b + other.b, d)
+        return _mk(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        if not isinstance(other, ExactScalar):
+            other = ExactScalar.coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _mk(self.a - other.a, self.b - other.b, d)
+        return _mk(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return ExactScalar.coerce(other) - self
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _mk(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, ExactScalar):
+            other = ExactScalar.coerce(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _mk(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        a, b = self.a, self.b
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero ExactScalar")
-        return ExactScalar(self.re / n, -self.im / n)
+        return _mk(self.d * a, -self.d * b, a * a + b * b)
 
     def __truediv__(self, other):
         return self * ExactScalar.coerce(other).inverse()
@@ -124,7 +151,7 @@ class ExactScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExactScalar(1)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -134,16 +161,17 @@ class ExactScalar:
         return out
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _mk(self.a, -self.b, self.d)
 
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = ExactScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if not isinstance(other, ExactScalar):
+            try:
+                other = ExactScalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -151,7 +179,8 @@ class ExactScalar:
     # -- conversions --------------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     @staticmethod
     def _fmt_frac(f: Fraction) -> str:
@@ -201,6 +230,38 @@ class ExactScalar:
             else:
                 re_part += val
         return ExactScalar(re_part, im_part)
+
+
+# slot setters that bypass the immutability guard of __setattr__
+_new = object.__new__
+_set_a = ExactScalar.a.__set__
+_set_b = ExactScalar.b.__set__
+_set_d = ExactScalar.d.__set__
+
+
+def _mk(a: int, b: int, d: int) -> ExactScalar:
+    """(a + b*i)/d in canonical form; d > 0."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    s = _new(ExactScalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _rational_parts(x) -> tuple[int, int]:
+    """Numerator and positive denominator of an int or a Fraction."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, (float, complex)):
+        raise TypeError("floats/complex are not exact; convert explicitly")
+    raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
 
 
 _ZERO = ExactScalar(0)
@@ -699,22 +760,15 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in matmul")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = ExactRatFunc.coerce(0, self.var)
-                    for k in range(self.cols):
-                        if self[i, k].is_zero() or other[k, j].is_zero():
-                            continue
-                        acc = acc + self[i, k] * other[k, j]
-                    row.append(acc)
-                out.append(row)
-            return ExactMatrix(out)
-        raise TypeError("matmul expects an ExactMatrix")
+        if not isinstance(other, ExactMatrix):
+            raise TypeError("matmul expects an ExactMatrix")
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matmul")
+        var = self.var
+        cols = list(zip(*other.entries))
+        return ExactMatrix(
+            [[_dot(row, col, var) for col in cols] for row in self.entries]
+        )
 
     def scale(self, s) -> "ExactMatrix":
         return ExactMatrix(
@@ -854,6 +908,32 @@ class ExactMatrix:
         return f"ExactMatrix(\n{self}\n)"
 
 
+def _dot(fs, gs, var: str) -> ExactRatFunc:
+    """sum f*g over paired entries, normalized once.
+
+    Products that share a denominator are summed over it; the distinct
+    denominators are then multiplied together, so the whole sum is one
+    fraction and one ExactRatFunc construction reduces it."""
+    dens, nums = [], []
+    for f, g in zip(fs, gs):
+        if f.is_zero() or g.is_zero():
+            continue
+        num, den = f.num * g.num, f.den * g.den
+        for k, d in enumerate(dens):
+            if d == den:
+                nums[k] = nums[k] + num
+                break
+        else:
+            dens.append(den)
+            nums.append(num)
+    if not dens:
+        return ExactRatFunc.coerce(0, var)
+    num, den = nums[0], dens[0]
+    for n, d in zip(nums[1:], dens[1:]):
+        num, den = num * d + n * den, den * d
+    return ExactRatFunc(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Multi-modular elimination over Q(i)
 # ---------------------------------------------------------------------------
@@ -876,10 +956,11 @@ def _modulus(k: int) -> tuple[int, int]:
 
 def _gaussian_integer_row(row) -> tuple[list[int], list[int]]:
     """Real and imaginary integer parts of a row scaled into Z[i]."""
-    den = math.lcm(*(f.denominator for e in row for f in (e.re, e.im)))
+    den = math.lcm(*(e.d for e in row))
+    scale = [den // e.d for e in row]
     return (
-        [e.re.numerator * (den // e.re.denominator) for e in row],
-        [e.im.numerator * (den // e.im.denominator) for e in row],
+        [e.a * k for e, k in zip(row, scale)],
+        [e.b * k for e, k in zip(row, scale)],
     )
 
 

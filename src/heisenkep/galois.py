@@ -526,11 +526,7 @@ def _sym_module(L: DiffOperator, k: int):
 def _poly_mod(f: ExactPoly, p: int, root: int) -> list[int]:
     """Coefficients of f modulo p under i -> root; ValueError if p divides
     a coefficient denominator."""
-    return [
-        (c.re.numerator * pow(c.re.denominator, -1, p)
-         + root * c.im.numerator * pow(c.im.denominator, -1, p)) % p
-        for c in f.coeffs
-    ]
+    return [(c.a + root * c.b) * pow(c.d, -1, p) % p for c in f.coeffs]
 
 
 def _eval_mod(f: list[int], x: int, p: int) -> int:

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep.exactalg import (
@@ -13,6 +15,7 @@ from heisenkep.exactalg import (
     ExactScalar,
     SingularMatrixError,
     poly_roots_numeric,
+    _gaussian_integer_row,
     _modulus,
     scalar_nullspace,
     squarefree_decomposition,
@@ -59,6 +62,92 @@ def test_scalar_parse_forms():
     assert ExactScalar.parse("-1/2+3/4*i") == ExactScalar(Fraction(-1, 2), Fraction(3, 4))
     assert ExactScalar.parse("1*i") == ExactScalar.i()
     assert ExactScalar.parse("0") == ExactScalar(0)
+
+
+def test_scalar_rejects_inexact_parts():
+    for bad in (0.1, 1.0, np.float64(0.5), 1j, complex(1, 0), "1/2"):
+        with pytest.raises(TypeError):
+            ExactScalar(bad)
+        with pytest.raises(TypeError):
+            ExactScalar(1, bad)
+        with pytest.raises(TypeError):
+            ExactScalar.coerce(bad)
+    assert ExactScalar(3, Fraction(-1, 2)) == ExactScalar.parse("3-1/2*i")
+    assert ExactScalar(Fraction(6, 4)) == ExactScalar(Fraction(3, 2))
+
+
+# The former representation, a pair of Fractions, as the model of the
+# (a + b*i)/d scalar.
+
+def _ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        return _ref_pow(_ref_inverse(x), -n)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _assert_models(s, ref):
+    re, im = ref
+    assert (s.re, s.im) == (re, im)
+    assert s.d > 0 and math.gcd(s.a, s.b, s.d) == 1
+    if re == 0 and im == 0:
+        assert (s.a, s.b, s.d) == (0, 0, 1)
+    assert hash(s) == hash((re, im))
+    assert ExactScalar.parse(str(s)) == s
+
+
+# up to 40-bit parts; small denominators make equal ones, and the equal
+# denominator path of + and -, common
+_B40 = 2**40
+big_fracs = st.builds(
+    Fraction,
+    st.integers(-_B40, _B40),
+    st.one_of(st.integers(1, 6), st.integers(1, _B40)),
+)
+ref_pairs = st.tuples(big_fracs, big_fracs)
+_ZERO_REF = (Fraction(0), Fraction(0))
+
+
+@settings(max_examples=300)
+@given(ref_pairs, ref_pairs, st.integers(-3, 3))
+@example(_ZERO_REF, _ZERO_REF, 2)
+@example((Fraction(1, 6), Fraction(5, 6)), (Fraction(-1, 6), Fraction(1, 6)), -1)
+@example((Fraction(3), Fraction(0)), (Fraction(0), Fraction(-1, 2)), 0)
+def test_scalar_matches_fraction_pair_model(x, y, n):
+    sx, sy = ExactScalar(*x), ExactScalar(*y)
+    _assert_models(sx, x)
+    _assert_models(sx + sy, _ref_add(x, y))
+    _assert_models(sx - sy, _ref_sub(x, y))
+    _assert_models(sx * sy, _ref_mul(x, y))
+    _assert_models(-sx, _ref_sub(_ZERO_REF, x))
+    _assert_models(sx.conjugate(), (x[0], -x[1]))
+    _assert_models(sx + n, _ref_add(x, (Fraction(n), Fraction(0))))
+    _assert_models(n - sx, _ref_sub((Fraction(n), Fraction(0)), x))
+    _assert_models(y[0] * sx, _ref_mul((y[0], Fraction(0)), x))
+    if y != _ZERO_REF:
+        _assert_models(sy.inverse(), _ref_inverse(y))
+        _assert_models(sx / sy, _ref_mul(x, _ref_inverse(y)))
+    if x != _ZERO_REF or n >= 0:
+        _assert_models(sx**n, _ref_pow(x, n))
 
 
 # -- polynomials ------------------------------------------------------------
@@ -188,6 +277,31 @@ def test_matrix_inverse_round_trip_random():
         done += 1
 
 
+def test_matmul_matches_entrywise_sums():
+    # the product summed one normalized addition at a time, with shared,
+    # distinct and cancelling denominators among the terms
+    rng = random.Random(17)
+    t = ExactPoly.x()
+    dens = [ExactPoly([1]), t, t * t, t - 1, ExactPoly([1, 0, 1])]
+
+    def entry():
+        if rng.random() < 0.2:
+            return ExactRatFunc.coerce(0)
+        return ExactRatFunc(_rand_ratfunc(rng).num, rng.choice(dens))
+
+    for _ in range(25):
+        n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A = ExactMatrix([[entry() for _ in range(m)] for _ in range(n)])
+        B = ExactMatrix([[entry() for _ in range(k)] for _ in range(m)])
+        want = [[sum((A[i, l] * B[l, j] for l in range(m)), ExactRatFunc.coerce(0))
+                 for j in range(k)] for i in range(n)]
+        assert (A @ B).entries == tuple(map(tuple, want))
+    # terms that cancel to zero give the canonical zero
+    A = ExactMatrix([[ExactRatFunc(1, t), ExactRatFunc(-1, t)]])
+    assert (A @ ExactMatrix([[1], [1]]))[0, 0] == ExactRatFunc.coerce(0)
+    assert (A @ ExactMatrix([[1], [1]]))[0, 0].den == ExactPoly([1])
+
+
 def test_singular_matrix_signalled():
     with pytest.raises(SingularMatrixError):
         ExactMatrix([[1, 1], [2, 2]]).inverse()
@@ -303,6 +417,16 @@ def test_scalar_nullspace_matches_gauss_jordan(rows):
 
 def _ints(rows):
     return [[ExactScalar(x) for x in row] for row in rows]
+
+
+def test_gaussian_integer_row_scales_by_the_lcm():
+    row = [
+        ExactScalar(Fraction(1, 2), Fraction(1, 3)),
+        ExactScalar(5),
+        ExactScalar(0, Fraction(-3, 4)),
+        ExactScalar(0),
+    ]
+    assert _gaussian_integer_row(row) == ([6, 60, 0, 0], [4, 0, -9, 0])
 
 
 def test_scalar_nullspace_prime_disagreement():

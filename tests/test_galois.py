@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from heisenkep.galois import (
     DiffOperator,
     _certified,
     _dependency_mod,
+    _poly_mod,
     _sym_module,
     FactorizationBasis,
     GaloisVerdict,
@@ -268,6 +270,33 @@ def test_sym_power_skips_prime_dividing_a_denominator():
     assert S.order == 3
     assert S.coeff(1) == ExactRatFunc.coerce(Fraction(4, p))
     assert S.coeff(0).is_zero() and S.coeff(2).is_zero()
+
+
+def test_poly_mod_images_and_primes_dividing_a_denominator():
+    p, root = 13, 5  # 5^2 = -1 (mod 13)
+    rng = random.Random(11)
+    for _ in range(50):
+        f = ExactPoly([
+            ExactScalar(
+                Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12))),
+                Fraction(rng.randint(-40, 40), rng.choice((1, 4, 5, 9, 11))),
+            )
+            for _ in range(4)
+        ])
+        # the images computed from the Fraction parts
+        want = [
+            (c.re.numerator * pow(c.re.denominator, -1, p)
+             + root * c.im.numerator * pow(c.im.denominator, -1, p)) % p
+            for c in f.coeffs
+        ]
+        assert _poly_mod(f, p, root) == want
+    for bad in (
+        ExactScalar(Fraction(1, 26)),
+        ExactScalar(1, Fraction(2, 13)),
+        ExactScalar(Fraction(1, 2), Fraction(5, 39)),
+    ):
+        with pytest.raises(ValueError):
+            _poly_mod(ExactPoly([1, bad]), p, root)
 
 
 def test_sym_power_certificate_rejects_a_wrong_coefficient():
