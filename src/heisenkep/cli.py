@@ -29,7 +29,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .exactalg import ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar
+from .exactalg import ExactMatrix, ExactPoly, ExactScalar
 from .heisenmodel import (
     GroupElement,
     PhaseState2B,
@@ -68,7 +68,7 @@ from .galois import (
     factorization_basis,
     liouvillian_verdict_o3r,
     parabolic_from_ode,
-    plucker_check,
+    plucker_quadric,
     rehm_classify,
     system_exp_solutions,
 )
@@ -561,11 +561,6 @@ def _input_matrix(cfg: dict) -> ExactMatrix:
     return ve_along(spec, {"c": c}).subsystem(range(4)).A
 
 
-def _quadric_value(v: list) -> ExactRatFunc:
-    z01, z02, z03, z12, z13, z23 = v
-    return z03 * z12 - z02 * z13 + z23 * z01
-
-
 @main.command()
 @_common
 def factorize(config, out_dir, seed, fmt):
@@ -580,11 +575,12 @@ def factorize(config, out_dir, seed, fmt):
     sol_docs = []
     decomposable = []
     for s, v in sols:
-        ok = plucker_check(v)
+        quadric = plucker_quadric(v)
+        ok = quadric.is_zero()
         sol_docs.append({
             "exponent": str(s),
             "direction": [str(e) for e in v],
-            "plucker_quadric": str(_quadric_value(list(v))),
+            "plucker_quadric": str(quadric),
             "decomposable": ok,
         })
         if ok and not s.is_zero():

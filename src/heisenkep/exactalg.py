@@ -33,7 +33,9 @@ __all__ = [
     "ExactPoly",
     "ExactRatFunc",
     "ExactMatrix",
+    "clear_denominators",
     "scalar_nullspace",
+    "tower_annihilator",
     "poly_roots_numeric",
 ]
 
@@ -69,6 +71,9 @@ class ExactScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
+
+    def __reduce__(self):
+        return _mk, (self.a, self.b, self.d)
 
     @property
     def re(self) -> Fraction:
@@ -291,6 +296,9 @@ class ExactPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPoly is immutable")
+
+    def __reduce__(self):
+        return ExactPoly, (self.coeffs, self.var)
 
     # -- constructors -------------------------------------------------------
 
@@ -578,6 +586,9 @@ class ExactRatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("ExactRatFunc is immutable")
 
+    def __reduce__(self):
+        return ExactRatFunc, (self.num, self.den, self.var, True)
+
     @staticmethod
     def coerce(f, var: str = "t") -> "ExactRatFunc":
         if isinstance(f, ExactRatFunc):
@@ -683,6 +694,16 @@ class ExactRatFunc:
         )
 
 
+def clear_denominators(fs, var: str):
+    """(D, [f * D for f in fs]): D is the monic lcm of the denominators of
+    the rational functions fs, so every f * D is a polynomial."""
+    D = ExactPoly([1], var=var)
+    for den in {f.den for f in fs}:
+        if den.degree > 0:
+            D = D.lcm(den)
+    return D, [f.num if f.den == D else f.num * D.exact_div(f.den) for f in fs]
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -707,6 +728,9 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return ExactMatrix, (self.entries, self.var)
 
     @staticmethod
     def identity(n: int, var: str = "t") -> "ExactMatrix":
@@ -1076,17 +1100,26 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
     and with them the basis, are those of exact Gauss-Jordan.  A prime whose
     pivot columns differ from the true ones has fewer, or has them further
     right, and its candidates fail the check; such primes are skipped or
-    replaced as better pivot lists appear, and only finitely many primes
-    are unlucky, so the loop ends."""
+    replaced as better pivot lists appear.
+
+    After K primes RuntimeError is raised.  Every minor of the Z[i] rows is
+    at most H, their Hadamard bound, and every prime exceeds 2^61.  An
+    unlucky prime divides the norm, at most H^2, of a fixed nonzero pivot
+    minor Delta, so at most 2 log2(H) / 61 primes are unlucky.  By Cramer
+    the kernel entries are u / Delta with |u| <= H, so their real and
+    imaginary parts have numerators and a shared denominator |Delta|^2 at
+    most H^2, and reconstruction recovers them from (4 log2(H) + 2) / 61
+    lucky primes.  K is the sum of the two counts rounded up, plus one;
+    the bit lengths of the rows' squared norms sum to at least 2 log2(H)."""
     if not rows or not rows[0]:
         return [], 0
     ncols = len(rows[0])
     A = [_gaussian_integer_row(r) for r in rows]
+    log_h2 = sum(sum(a * a + b * b for a, b in zip(re, im)).bit_length()
+                 for re, im in A)
     best = acc = None
-    k = 0
-    while True:
+    for k in range(-(-log_h2 // 61) - (-(2 * log_h2 + 2) // 61) + 1):
         p, s = _modulus(k)
-        k += 1
         plus, minus = (
             [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
             for root in (s, p - s)
@@ -1119,6 +1152,270 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
             basis.append(vec)
         else:
             return basis, len(pivots)
+    raise RuntimeError("scalar_nullspace exceeded its bound on the primes")
+
+
+# ---------------------------------------------------------------------------
+# Certified annihilators of derivative towers over Q(i)(t)
+# ---------------------------------------------------------------------------
+
+def _poly_mod(f: ExactPoly, p: int, root: int) -> list[int]:
+    """Coefficients of f modulo p under i -> root; ValueError if p divides
+    a coefficient denominator."""
+    return [(c.a + root * c.b) * pow(c.d, -1, p) % p for c in f.coeffs]
+
+
+def _eval_mod(f: list[int], x: int, p: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = (v * x + c) % p
+    return v
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _times_linear(f: list[int], x: int, p: int) -> list[int]:
+    """f (t - x) over F_p."""
+    out = [0] + f
+    for i, c in enumerate(f):
+        out[i] = (out[i] - x * c) % p
+    return out
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int):
+    """Quotient and remainder over F_p (coefficients ascending, b != 0)."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        if c:
+            q[k - db] = c
+            a[k - db : k + 1] = [(x - c * y) % p for x, y in zip(a[k - db : k + 1], b)]
+    return q, _trim(a[:db])
+
+
+def _cauchy_mod(xs: list[int], newton: list[int], M: list[int], p: int):
+    """Rational function (num, den) over F_p, den monic, through the points
+    whose Newton coefficients are `newton` (M = prod (t - x_i)).
+
+    The extended Euclidean algorithm runs on M and the interpolant, and the
+    pair taken is the one that the quotient of largest degree follows
+    (maximal-quotient rational reconstruction).  The true (num, den), with
+    deg num + deg den = T, has a quotient of degree len(xs) - T, larger than
+    all others together once len(xs) > 2 T."""
+    f = []
+    for c, x in zip(reversed(newton), reversed(xs)):
+        f = _times_linear(f, x, p)
+        f[0] = (f[0] + c) % p
+    f = _trim(f)
+    if not f:
+        return (), (1,)
+    r0, r1, t0, t1 = M, f, [], [1]
+    best_q = -1
+    while r1:
+        q, rem = _divmod_mod(r0, r1, p)
+        if len(q) > best_q:
+            best_q, num, den = len(q), r1, t1
+        t2 = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, a in enumerate(q):
+            if a:
+                t2[i : i + len(t1)] = [(c - a * b) % p for c, b in zip(t2[i : i + len(t1)], t1)]
+        r0, r1, t0, t1 = r1, rem, t1, _trim(t2)
+    inv = pow(den[-1], -1, p)
+    return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+
+
+def _dependency_mod(cols: list[list[int]], p: int):
+    """Rank modulo p of columns c_0..c_m, and the b with
+    sum_{j<m} b_j c_j = -c_m when c_0..c_{m-1} are independent and c_m lies
+    in their span (None otherwise)."""
+    m = len(cols) - 1
+    rows = [list(r) for r in zip(*cols)]
+    pivots = _rref_mod(rows, p)
+    if pivots != list(range(m)):
+        return len(pivots), None
+    return m, [-rows[j][m] % p for j in range(m)]
+
+
+def _tower_at(cols, x: int, p: int):
+    """Tower columns (numerator and denominator residues) at x modulo p;
+    None at a pole."""
+    dens = [[_eval_mod(den, x, p) for _, den in vec] for vec in cols]
+    if not all(map(all, dens)):
+        return None
+    return [[_eval_mod(num, x, p) * pow(d, -1, p) % p for (num, _), d in zip(vec, ds)]
+            for vec, ds in zip(cols, dens)]
+
+
+_GREW = object()  # returned by _tower_image when the order exceeds the tower
+
+
+def _tower_image(tower, p: int, root: int, delta: list[int], poles: int):
+    """The dependency sum_{j<m} b_j w^(j) + w^(m) = 0 of the tower
+    w, ..., w^(m) modulo p, under i -> root, by Cauchy interpolation of
+    each b_j.
+
+    Points x = 2, 3, ... where a denominator vanishes, or where the
+    first m columns are dependent, are skipped.  A point where all m + 1
+    columns are independent proves that over Q(i)(t) too, and _GREW is
+    returned so that the caller derives w^(m+1).  Points are added until
+    two successive reconstructions of every b_j agree.  Returns
+    [(num_j, den_j)], or None when p is unlucky: more points skipped than
+    the denominators' roots (`poles`) and those of the Cramer denominator
+    allow.  By Cramer's rule deg num_j + deg den_j <= T = sum_{i<=m}
+    delta_i - delta_j + sum_{i<m} delta_i, with delta_i the degree of
+    column i after clearing denominators.  Past 2 T points every
+    reconstruction is the true one, so 2 T + 3 points always suffice; more
+    raise."""
+    m = len(tower) - 1
+    try:
+        cols = [[(_poly_mod(e.num, p, root), _poly_mod(e.den, p, root))
+                 for e in vec] for vec in tower]
+    except ValueError:
+        return None  # p divides a coefficient denominator
+    cramer = sum(delta[:m])
+    T = cramer + sum(delta) - min(delta[:m])
+    skipped, xs, M = 0, [], [1]
+    # the last sequence is sum_j 3^j b_j: until its reconstruction
+    # settles, the b_j are not reconstructed one by one
+    newton = [[] for _ in range(m + 1)]
+    probe = recs = None
+    x = 1
+    while True:
+        x += 1
+        vals = _tower_at(cols, x, p)
+        rank, b = (0, None) if vals is None else _dependency_mod(vals, p)
+        if rank == m + 1:
+            return _GREW
+        if b is None:
+            skipped += 1
+            if skipped > poles + cramer:
+                return None
+            continue
+        b.append(sum(pow(3, j, p) * v for j, v in enumerate(b)) % p)
+        invs = [pow(x - xi, -1, p) for xi in xs]
+        for nw, v in zip(newton, b):
+            for c, inv in zip(nw, invs):
+                v = (v - c) * inv % p
+            nw.append(v)
+        xs.append(x)
+        if len(xs) > 2 * T + 3:
+            raise RuntimeError("tower annihilator exceeded its degree bound")
+        M = _times_linear(M, x, p)
+        if recs is None:
+            new = _cauchy_mod(xs, newton[m], M, p)
+            if new != probe:
+                probe = new
+                continue
+        new = [_cauchy_mod(xs, nw, M, p) for nw in newton[:m]]
+        if new == recs:
+            return new
+        recs = new
+
+
+def _z_i(polys) -> list[tuple[list[int], list[int]]]:
+    """Real and imaginary integer coefficients of the polynomials, all
+    scaled by one positive integer."""
+    re, im = _gaussian_integer_row([c for f in polys for c in f.coeffs])
+    out, k = [], 0
+    for f in polys:
+        n = len(f.coeffs)
+        out.append((re[k : k + n], im[k : k + n]))
+        k += n
+    return out
+
+
+def _certified(tower, m: int, coeffs) -> bool:
+    """sum_{j<m} b_j w^(j) + w^(m) = 0 exactly, for b_j = num_j / den_j.
+
+    With the b_j and 1 brought to the lcm of the den_j, and each row of the
+    tower brought to the lcm of its denominators, this is a polynomial
+    identity per row; it is checked over Z[i] with products and sums
+    only."""
+    var = tower[0][0].var
+    lhs = _z_i(clear_denominators(
+        [ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
+        + [ExactRatFunc.coerce(1, var)], var)[1])
+    for r in range(len(tower[0])):
+        rhs = _z_i(clear_denominators([vec[r] for vec in tower[: m + 1]], var)[1])
+        n = max(len(a) for a, _ in lhs) + max(len(a) for a, _ in rhs)
+        tot_re, tot_im = [0] * n, [0] * n
+        for (ar, ai), (br, bi) in zip(lhs, rhs):
+            for i, (a, c) in enumerate(zip(ar, ai)):
+                if a or c:
+                    for k, (b, d) in enumerate(zip(br, bi), i):
+                        tot_re[k] += a * b - c * d
+                        tot_im[k] += a * d + c * b
+        if any(tot_re) or any(tot_im):
+            return False
+    return True
+
+
+def tower_annihilator(w, derive) -> list[ExactRatFunc]:
+    """Coefficients [b_0, ..., b_{m-1}, 1] of the first Q(i)(t)-linear
+    dependency w^(m) + sum_j b_j w^(j) = 0 in the derivative tower of the
+    nonzero vector w of ExactRatFunc, where `derive` maps a vector of the
+    tower to the next.
+
+    The order m and the b_j are found modulo primes p = 1 (mod 4), under
+    both embeddings i -> +-sqrt(-1), by sampling at integer points and
+    Cauchy interpolation; they are lifted to Q(i)(t) by CRT and rational
+    reconstruction, and returned only once they pass an exact substitution
+    into the tower.  The tower is derived lazily: w^(m+1) is formed only
+    when a sample point proves w, ..., w^(m) independent, so independence
+    of w, ..., w^(m-1) is proved by their full rank modulo p at a point."""
+    var = w[0].var
+    if all(e.is_zero() for e in w):
+        raise ValueError("the zero vector has no annihilator")
+    tower, n, k = [w], 0, len(w)
+    while True:  # once per order m
+        tower.append(derive(tower[-1]))
+        m = len(tower) - 1
+        # degree of each vector, and number of poles, once one polynomial
+        # clears every denominator of the tower
+        flat = [e for vec in tower for e in vec]
+        polys = clear_denominators(flat, var)[1]
+        delta = [max(0, *(f.degree for f in polys[i : i + k]))
+                 for i in range(0, len(polys), k)]
+        poles = sum(den.degree for den in {e.den for e in flat})
+        best = acc = None
+        while True:
+            p, s = _modulus(n)
+            plus = _tower_image(tower, p, s, delta, poles)
+            minus = (None if plus is None or plus is _GREW
+                     else _tower_image(tower, p, p - s, delta, poles))
+            if plus is _GREW or minus is _GREW:
+                break  # derive w^(m+1) and sample again at p
+            n += 1
+            if plus is None or minus is None:
+                continue
+            shape = [(len(num), len(den)) for num, den in plus]
+            if shape != [(len(num), len(den)) for num, den in minus]:
+                continue
+            # an unlucky prime gives lower degrees: keep the highest seen
+            key = (sum(a + b for a, b in shape), shape)
+            if best is not None and key < best:
+                continue
+            acc, vals = _lift_gaussian(
+                acc if key == best else None, p, s,
+                [c for num, den in plus for c in num + den],
+                [c for num, den in minus for c in num + den],
+            )
+            best = key
+            if vals is None:
+                continue
+            it = iter(vals)
+            coeffs = [tuple(ExactPoly([next(it) for _ in range(d)], var=var) for d in ab)
+                      for ab in shape]
+            if _certified(tower, m, coeffs):
+                return ([ExactRatFunc(num, den) for num, den in coeffs]
+                        + [ExactRatFunc.coerce(1, var)])
 
 
 def poly_roots_numeric(p: ExactPoly, tol: float = 1e-9) -> list[complex]:

@@ -24,13 +24,11 @@ from .exactalg import (
     ExactPoly,
     ExactRatFunc,
     ExactScalar,
-    _gaussian_integer_row,
-    _lift_gaussian,
-    _modulus,
-    _rref_mod,
+    clear_denominators,
     poly_roots_numeric,
     scalar_nullspace,
     squarefree_decomposition,
+    tower_annihilator,
 )
 from . import variational
 from .variational import DiffOperator, _minimal_annihilator, _twist
@@ -51,6 +49,7 @@ __all__ = [
     "liouvillian_verdict_o3r",
     "exterior_square",
     "plucker_check",
+    "plucker_quadric",
     "system_exp_solutions",
     "factorization_basis",
     "o3r_operator",
@@ -203,14 +202,6 @@ def _falling(j: int, var: str = "lam") -> ExactPoly:
 # Newton polygon at infinity, polynomial solutions, twisting
 # ---------------------------------------------------------------------------
 
-def _clear_ratfunc_coeffs(coeffs, var):
-    """list of ExactRatFunc -> list of ExactPoly with cleared denominator."""
-    den = ExactPoly([1], var=var)
-    for c in coeffs:
-        den = den.lcm(c.den)
-    return [c.num * den.exact_div(c.den) for c in coeffs]
-
-
 def _infinity_indicial(polys) -> ExactPoly:
     """Slope-zero indicial polynomial I(N) at infinity: the leading
     coefficient of L(t^N) as a polynomial in N."""
@@ -289,7 +280,7 @@ def _newton_polygon_slopes(polys):
 def _poly_part_candidates(coeffs, var, max_d=None, depth=0):
     """Candidate polynomial parts s' of rational logarithmic derivatives,
     from the Newton polygon at infinity, recursively refined."""
-    polys = _clear_ratfunc_coeffs(coeffs, var)
+    _, polys = clear_denominators(coeffs, var)
     out = [ExactPoly((), var=var)]
     if depth > 12:
         return out
@@ -459,7 +450,7 @@ def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
                 if spoly.is_zero()
                 else _twist(base, ExactRatFunc(spoly, var=var), var)
             )
-            tp = _clear_ratfunc_coeffs(twisted, var)
+            _, tp = clear_denominators(twisted, var)
             for q in _polynomial_solutions(tp, var):
                 r = (
                     ExactRatFunc(spoly, var=var)
@@ -478,10 +469,10 @@ def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
 # ---------------------------------------------------------------------------
 
 def _sym_module(L: DiffOperator, k: int):
-    """Derivative tower of w = y^k in the monomial module.
+    """w = y^k in the monomial module, and the derivation of that module.
 
     Basis: size-k multisets of derivative orders < n, as sorted tuples.
-    Returns (basis, [w, w', ..., w^(dim)]) with ExactRatFunc entries."""
+    Returns (w, d_vec), with vectors of ExactRatFunc entries."""
     n = L.order
     var = L.var
     basis = sorted(itertools.combinations_with_replacement(range(n), k))
@@ -498,301 +489,29 @@ def _sym_module(L: DiffOperator, k: int):
             dc = c.derivative()
             if not dc.is_zero():
                 out[index[b]] = out[index[b]] + dc
-            for pos in range(k):
-                lst = list(b)
-                o = lst[pos]
-                if o + 1 < n:
-                    lst[pos] = o + 1
-                    nb = tuple(sorted(lst))
-                    out[index[nb]] = out[index[nb]] + c
-                else:
-                    for j in range(n):
-                        if red[j].is_zero():
-                            continue
-                        lst2 = list(b)
-                        lst2[pos] = j
-                        nb = tuple(sorted(lst2))
-                        out[index[nb]] = out[index[nb]] + c * red[j]
+            for pos, o in enumerate(b):
+                # y^(o) -> y^(o+1), reduced by L when o + 1 = n
+                terms = ([(o + 1, c)] if o + 1 < n else
+                         [(j, c * r) for j, r in enumerate(red) if not r.is_zero()])
+                for j, e in terms:
+                    nb = tuple(sorted(b[:pos] + (j,) + b[pos + 1 :]))
+                    out[index[nb]] = out[index[nb]] + e
         return out
 
     w = [zero] * dim
     w[index[tuple([0] * k)]] = ExactRatFunc.coerce(1, var)
-    tower = [w]
-    for _ in range(dim):
-        tower.append(d_vec(tower[-1]))
-    return basis, tower
-
-
-def _poly_mod(f: ExactPoly, p: int, root: int) -> list[int]:
-    """Coefficients of f modulo p under i -> root; ValueError if p divides
-    a coefficient denominator."""
-    return [(c.a + root * c.b) * pow(c.d, -1, p) % p for c in f.coeffs]
-
-
-def _eval_mod(f: list[int], x: int, p: int) -> int:
-    v = 0
-    for c in reversed(f):
-        v = (v * x + c) % p
-    return v
-
-
-def _trim(f: list[int]) -> list[int]:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _times_linear(f: list[int], x: int, p: int) -> list[int]:
-    """f (t - x) over F_p."""
-    out = [0] + f
-    for i, c in enumerate(f):
-        out[i] = (out[i] - x * c) % p
-    return out
-
-
-def _divmod_mod(a: list[int], b: list[int], p: int):
-    """Quotient and remainder over F_p (coefficients ascending, b != 0)."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv % p
-        if c:
-            q[k - db] = c
-            a[k - db : k + 1] = [(x - c * y) % p for x, y in zip(a[k - db : k + 1], b)]
-    return q, _trim(a[:db])
-
-
-def _cauchy_mod(xs: list[int], newton: list[int], M: list[int], p: int):
-    """Rational function (num, den) over F_p, den monic, through the points
-    whose Newton coefficients are `newton` (M = prod (t - x_i)).
-
-    The extended Euclidean algorithm runs on M and the interpolant, and the
-    pair taken is the one that the quotient of largest degree follows
-    (maximal-quotient rational reconstruction).  The true (num, den), with
-    deg num + deg den = T, has a quotient of degree len(xs) - T, larger than
-    all others together once len(xs) > 2 T."""
-    f = []
-    for c, x in zip(reversed(newton), reversed(xs)):
-        f = _times_linear(f, x, p)
-        f[0] = (f[0] + c) % p
-    f = _trim(f)
-    if not f:
-        return (), (1,)
-    r0, r1, t0, t1 = M, f, [], [1]
-    best_q = -1
-    while r1:
-        q, rem = _divmod_mod(r0, r1, p)
-        if len(q) > best_q:
-            best_q, num, den = len(q), r1, t1
-        t2 = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
-        for i, a in enumerate(q):
-            if a:
-                t2[i : i + len(t1)] = [(c - a * b) % p for c, b in zip(t2[i : i + len(t1)], t1)]
-        r0, r1, t0, t1 = r1, rem, t1, _trim(t2)
-    inv = pow(den[-1], -1, p)
-    return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
-
-
-def _dependency_mod(cols: list[list[int]], p: int):
-    """Rank modulo p of columns c_0..c_m, and the b with
-    sum_{j<m} b_j c_j = -c_m when c_0..c_{m-1} are independent and c_m lies
-    in their span (None otherwise)."""
-    m = len(cols) - 1
-    rows = [list(r) for r in zip(*cols)]
-    pivots = _rref_mod(rows, p)
-    if pivots != list(range(m)):
-        return len(pivots), None
-    return m, [-rows[j][m] % p for j in range(m)]
-
-
-def _tower_at(cols, x: int, p: int):
-    """Tower columns (numerator and denominator residues) at x modulo p;
-    None at a pole."""
-    out = []
-    for vec in cols:
-        col = []
-        for num, den in vec:
-            d = _eval_mod(den, x, p)
-            if not d:
-                return None
-            col.append(_eval_mod(num, x, p) * pow(d, -1, p) % p)
-        out.append(col)
-    return out
-
-
-def _sym_image(tower, m: int, p: int, root: int, delta: list[int], poles: int):
-    """The dependency sum_{j<m} b_j w^(j) + w^(m) = 0 of the tower modulo p,
-    under i -> root, by Cauchy interpolation of each b_j.
-
-    Points x = 2, 3, ... where a denominator vanishes, or where the
-    first m columns are dependent, are skipped.  A point where the first
-    m + 1 columns are independent proves that over Q(i)(t) too, so m grows
-    and sampling restarts.  Points are added until two successive
-    reconstructions of every b_j agree.  Returns (m, [(num_j, den_j)]), or
-    None when p is unlucky: more points skipped than the denominators'
-    roots (`poles`) and those of the Cramer denominator allow.  By Cramer's
-    rule deg num_j + deg den_j <= T = sum_{i<=m} delta_i - delta_j
-    + sum_{i<m} delta_i, with delta_i the degree of column i after clearing
-    denominators.  Past 2 T points every reconstruction is the true one, so
-    2 T + 3 points always suffice; more raise."""
-    try:
-        cols = [[(_poly_mod(e.num, p, root), _poly_mod(e.den, p, root))
-                 for e in vec] for vec in tower]
-    except ValueError:
-        return None  # p divides a coefficient denominator
-    x = 1
-    while True:  # once per order m
-        cramer = sum(delta[:m])
-        T = cramer + sum(delta[: m + 1]) - min(delta[:m])
-        skipped, xs, M = 0, [], [1]
-        # the last sequence is sum_j 3^j b_j: until its reconstruction
-        # settles, the b_j are not reconstructed one by one
-        newton = [[] for _ in range(m + 1)]
-        probe = recs = None
-        while True:
-            x += 1
-            vals = _tower_at(cols[: m + 1], x, p)
-            rank, b = (0, None) if vals is None else _dependency_mod(vals, p)
-            if rank == m + 1:
-                m += 1
-                break
-            if b is None:
-                skipped += 1
-                if skipped > poles + cramer:
-                    return None
-                continue
-            b.append(sum(pow(3, j, p) * v for j, v in enumerate(b)) % p)
-            invs = [pow(x - xi, -1, p) for xi in xs]
-            for nw, v in zip(newton, b):
-                for c, inv in zip(nw, invs):
-                    v = (v - c) * inv % p
-                nw.append(v)
-            xs.append(x)
-            if len(xs) > 2 * T + 3:
-                raise RuntimeError("symmetric power exceeded its degree bound")
-            M = _times_linear(M, x, p)
-            if recs is None:
-                new = _cauchy_mod(xs, newton[m], M, p)
-                if new != probe:
-                    probe = new
-                    continue
-            new = [_cauchy_mod(xs, nw, M, p) for nw in newton[:m]]
-            if new == recs:
-                return m, new
-            recs = new
-
-
-def _z_i(polys) -> list[tuple[list[int], list[int]]]:
-    """Real and imaginary integer coefficients of the polynomials, all
-    scaled by one positive integer."""
-    re, im = _gaussian_integer_row([c for f in polys for c in f.coeffs])
-    out, k = [], 0
-    for f in polys:
-        n = len(f.coeffs)
-        out.append((re[k : k + n], im[k : k + n]))
-        k += n
-    return out
-
-
-def _certified(tower, m: int, coeffs) -> bool:
-    """sum_{j<m} b_j w^(j) + w^(m) = 0 exactly, for b_j = num_j / den_j.
-
-    With D the lcm of the den_j, and each row of the tower brought to the
-    lcm of its denominators, this is a polynomial identity per row; it is
-    checked over Z[i] with products and sums only."""
-    var = tower[0][0].var
-    D = ExactPoly([1], var=var)
-    for den in {den for _, den in coeffs}:
-        D = D.lcm(den)
-    lhs = _z_i([num * D.exact_div(den) for num, den in coeffs] + [D])
-    for r in range(len(tower[0])):
-        ents = [vec[r] for vec in tower[: m + 1]]
-        E = ExactPoly([1], var=var)
-        for den in {e.den for e in ents}:
-            E = E.lcm(den)
-        rhs = _z_i([e.num * E.exact_div(e.den) for e in ents])
-        n = max(len(a) for a, _ in lhs) + max(len(a) for a, _ in rhs)
-        tot_re, tot_im = [0] * n, [0] * n
-        for (ar, ai), (br, bi) in zip(lhs, rhs):
-            for i, (a, c) in enumerate(zip(ar, ai)):
-                if a or c:
-                    for k, (b, d) in enumerate(zip(br, bi), i):
-                        tot_re[k] += a * b - c * d
-                        tot_im[k] += a * d + c * b
-        if any(tot_re) or any(tot_im):
-            return False
-    return True
+    return w, d_vec
 
 
 def sym_power(L: DiffOperator, k: int) -> DiffOperator:
     """Minimal monic operator annihilating all k-fold products of solutions
-    of L.
-
-    The derivative tower of w = y^k is computed exactly in the monomial
-    module.  The minimal order m and the coefficients of
-    w^(m) + sum_j b_j w^(j) = 0 are found modulo primes p = 1 (mod 4), under
-    both embeddings i -> +-sqrt(-1), by sampling at integer points and
-    Cauchy interpolation; the coefficients are lifted to Q(i)(t) by CRT and
-    rational reconstruction.  The result is returned only once it passes
-    an exact substitution in the module; independence of w, ..., w^(m-1)
-    is proved by their full rank modulo p at the sample points."""
+    of L: the first dependency in the derivative tower of w = y^k in the
+    monomial module, found and certified by `tower_annihilator`."""
     if k < 1:
         raise ValueError("k must be positive")
     if k == 1:
         return DiffOperator(list(L.coeffs), var=L.var)
-    _, tower = _sym_module(L, k)
-    var = L.var
-    dens = {e.den for vec in tower for e in vec}
-    E = ExactPoly([1], var=var)
-    for den in dens:
-        E = E.lcm(den)
-    delta = [
-        max(0, E.degree + max(e.num.degree - e.den.degree for e in vec))
-        for vec in tower
-    ]
-    poles = sum(den.degree for den in dens)
-
-    m, best, acc = 1, None, None
-    for n in itertools.count():
-        p, s = _modulus(n)
-        plus = _sym_image(tower, m, p, s, delta, poles)
-        if plus is None:
-            continue
-        m = plus[0]
-        minus = _sym_image(tower, m, p, p - s, delta, poles)
-        if minus is None:
-            continue
-        if minus[0] > m:
-            m = minus[0]
-            continue  # the order grew: sample again under both embeddings
-        shape = [(len(num), len(den)) for num, den in plus[1]]
-        if shape != [(len(num), len(den)) for num, den in minus[1]]:
-            continue
-        # an unlucky prime gives lower degrees: keep the highest seen
-        key = (m, sum(a + b for a, b in shape), shape)
-        if best is not None and key < best:
-            continue
-        acc, vals = _lift_gaussian(
-            acc if key == best else None, p, s,
-            [c for num, den in plus[1] for c in num + den],
-            [c for num, den in minus[1] for c in num + den],
-        )
-        best = key
-        if vals is None:
-            continue
-        coeffs, pos = [], 0
-        for a, b in shape:
-            coeffs.append((ExactPoly(vals[pos : pos + a], var=var),
-                           ExactPoly(vals[pos + a : pos + a + b], var=var)))
-            pos += a + b
-        if _certified(tower, m, coeffs):
-            return DiffOperator(
-                [ExactRatFunc(num, den) for num, den in coeffs]
-                + [ExactRatFunc.coerce(1, var)],
-                var=var,
-            )
+    return DiffOperator(tower_annihilator(*_sym_module(L, k)), var=L.var)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,10 +777,15 @@ def _coerce_entry(y):
     return ExactRatFunc.coerce(y)
 
 
+def plucker_quadric(Y) -> ExactRatFunc:
+    """z03 z12 - z02 z13 + z23 z01, evaluated exactly."""
+    z01, z02, z03, z12, z13, z23 = (_coerce_entry(y) for y in Y)
+    return z03 * z12 - z02 * z13 + z23 * z01
+
+
 def plucker_check(Y) -> bool:
-    """z03 z12 - z02 z13 + z23 z01 = 0, evaluated exactly."""
-    v = [_coerce_entry(y) for y in Y]
-    return (v[2] * v[3] - v[1] * v[4] + v[5] * v[0]).is_zero()
+    """The Pluecker quadric vanishes."""
+    return plucker_quadric(Y).is_zero()
 
 
 def _poly_vector_solutions(B: ExactMatrix, sprime: ExactRatFunc, degree_bound: int):
@@ -1075,11 +799,8 @@ def _poly_vector_solutions(B: ExactMatrix, sprime: ExactRatFunc, degree_bound: i
         ]
         for i in range(n)
     ]
-    den = ExactPoly([1], var=var)
-    for row in C:
-        for c in row:
-            den = den.lcm(c.den)
-    Cp = [[c.num * den.exact_div(c.den) for c in row] for row in C]
+    den, flat = clear_denominators([c for row in C for c in row], var)
+    Cp = [flat[i * n : (i + 1) * n] for i in range(n)]
     dmax = max((p.degree for row in Cp for p in row if not p.is_zero()), default=0)
     N = degree_bound
     ncols = n * (N + 1)

@@ -17,7 +17,8 @@ import numpy as np
 import sympy as sp
 from scipy.special import jv, yv
 
-from .exactalg import ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar
+from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
+                       clear_denominators, tower_annihilator)
 from .heisenmodel import SystemSpec, condition_coefficient_a, hamiltonian
 from .dynamics import Trajectory, hamilton_jacobian, hamilton_rhs
 
@@ -130,10 +131,7 @@ class DiffOperator:
     def cleared(self) -> list:
         """Coefficients as polynomials after clearing denominators and
         removing any common polynomial factor."""
-        den = ExactPoly([1], var=self.var)
-        for c in self.coeffs:
-            den = den.lcm(c.den)
-        polys = [c.num * den.exact_div(c.den) for c in self.coeffs]
+        _, polys = clear_denominators(self.coeffs, self.var)
         g = ExactPoly((), var=self.var)
         for p in polys:
             g = p if g.is_zero() else g.gcd(p)
@@ -212,15 +210,6 @@ def _poly_from_sympy(expr, tsym, var: str) -> ExactPoly:
     for (k,), c in poly.terms():
         cs[k] = _scalar_from_sympy(c)
     return ExactPoly(cs, var=var)
-
-
-def _exact_to_sympy(v):
-    s = ExactScalar.coerce(
-        v if not isinstance(v, str) else ExactScalar.parse(v)
-    )
-    return sp.Rational(s.re.numerator, s.re.denominator) + sp.I * sp.Rational(
-        s.im.numerator, s.im.denominator
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +443,13 @@ def _minimal_annihilator(B: ExactMatrix, index: int, var: str) -> DiffOperator:
     solution of y' = B y; its order is at most the dimension."""
     n = B.rows
     zero = ExactRatFunc.coerce(0, var)
-    rows = [[ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]]
-    while True:
-        prev = rows[-1]
-        rows.append(
-            [
-                sum((prev[k] * B[k, j] for k in range(n)), zero)
-                + prev[j].derivative()
-                for j in range(n)
-            ]
-        )
-        M = ExactMatrix([[row[j] for row in rows] for j in range(n)], var=var)
-        ker = M.nullspace()
-        if ker:
-            # the earlier rows are independent, so the kernel is one vector
-            # whose reduced-echelon form ends in 1
-            return DiffOperator(ker[0], var=var)
+
+    def derive(row):  # (row . y)' = (row B + row') . y
+        return [sum((row[k] * B[k, j] for k in range(n)), zero) + row[j].derivative()
+                for j in range(n)]
+
+    e = [ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]
+    return DiffOperator(tower_annihilator(e, derive), var=var)
 
 
 def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -271,3 +272,37 @@ def test_sweep_random_states_deterministic(runner, tmp_path):
         outs.append(_load(d / "sweep.json")["runs"])
     assert [r["initial_state"] for r in outs[0]] == \
         [r["initial_state"] for r in outs[1]]
+
+
+# -- exact artifacts ----------------------------------------------------------
+
+# SHA-256 of the artifact of every exact preset.  The exact results are
+# canonical, so a refactor of the exact layers must leave these bytes as
+# they are.
+EXACT_ARTIFACTS = {
+    "factorize_default": (
+        "factorize", "fdfe2927bd1d0bf10201a7fc939bdfb1a8a13650ed5083200a3fad654bf5d7c6"),
+    "factorize_plucker": (
+        "factorize", "451be343165af9e3c3ca366e9d7ad5be19f9c8e23f9ef0246cc1ca1b84af3f9c"),
+    "galois_kepler": (
+        "galois", "667eaba5c022250e49ad29528d763c0192a8199ee1619be4edbacf36134d8630"),
+    "galois_twobody_generic": (
+        "galois", "416f7c55e5e3eb402893d486e8ff8d44f61db7cce0368c2148624d1d1a7816b1"),
+    "galois_twobody_resonant": (
+        "galois", "09aa9de67fec07e75d757e7a8dd63f49d8398a5d324d5bebfc232fa1ef72a040"),
+    "ve_kepler_a2": (
+        "ve", "3e122bfd80d5f47baf3a2cb6c60b818feb544d359d55d2a0a1448f349747f929"),
+    "ve_twobody_mu_half": (
+        "ve", "d0f5641677d15aee00b95eaf3d4e7af7fbe11a61674c214afed8d79cd92dd97c"),
+    "ve_twobody_resonant": (
+        "ve", "8f9ca6f1d1c44b9280953d8d0aca870b02f98371a3034adff2299ccad11aaccb"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(EXACT_ARTIFACTS))
+def test_exact_preset_artifact_digest(runner, tmp_path, preset):
+    command, digest = EXACT_ARTIFACTS[preset]
+    res = _run(runner, [command, "--config", preset, "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    data = (tmp_path / f"{command}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

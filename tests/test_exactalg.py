@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,12 +16,15 @@ from heisenkep.exactalg import (
     ExactRatFunc,
     ExactScalar,
     SingularMatrixError,
+    clear_denominators,
     poly_roots_numeric,
     _gaussian_integer_row,
     _modulus,
     scalar_nullspace,
     squarefree_decomposition,
+    tower_annihilator,
 )
+from heisenkep import exactalg
 
 fracs = st.fractions(
     max_numerator=50, max_denominator=20  # type: ignore[call-arg]
@@ -454,6 +459,63 @@ def test_scalar_nullspace_degenerate_shapes():
     assert scalar_nullspace(full) == ([], 2)
     wide = _ints([[1, 2, 3]])
     assert scalar_nullspace(wide) == _reference_nullspace(wide)
+
+
+def test_scalar_nullspace_raises_when_the_check_never_passes(monkeypatch):
+    # a kernel that never passes the exact check must end in an error, not
+    # a search over primes without end
+    monkeypatch.setattr(exactalg, "_annihilates", lambda A, support, v: False)
+    with pytest.raises(RuntimeError):
+        scalar_nullspace(_ints([[1, 2, 3], [2, 4, 7]]))
+    big = [[ExactScalar(Fraction(3**40 + k, 7), k) for k in range(4)],
+           [ExactScalar(5**30 - k, Fraction(1, 11)) for k in range(4)]]
+    with pytest.raises(RuntimeError):
+        scalar_nullspace(big)
+
+
+# -- tower annihilators -----------------------------------------------------
+
+def test_clear_denominators():
+    f = ExactRatFunc(ExactPoly([1]), ExactPoly([-2, 1]))        # 1/(t - 2)
+    g = ExactRatFunc(ExactPoly([0, 3]), ExactPoly([4, 0, 1]))   # 3t/(t^2 + 4)
+    h = ExactRatFunc(ExactPoly([Fraction(1, 2), 1]))
+    D, polys = clear_denominators([f, g, h, f], "t")
+    assert D == ExactPoly([-8, 4, -2, 1])                        # (t - 2)(t^2 + 4)
+    assert polys == [ExactPoly([4, 0, 1]), ExactPoly([0, -6, 3]),
+                     h.num * D, ExactPoly([4, 0, 1])]
+    assert clear_denominators([], "x") == (ExactPoly([1], var="x"), [])
+
+
+def test_tower_annihilator_derives_lazily():
+    # rows of y' = B y with B = [[1, 0, 0], [1, 0, 0], [0, 1, 0]], so
+    # y_0' = y_0: the first component has order 1 in a 3-dimensional
+    # module, and only w' may be formed
+    one, zero = ExactRatFunc.coerce(1), ExactRatFunc.coerce(0)
+    calls = []
+
+    def derive(row):
+        calls.append(row)
+        return [row[0] + row[1] + row[0].derivative(),
+                row[2] + row[1].derivative(), row[2].derivative()]
+
+    assert tower_annihilator([one, zero, zero], derive) == [-one, one]
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        tower_annihilator([zero, zero], derive)
+
+
+# -- copying and pickling -----------------------------------------------------
+
+def test_value_types_copy_and_pickle():
+    s = ExactScalar(Fraction(3, 4), Fraction(-5, 6))
+    p = ExactPoly([s, 0, ExactScalar(0, 1)], var="tau")
+    r = ExactRatFunc(p, ExactPoly([1, 2, 1], var="tau"))
+    m = ExactMatrix([[r, 1], [0, p]], var="tau")
+    for x in (s, p, r, m, ExactScalar(0), ExactPoly(()), ExactRatFunc.coerce(0)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x)
+            assert str(y) == str(x)
 
 
 # -- numeric roots ----------------------------------------------------------

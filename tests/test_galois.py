@@ -14,13 +14,13 @@ from heisenkep.exactalg import (
     ExactPoly,
     ExactRatFunc,
     ExactScalar,
+    _certified,
+    _dependency_mod,
     _modulus,
+    _poly_mod,
 )
 from heisenkep.galois import (
     DiffOperator,
-    _certified,
-    _dependency_mod,
-    _poly_mod,
     _sym_module,
     FactorizationBasis,
     GaloisVerdict,
@@ -302,7 +302,10 @@ def test_poly_mod_images_and_primes_dividing_a_denominator():
 def test_sym_power_certificate_rejects_a_wrong_coefficient():
     L = _euler_operator((0, Fraction(1, 2)), 2)
     S = sym_power(L, 2)
-    _, tower = _sym_module(L, 2)
+    w, d_vec = _sym_module(L, 2)
+    tower = [w]
+    for _ in range(S.order):
+        tower.append(d_vec(tower[-1]))
     coeffs = [(c.num, c.den) for c in S.coeffs[:-1]]
     assert _certified(tower, S.order, coeffs)
     num, den = coeffs[1]

@@ -12,6 +12,7 @@ from heisenkep.exactalg import (
     ExactRatFunc,
     ExactScalar,
     SingularMatrixError,
+    _modulus,
 )
 from heisenkep.heisenmodel import PhaseState1B, SystemSpec, particular_solution
 from heisenkep.variational import (
@@ -33,6 +34,7 @@ from heisenkep.variational import (
     ve_along,
     ve_blocks_transformed,
     ve_twobody_blocks,
+    _minimal_annihilator,
 )
 
 I = ExactScalar.i()
@@ -359,6 +361,62 @@ def test_cyclic_trivial_and_failure():
     diag = LinearSystem(ExactMatrix([[0, 0], [0, 1]]))
     with pytest.raises(NotCyclicError):
         cyclic_to_scalar(diag, 0)
+
+
+def _reference_annihilator(B, index, var):
+    """The minimal annihilator by exact elimination: the rows e, eB + e',
+    ... are stacked until the first nonempty nullspace, whose one vector
+    ends in 1 in reduced-echelon form."""
+    n = B.rows
+    zero = ExactRatFunc.coerce(0, var)
+    rows = [[ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]]
+    while True:
+        prev = rows[-1]
+        rows.append([
+            sum((prev[k] * B[k, j] for k in range(n)), zero) + prev[j].derivative()
+            for j in range(n)
+        ])
+        ker = ExactMatrix([[row[j] for row in rows] for j in range(n)], var=var).nullspace()
+        if ker:
+            return DiffOperator(ker[0], var=var)
+
+
+def _rand_pole_entry(rng, p):
+    """0, or a small Gaussian polynomial over 1, t - 2 (a pole at the first
+    sample point) or p t - 1 (a denominator the first modulus divides)."""
+    if rng.random() < 0.3:
+        return ExactRatFunc.coerce(0)
+    num = ExactPoly([
+        ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice((0, 0, 1, -1)))
+        for _ in range(rng.randint(1, 2))
+    ])
+    den = rng.choice((ExactPoly([1]), ExactPoly([-2, 1]), ExactPoly([-1, p])))
+    return ExactRatFunc(num, den)
+
+
+def test_minimal_annihilator_matches_exact_elimination():
+    p = _modulus(0)[0]
+    rng = random.Random(3)
+    short = cyclic = 0
+    for _ in range(14):
+        n = rng.choice((2, 3))
+        k = rng.randint(1, n)
+        # zero upper-right block: components below k see only the first k
+        B = ExactMatrix([
+            [_rand_pole_entry(rng, p) if i >= k or j < k else 0 for j in range(n)]
+            for i in range(n)
+        ])
+        index = rng.randrange(n)
+        ref = _reference_annihilator(B, index, "t")
+        assert _minimal_annihilator(B, index, "t") == ref
+        if ref.order < n:
+            short += 1
+            with pytest.raises(NotCyclicError):
+                cyclic_to_scalar(LinearSystem(B), index)
+        else:
+            cyclic += 1
+            assert cyclic_to_scalar(LinearSystem(B), index) == ref
+    assert short >= 3 and cyclic >= 3
 
 
 def test_companion_round_trip():
