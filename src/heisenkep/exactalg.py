@@ -1200,20 +1200,30 @@ def _divmod_mod(a: list[int], b: list[int], p: int):
     return q, _trim(a[:db])
 
 
-def _cauchy_mod(xs: list[int], newton: list[int], M: list[int], p: int):
-    """Rational function (num, den) over F_p, den monic, through the points
-    whose Newton coefficients are `newton` (M = prod (t - x_i)).
+def _add_point(fs: list[list[int]], M: list[int], x: int, vs: list[int], p: int):
+    """Extend the interpolants fs, in monomial form through the roots of M,
+    by the values vs at the new point x: f <- f + (v - f(x)) M / M(x), one
+    modular inverse for all of them.  Returns M (t - x)."""
+    inv = pow(_eval_mod(M, x, p), -1, p)
+    for f, v in zip(fs, vs):
+        c = (v - _eval_mod(f, x, p)) * inv % p
+        if c:
+            f.extend([0] * (len(M) - len(f)))
+            f[:] = [(a + c * b) % p for a, b in zip(f, M)]
+    return _times_linear(M, x, p)
 
-    The extended Euclidean algorithm runs on M and the interpolant, and the
-    pair taken is the one that the quotient of largest degree follows
-    (maximal-quotient rational reconstruction).  The true (num, den), with
-    deg num + deg den = T, has a quotient of degree len(xs) - T, larger than
-    all others together once len(xs) > 2 T."""
-    f = []
-    for c, x in zip(reversed(newton), reversed(xs)):
-        f = _times_linear(f, x, p)
-        f[0] = (f[0] + c) % p
-    f = _trim(f)
+
+def _cauchy_mod(f: list[int], M: list[int], p: int):
+    """Rational function (num, den) over F_p, den monic, with
+    num = f den (mod M): the one through the points (x_i, f(x_i)) for the
+    roots x_i of M = prod (t - x_i).
+
+    The extended Euclidean algorithm runs on M and f, and the pair taken
+    is the one that the quotient of largest degree follows (maximal-quotient
+    rational reconstruction).  The true (num, den), with
+    deg num + deg den = T, has a quotient of degree deg M - T, larger than
+    all others together once deg M > 2 T."""
+    f = _trim(list(f))
     if not f:
         return (), (1,)
     r0, r1, t0, t1 = M, f, [], [1]
@@ -1229,6 +1239,12 @@ def _cauchy_mod(xs: list[int], newton: list[int], M: list[int], p: int):
         r0, r1, t0, t1 = r1, rem, t1, _trim(t2)
     inv = pow(den[-1], -1, p)
     return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+
+
+def _fits(rec, x: int, v: int, p: int) -> bool:
+    """num(x) = v den(x) modulo p, for rec = (num, den)."""
+    num, den = rec
+    return (_eval_mod(num, x, p) - v * _eval_mod(den, x, p)) % p == 0
 
 
 def _dependency_mod(cols: list[list[int]], p: int):
@@ -1253,38 +1269,56 @@ def _tower_at(cols, x: int, p: int):
             for vec, ds in zip(cols, dens)]
 
 
+def _residues(cache: dict, tower, p: int, root: int):
+    """Numerator and denominator residues of the tower's vectors modulo p
+    under i -> root, kept in `cache` so that each vector is reduced once
+    per (p, root) however often the tower grows; None when p divides a
+    coefficient denominator."""
+    cols = cache.setdefault((p, root), [])
+    try:
+        for vec in tower[len(cols):]:
+            cols.append([(_poly_mod(e.num, p, root), _poly_mod(e.den, p, root))
+                         for e in vec])
+    except ValueError:
+        return None
+    return cols
+
+
 _GREW = object()  # returned by _tower_image when the order exceeds the tower
 
 
-def _tower_image(tower, p: int, root: int, delta: list[int], poles: int):
+def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int, start: int):
     """The dependency sum_{j<m} b_j w^(j) + w^(m) = 0 of the tower
     w, ..., w^(m) modulo p, under i -> root, by Cauchy interpolation of
-    each b_j.
+    each b_j; the tower's residues come from `cache` (see _residues).
 
     Points x = 2, 3, ... where a denominator vanishes, or where the
     first m columns are dependent, are skipped.  A point where all m + 1
     columns are independent proves that over Q(i)(t) too, and _GREW is
-    returned so that the caller derives w^(m+1).  Points are added until
-    two successive reconstructions of every b_j agree.  Returns
-    [(num_j, den_j)], or None when p is unlucky: more points skipped than
-    the denominators' roots (`poles`) and those of the Cramer denominator
-    allow.  By Cramer's rule deg num_j + deg den_j <= T = sum_{i<=m}
-    delta_i - delta_j + sum_{i<m} delta_i, with delta_i the degree of
-    column i after clearing denominators.  Past 2 T points every
-    reconstruction is the true one, so 2 T + 3 points always suffice; more
-    raise."""
-    m = len(tower) - 1
-    try:
-        cols = [[(_poly_mod(e.num, p, root), _poly_mod(e.den, p, root))
-                 for e in vec] for vec in tower]
-    except ValueError:
-        return None  # p divides a coefficient denominator
-    cramer = sum(delta[:m])
-    T = cramer + sum(delta) - min(delta[:m])
-    skipped, xs, M = 0, [], [1]
-    # the last sequence is sum_j 3^j b_j: until its reconstruction
-    # settles, the b_j are not reconstructed one by one
-    newton = [[] for _ in range(m + 1)]
+    returned so that the caller derives w^(m+1).  At the other points the
+    values of the b_j and of the probe sum_j 3^j b_j extend one interpolant
+    each.  From `start` points on, the probe is reconstructed until its
+    reconstruction fits a fresh point; then each b_j is reconstructed once,
+    and the image is returned at the first later point that every b_j fits.
+    A b_j that does not fit is reconstructed again at that point.  `start`
+    is where the previous image of this order settled: it only delays the
+    first reconstruction and bounds nothing.
+
+    Returns ([(num_j, den_j)], the number of points at which the probe
+    settled, or 2 T + 1), or None when p is unlucky: it divides a coefficient
+    denominator, or more than `skips` points, the denominators' roots and
+    those of the Cramer denominator, are skipped.  Every
+    deg num_j + deg den_j, and that of the probe, is at most T (see
+    tower_annihilator).  Past 2 T points every reconstruction is the true
+    one, so at 2 T + 1 points the b_j are reconstructed and returned
+    without a further check, whatever `start` is: no image takes more than
+    2 T + 1 points."""
+    cols = _residues(cache, tower, p, root)
+    if cols is None:
+        return None
+    m = len(cols) - 1
+    skipped, M = 0, [1]
+    fs = [[] for _ in range(m + 1)]  # b_0, ..., b_{m-1} and the probe
     probe = recs = None
     x = 1
     while True:
@@ -1295,28 +1329,27 @@ def _tower_image(tower, p: int, root: int, delta: list[int], poles: int):
             return _GREW
         if b is None:
             skipped += 1
-            if skipped > poles + cramer:
+            if skipped > skips:
                 return None
             continue
         b.append(sum(pow(3, j, p) * v for j, v in enumerate(b)) % p)
-        invs = [pow(x - xi, -1, p) for xi in xs]
-        for nw, v in zip(newton, b):
-            for c, inv in zip(nw, invs):
-                v = (v - c) * inv % p
-            nw.append(v)
-        xs.append(x)
-        if len(xs) > 2 * T + 3:
-            raise RuntimeError("tower annihilator exceeded its degree bound")
-        M = _times_linear(M, x, p)
+        M = _add_point(fs, M, x, b, p)
+        n = len(M) - 1
+        if n > 2 * T:
+            return [_cauchy_mod(f, M, p) for f in fs[:m]], n
         if recs is None:
-            new = _cauchy_mod(xs, newton[m], M, p)
-            if new != probe:
-                probe = new
+            if n < start:
                 continue
-        new = [_cauchy_mod(xs, nw, M, p) for nw in newton[:m]]
-        if new == recs:
-            return new
-        recs = new
+            if probe is None or not _fits(probe, x, b[m], p):
+                probe, settled = _cauchy_mod(fs[m], M, p), n
+                continue
+            recs = [_cauchy_mod(f, M, p) for f in fs[:m]]
+            continue
+        misfits = [j for j in range(m) if not _fits(recs[j], x, b[j], p)]
+        if not misfits:
+            return recs, settled
+        for j in misfits:
+            recs[j] = _cauchy_mod(fs[j], M, p)
 
 
 def _z_i(polys) -> list[tuple[list[int], list[int]]]:
@@ -1357,6 +1390,22 @@ def _certified(tower, m: int, coeffs) -> bool:
     return True
 
 
+def _prime_budget(flat, polys, k: int, m: int, T: int) -> int:
+    """K of tower_annihilator at order m, for the tower entries `flat`, k to
+    a vector, cleared to the polynomials `polys`."""
+    cols = _z_i(polys)
+    log_h = sum(
+        max(1, sum(abs(a) + abs(b) for re, im in cols[i : i + k] for a, b in zip(re, im)))
+        .bit_length()
+        for i in range(0, len(cols), k)
+    )
+    log_c = T + (T + 1).bit_length() + log_h
+    den_lcm = math.lcm(*(c.d for e in flat for f in (e.num, e.den) for c in f.coeffs))
+    unlucky = (den_lcm.bit_length() + 2 * log_h
+               + m * (4 * log_c + T * ((T + 1).bit_length() + 2 * log_c)))
+    return -(-unlucky // 61) - (-((4 * m + 4) * log_c + 1) // 61) + 1
+
+
 def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     """Coefficients [b_0, ..., b_{m-1}, 1] of the first Q(i)(t)-linear
     dependency w^(m) + sum_j b_j w^(j) = 0 in the derivative tower of the
@@ -1369,11 +1418,49 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     reconstruction, and returned only once they pass an exact substitution
     into the tower.  The tower is derived lazily: w^(m+1) is formed only
     when a sample point proves w, ..., w^(m) independent, so independence
-    of w, ..., w^(m-1) is proved by their full rank modulo p at a point."""
+    of w, ..., w^(m-1) is proved by their full rank modulo p at a point.
+    Each image starts reconstructing where the previous image of the same
+    order settled.
+
+    Bring the columns w, ..., w^(m) to polynomials c_0, ..., c_m with one
+    polynomial, of degrees delta_i, and then into Z[i][t] with one integer.
+    By Cramer's rule b_j = Delta_j / Delta for m x m minors, with
+    deg Delta <= sum_{i<m} delta_i and
+    deg Delta_j + deg Delta <= T = sum_{i<=m} delta_i - delta_j
+    + sum_{i<m} delta_i.  Expanding a determinant shows that every minor has
+    coefficients at most H = prod_i max(1, |c_i|_1), with |c_i|_1 the sum
+    of |re| + |im| over the coefficients of column i.
+
+    After K primes at one order RuntimeError is raised.  Write
+    b_j = n_j / d_j with n_j, d_j coprime in Z[i][t].  They divide
+    Delta_j and Delta, so by Mignotte's bound their coefficients are at
+    most C = 2^T sqrt(T + 1) H, and the coefficients of n_j / lc(d_j) and
+    d_j / lc(d_j) have real and imaginary parts with numerators, and a
+    denominator |lc(d_j)|^2, at most C^2.  Call p unlucky if it divides a
+    coefficient denominator of the tower, the norm (at most H^2) of a
+    nonzero coefficient of Delta, or for some j the norm of lc(n_j), of
+    lc(d_j) (at most C^2 each) or of Res(n_j, d_j) (at most
+    ((T + 1) C^2)^T by Hadamard).  At any other p, Delta does not vanish
+    modulo p, so no image is skipped as unlucky, and every image is that of
+    the b_j, with their degrees.  Any image is Delta'_j / Delta' modulo p
+    for a minor Delta' not vanishing modulo p, so it has the true degrees
+    only if it is the true image, and lower ones otherwise.  So the lift
+    keeps the lucky primes, which are all but U / 61 of the primes, U being
+    the bit length of the product of those integers; every prime exceeds
+    2^61.  The running denominator of the lift is at most C^(2m), so
+    reconstruction succeeds once the lucky primes multiply to more than
+    2 C^(4m + 4).  K is the two counts, rounded up, plus one, and it
+    restarts at each order.  The count takes each image to be exact, as it
+    is from 2 T + 1 points on.  An image ended earlier can be wrong, or
+    below the final order miss every point of full rank, only when its
+    fresh points are roots modulo p of a nonzero polynomial that the tower
+    fixes; a wrong image of higher degrees than the true ones would hold
+    the lift back, and K turns that into this error too."""
     var = w[0].var
     if all(e.is_zero() for e in w):
         raise ValueError("the zero vector has no annihilator")
     tower, n, k = [w], 0, len(w)
+    residues = {}  # (p, root) -> residues of the tower, for the current p
     while True:  # once per order m
         tower.append(derive(tower[-1]))
         m = len(tower) - 1
@@ -1384,17 +1471,25 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
         delta = [max(0, *(f.degree for f in polys[i : i + k]))
                  for i in range(0, len(polys), k)]
         poles = sum(den.degree for den in {e.den for e in flat})
+        cramer = sum(delta[:m])
+        T = cramer + sum(delta) - min(delta[:m])
         best = acc = None
-        while True:
+        hint = 1
+        for n in range(n, n + _prime_budget(flat, polys, k, m, T)):
             p, s = _modulus(n)
-            plus = _tower_image(tower, p, s, delta, poles)
-            minus = (None if plus is None or plus is _GREW
-                     else _tower_image(tower, p, p - s, delta, poles))
-            if plus is _GREW or minus is _GREW:
+            residues = {key: cols for key, cols in residues.items() if key[0] == p}
+            images = []
+            for root in (s, p - s):
+                image = _tower_image(residues, tower, p, root, T, poles + cramer, hint)
+                if image is None or image is _GREW:
+                    break
+                coeffs, hint = image
+                images.append(coeffs)
+            if image is _GREW:
                 break  # derive w^(m+1) and sample again at p
-            n += 1
-            if plus is None or minus is None:
+            if image is None:
                 continue
+            plus, minus = images
             shape = [(len(num), len(den)) for num, den in plus]
             if shape != [(len(num), len(den)) for num, den in minus]:
                 continue
@@ -1416,6 +1511,8 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
             if _certified(tower, m, coeffs):
                 return ([ExactRatFunc(num, den) for num, den in coeffs]
                         + [ExactRatFunc.coerce(1, var)])
+        else:
+            raise RuntimeError("tower_annihilator exceeded its bound on the primes")
 
 
 def poly_roots_numeric(p: ExactPoly, tol: float = 1e-9) -> list[complex]:

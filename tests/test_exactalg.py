@@ -18,8 +18,13 @@ from heisenkep.exactalg import (
     SingularMatrixError,
     clear_denominators,
     poly_roots_numeric,
+    _add_point,
+    _cauchy_mod,
+    _eval_mod,
+    _fits,
     _gaussian_integer_row,
     _modulus,
+    _tower_image,
     scalar_nullspace,
     squarefree_decomposition,
     tower_annihilator,
@@ -502,6 +507,99 @@ def test_tower_annihilator_derives_lazily():
     assert len(calls) == 1
     with pytest.raises(ValueError):
         tower_annihilator([zero, zero], derive)
+
+
+@st.composite
+def planted_fractions(draw):
+    """(p, num, den) over F_p: den monic with distinct roots, some of them
+    among the sample points 0, 1, 2, ..., and num nonzero at every root (or
+    num = 0)."""
+    p = draw(st.sampled_from((101, 10007, _modulus(0)[0])))
+    roots = draw(st.lists(st.integers(0, 12), max_size=3, unique=True))
+    roots += draw(st.lists(st.integers(13, p - 1), max_size=2, unique=True))
+    den = [1]
+    for r in roots:
+        den = [(a - r * b) % p for a, b in zip([0] + den, den + [0])]
+    num = draw(st.lists(st.integers(0, p - 1), max_size=5))
+    while num and not num[-1]:
+        num.pop()
+    if num and any(not _eval_mod(num, r, p) for r in roots):
+        num = []
+    return p, num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_fractions())
+def test_incremental_interpolant_reconstructs_a_planted_fraction(planted):
+    # sample num / den at x = 0, 1, 2, ..., skipping its poles: the MQRR of
+    # the incremental interpolant is (num, den) once there are more than
+    # 2 T points, and that pair fits every later point
+    p, num, den = planted
+    want = (tuple(num), tuple(den)) if num else ((), (1,))
+    T = len(want[0]) + len(want[1]) - 2 if num else 0
+    fs, M, xs, vs = [[], []], [1], [], []
+    x = -1
+    while len(xs) < 2 * T + 4:
+        x += 1
+        d = _eval_mod(den, x, p)
+        if not d:
+            continue  # a pole
+        v = _eval_mod(num, x, p) * pow(d, -1, p) % p
+        if len(xs) > 2 * T:
+            assert _fits(want, x, v, p) and not _fits(want, x, v + 1, p)
+        # the second interpolant shares the points, with other values
+        M = _add_point(fs, M, x, [v, (v + x * x) % p], p)
+        xs.append(x)
+        vs.append(v)
+        assert all(_eval_mod(fs[0], xi, p) == vi
+                   and _eval_mod(fs[1], xi, p) == (vi + xi * xi) % p
+                   for xi, vi in zip(xs, vs))
+        if len(xs) > 2 * T:
+            assert _cauchy_mod(fs[0], M, p) == want
+
+
+def _one_dimensional_tower(r):
+    """w = [1] and its derivation for y' = r y."""
+    return [ExactRatFunc.coerce(1)], lambda v: [v[0].derivative() + v[0] * r]
+
+
+def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
+    # y' = r y with r = 1/(t - 2) - 1/(t - 2 - p) = -p / ((t - 2)(t - 2 - p))
+    # for the first modulus p: the image modulo p is b_0 = 0, of lower
+    # degree than the true b_0 = -r, and it settles at once, so the next
+    # prime starts from a hint far below the points the true image needs
+    p = _modulus(0)[0]
+    r = ExactRatFunc(1, ExactPoly([-2, 1])) - ExactRatFunc(1, ExactPoly([-2 - p, 1]))
+    images = []
+    image = exactalg._tower_image
+
+    def spy(cache, tower, q, root, T, skips, start):
+        out = image(cache, tower, q, root, T, skips, start)
+        images.append((q, start, out))
+        return out
+
+    monkeypatch.setattr(exactalg, "_tower_image", spy)
+    w, derive = _one_dimensional_tower(r)
+    assert tower_annihilator(w, derive) == [-r, ExactRatFunc.coerce(1)]
+    (q0, _, (coeffs0, settled0)), _, (q1, start1, (_, settled1)), *_ = images
+    assert q0 == p and coeffs0 == [((), (1,))]
+    assert q1 != p and start1 <= settled0 < settled1
+
+
+def test_tower_image_start_only_delays():
+    # any start, even past the 2 T + 1 points that make an image exact,
+    # gives the same image; a stale hint costs points, never the answer
+    r = ExactRatFunc(ExactPoly([3, 0, 1]), ExactPoly([5, -1, 1]))
+    w, derive = _one_dimensional_tower(r)
+    tower = [w, derive(w)]
+    p, s = _modulus(0)
+    # cleared columns t^2 - t + 5 and t^2 + 3: T = 2 + 4 - 2, and two poles
+    # plus a Cramer degree of 2 may be skipped
+    T, skips = 4, 4
+    want = _tower_image({}, tower, p, s, T, skips, 1)[0]
+    assert want == [((p - 3, 0, p - 1), (5, p - 1, 1))]  # b_0 = -r
+    for start in range(1, 2 * T + 4):
+        assert _tower_image({}, tower, p, s, T, skips, start)[0] == want
 
 
 # -- copying and pickling -----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenkep import exactalg
 from heisenkep.exactalg import (
     ExactMatrix,
     ExactPoly,
@@ -311,6 +312,39 @@ def test_sym_power_certificate_rejects_a_wrong_coefficient():
     num, den = coeffs[1]
     coeffs[1] = (num + ExactPoly([Fraction(1, 10**9)]), den)
     assert not _certified(tower, S.order, coeffs)
+
+
+def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
+    # deterministic work counts of the symmetric cube: rational
+    # reconstructions (240 before early termination) and reductions of tower
+    # entries modulo a prime (1960 before residues were kept), each entry
+    # reduced once per prime and embedding
+    recs, reductions = [0], {}
+    cauchy, poly_mod = exactalg._cauchy_mod, exactalg._poly_mod
+
+    def count_cauchy(*args):
+        recs[0] += 1
+        return cauchy(*args)
+
+    def count_poly_mod(f, p, root):
+        reductions[p, root] = reductions.get((p, root), 0) + 1
+        return poly_mod(f, p, root)
+
+    monkeypatch.setattr(exactalg, "_cauchy_mod", count_cauchy)
+    monkeypatch.setattr(exactalg, "_poly_mod", count_poly_mod)
+    assert sym_power(o3r, 3) == sym3
+    assert recs[0] <= 120
+    assert sum(reductions.values()) <= 1000
+    # numerator and denominator of 10 entries in each of the 11 vectors
+    assert set(reductions.values()) == {2 * 10 * 11}
+
+
+def test_sym_power_bounds_the_primes(monkeypatch):
+    # a certificate that never passes must end in an error, not a search
+    # over primes without end
+    monkeypatch.setattr(exactalg, "_certified", lambda tower, m, coeffs: False)
+    with pytest.raises(RuntimeError):
+        sym_power(DiffOperator([0, 0, 1]), 2)
 
 
 def test_sym_cube_digest(sym3):
