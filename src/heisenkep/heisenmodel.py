@@ -18,6 +18,8 @@ from functools import cached_property
 import numpy as np
 import sympy as sp
 
+from .exactalg import ExactScalar
+
 __all__ = [
     "CollisionError",
     "GroupElement",
@@ -153,13 +155,22 @@ def _to_sympy_number(v):
         return sp.Rational(v.numerator, v.denominator)
     if isinstance(v, str):
         # accept the exactalg wire format a/b+c/d*i
-        from .exactalg import ExactScalar
-
         s = ExactScalar.parse(v)
         return sp.Rational(s.re.numerator, s.re.denominator) + sp.I * sp.Rational(
             s.im.numerator, s.im.denominator
         )
     return sp.nsimplify(v, rational=True)
+
+
+def _scalar_from_sympy(e) -> ExactScalar:
+    """An exact sympy Rational or Gaussian rational as an ExactScalar.
+
+    The value is read as it is: no ``nsimplify``, which can turn an exact
+    Rational such as -1/13718 into a product of fractional powers."""
+    re, im = sp.expand(e).as_real_imag()
+    if not (re.is_Rational and im.is_Rational):
+        raise ValueError(f"coefficient {e} is not a Gaussian rational")
+    return ExactScalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
 class PotentialSpec:
@@ -171,6 +182,7 @@ class PotentialSpec:
         if den.equals(0):
             raise ValueError("potential denominator is identically zero")
         self.expr = expr
+        self.den_expr = den
         self.label = label
 
     @staticmethod
@@ -225,7 +237,7 @@ class PotentialSpec:
         def table(p):
             poly = sp.Poly(sp.expand(p), _Z, _RHO)
             return [
-                [int(mon[0]), int(mon[1]), str(sp.nsimplify(c))]
+                [int(mon[0]), int(mon[1]), str(_scalar_from_sympy(c))]
                 for mon, c in poly.terms()
             ]
         return {"num": table(num), "den": table(den)}
@@ -342,9 +354,9 @@ class SystemSpec:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "kappa": str(sp.nsimplify(self.kappa_exact)),
-            "m1": str(sp.nsimplify(self.m1_exact)),
-            "m2": str(sp.nsimplify(self.m2_exact)),
+            "kappa": str(_scalar_from_sympy(self.kappa_exact)),
+            "m1": str(_scalar_from_sympy(self.m1_exact)),
+            "m2": str(_scalar_from_sympy(self.m2_exact)),
             "potential": "kepler"
             if self.potential.label == "kepler"
             else self.potential.to_json(),
@@ -436,7 +448,8 @@ def condition_coefficient_a(spec: SystemSpec, c):
 
     A nonzero value certifies the hypothesis of the non-integrability
     criterion along the vertical-axis solution through z = c.  Exact for
-    exact rational c; float input gives a float.
+    exact rational c; float input gives a float.  Raises ValueError where
+    the potential is singular at (c, 4|c|).
     """
     if c == 0:
         raise ValueError("c must be nonzero")
@@ -447,6 +460,8 @@ def condition_coefficient_a(spec: SystemSpec, c):
     sgn = 1 if cq > 0 else -1
     pt = {_Z: cq, _RHO: 4 * sgn * cq}
     pot = spec.potential
+    if pot.den_expr.subs(pt) == 0:
+        raise ValueError(f"the potential is singular at (z, rho) = ({cq}, {4 * sgn * cq})")
     val = (pot.dz_expr.subs(pt) + 4 * sgn * pot.drho_expr.subs(pt)) / 2
     val = sp.simplify(val) if exact else val
     if exact:

@@ -19,7 +19,8 @@ from scipy.special import jv, yv
 
 from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
                        clear_denominators, tower_annihilator)
-from .heisenmodel import SystemSpec, condition_coefficient_a, hamiltonian
+from .heisenmodel import (_RHO, _Z, SystemSpec, _scalar_from_sympy,
+                          condition_coefficient_a)
 from .dynamics import Trajectory, hamilton_jacobian, hamilton_rhs
 
 __all__ = [
@@ -189,30 +190,6 @@ class GaugeMatrix:
 
 
 # ---------------------------------------------------------------------------
-# sympy <-> exactalg bridge
-# ---------------------------------------------------------------------------
-
-def _scalar_from_sympy(e) -> ExactScalar:
-    e = sp.nsimplify(sp.expand(e))
-    re, im = e.as_real_imag()
-    if not (re.is_rational and im.is_rational):
-        raise ValueError(f"coefficient {e} is not a Gaussian rational")
-    re, im = sp.Rational(re), sp.Rational(im)
-    return ExactScalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
-
-
-def _poly_from_sympy(expr, tsym, var: str) -> ExactPoly:
-    expr = sp.expand(expr)
-    if expr == 0:
-        return ExactPoly((), var=var)
-    poly = sp.Poly(expr, tsym)
-    cs = [ExactScalar(0)] * (poly.degree() + 1)
-    for (k,), c in poly.terms():
-        cs[k] = _scalar_from_sympy(c)
-    return ExactPoly(cs, var=var)
-
-
-# ---------------------------------------------------------------------------
 # Variational equations
 # ---------------------------------------------------------------------------
 
@@ -221,13 +198,36 @@ def _poly_from_sympy(expr, tsym, var: str) -> ExactPoly:
 _INTERLEAVE_1B = (0, 3, 1, 4, 2, 5)
 
 
+def _axis_derivatives(spec: SystemSpec, c: Fraction) -> tuple:
+    """W'(c) and W''(c) for the potential along the vertical axis on the side
+    of c, w(z) = W(z, 4 sgn(c) z), where rho = 4|z|: two exact scalars."""
+    sgn = 1 if c > 0 else -1
+    w = spec.potential.expr.subs(_RHO, 4 * sgn * _Z)
+    dw = sp.diff(w, _Z)
+    at = {_Z: sp.Rational(c.numerator, c.denominator)}
+    return _scalar_from_sympy(dw.subs(at)), _scalar_from_sympy(sp.diff(dw, _Z).subs(at))
+
+
 def ve_along(spec: SystemSpec, solution, check_tol: float = 1e-8):
     """Linearization A(t) of the canonical field along a solution.
 
     A Trajectory gives a SampledLinearSystem.  A one-body parameter dict
     {"c": rational} gives the exact polynomial system along the vertical
-    particular solution, rows/columns in the interleaved variation order
-    (x, p_x, y, p_y, z, p_z).  The input is verified to be a solution.
+    particular solution (0, 0, c, 0, 0, -2at), rows/columns in the
+    interleaved variation order (x, p_x, y, p_y, z, p_z).  The input is
+    verified to be a solution.
+
+    The exact system is read off the Hamiltonian's structure, with no
+    symbolic differentiation of H.  With u = p_x - y p_z/2 and
+    v = p_y + x p_z/2, H = (u^2 + v^2)/2 + W(z, rho).  On the line
+    x = y = p_x = p_y = 0 both u and v vanish, so Hess K = grad u grad u^T +
+    grad v grad v^T there, with grad u = (0, at, 0, 1, 0, 0) and
+    grad v = (-at, 0, 0, 0, 1, 0) in (x, y, z, p_x, p_y, p_z).  The x- and
+    y-derivatives of rho = sqrt((x^2 + y^2)^2 + 16 z^2) vanish to third order
+    on the axis, so the only potential term is W_zz = W''(c) for
+    w(z) = W(z, 4 sgn(c) z).  A = J Hess H = [[H_pq, H_pp], [-H_qq, -H_qp]].
+    The solution check is the identity W'(c) = 2a, with W'(c) from w and a
+    from condition_coefficient_a.
     """
     if isinstance(solution, Trajectory):
         traj = solution
@@ -242,32 +242,22 @@ def ve_along(spec: SystemSpec, solution, check_tol: float = 1e-8):
 
     if spec.kind != "one-body":
         raise ValueError("exact variational build implemented for one-body")
-    c = solution["c"]
+    c = Fraction(solution["c"])
     if c == 0:
         raise ValueError("c must be nonzero")
-    a = condition_coefficient_a(spec, Fraction(c))
-    t = sp.Symbol("t", real=True)
-    syms = spec._symbols
-    n = 3
-    field = [sp.diff(spec.h_expr, p) for p in syms[n:]] + [
-        -sp.diff(spec.h_expr, q) for q in syms[:n]
-    ]
-    point = {
-        syms[0]: 0, syms[1]: 0, syms[2]: sp.nsimplify(c),
-        syms[3]: 0, syms[4]: 0,
-        syms[5]: -2 * sp.Rational(a.numerator, a.denominator) * t,
-    }
-    # residual check: the particular solution must satisfy the field
-    expect = [0, 0, 0, 0, 0, -2 * sp.Rational(a.numerator, a.denominator)]
-    for f, e in zip(field, expect):
-        if sp.simplify(f.subs(point) - e) != 0:
-            raise ValueError("particular solution fails the residual check")
-    jac = [[sp.simplify(sp.diff(f, v).subs(point)) for v in syms] for f in field]
+    a = _scalar_from_sympy(sp.sympify(condition_coefficient_a(spec, c)))
+    dW, d2W = _axis_derivatives(spec, c)
+    if dW != a + a:
+        raise ValueError("particular solution fails the residual check")
+    zero, one, at = ExactPoly(()), ExactPoly([1]), ExactPoly.x().scale(a)
+    grad_u = (zero, at, zero, one, zero, zero)
+    grad_v = (-at, zero, zero, zero, one, zero)
+    hess = [[grad_u[i] * grad_u[j] + grad_v[i] * grad_v[j] for j in range(6)]
+            for i in range(6)]
+    hess[2][2] = ExactPoly([d2W])
+    jac = hess[3:] + [[-h for h in row] for row in hess[:3]]
     p = _INTERLEAVE_1B
-    entries = [
-        [_poly_from_sympy(jac[p[i]][p[j]], t, "t") for j in range(6)]
-        for i in range(6)
-    ]
+    entries = [[jac[p[i]][p[j]] for j in range(6)] for i in range(6)]
     return LinearSystem(ExactMatrix(entries, var="t"), var="t", meta=(("a", str(a)),))
 
 
@@ -310,18 +300,8 @@ def ve_blocks_transformed(spec: SystemSpec, c) -> LinearSystem:
         [ExactRatFunc.coerce(0), ExactRatFunc.coerce(1)],
         [ExactRatFunc(ExactPoly([-ia])), ExactRatFunc(t.scale(-(ia + ia)))],
     ]
-    # C: linearization of dh3 in dq3 along the axis
-    q3 = sp.Symbol("q3", positive=(c > 0), negative=(c < 0))
-    from .heisenmodel import _RHO, _Z
-
-    sgn = 1 if c > 0 else -1
-    W_on_axis = spec.potential.dz_expr.subs(
-        {_Z: q3, _RHO: 4 * sgn * q3}, simultaneous=True
-    ) + 16 * q3 / (4 * sgn * q3) * spec.potential.drho_expr.subs(
-        {_Z: q3, _RHO: 4 * sgn * q3}, simultaneous=True
-    )
-    C = sp.simplify(-sp.diff(W_on_axis, q3).subs(q3, sp.nsimplify(c)))
-    C_sc = _scalar_from_sympy(C)
+    # C: linearization of dh3 in dq3 along the axis, -W''(c)
+    C = -_axis_derivatives(spec, Fraction(c))[1]
 
     zero = ExactRatFunc.coerce(0)
     M = [[zero] * 6 for _ in range(6)]
@@ -332,7 +312,7 @@ def ve_blocks_transformed(spec: SystemSpec, c) -> LinearSystem:
     for i in range(2):
         for j in range(2):
             M[2 + i][2 + j] = conj[i, j]
-    M[5][4] = ExactRatFunc(ExactPoly([C_sc]))
+    M[5][4] = ExactRatFunc(ExactPoly([C]))
     return LinearSystem(ExactMatrix(M, var="t"), var="t", meta=(("a", str(a)),))
 
 

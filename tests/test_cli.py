@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -236,6 +237,24 @@ def test_factorize_malformed_matrix(runner, tmp_path):
     res = runner.invoke(main, ["factorize", "--config", str(cfg),
                                "--out", str(tmp_path)])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("c, a, C", [("19", "1/2888", "1/13718"),
+                                     ("-19/4", "-2/361", "32/6859")])
+def test_ve_and_factorize_at_large_denominators(runner, tmp_path, c, a, C):
+    ve_cfg, f_cfg = tmp_path / "ve_cfg.json", tmp_path / "f_cfg.json"
+    ve_cfg.write_text(json.dumps({"system": "kepler", "kappa": "1", "c": c}))
+    f_cfg.write_text(json.dumps({"c": c}))
+    assert _run(runner, ["ve", "--config", str(ve_cfg), "--out", str(tmp_path)]).exit_code == 0
+    doc = _load(tmp_path / "ve.json")
+    assert doc["a"] == a and doc["blocks_transformed"][5][4] == C
+    assert doc["ve_matrix"][5][4] == C
+    res = _run(runner, ["factorize", "--config", str(f_cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    doc = _load(tmp_path / "factorize.json")
+    assert doc["complete"] is True
+    m = abs(Fraction(a))
+    assert {f"({m}*i)*t^2", f"(-{m}*i)*t^2"} <= {s["exponent"] for s in doc["solutions"]}
 
 
 # -- sweep ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heisenkep.heisenmodel import (
     CollisionError,
@@ -272,3 +275,29 @@ def test_system_spec_json_custom_potential():
     back = SystemSpec.from_json(spec.to_json())
     assert sp.simplify(back.potential.expr - spec.potential.expr) == 0
     assert back.kappa_exact == sp.Rational(3, 2)
+
+
+_nonzero_q = st.fractions(max_denominator=20000).filter(lambda q: q != 0)
+_positive_q = st.fractions(min_value=0, max_denominator=20000).filter(lambda q: q > 0)
+_tables = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _nonzero_q,
+                          min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonzero_q, _positive_q, _positive_q, _tables | st.none())
+@example(Fraction(1, 13718), Fraction(1), Fraction(1), None)
+@example(Fraction(3), Fraction(1, 13718), Fraction(7, 2), {(0, 1): Fraction(-1, 13718)})
+def test_system_spec_json_round_trip_exact(kappa, m1, m2, table):
+    # exact rationals are written as they are (no nsimplify, which can turn
+    # -1/13718 into a product of fractional powers), so they read back
+    pot = None if table is None else PotentialSpec.from_table(
+        [[i, j, c] for (i, j), c in table.items()], [[0, 2, 1], [0, 0, 1]])
+    spec = SystemSpec("one-body", kappa, m1, m2, potential=pot)
+    doc = spec.to_json()
+    assert doc["kappa"] == str(kappa) and doc["m1"] == str(m1) and doc["m2"] == str(m2)
+    back = SystemSpec.from_json(json.dumps(doc))
+    assert (back.kappa_exact, back.m1_exact, back.m2_exact) == (
+        spec.kappa_exact, spec.m1_exact, spec.m2_exact)
+    assert back.to_json() == doc
+    if pot is not None:
+        assert sp.cancel(back.potential.expr - pot.expr) == 0

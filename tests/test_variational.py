@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from heisenkep.dynamics import IntegratorConfig, integrate
+from heisenkep.dynamics import IntegratorConfig, hamilton_rhs, integrate
 from heisenkep.exactalg import (
     ExactMatrix,
     ExactPoly,
@@ -14,7 +15,14 @@ from heisenkep.exactalg import (
     SingularMatrixError,
     _modulus,
 )
-from heisenkep.heisenmodel import PhaseState1B, SystemSpec, particular_solution
+from heisenkep.heisenmodel import (
+    PhaseState1B,
+    PotentialSpec,
+    SystemSpec,
+    _scalar_from_sympy,
+    condition_coefficient_a,
+    particular_solution,
+)
 from heisenkep.variational import (
     DiffOperator,
     GaugeMatrix,
@@ -123,6 +131,99 @@ def test_ve_rejects_non_solution(kepler1b):
     )
     with pytest.raises(ValueError):
         ve_along(kepler1b, bad)
+
+
+# -- the structural build against two independent oracles --------------------
+
+def _reference_ve_along(spec, c):
+    """A(t) the general way: differentiate H symbolically, check that the
+    vertical line solves the field, substitute it into the Jacobian and
+    read each entry as a polynomial in t."""
+    a = condition_coefficient_a(spec, c)
+    t = sp.Symbol("t", real=True)
+    syms = spec._symbols
+    field = [sp.diff(spec.h_expr, p) for p in syms[3:]] + [
+        -sp.diff(spec.h_expr, q) for q in syms[:3]
+    ]
+    aq = sp.Rational(a.numerator, a.denominator)
+    point = dict(zip(syms, (0, 0, sp.Rational(c.numerator, c.denominator), 0, 0, -2 * aq * t)))
+    for f, e in zip(field, (0, 0, 0, 0, 0, -2 * aq)):
+        assert sp.simplify(f.subs(point) - e) == 0
+    jac = [[sp.simplify(sp.diff(f, v).subs(point)) for v in syms] for f in field]
+
+    def entry(e):
+        cs = sp.Poly(sp.expand(e), t).all_coeffs()[::-1]
+        return ExactPoly([_scalar_from_sympy(x) for x in cs])
+
+    p = (0, 3, 1, 4, 2, 5)
+    A = ExactMatrix([[entry(jac[p[i]][p[j]]) for j in range(6)] for i in range(6)])
+    return A, (("a", str(a)),)
+
+
+def _spec(kappa, table):
+    if table is None:
+        return SystemSpec("one-body", kappa)
+    return SystemSpec("one-body", kappa, potential=PotentialSpec.from_table(*table))
+
+
+# -1/(rho + 1) and (z - 2)/rho^2
+_TABLES = (([[0, 0, -1]], [[0, 1, 1], [0, 0, 1]]), ([[1, 0, 1], [0, 0, -2]], [[0, 2, 1]]))
+_CASES = [(k, None, c) for k in (1, 2, Fraction(-3, 7), Fraction(5, 3))
+          for c in (Fraction(1, 3), Fraction(-2))]
+_CASES += [(1, tb, c) for tb in _TABLES for c in (Fraction(1, 2), Fraction(-3, 2))]
+_CASES += [(1, None, Fraction(19)), (1, None, Fraction(-19, 4))]
+
+
+@pytest.mark.parametrize("kappa, table, c", _CASES)
+def test_ve_matches_general_symbolic_build(kappa, table, c):
+    spec = _spec(kappa, table)
+    sys = ve_along(spec, {"c": c})
+    A, meta = _reference_ve_along(spec, c)
+    assert sys.A == A and sys.meta == meta
+
+
+@pytest.mark.parametrize("kappa, table, c", [
+    (1, None, Fraction(1, 4)), (Fraction(-3, 7), None, Fraction(-2, 3)),
+    (1, _TABLES[0], Fraction(1, 2)), (1, _TABLES[1], Fraction(-3, 2)),
+])
+def test_ve_matches_central_differences_of_the_field(kappa, table, c):
+    spec = _spec(kappa, table)
+    sys = ve_along(spec, {"c": c})
+    p = [0, 3, 1, 4, 2, 5]
+    h = 1e-6
+    for t in (0.0, 0.4, 1.3, 2.5):
+        s = particular_solution(spec, {"c": c}, t).to_array()
+        fd = np.empty((6, 6))
+        for j in range(6):
+            sp_, sm = s.copy(), s.copy()
+            sp_[j] += h
+            sm[j] -= h
+            fd[:, j] = (hamilton_rhs(spec, sp_) - hamilton_rhs(spec, sm)) / (2 * h)
+        A = sys.eval(t)
+        assert np.max(np.abs(A - fd[np.ix_(p, p)])) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("c", [Fraction(19), Fraction(-19, 4)])
+def test_ve_builds_at_large_denominators(kepler1b, c):
+    # unit Kepler potential: a = sgn(c)/(8 c^2), and the (dp_z, dz) entry of
+    # both builds is -W''(c) = 1/(2|c|^3)
+    a = Fraction(1 if c > 0 else -1, 8) / c**2
+    C = P(Fraction(1, 2) / abs(c) ** 3)
+    full = ve_along(kepler1b, {"c": c})
+    blocks = ve_blocks_transformed(kepler1b, c)
+    assert dict(full.meta)["a"] == dict(blocks.meta)["a"] == str(a)
+    assert full.A[5, 4] == blocks.A[5, 4] == C
+
+
+def test_singular_potential_raises_one_error():
+    # W = -1/(rho - 4) is singular at (z, rho) = (1, 4)
+    spec = _spec(1, ([[0, 0, -1]], [[0, 1, 1], [0, 0, -4]]))
+    for build in (lambda: condition_coefficient_a(spec, Fraction(1)),
+                  lambda: ve_along(spec, {"c": 1}),
+                  lambda: ve_blocks_transformed(spec, 1)):
+        with pytest.raises(ValueError, match=r"singular at \(z, rho\) = \(1, 4\)"):
+            build()
+    assert dict(ve_along(spec, {"c": 2}).meta)["a"] == "1/8"
 
 
 # -- change of variables ----------------------------------------------------
