@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -189,9 +188,7 @@ class MonitorReport:
         }
 
 
-def monitor_conserved(
-    spec: SystemSpec, traj: Trajectory, n_samples: int = 400, h0_tol: float = 1e-9
-) -> MonitorReport:
+def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
     """Drift of the known integrals and the dJ/dt = 2H residual.
 
     The dJ/dt residual differentiates J along the dense output (central
@@ -199,7 +196,7 @@ def monitor_conserved(
     keys = (
         ["H", "p_theta"] if spec.kind == "one-body" else ["H", "I1", "I2", "I3", "I4"]
     )
-    ts = np.linspace(traj.t[0], traj.t[-1], n_samples)
+    ts = np.linspace(traj.t[0], traj.t[-1], 400)
     states = traj.at(ts) if traj.sol is not None else traj.y
     if traj.sol is None:
         ts = traj.t
@@ -224,7 +221,7 @@ def monitor_conserved(
             djdt_res = max(djdt_res, abs((jp - jm) / (2 * h) - 2 * hh))
 
     h0 = vals["H"][0]
-    j_const = bool(j_drift < 1e-8) if abs(h0) < h0_tol else None
+    j_const = bool(j_drift < 1e-8) if abs(h0) < 1e-9 else None
     return MonitorReport(
         drifts=drifts,
         djdt_residual_max=float(djdt_res),
@@ -327,11 +324,11 @@ class ExtendedSystem:
     def rhs(self, x) -> np.ndarray:
         return self.J(x) @ self.grad_K(x)
 
-    def bracket(self, f, g, x, grad_f=None, grad_g=None, h_scale: float = 1.0) -> float:
+    def bracket(self, f, g, x, grad_f=None) -> float:
         """Bracket grad(f)^T J grad(g); gradients are central differences
-        unless analytic ones are supplied."""
+        unless an analytic grad_f is supplied."""
         x = np.asarray(x, dtype=float)
-        base = float(np.cbrt(np.finfo(float).eps)) * h_scale
+        base = float(np.cbrt(np.finfo(float).eps))
 
         def grad(fn):
             out = np.empty_like(x)
@@ -344,8 +341,7 @@ class ExtendedSystem:
             return out
 
         gf = np.asarray(grad_f(x), dtype=float) if grad_f is not None else grad(f)
-        gg = np.asarray(grad_g(x), dtype=float) if grad_g is not None else grad(g)
-        return float(gf @ self.J(x) @ gg)
+        return float(gf @ self.J(x) @ grad(g))
 
 
 def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
@@ -381,35 +377,18 @@ def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
     )
 
 
-def integrate_extended(
-    sys: ExtendedSystem,
-    x0,
-    cfg: IntegratorConfig,
-    leaf_threshold: float = 1e-6,
-    renormalize_u: bool = False,
-) -> Trajectory:
+def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate xdot = J(x) grad K(x).
 
-    The Casimir residual P(u(t)) is tracked as a diagnostic; by default
-    drift is measured, not corrected.  With renormalize_u=True, u is reset
-    to the positive root of P at every accepted sample."""
+    The Casimir residual P(u(t)) is tracked as a diagnostic: its drift is
+    measured, not corrected, and a residual above 1e-6 flags the trajectory
+    as leaving the leaf."""
     a0 = x0.to_array() if hasattr(x0, "to_array") else np.asarray(x0, dtype=float)
     if abs(sys.P(a0)) > 1e-12:
         raise ValueError("initial state is off the physical leaf P(u) = 0")
 
-    n = sys.n
-
-    def f(t, xarr):
-        if renormalize_u:
-            xarr = xarr.copy()
-            q = xarr[:n]
-            xarr[2 * n] = math.sqrt(
-                float(xarr[2 * n] ** 2 - sys._P(*q, xarr[2 * n]))
-            )
-        return sys.rhs(xarr)
-
     res = solve_ivp(
-        f,
+        lambda t, xarr: sys.rhs(xarr),
         (0.0, cfg.t_end),
         a0,
         method=cfg.method,
@@ -425,7 +404,7 @@ def integrate_extended(
             last_state=res.y[:, -1] if res.t.size else a0,
         )
     p_res = max(abs(sys.P(res.y[:, k])) for k in range(res.t.size))
-    flagged = "leaf_departure" if p_res > leaf_threshold else None
+    flagged = "leaf_departure" if p_res > 1e-6 else None
     stats = {
         "nfev": int(res.nfev),
         "steps": int(res.t.size - 1),

@@ -223,34 +223,49 @@ def _nonneg_integer_roots(I: ExactPoly) -> list:
     return sorted(out)
 
 
-def _polynomial_solutions(polys, var) -> list:
-    """Basis of polynomial solutions of sum_j c_j y^(j) = 0, exact."""
-    degs = _nonneg_integer_roots(_infinity_indicial(polys))
-    if not degs:
+def _max_solution_degree(polys) -> int:
+    """Largest degree a polynomial solution of sum_j c_j y^(j) = 0 can
+    have, -1 if only y = 0: a solution t^N + ... leaves I(N) t^(N + M) as
+    the leading term of L(y), so N is a nonnegative integer root of I."""
+    return max(_nonneg_integer_roots(_infinity_indicial(polys)), default=-1)
+
+
+def _polynomial_solutions(P, bounds, var) -> list:
+    """Basis of the polynomial vectors v with sum_j P[j] v^(j) = 0, exact.
+
+    Each P[j] is an n x n matrix of ExactPoly, and component i of v has
+    degree at most bounds[i] (-1 makes it zero).  The unknowns are the
+    coefficients of v, ordered by component and then by degree, so the
+    basis is the reduced-echelon one of `scalar_nullspace`."""
+    n = len(bounds)
+    cols = [(i, s) for i in range(n) for s in range(bounds[i] + 1)]
+    if not cols:
         return []
-    N = max(degs)
-    maxdeg = max(p.degree for p in polys if not p.is_zero()) + N
-    rows = [[_ZERO] * (N + 1) for _ in range(maxdeg + 1)]
-    for s in range(N + 1):
-        for j, p in enumerate(polys):
-            if p.is_zero() or j > s:
-                continue
-            fall = 1
-            for k in range(j):
-                fall *= s - k
-            if fall == 0:
-                continue
-            fs = ExactScalar(fall)
-            for d in range(p.degree + 1):
-                c = p.coeff(d)
-                if not c.is_zero():
-                    rows[d + s - j][s] = rows[d + s - j][s] + c * fs
-    sols = []
+    height = max(p.degree for Pj in P for row in Pj for p in row) + max(bounds) + 1
+    rows = [[_ZERO] * len(cols) for _ in range(n * height)]
+    for col, (i, s) in enumerate(cols):
+        for j, Pj in enumerate(P[: s + 1]):
+            fall = ExactScalar(math.perm(s, j))
+            for r in range(n):
+                for d, c in enumerate(Pj[r][i].coeffs):
+                    if not c.is_zero():
+                        row = rows[r * height + d + s - j]
+                        row[col] = row[col] + c * fall
+    out = []
     for v in scalar_nullspace(rows)[0]:
-        q = ExactPoly(v, var=var)
-        if not q.is_zero():
-            sols.append(q)
-    return sols
+        coeffs = [[] for _ in range(n)]
+        for (i, _s), c in zip(cols, v):
+            coeffs[i].append(c)
+        out.append([ExactPoly(cs, var=var) for cs in coeffs])
+    return out
+
+
+def _twisted(coeffs, spoly: ExactPoly, var) -> list:
+    """Cleared polynomial coefficients of the operator for u, where
+    y = u exp(int spoly)."""
+    if not spoly.is_zero():
+        coeffs = _twist(coeffs, ExactRatFunc(spoly, var=var), var)
+    return clear_denominators(coeffs, var)[1]
 
 
 def _newton_polygon_slopes(polys):
@@ -277,13 +292,13 @@ def _newton_polygon_slopes(polys):
     return sorted(out, key=lambda e: -e[0])
 
 
-def _poly_part_candidates(coeffs, var, max_d=None, depth=0):
+def _poly_part_candidates(coeffs, var, max_d=None):
     """Candidate polynomial parts s' of rational logarithmic derivatives,
-    from the Newton polygon at infinity, recursively refined."""
+    from the Newton polygon at infinity, recursively refined.  Each level
+    fixes the term of degree d and refines below it, so the recursion ends
+    after at most deg s' + 1 levels."""
     _, polys = clear_denominators(coeffs, var)
     out = [ExactPoly((), var=var)]
-    if depth > 12:
-        return out
     for d, edge in _newton_polygon_slopes(polys):
         if max_d is not None and d > max_d:
             continue
@@ -296,9 +311,7 @@ def _poly_part_candidates(coeffs, var, max_d=None, depth=0):
                     out.append(lead)
                 continue
             twisted = _twist(coeffs, ExactRatFunc(lead, var=var), var)
-            for tail in _poly_part_candidates(
-                twisted, var, max_d=d - 1, depth=depth + 1
-            ):
+            for tail in _poly_part_candidates(twisted, var, max_d=d - 1):
                 cand = lead + tail
                 if cand not in out:
                     out.append(cand)
@@ -445,13 +458,9 @@ def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
             tail = tail + ExactRatFunc(g.derivative().scale(v), g, var=var)
         base = _twist(L.coeffs, tail, var)
         for spoly in _poly_part_candidates(base, var):
-            twisted = (
-                base
-                if spoly.is_zero()
-                else _twist(base, ExactRatFunc(spoly, var=var), var)
-            )
-            _, tp = clear_denominators(twisted, var)
-            for q in _polynomial_solutions(tp, var):
+            tp = _twisted(base, spoly, var)
+            bound = _max_solution_degree(tp)
+            for (q,) in _polynomial_solutions([[[c]] for c in tp], [bound], var):
                 r = (
                     ExactRatFunc(spoly, var=var)
                     + tail
@@ -788,58 +797,6 @@ def plucker_check(Y) -> bool:
     return plucker_quadric(Y).is_zero()
 
 
-def _poly_vector_solutions(B: ExactMatrix, sprime: ExactRatFunc, degree_bound: int):
-    """Exact polynomial vector solutions of v' = (B - s' I) v."""
-    n = B.rows
-    var = B.var
-    C = [
-        [
-            B[i, j] - (sprime if i == j else ExactRatFunc.coerce(0, var))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    den, flat = clear_denominators([c for row in C for c in row], var)
-    Cp = [flat[i * n : (i + 1) * n] for i in range(n)]
-    dmax = max((p.degree for row in Cp for p in row if not p.is_zero()), default=0)
-    N = degree_bound
-    ncols = n * (N + 1)
-    rows_per = N + max(dmax, den.degree) + 2
-    M = [[_ZERO] * ncols for _ in range(n * rows_per)]
-
-    def col(i, s):
-        return i * (N + 1) + s
-
-    for i in range(n):
-        off = i * rows_per
-        # den * v_i' - sum_j Cp[i][j] v_j = 0, coefficientwise in t
-        for s in range(1, N + 1):
-            for d in range(den.degree + 1):
-                c = den.coeff(d)
-                if not c.is_zero():
-                    M[off + d + s - 1][col(i, s)] = (
-                        M[off + d + s - 1][col(i, s)] + c * ExactScalar(s)
-                    )
-        for j in range(n):
-            p = Cp[i][j]
-            if p.is_zero():
-                continue
-            for s in range(N + 1):
-                for d in range(p.degree + 1):
-                    c = p.coeff(d)
-                    if not c.is_zero():
-                        M[off + d + s][col(j, s)] = M[off + d + s][col(j, s)] - c
-    out = []
-    for v in scalar_nullspace(M)[0]:
-        vec = [
-            ExactPoly([v[col(i, s)] for s in range(N + 1)], var=var)
-            for i in range(n)
-        ]
-        if any(not p.is_zero() for p in vec):
-            out.append(vec)
-    return out
-
-
 def _normalize_direction(vec):
     """Scale a polynomial vector so the last nonzero entry of its leading
     coefficient vector is 1."""
@@ -850,33 +807,45 @@ def _normalize_direction(vec):
     return [p.scale(inv) for p in vec]
 
 
-def system_exp_solutions(sys, degree_bound: int = 8) -> list:
+def system_exp_solutions(sys) -> list:
     """Solutions Y = exp(s(t)) v(t) of y' = B y with polynomial vector v
-    and polynomial exponent s.
+    and polynomial exponent s, as (s, v) pairs.
 
-    Candidate exponents come from the Newton polygons of the minimal
-    scalar annihilators of the coordinates; directions are recovered
-    exactly by undetermined coefficients and normalized so the last
-    nonzero leading entry is one.  Returns (s, v) pairs."""
+    Component i of such a solution is exp(s) v_i, a solution of the minimal
+    scalar annihilator L_i of coordinate i.  If v_i is not zero, s' is
+    therefore among the candidate polynomial parts of L_i, and v_i is a
+    polynomial solution of L_i twisted by s', so its degree is a nonnegative
+    integer root of that operator's indicial polynomial at infinity.  Each
+    component is searched up to that bound, and set to zero where s' is no
+    candidate of L_i or the root does not exist; no solution is missed.
+    The directions v are recovered exactly by undetermined coefficients in
+    den v' - den (B - s' I) v = 0 and normalized so the last nonzero
+    leading entry is one."""
     B = sys if isinstance(sys, ExactMatrix) else sys.A
     n = B.rows
     var = B.var
 
-    s_candidates = [ExactPoly((), var=var)]
-    seen = {str(s_candidates[0])}
-    for i in range(n):
-        ode = _minimal_annihilator(B, i, var)
-        for spoly in _poly_part_candidates(list(ode.coeffs), var):
-            s = _integrate_poly(spoly)
-            if str(s) not in seen:
-                seen.add(str(s))
-                s_candidates.append(s)
+    anns = [list(_minimal_annihilator(B, i, var).coeffs) for i in range(n)]
+    cands = [_poly_part_candidates(c, var) for c in anns]
+    # 0 first, then each annihilator's candidates in order
+    spolys = list(dict.fromkeys(p for cs in cands for p in cs))
 
+    zero = ExactPoly((), var=var)
     results = []
-    for s in s_candidates:
-        sp = ExactRatFunc(s.derivative(), var=var)
-        for vvec in _poly_vector_solutions(B, sp, degree_bound):
-            results.append((s, _normalize_direction(vvec)))
+    for spoly in spolys:
+        bounds = [
+            _max_solution_degree(_twisted(c, spoly, var)) if spoly in cs else -1
+            for c, cs in zip(anns, cands)
+        ]
+        spr = ExactRatFunc(spoly, var=var)
+        den, flat = clear_denominators(
+            [B[i, j] - spr if i == j else B[i, j] for i in range(n) for j in range(n)],
+            var,
+        )
+        P0 = [[-p for p in flat[i * n : (i + 1) * n]] for i in range(n)]
+        P1 = [[den if i == j else zero for j in range(n)] for i in range(n)]
+        for v in _polynomial_solutions([P0, P1], bounds, var):
+            results.append((_integrate_poly(spoly), _normalize_direction(v)))
     return results
 
 

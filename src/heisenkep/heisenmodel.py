@@ -256,10 +256,11 @@ class SystemSpec:
     def __init__(self, kind: str, kappa, m1=1, m2=1, potential: PotentialSpec | None = None):
         if kind not in ("one-body", "two-body"):
             raise ValueError(f"unknown system kind {kind!r}")
-        kq = _to_sympy_number(kappa)
+        kq, m1q, m2q = (_to_sympy_number(v) for v in (kappa, m1, m2))
+        if not all(v.is_real for v in (kq, m1q, m2q)):
+            raise ValueError("kappa and the masses must be real")
         if kq == 0:
             raise ValueError("kappa must be nonzero")
-        m1q, m2q = _to_sympy_number(m1), _to_sympy_number(m2)
         if m1q <= 0 or m2q <= 0:
             raise ValueError("masses must be positive")
         self.kind = kind

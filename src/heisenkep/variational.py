@@ -208,7 +208,7 @@ def _axis_derivatives(spec: SystemSpec, c: Fraction) -> tuple:
     return _scalar_from_sympy(dw.subs(at)), _scalar_from_sympy(sp.diff(dw, _Z).subs(at))
 
 
-def ve_along(spec: SystemSpec, solution, check_tol: float = 1e-8):
+def ve_along(spec: SystemSpec, solution):
     """Linearization A(t) of the canonical field along a solution.
 
     A Trajectory gives a SampledLinearSystem.  A one-body parameter dict
@@ -234,9 +234,7 @@ def ve_along(spec: SystemSpec, solution, check_tol: float = 1e-8):
         for tq in np.linspace(traj.t[0], traj.t[-1], 7)[1:-1]:
             h = 1e-6 * max(1.0, abs(tq))
             fd = (traj.at(tq + h) - traj.at(tq - h)) / (2 * h)
-            if np.max(np.abs(fd - hamilton_rhs(spec, traj.at(tq)))) > max(
-                check_tol, 1e-4
-            ):
+            if np.max(np.abs(fd - hamilton_rhs(spec, traj.at(tq)))) > 1e-4:
                 raise ValueError("trajectory fails the solution residual check")
         return SampledLinearSystem(spec, traj)
 

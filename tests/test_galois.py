@@ -19,9 +19,14 @@ from heisenkep.exactalg import (
     _dependency_mod,
     _modulus,
     _poly_mod,
+    clear_denominators,
+    scalar_nullspace,
 )
 from heisenkep.galois import (
     DiffOperator,
+    _integrate_poly,
+    _normalize_direction,
+    _poly_part_candidates,
     _sym_module,
     FactorizationBasis,
     GaloisVerdict,
@@ -43,7 +48,7 @@ from heisenkep.galois import (
     system_exp_solutions,
 )
 from heisenkep.heisenmodel import SystemSpec
-from heisenkep.variational import gauge_transform, ve_along
+from heisenkep.variational import _minimal_annihilator, gauge_transform, ve_along
 
 I = ExactScalar(0, 1)
 
@@ -218,6 +223,14 @@ def test_exp_solutions_completeness_class(pcoeffs, qcoeffs):
     r = ExactRatFunc(p.derivative()) + ExactRatFunc(q.derivative(), q)
     L = DiffOperator([-r, 1])
     assert any(found == r for found, _ in exp_solutions(L))
+
+
+@pytest.mark.parametrize("n", [13, 14, 16])
+def test_exp_solutions_high_degree_polynomial_part(n):
+    # D - (1 + t + ... + t^(n-1)): the polynomial part is found one term
+    # per recursion level, with no cap on the number of levels
+    r = ExactRatFunc(ExactPoly([1] * n))
+    assert [found for found, _ in exp_solutions(DiffOperator([-r, 1]))] == [r]
 
 
 # -- symmetric powers -------------------------------------------------------
@@ -616,6 +629,150 @@ def test_system_exp_solutions_diagonal():
     sols = {str(s): [str(p) for p in v] for s, v in system_exp_solutions(B)}
     assert sols["t"] == ["1", "0"]
     assert sols["(2)*t"] == ["0", "1"]
+
+
+def _rat_diag(degs):
+    t = ExactPoly.x()
+    return ExactMatrix(
+        [[ExactRatFunc(ExactPoly([d]), t) if i == j else 0 for j in range(len(degs))]
+         for i, d in enumerate(degs)]
+    )
+
+
+def test_system_exp_solutions_degree_above_eight():
+    sols = [(str(s), [str(p) for p in v]) for s, v in system_exp_solutions(_rat_diag([9, 0]))]
+    assert sols == [("0", ["t^9", "0"]), ("0", ["0", "1"])]
+
+
+def _gauge_ground_truth(degs, Q):
+    """B = Q^-1 (A Q - Q') for A = diag(d_k / t), and the polynomial
+    solutions Q^-1 t^(d_k) e_k of y' = B y."""
+    n = len(degs)
+    Qi = Q.inverse()
+    Qp = ExactMatrix([[Q[i, j].derivative() for j in range(n)] for i in range(n)])
+    B = Qi @ (_rat_diag(degs) @ Q - Qp)
+    truth = [[Qi[i, k] * ExactRatFunc(ExactPoly.monomial(1, d)) for i in range(n)]
+             for k, d in enumerate(degs)]
+    return B, truth
+
+
+def _assert_same_span(found, truth):
+    # spans over Q(i), compared on the vectors' coefficients in t
+    polys = [[ExactRatFunc.coerce(e).as_poly() for e in v] for v in found + truth]
+    top = max(p.degree for v in polys for p in v)
+
+    def rank(vs):
+        rows = [[p.coeff(d) for p in v for d in range(top + 1)] for v in vs]
+        return len(rows[0]) - len(scalar_nullspace(rows)[0])
+
+    assert len(found) == len(truth) == rank(polys[: len(found)]) == rank(polys)
+
+
+def test_system_exp_solutions_unimodular_gauge():
+    t = ExactPoly.x()
+    Q = ExactMatrix([[1, t, 0], [0, 1, t * t], [0, 0, 1]])
+    B, truth = _gauge_ground_truth([2, 9, 11], Q)
+    _assert_same_span([v for s, v in system_exp_solutions(B) if s.is_zero()], truth)
+
+
+_small = st.integers(-3, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.integers(0, 15), min_size=2, max_size=3),
+    st.data(),
+)
+def test_system_exp_solutions_gauge_ground_truth(degs, data):
+    # random unimodular upper-triangular polynomial Q: constant nonzero
+    # diagonal, polynomials of degree <= 2 above it
+    n = len(degs)
+    gauss = st.builds(ExactScalar, _small, _small).filter(lambda c: not c.is_zero())
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = data.draw(gauss)
+        for j in range(i + 1, n):
+            entries[i][j] = ExactPoly(data.draw(st.lists(_small, max_size=3)))
+    B, truth = _gauge_ground_truth(degs, ExactMatrix(entries))
+    _assert_same_span([v for s, v in system_exp_solutions(B) if s.is_zero()], truth)
+
+
+def _reference_poly_vector_solutions(B, sprime):
+    """Polynomial vector solutions of v' = (B - s' I) v up to a fixed
+    degree cap N = 8, by undetermined coefficients: the reference that the
+    exactly bounded search must agree with wherever the cap suffices."""
+    N = 8
+    n = B.rows
+    var = B.var
+    C = [
+        [
+            B[i, j] - (sprime if i == j else ExactRatFunc.coerce(0, var))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    den, flat = clear_denominators([c for row in C for c in row], var)
+    Cp = [flat[i * n : (i + 1) * n] for i in range(n)]
+    dmax = max((p.degree for row in Cp for p in row if not p.is_zero()), default=0)
+    ncols = n * (N + 1)
+    rows_per = N + max(dmax, den.degree) + 2
+    M = [[ExactScalar(0)] * ncols for _ in range(n * rows_per)]
+
+    def col(i, s):
+        return i * (N + 1) + s
+
+    for i in range(n):
+        off = i * rows_per
+        # den * v_i' - sum_j Cp[i][j] v_j = 0, coefficientwise in t
+        for s in range(1, N + 1):
+            for d in range(den.degree + 1):
+                c = den.coeff(d)
+                if not c.is_zero():
+                    M[off + d + s - 1][col(i, s)] = (
+                        M[off + d + s - 1][col(i, s)] + c * ExactScalar(s)
+                    )
+        for j in range(n):
+            p = Cp[i][j]
+            if p.is_zero():
+                continue
+            for s in range(N + 1):
+                for d in range(p.degree + 1):
+                    c = p.coeff(d)
+                    if not c.is_zero():
+                        M[off + d + s][col(j, s)] = M[off + d + s][col(j, s)] - c
+    out = []
+    for v in scalar_nullspace(M)[0]:
+        vec = [
+            ExactPoly([v[col(i, s)] for s in range(N + 1)], var=var)
+            for i in range(n)
+        ]
+        if any(not p.is_zero() for p in vec):
+            out.append(vec)
+    return out
+
+
+def _reference_system_exp_solutions(B):
+    var = B.var
+    s_candidates = [ExactPoly((), var=var)]
+    for i in range(B.rows):
+        ode = _minimal_annihilator(B, i, var)
+        for spoly in _poly_part_candidates(list(ode.coeffs), var):
+            s = _integrate_poly(spoly)
+            if s not in s_candidates:
+                s_candidates.append(s)
+    return [
+        (s, _normalize_direction(v))
+        for s in s_candidates
+        for v in _reference_poly_vector_solutions(B, ExactRatFunc(s.derivative(), var=var))
+    ]
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("c", ["1/8", "1/4", "1/3", "1/2", "2/3", "1", "3/2"])
+def test_system_exp_solutions_match_degree_capped_reference(kappa, c):
+    A = ve_along(SystemSpec("one-body", kappa), {"c": Fraction(c)}).subsystem(range(4)).A
+    E = exterior_square(A)
+    assert system_exp_solutions(E) == _reference_system_exp_solutions(E)
 
 
 def test_system_exp_solutions_recovers_printed_directions(weil_block):

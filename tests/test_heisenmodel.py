@@ -277,6 +277,20 @@ def test_system_spec_json_custom_potential():
     assert back.kappa_exact == sp.Rational(3, 2)
 
 
+@pytest.mark.parametrize(
+    "kind,kappa,m1,m2",
+    [
+        ("one-body", "1/2+1/3*i", 1, 1),
+        ("one-body", 1j, 1, 1),
+        ("two-body", 1, "1/2+1*i", 1),
+        ("two-body", 1, 1, "-2*i"),
+    ],
+)
+def test_system_spec_rejects_non_real_parameters(kind, kappa, m1, m2):
+    with pytest.raises(ValueError, match="must be real"):
+        SystemSpec(kind, kappa, m1, m2)
+
+
 _nonzero_q = st.fractions(max_denominator=20000).filter(lambda q: q != 0)
 _positive_q = st.fractions(min_value=0, max_denominator=20000).filter(lambda q: q > 0)
 _tables = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _nonzero_q,
