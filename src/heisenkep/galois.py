@@ -260,14 +260,6 @@ def _polynomial_solutions(P, bounds, var) -> list:
     return out
 
 
-def _twisted(coeffs, spoly: ExactPoly, var) -> list:
-    """Cleared polynomial coefficients of the operator for u, where
-    y = u exp(int spoly)."""
-    if not spoly.is_zero():
-        coeffs = _twist(coeffs, ExactRatFunc(spoly, var=var), var)
-    return clear_denominators(coeffs, var)[1]
-
-
 def _newton_polygon_slopes(polys):
     """Candidate leading degrees of the polynomial part of r, with edge
     polynomials: pairs (d, edge) where d >= 0 is an integer slope of the
@@ -292,13 +284,17 @@ def _newton_polygon_slopes(polys):
     return sorted(out, key=lambda e: -e[0])
 
 
-def _poly_part_candidates(coeffs, var, max_d=None):
+def _poly_part_candidates(polys, var, max_d=None) -> dict:
     """Candidate polynomial parts s' of rational logarithmic derivatives,
     from the Newton polygon at infinity, recursively refined.  Each level
     fixes the term of degree d and refines below it, so the recursion ends
-    after at most deg s' + 1 levels."""
-    _, polys = clear_denominators(coeffs, var)
-    out = [ExactPoly((), var=var)]
+    after at most deg s' + 1 levels.
+
+    polys are the cleared polynomial coefficients of an operator.  Returns
+    a dict from each candidate s', 0 first, to those coefficients twisted
+    by s': twisting by the leading term and then by a tail of the refined
+    operator is one twist by their sum."""
+    out = {ExactPoly((), var=var): polys}
     for d, edge in _newton_polygon_slopes(polys):
         if max_d is not None and d > max_d:
             continue
@@ -306,15 +302,12 @@ def _poly_part_candidates(coeffs, var, max_d=None):
             if rho.is_zero():
                 continue
             lead = ExactPoly.monomial(rho, d, var=var)
+            twisted = _twist(polys, lead, var)
             if d == 0:
-                if lead not in out:
-                    out.append(lead)
+                out.setdefault(lead, twisted)
                 continue
-            twisted = _twist(coeffs, ExactRatFunc(lead, var=var), var)
-            for tail in _poly_part_candidates(twisted, var, max_d=d - 1):
-                cand = lead + tail
-                if cand not in out:
-                    out.append(cand)
+            for tail, op in _poly_part_candidates(twisted, var, max_d=d - 1).items():
+                out.setdefault(lead + tail, op)
     return out
 
 
@@ -380,11 +373,12 @@ def _local_data(polys, f: ExactPoly, var: str):
 
 
 def _solve_indicial(ind, f: ExactPoly, var: str):
-    """Rational roots of an indicial polynomial with coefficients in
-    Q(i)[t]/(f), splitting f when the roots differ between its points."""
+    """Roots of an indicial polynomial with coefficients in Q(i)[t]/(f),
+    splitting f when the roots differ between its points: all roots in Q(i)
+    when the coefficients are constant, rational roots otherwise."""
     if all(c.degree <= 0 for c in ind):
         poly = ExactPoly([c.coeff(0) for c in ind], var="lam")
-        return [(v, f) for v in gaussian_roots(poly) if v.is_real()]
+        return [(v, f) for v in gaussian_roots(poly)]
     # point-dependent coefficients: collect rational candidates from the
     # numeric roots of the pointwise indicial, then certify by gcd with f
     cands = []
@@ -456,9 +450,8 @@ def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
             if v is None:
                 continue
             tail = tail + ExactRatFunc(g.derivative().scale(v), g, var=var)
-        base = _twist(L.coeffs, tail, var)
-        for spoly in _poly_part_candidates(base, var):
-            tp = _twisted(base, spoly, var)
+        base = clear_denominators(_twist(L.coeffs, tail, var), var)[1]
+        for spoly, tp in _poly_part_candidates(base, var).items():
             bound = _max_solution_degree(tp)
             for (q,) in _polynomial_solutions([[[c]] for c in tp], [bound], var):
                 r = (
@@ -825,18 +818,19 @@ def system_exp_solutions(sys) -> list:
     n = B.rows
     var = B.var
 
-    anns = [list(_minimal_annihilator(B, i, var).coeffs) for i in range(n)]
-    cands = [_poly_part_candidates(c, var) for c in anns]
+    cands = [
+        _poly_part_candidates(
+            clear_denominators(_minimal_annihilator(B, i, var).coeffs, var)[1], var
+        )
+        for i in range(n)
+    ]
     # 0 first, then each annihilator's candidates in order
     spolys = list(dict.fromkeys(p for cs in cands for p in cs))
 
     zero = ExactPoly((), var=var)
     results = []
     for spoly in spolys:
-        bounds = [
-            _max_solution_degree(_twisted(c, spoly, var)) if spoly in cs else -1
-            for c, cs in zip(anns, cands)
-        ]
+        bounds = [_max_solution_degree(cs[spoly]) if spoly in cs else -1 for cs in cands]
         spr = ExactRatFunc(spoly, var=var)
         den, flat = clear_denominators(
             [B[i, j] - spr if i == j else B[i, j] for i in range(n) for j in range(n)],

@@ -18,7 +18,7 @@ import sympy as sp
 from scipy.special import jv, yv
 
 from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
-                       clear_denominators, tower_annihilator)
+                       _dot, clear_denominators, tower_annihilator)
 from .heisenmodel import (_RHO, _Z, SystemSpec, _scalar_from_sympy,
                           condition_coefficient_a)
 from .dynamics import Trajectory, hamilton_jacobian, hamilton_rhs
@@ -420,11 +420,11 @@ def _minimal_annihilator(B: ExactMatrix, index: int, var: str) -> DiffOperator:
     """Minimal monic operator annihilating component `index` of every
     solution of y' = B y; its order is at most the dimension."""
     n = B.rows
-    zero = ExactRatFunc.coerce(0, var)
+    one = ExactRatFunc.coerce(1, var)
+    cols = [list(col) + [one] for col in zip(*B.entries)]
 
-    def derive(row):  # (row . y)' = (row B + row') . y
-        return [sum((row[k] * B[k, j] for k in range(n)), zero) + row[j].derivative()
-                for j in range(n)]
+    def derive(row):  # (row . y)' = (row B + row') . y, one normalization
+        return [_dot(row + [row[j].derivative()], cols[j], var) for j in range(n)]
 
     e = [ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]
     return DiffOperator(tower_annihilator(e, derive), var=var)
@@ -442,17 +442,21 @@ def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:
 
 
 def _twist(coeffs, rprime, var):
-    """Coefficients of the operator for u where y = u * exp(int rprime);
-    monic in, monic out.  rprime is rational."""
-    rp = ExactRatFunc.coerce(rprime, var)
+    """Coefficients of the operator for u where y = u * exp(int rprime).
+
+    The coefficients and rprime share one ring, ExactRatFunc or ExactPoly,
+    and so does the result.  Over ExactPoly no gcd is taken: twisting by a
+    polynomial commutes with multiplying the coefficients by a common
+    denominator, so a cleared operator twists to a cleared operator."""
+    ring = type(rprime)
     n = len(coeffs) - 1
-    zero = ExactRatFunc.coerce(0, var)
-    # y^(j) = e^(int rp) * sum_i B[j][i] u^(i)
+    zero = ring.coerce(0, var)
+    # y^(j) = e^(int rprime) * sum_i B[j][i] u^(i)
     B = [[zero] * (n + 1) for _ in range(n + 1)]
-    B[0][0] = ExactRatFunc.coerce(1, var)
+    B[0][0] = ring.coerce(1, var)
     for j in range(n):
         for i in range(j + 2):
-            term = B[j][i].derivative() + rp * B[j][i] if i <= j else zero
+            term = B[j][i].derivative() + rprime * B[j][i] if i <= j else zero
             if i > 0:
                 term = term + B[j][i - 1]
             B[j + 1][i] = term

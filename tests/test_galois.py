@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisenkep import exactalg
+from heisenkep import exactalg, galois, variational
 from heisenkep.exactalg import (
     ExactMatrix,
     ExactPoly,
@@ -184,6 +184,31 @@ def test_exp_solutions_apparent_singularity():
     r_true = ExactRatFunc(ExactPoly([1, 1]), t)
     sols = exp_solutions(DiffOperator([-r_true, 1]))
     assert [r for r, _ in sols] == [r_true]
+
+
+@pytest.mark.parametrize("residue", [I, ExactScalar(1, 2)])
+def test_exp_solutions_gaussian_residue(residue):
+    # y = t^residue solves D - residue/t: a Gaussian exponent at t = 0
+    r = ExactRatFunc(ExactPoly([residue]), ExactPoly.x())
+    assert [found for found, _ in exp_solutions(DiffOperator([-r, 1]))] == [r]
+
+
+@pytest.mark.parametrize(
+    "r,m",
+    [
+        # residue i at 0 with polynomial part 2t; M = D - 1/t
+        (ExactRatFunc(ExactPoly([I, 0, 2]), ExactPoly.x()),
+         ExactRatFunc(ExactPoly([1]), ExactPoly.x())),
+        # residue (1 + i)/2 at 1 with polynomial part i; M = D - t
+        (ExactRatFunc(ExactPoly([ExactScalar(Fraction(1, 2), Fraction(1, 2))]),
+                      ExactPoly([-1, 1])) + ExactRatFunc(ExactPoly([I])),
+         ExactRatFunc(ExactPoly.x())),
+    ],
+)
+def test_exp_solutions_planted_gaussian_residue(r, m):
+    # M (D - r) = D^2 - (r + m) D + (m r - r') has the right factor D - r
+    L = DiffOperator([m * r - r.derivative(), -(r + m), 1])
+    assert r in [found for found, _ in exp_solutions(L)]
 
 
 def test_exp_solutions_constant_coefficients():
@@ -756,7 +781,7 @@ def _reference_system_exp_solutions(B):
     s_candidates = [ExactPoly((), var=var)]
     for i in range(B.rows):
         ode = _minimal_annihilator(B, i, var)
-        for spoly in _poly_part_candidates(list(ode.coeffs), var):
+        for spoly in _poly_part_candidates(clear_denominators(ode.coeffs, var)[1], var):
             s = _integrate_poly(spoly)
             if s not in s_candidates:
                 s_candidates.append(s)
@@ -773,6 +798,23 @@ def test_system_exp_solutions_match_degree_capped_reference(kappa, c):
     A = ve_along(SystemSpec("one-body", kappa), {"c": Fraction(c)}).subsystem(range(4)).A
     E = exterior_square(A)
     assert system_exp_solutions(E) == _reference_system_exp_solutions(E)
+
+
+def test_system_exp_solutions_twists_each_candidate_once(monkeypatch):
+    # one polynomial twist per (annihilator, candidate leading term); the
+    # degree bounds reuse the twisted operators
+    A = ve_along(SystemSpec("one-body", 1), {"c": Fraction(1, 2)}).subsystem(range(4)).A
+    E = exterior_square(A)
+    calls = []
+
+    def counting_twist(coeffs, rprime, var):
+        calls.append([rprime, *coeffs])
+        return variational._twist(coeffs, rprime, var)
+
+    monkeypatch.setattr(galois, "_twist", counting_twist)
+    system_exp_solutions(E)
+    assert 0 < len(calls) <= 12
+    assert not any(isinstance(x, ExactRatFunc) for args in calls for x in args)
 
 
 def test_system_exp_solutions_recovers_printed_directions(weil_block):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenkep.dynamics import IntegratorConfig, hamilton_rhs, integrate
 from heisenkep.exactalg import (
@@ -43,6 +45,7 @@ from heisenkep.variational import (
     ve_blocks_transformed,
     ve_twobody_blocks,
     _minimal_annihilator,
+    _twist,
 )
 
 I = ExactScalar.i()
@@ -595,6 +598,30 @@ def test_exp_substitution_inverse_round_trip():
         r = ExactRatFunc(_rand_gaussian_poly(rng), ExactPoly([1, 1]))
         ds = ExactRatFunc(s.derivative())
         assert twisted.apply_exp_ansatz(r - ds) == L.apply_exp_ansatz(r)
+
+
+_gauss_int = st.builds(ExactScalar, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _z_i_poly(max_degree):
+    return st.lists(_gauss_int, max_size=max_degree + 1).map(ExactPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_z_i_poly(3), min_size=2, max_size=4),
+    _z_i_poly(2),
+    _z_i_poly(2),
+)
+def test_polynomial_twist_matches_rational_twist(P, a, b):
+    # a polynomial operator twisted by a polynomial stays in Z[i][t] with
+    # no gcd taken, and agrees with the twist over Q(i)(t)
+    twisted = _twist(P, a, "t")
+    assert all(isinstance(c, ExactPoly) for c in twisted)
+    lifted = [ExactRatFunc(c) for c in P]
+    assert [ExactRatFunc(c) for c in twisted] == _twist(lifted, ExactRatFunc(a), "t")
+    # twisting by a and then by b is one twist by a + b
+    assert _twist(twisted, b, "t") == _twist(P, a + b, "t")
 
 
 # -- Bessel closed form -----------------------------------------------------
