@@ -55,8 +55,8 @@ class ExactScalar:
     (0, 0, 1).  Every constructor returns it, so equality is structural.
     Arithmetic works on the integers and normalizes once per result with a
     single three-way gcd.  ``re`` and ``im`` are read-only ``Fraction``
-    views of a/d and b/d.  ``hash`` is ``hash((re, im))``, the hash of the
-    former pair-of-``Fraction`` form, so set and dict orders do not move.
+    views of a/d and b/d.  ``hash`` is that of the canonical triple
+    (a, b, d), so it needs no ``Fraction``.
 
     ``ExactScalar(re, im)`` takes int or ``Fraction`` parts, as ``coerce``
     does, and raises ``TypeError`` for anything else, floats included.
@@ -179,7 +179,7 @@ class ExactScalar:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     # -- conversions --------------------------------------------------------
 
@@ -964,17 +964,47 @@ def _dot(fs, gs, var: str) -> ExactRatFunc:
 
 _MODULI: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p), extended on use
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, which is deterministic (exact)
+    for every n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def _modulus(k: int) -> tuple[int, int]:
-    """The k-th prime p = 1 (mod 4) below 2^62, counting down, with a square
-    root of -1 modulo p."""
-    from sympy import prevprime, sqrt_mod
+    """The k-th prime p = 1 (mod 4) below 2^62, counting down, with the
+    smaller square root s of -1 modulo p.
 
+    s = min(r, p - r) for r = g^((p-1)/4) with the first g = 2, 3, ... that
+    is a non-residue, i.e. whose r squares to -1."""
     while len(_MODULI) <= k:
-        p = prevprime(_MODULI[-1][0] if _MODULI else 1 << 62)
-        while p % 4 != 1:
-            p = prevprime(p)
-        _MODULI.append((int(p), int(sqrt_mod(-1, p))))
+        p = (_MODULI[-1][0] if _MODULI else (1 << 62) + 1) - 4
+        while not _is_prime(p):
+            p -= 4
+        g = 2
+        while (r := pow(g, (p - 1) // 4, p)) * r % p != p - 1:
+            g += 1
+        _MODULI.append((p, min(r, p - r)))
     return _MODULI[k]
 
 
@@ -1048,9 +1078,10 @@ def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
 
     `plus` and `minus` are their images modulo p under i -> s and i -> -s;
     the half sum and the half difference over s are the real and imaginary
-    parts modulo p.  `acc` holds (M, real residues, imaginary residues)
-    modulo the product M of the primes folded in so far, or is None to
-    start afresh.  Returns the new accumulator and the values as
+    parts modulo p.  For real values `plus` may be `minus`, and then the
+    imaginary parts are 0.  `acc` holds (M, real residues, imaginary
+    residues) modulo the product M of the primes folded in so far, or is
+    None to start afresh.  Returns the new accumulator and the values as
     ExactScalar by CRT and rational reconstruction, or None in their place
     while reconstruction fails."""
     half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
@@ -1090,8 +1121,11 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
     gives: one vector per free column, with a 1 there and a 0 at every
     other free column.  It is computed modulo primes p = 1 (mod 4) under
     both embeddings i -> +-sqrt(-1) (mod p), which give the real and the
-    imaginary parts, lifted by CRT and rational reconstruction, and
-    certified by exact substitution.
+    imaginary parts, or under one when every entry is real, lifted by CRT
+    and rational reconstruction, and certified by exact substitution.  A
+    real matrix has the two embeddings' images equal, and its reduced
+    echelon form is unique, hence its own conjugate and real: one image
+    per prime gives it, with imaginary parts 0.
 
     The result is exact, not probabilistic.  The rank modulo p is at most
     the rank over Q(i), so n - rank_p independent vectors that all pass the
@@ -1117,15 +1151,16 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
     A = [_gaussian_integer_row(r) for r in rows]
     log_h2 = sum(sum(a * a + b * b for a, b in zip(re, im)).bit_length()
                  for re, im in A)
+    real = not any(any(im) for _, im in A)
     best = acc = None
     for k in range(-(-log_h2 // 61) - (-(2 * log_h2 + 2) // 61) + 1):
         p, s = _modulus(k)
-        plus, minus = (
-            [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
-            for root in (s, p - s)
-        )
-        pivots = _rref_mod(plus, p)
-        if _rref_mod(minus, p) != pivots:
+        images = []
+        for root in (s,) if real else (s, p - s):
+            m = [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
+            images.append((m, _rref_mod(m, p)))
+        (plus, pivots), (minus, other) = images[0], images[-1]
+        if other != pivots:
             continue  # unlucky for one embedding
         key = (-len(pivots), pivots)
         if best is not None and key > best:
@@ -1413,14 +1448,19 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     tower to the next.
 
     The order m and the b_j are found modulo primes p = 1 (mod 4), under
-    both embeddings i -> +-sqrt(-1), by sampling at integer points and
-    Cauchy interpolation; they are lifted to Q(i)(t) by CRT and rational
+    both embeddings i -> +-sqrt(-1), or one when every entry of the tower
+    up to w^(m) is real, by sampling at integer points and Cauchy
+    interpolation; they are lifted to Q(i)(t) by CRT and rational
     reconstruction, and returned only once they pass an exact substitution
-    into the tower.  The tower is derived lazily: w^(m+1) is formed only
-    when a sample point proves w, ..., w^(m) independent, so independence
-    of w, ..., w^(m-1) is proved by their full rank modulo p at a point.
-    Each image starts reconstructing where the previous image of the same
-    order settled.
+    into the tower.  A real tower has the two embeddings' images equal,
+    and its first monic dependency is unique, hence its own conjugate,
+    with real b_j: one image per prime gives it, with imaginary parts 0.
+    K below counts primes, not images, so it is the same either way.
+
+    The tower is derived lazily: w^(m+1) is formed only when a sample point
+    proves w, ..., w^(m) independent, so independence of w, ..., w^(m-1) is
+    proved by their full rank modulo p at a point.  Each image starts
+    reconstructing where the previous image of the same order settled.
 
     Bring the columns w, ..., w^(m) to polynomials c_0, ..., c_m with one
     polynomial, of degrees delta_i, and then into Z[i][t] with one integer.
@@ -1473,13 +1513,14 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
         poles = sum(den.degree for den in {e.den for e in flat})
         cramer = sum(delta[:m])
         T = cramer + sum(delta) - min(delta[:m])
+        real = all(c.is_real() for e in flat for f in (e.num, e.den) for c in f.coeffs)
         best = acc = None
         hint = 1
         for n in range(n, n + _prime_budget(flat, polys, k, m, T)):
             p, s = _modulus(n)
             residues = {key: cols for key, cols in residues.items() if key[0] == p}
             images = []
-            for root in (s, p - s):
+            for root in (s,) if real else (s, p - s):
                 image = _tower_image(residues, tower, p, root, T, poles + cramer, hint)
                 if image is None or image is _GREW:
                     break
@@ -1489,7 +1530,7 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
                 break  # derive w^(m+1) and sample again at p
             if image is None:
                 continue
-            plus, minus = images
+            plus, minus = images[0], images[-1]
             shape = [(len(num), len(den)) for num, den in plus]
             if shape != [(len(num), len(den)) for num, den in minus]:
                 continue

@@ -1,8 +1,12 @@
+import collections
 import copy
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +23,15 @@ from heisenkep.exactalg import (
     clear_denominators,
     poly_roots_numeric,
     _add_point,
+    _annihilates,
     _cauchy_mod,
     _eval_mod,
     _fits,
     _gaussian_integer_row,
+    _is_prime,
+    _lift_gaussian,
     _modulus,
+    _rref_mod,
     _tower_image,
     scalar_nullspace,
     squarefree_decomposition,
@@ -121,7 +129,7 @@ def _assert_models(s, ref):
     assert s.d > 0 and math.gcd(s.a, s.b, s.d) == 1
     if re == 0 and im == 0:
         assert (s.a, s.b, s.d) == (0, 0, 1)
-    assert hash(s) == hash((re, im))
+    assert hash(s) == hash(ExactScalar(re, im))
     assert ExactScalar.parse(str(s)) == s
 
 
@@ -407,12 +415,12 @@ big_scalars = st.one_of(
 
 
 @st.composite
-def low_rank_matrices(draw):
+def low_rank_matrices(draw, entries=big_scalars):
     """U V with U n x k and V k x c, so the rank is at most k."""
     n, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     k = draw(st.integers(0, min(n, c)))
-    U = draw(st.lists(st.lists(big_scalars, min_size=k, max_size=k), min_size=n, max_size=n))
-    V = draw(st.lists(st.lists(big_scalars, min_size=c, max_size=c), min_size=k, max_size=k))
+    U = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    V = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
     return [
         [sum((U[i][l] * V[l][j] for l in range(k)), ExactScalar(0)) for j in range(c)]
         for i in range(n)
@@ -423,6 +431,120 @@ def low_rank_matrices(draw):
 @given(low_rank_matrices())
 def test_scalar_nullspace_matches_gauss_jordan(rows):
     assert scalar_nullspace(rows) == _reference_nullspace(rows)
+
+
+def _reference_scalar_nullspace(rows):
+    """scalar_nullspace with both embeddings i -> +-s at every prime, real
+    input or not."""
+    if not rows or not rows[0]:
+        return [], 0
+    ncols = len(rows[0])
+    A = [_gaussian_integer_row(r) for r in rows]
+    log_h2 = sum(sum(a * a + b * b for a, b in zip(re, im)).bit_length()
+                 for re, im in A)
+    best = acc = None
+    for k in range(-(-log_h2 // 61) - (-(2 * log_h2 + 2) // 61) + 1):
+        p, s = _modulus(k)
+        plus, minus = (
+            [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
+            for root in (s, p - s)
+        )
+        pivots = _rref_mod(plus, p)
+        if _rref_mod(minus, p) != pivots:
+            continue
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        free = [c for c in range(ncols) if c not in pivots]
+        acc, vals = _lift_gaussian(
+            acc if key == best else None, p, s,
+            [-plus[r][fc] for r in range(len(pivots)) for fc in free],
+            [-minus[r][fc] for r in range(len(pivots)) for fc in free],
+        )
+        best = key
+        if vals is None:
+            continue
+        basis = []
+        nfree = len(free)
+        for j, fc in enumerate(free):
+            v = [vals[r * nfree + j] for r in range(len(pivots))] + [ExactScalar(1)]
+            if not _annihilates(A, pivots + [fc], v):
+                break
+            vec = [ExactScalar(0)] * ncols
+            for c, x in zip(pivots + [fc], v):
+                vec[c] = x
+            basis.append(vec)
+        else:
+            return basis, len(pivots)
+    raise RuntimeError("reference exceeded its bound on the primes")
+
+
+big_ints = st.builds(ExactScalar, st.integers(-10**12, 10**12))
+big_gaussian_ints = st.builds(
+    ExactScalar, st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(low_rank_matrices(big_ints), low_rank_matrices(big_gaussian_ints)))
+def test_scalar_nullspace_matches_the_two_embedding_reference(rows):
+    assert scalar_nullspace(rows) == _reference_scalar_nullspace(rows)
+
+
+def _rref_calls_per_prime(monkeypatch, rows):
+    """Calls of _rref_mod at each prime while scalar_nullspace(rows) runs."""
+    calls = collections.Counter()
+    rref = exactalg._rref_mod
+
+    def spy(m, p):
+        calls[p] += 1
+        return rref(m, p)
+
+    monkeypatch.setattr(exactalg, "_rref_mod", spy)
+    scalar_nullspace(rows)
+    return calls
+
+
+def test_scalar_nullspace_takes_one_image_per_prime_for_real_rows(monkeypatch):
+    p = _modulus(0)[0]
+    # singular modulo the first prime only, so a second prime is needed
+    real = _ints([[1, 2, 3], [4, 5, 6], [7, 8, 9 + p]])
+    calls = _rref_calls_per_prime(monkeypatch, real)
+    assert len(calls) >= 2 and set(calls.values()) == {1}
+    # 100-bit entries give kernel entries of about 400 bits: several primes
+    rng = random.Random(5)
+    gaussian = [[ExactScalar(rng.randrange(10**30), rng.randrange(10**30))
+                 for _ in range(3)] for _ in range(2)]
+    calls = _rref_calls_per_prime(monkeypatch, gaussian)
+    assert len(calls) >= 2 and set(calls.values()) == {2}
+
+
+def test_modulus_matches_sympy():
+    from sympy import prevprime, sqrt_mod
+
+    p = 1 << 62
+    for k in range(40):
+        p = prevprime(p)
+        while p % 4 != 1:
+            p = prevprime(p)
+        assert _modulus(k) == (p, sqrt_mod(-1, p))
+
+
+def test_miller_rabin_against_trial_division():
+    small = [n for n in range(3000)
+             if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(3000) if _is_prime(n)] == small
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051, 561, 41041):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_exactalg_imports_no_sympy():
+    code = "import sys, heisenkep.exactalg; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def _ints(rows):
@@ -581,9 +703,45 @@ def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
     monkeypatch.setattr(exactalg, "_tower_image", spy)
     w, derive = _one_dimensional_tower(r)
     assert tower_annihilator(w, derive) == [-r, ExactRatFunc.coerce(1)]
-    (q0, _, (coeffs0, settled0)), _, (q1, start1, (_, settled1)), *_ = images
+    (q0, _, (coeffs0, settled0)), *rest = images
+    q1, start1, (_, settled1) = next(im for im in rest if im[0] != p)
     assert q0 == p and coeffs0 == [((), (1,))]
     assert q1 != p and start1 <= settled0 < settled1
+
+
+def _tower_images_per_prime(monkeypatch, r):
+    """tower_annihilator of y' = r y, and the _tower_image calls it makes at
+    each prime at its final order."""
+    calls = []
+    image = exactalg._tower_image
+
+    def spy(cache, tower, q, root, T, skips, start):
+        calls.append((len(tower), q, root))
+        return image(cache, tower, q, root, T, skips, start)
+
+    monkeypatch.setattr(exactalg, "_tower_image", spy)
+    ann = tower_annihilator(*_one_dimensional_tower(r))
+    final = max(n for n, _, _ in calls)
+    return ann, collections.Counter(q for n, q, _ in calls if n == final)
+
+
+@pytest.mark.parametrize("r, primes", [
+    (ExactRatFunc(ExactPoly([3, 0, 1]), ExactPoly([5, -1, 1])), 1),
+    # large coefficients need more than one prime
+    (ExactRatFunc(ExactPoly([1, 3**40]), ExactPoly([-(5**30), 0, Fraction(1, 7)])), 2),
+])
+def test_tower_annihilator_takes_one_image_per_prime_for_a_real_tower(monkeypatch, r, primes):
+    ann, calls = _tower_images_per_prime(monkeypatch, r)
+    assert ann == [-r, ExactRatFunc.coerce(1)]
+    assert len(calls) >= primes and set(calls.values()) == {1}
+
+
+def test_tower_annihilator_takes_two_images_per_prime_for_a_gaussian_tower(monkeypatch):
+    t = ExactPoly([0, 1])
+    r = ExactRatFunc(ExactPoly([ExactScalar(0, 1)]), t) + ExactRatFunc(1, ExactPoly([-2, 1]))
+    ann, calls = _tower_images_per_prime(monkeypatch, r)
+    assert ann == [-r, ExactRatFunc.coerce(1)]
+    assert set(calls.values()) == {2}
 
 
 def test_tower_image_start_only_delays():
