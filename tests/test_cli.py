@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import inspect
 import json
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from heisenkep.cli import main, preset_path
+from heisenkep.heisenmodel import PotentialSpec, SystemSpec
 
 
 @pytest.fixture()
@@ -325,3 +328,85 @@ def test_exact_preset_artifact_digest(runner, tmp_path, preset):
     assert res.exit_code == 0
     data = (tmp_path / f"{command}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# SHA-256 of every artifact of every numeric preset, with the exit code of
+# its run (simulate_collision stops at the collision guard and exits 1).
+# The floats come from lambdified sympy expressions and scipy's integrators,
+# so the digests hold for the library versions they were taken with.
+NUMERIC_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "sympy": "1.14.0"}
+NUMERIC_ARTIFACTS = {
+    "simulate_collision": ("simulate", 1, {
+        "report.json": "2878d261c3c3d5c22b32f10bcf9de33b79905329f12e635feab4c09746e39dc7",
+        "trajectory.json": "c2529327ec36d78871b45fe870308ebdfb942ee025af21b21600f68ac9e4a269"}),
+    "simulate_invariant_line": ("simulate", 0, {
+        "report.json": "0b143d6dd8c9af0ede1056ec72ab476b8327ffb473410c652f9c760371f21fe2",
+        "trajectory.json": "a903f23212ecb27f87584c75069bd4891d35c10e31cb98ecedaafeee27d20d03"}),
+    "simulate_scatter": ("simulate", 0, {
+        "report.json": "86df504cf2936fd4822cc143b5a08e967e7c0abb8e229659041dcbc586c4ec5d",
+        "trajectory.json": "59b2db686cf583a2d86e25094ae05d8d355cc439b108854c8b85ea2a30099651"}),
+    "simulate_twobody": ("simulate", 0, {
+        "report.json": "4dd8a329d97ca67f88a97f059525726b6aa833173930601b2cd27b2072c9ad7b",
+        "trajectory.json": "1382acd52dbd6819fa4e4864cd6a297ecb6bc0d62386ba6901ffecf4f012d18d"}),
+    "simulate_zero_energy": ("simulate", 0, {
+        "report.json": "1f1fb8ecb9c1693fc0a6e69ed1ccca99b8f271dcc40453df9b67c460898d0e0a",
+        "trajectory.json": "551d5c1c2386bda3923bf3b7e675d76c7b284fea9db227eabfeb2fbd920c5a74"}),
+    "sweep_onebody": ("sweep", 0, {
+        "sweep.json": "19753258667f796b3769b9842b3462691cbc1fc7eb699597fe8a059170fa5cfd"}),
+    "verify_onebody": ("verify", 0, {
+        "verify.json": "acdd2314382e98fa8e2fb082e6f838f4add31efe8b0decda852c697182a67f27"}),
+    "verify_twobody": ("verify", 0, {
+        "verify.json": "2ebea321463a9af995432d61e59a68607f087aef4ace8fc82402e12128db081a"}),
+}
+
+
+def _require_versions(names):
+    pinned = {n: NUMERIC_VERSIONS[n] for n in names}
+    installed = {n: importlib.import_module(n).__version__ for n in names}
+    if installed != pinned:
+        pytest.skip(f"digests taken with {pinned}, installed {installed}")
+
+
+@pytest.mark.parametrize("preset", sorted(NUMERIC_ARTIFACTS))
+def test_numeric_preset_artifact_digest(runner, tmp_path, preset):
+    _require_versions(("numpy", "scipy", "sympy"))
+    command, code, digests = NUMERIC_ARTIFACTS[preset]
+    res = _run(runner, [command, "--config", preset, "--out", str(tmp_path)])
+    assert res.exit_code == code
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == digests
+
+
+# SHA-256 of the generated source of the numeric evaluators.  The numeric
+# artifacts depend on the term order of these expressions, which depends on
+# sympy's printer only.
+LAMBDIFY_SOURCES = {
+    "kepler_1b": (
+        lambda: SystemSpec("one-body", 1), {
+            "_h_fn": "fc3cdfc6547b9bdf91d39715a3a73f3336d57e3f400f5ed9250af3f6f77010fc",
+            "_rhs_fn": "de85eb79fc187bd6294c7eb134ff96a999626fdcdc9a289c8737234ec3985234",
+            "_jac_fn": "945787bcc70f9902932ea5ab08eb32139343cae449f839734a6f4958ea2b106b"}),
+    "kepler_2b": (
+        lambda: SystemSpec("two-body", 1, m1=1, m2=3), {
+            "_h_fn": "b7dc2e7759a5fad0a1997ef9d0f25b9f59a51c1a0ed773af0e0e43ce1093b5e5",
+            "_rhs_fn": "fd1d8b152035842906b86c9af4c47a2d74df0b0f77e5d6d2b4a893b9e5b223c2",
+            "_jac_fn": "6245d0d0a66e9e689bf5350d17b10a76b5bc8597243e42ebf1a994038945916b"}),
+    # W = (z^2 rho/3 + z - 2)/(rho^2 + 1)
+    "table": (
+        lambda: SystemSpec("one-body", 1, potential=PotentialSpec.from_table(
+            [[1, 0, 1], [0, 0, -2], [2, 1, "1/3"]], [[0, 2, 1], [0, 0, 1]])), {
+            "_h_fn": "6218f2c72649fc4c57b17e28d1aea58fe7329448529620457238d8d1c5b981a3",
+            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c",
+            "_jac_fn": "3dafe031594a57486594d0a98ddd217ef65142a694557c57b5099c8ba0a8d646"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDIFY_SOURCES))
+def test_lambdified_evaluator_source_digest(name):
+    _require_versions(("sympy",))
+    build, digests = LAMBDIFY_SOURCES[name]
+    spec = build()
+    got = {fn: hashlib.sha256(inspect.getsource(getattr(spec, fn)).encode()).hexdigest()
+           for fn in digests}
+    assert got == digests
