@@ -31,15 +31,13 @@ import numpy as np
 
 from .exactalg import ExactMatrix, ExactPoly, ExactScalar
 from .heisenmodel import (
-    GroupElement,
-    PhaseState2B,
     SystemSpec,
     condition_coefficient_a,
     first_integrals,
     hamiltonian,
     particular_solution,
     poisson_bracket,
-    rho,
+    state_rho,
 )
 from .dynamics import (
     ExtendedState,
@@ -257,11 +255,7 @@ def _probe_states(spec: SystemSpec, rng, n: int) -> list:
     out = []
     while len(out) < n:
         a = rng.uniform(-1.5, 1.5, size=spec.dim)
-        if spec.kind == "one-body":
-            r = rho(GroupElement(a[0], a[1], a[2]))
-        else:
-            r = rho(PhaseState2B.from_array(a).relative)
-        if r > 0.4:
+        if state_rho(spec, a) > 0.4:
             out.append(a)
     return out
 
@@ -621,17 +615,13 @@ def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
         q = rng.uniform(rnd.get("q_low", -1.5), rnd.get("q_high", 1.5), size=half)
         p = rng.uniform(rnd.get("p_low", -1.0), rnd.get("p_high", 1.0), size=half)
         a = np.concatenate([q, p])
-        if spec.kind == "one-body":
-            r = rho(GroupElement(a[0], a[1], a[2]))
-            # min_p_theta only filters the drawn states: it does not keep
-            # orbits off the centre, so a random sweep can still trip the
-            # collision guard, and that row is reported as flagged
-            p_theta = abs(a[0] * a[4] - a[1] * a[3])
-            if p_theta < float(rnd.get("min_p_theta", 0.0)):
-                continue
-        else:
-            r = rho(PhaseState2B.from_array(a).relative)
-        if r > rho_min:
+        # min_p_theta only filters the drawn states: it does not keep orbits
+        # off the centre, so a random sweep can still trip the collision
+        # guard, and that row is reported as flagged
+        if spec.kind == "one-body" and (
+                abs(a[0] * a[4] - a[1] * a[3]) < float(rnd.get("min_p_theta", 0.0))):
+            continue
+        if state_rho(spec, a) > rho_min:
             out.append(a)
     return out
 

@@ -20,12 +20,11 @@ from scipy.integrate import solve_ivp
 
 from .heisenmodel import (
     CollisionError,
-    GroupElement,
-    PhaseState2B,
     SystemSpec,
+    _num_grad,
     first_integrals,
     hamiltonian,
-    rho,
+    state_rho,
 )
 
 __all__ = [
@@ -101,11 +100,7 @@ class Trajectory:
 def hamilton_rhs(spec: SystemSpec, s) -> np.ndarray:
     """Canonical vector field (dH/dp, -dH/dq) in the flat array ordering."""
     a = np.asarray(s, dtype=float) if not hasattr(s, "to_array") else s.to_array()
-    if spec.kind == "one-body":
-        r = rho(GroupElement(a[0], a[1], a[2]))
-    else:
-        r = rho(PhaseState2B.from_array(a).relative)
-    if r == 0.0:
+    if state_rho(spec, a) == 0.0:
         raise CollisionError("vector field evaluated at the collision set")
     return np.asarray(spec._rhs_fn(*a), dtype=float)
 
@@ -128,11 +123,7 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
         return np.asarray(spec._rhs_fn(*y), dtype=float)
 
     def near_collision(t, y):
-        if spec.kind == "one-body":
-            r = rho(GroupElement(y[0], y[1], y[2]))
-        else:
-            r = rho(PhaseState2B.from_array(y).relative)
-        return r - cfg.rho_min
+        return state_rho(spec, y) - cfg.rho_min
 
     near_collision.terminal = True
     near_collision.direction = -1
@@ -328,20 +319,8 @@ class ExtendedSystem:
         """Bracket grad(f)^T J grad(g); gradients are central differences
         unless an analytic grad_f is supplied."""
         x = np.asarray(x, dtype=float)
-        base = float(np.cbrt(np.finfo(float).eps))
-
-        def grad(fn):
-            out = np.empty_like(x)
-            for i in range(x.size):
-                h = base * max(1.0, abs(x[i]))
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                out[i] = (fn(xp) - fn(xm)) / (2 * h)
-            return out
-
-        gf = np.asarray(grad_f(x), dtype=float) if grad_f is not None else grad(f)
-        return float(gf @ self.J(x) @ grad(g))
+        gf = np.asarray(grad_f(x), dtype=float) if grad_f is not None else _num_grad(f, x)
+        return float(gf @ self.J(x) @ _num_grad(g, x))
 
 
 def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:

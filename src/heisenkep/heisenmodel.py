@@ -2,9 +2,11 @@
 one and two bodies, first integrals, and the coefficient a of the
 non-integrability condition.
 
-Potentials are rational expressions W(z, rho) stored symbolically (sympy),
-so partial derivatives are generated rather than user-supplied.  With exact
-rational inputs the condition coefficient a is returned exactly.
+A potential W(z, rho) is a ratio of two tables of Q(i) coefficients of
+z^i rho^j, which is also its JSON form.  The exact quantities along the
+vertical axis (a, W'(c), W''(c)) come from these tables through one
+univariate rational function.  sympy is used only to generate the numeric
+evaluators of H, its vector field and its Jacobian.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import sympy as sp
 
-from .exactalg import ExactScalar
+from .exactalg import ExactPoly, ExactRatFunc, ExactScalar
 
 __all__ = [
     "CollisionError",
@@ -30,6 +32,8 @@ __all__ = [
     "group_mul",
     "group_inv",
     "rho",
+    "state_rho",
+    "axis_potential",
     "hamiltonian",
     "first_integrals",
     "poisson_bracket",
@@ -150,105 +154,68 @@ class PhaseState2B:
 # Potentials
 # ---------------------------------------------------------------------------
 
-def _to_sympy_number(v):
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
+def _exact(v) -> ExactScalar:
+    """An int, Fraction, wire string, float or complex as an ExactScalar.
+    A float part is read as Fraction(str(x)), the rule of the CLI."""
     if isinstance(v, str):
-        # accept the exactalg wire format a/b+c/d*i
-        s = ExactScalar.parse(v)
-        return sp.Rational(s.re.numerator, s.re.denominator) + sp.I * sp.Rational(
-            s.im.numerator, s.im.denominator
-        )
-    return sp.nsimplify(v, rational=True)
+        return ExactScalar.parse(v)
+    if isinstance(v, (float, complex)):
+        return ExactScalar(Fraction(str(v.real)), Fraction(str(v.imag)))
+    return v if isinstance(v, ExactScalar) else ExactScalar(Fraction(v))
 
 
-def _scalar_from_sympy(e) -> ExactScalar:
-    """An exact sympy Rational or Gaussian rational as an ExactScalar.
-
-    The value is read as it is: no ``nsimplify``, which can turn an exact
-    Rational such as -1/13718 into a product of fractional powers."""
-    re, im = sp.expand(e).as_real_imag()
-    if not (re.is_Rational and im.is_Rational):
-        raise ValueError(f"coefficient {e} is not a Gaussian rational")
-    return ExactScalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
+def _table(rows) -> dict:
+    """Rows [i, j, coeff] as {(i, j): ExactScalar}, sorted by (i, j), with
+    equal monomials merged and zero coefficients dropped."""
+    out = {}
+    for i, j, c in rows:
+        key = (int(i), int(j))
+        out[key] = out.get(key, ExactScalar(0)) + _exact(c)
+    return {k: out[k] for k in sorted(out) if out[k]}
 
 
 class PotentialSpec:
-    """Rational potential W(z, rho) with generated derivative evaluators."""
+    """Rational potential W(z, rho) = num/den, each a table
+    {(i, j): coeff} of Q(i) coefficients of z^i rho^j."""
 
-    def __init__(self, expr: sp.Expr, label: str = "custom"):
-        expr = sp.together(sp.sympify(expr))
-        den = sp.denom(expr)
-        if den.equals(0):
+    def __init__(self, num_table, den_table=None, label: str = "custom"):
+        self.num = _table(num_table)
+        self.den = _table(den_table or [(0, 0, 1)])
+        if not self.den:
             raise ValueError("potential denominator is identically zero")
-        self.expr = expr
-        self.den_expr = den
         self.label = label
 
     @staticmethod
     def kepler(kappa) -> "PotentialSpec":
-        return PotentialSpec(-_to_sympy_number(kappa) / _RHO, label="kepler")
+        return PotentialSpec([(0, 0, -_exact(kappa))], [(0, 1, 1)], label="kepler")
 
     @staticmethod
     def from_table(num_table, den_table=None) -> "PotentialSpec":
-        """Tables of monomials [i, j, coeff] meaning coeff * z^i * rho^j."""
+        """Tables of monomials [i, j, coeff] meaning coeff * z^i * rho^j;
+        no den_table means den = 1."""
+        return PotentialSpec(num_table, den_table)
+
+    @cached_property
+    def expr(self) -> sp.Expr:
+        """W as a sympy expression, built only for the numeric evaluators."""
 
         def build(table):
             return sum(
-                (_to_sympy_number(c) * _Z**int(i) * _RHO**int(j) for i, j, c in table),
+                ((sp.Rational(c.a, c.d) + sp.I * sp.Rational(c.b, c.d)) * _Z**i * _RHO**j
+                 for (i, j), c in table.items()),
                 sp.Integer(0),
             )
 
-        num = build(num_table)
-        den = build(den_table) if den_table else sp.Integer(1)
-        return PotentialSpec(num / den)
-
-    @cached_property
-    def dz_expr(self) -> sp.Expr:
-        return sp.diff(self.expr, _Z)
-
-    @cached_property
-    def drho_expr(self) -> sp.Expr:
-        return sp.diff(self.expr, _RHO)
-
-    @cached_property
-    def _fn(self):
-        return sp.lambdify((_Z, _RHO), self.expr, modules="numpy")
-
-    @cached_property
-    def _fn_dz(self):
-        return sp.lambdify((_Z, _RHO), self.dz_expr, modules="numpy")
-
-    @cached_property
-    def _fn_drho(self):
-        return sp.lambdify((_Z, _RHO), self.drho_expr, modules="numpy")
-
-    def w(self, z, r) -> float:
-        return float(self._fn(z, r))
-
-    def dw_dz(self, z, r) -> float:
-        return float(self._fn_dz(z, r))
-
-    def dw_drho(self, z, r) -> float:
-        return float(self._fn_drho(z, r))
+        return sp.together(build(self.num) / build(self.den))
 
     def to_json(self) -> dict:
-        num, den = sp.fraction(sp.together(self.expr))
-        def table(p):
-            poly = sp.Poly(sp.expand(p), _Z, _RHO)
-            return [
-                [int(mon[0]), int(mon[1]), str(_scalar_from_sympy(c))]
-                for mon, c in poly.terms()
-            ]
-        return {"num": table(num), "den": table(den)}
+        return {key: [[i, j, str(c)] for (i, j), c in table.items()]
+                for key, table in (("num", self.num), ("den", self.den))}
 
 
 # ---------------------------------------------------------------------------
 # System specification
 # ---------------------------------------------------------------------------
-
-_X, _Y, _ZC, _PX, _PY, _PZ = sp.symbols("x y zc p_x p_y p_z", real=True)
-
 
 class SystemSpec:
     """One- or two-body system: coupling, masses, and the potential."""
@@ -256,9 +223,10 @@ class SystemSpec:
     def __init__(self, kind: str, kappa, m1=1, m2=1, potential: PotentialSpec | None = None):
         if kind not in ("one-body", "two-body"):
             raise ValueError(f"unknown system kind {kind!r}")
-        kq, m1q, m2q = (_to_sympy_number(v) for v in (kappa, m1, m2))
-        if not all(v.is_real for v in (kq, m1q, m2q)):
+        exact = [_exact(v) for v in (kappa, m1, m2)]
+        if not all(v.is_real() for v in exact):
             raise ValueError("kappa and the masses must be real")
+        kq, m1q, m2q = (v.re for v in exact)
         if kq == 0:
             raise ValueError("kappa must be nonzero")
         if m1q <= 0 or m2q <= 0:
@@ -355,9 +323,9 @@ class SystemSpec:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "kappa": str(_scalar_from_sympy(self.kappa_exact)),
-            "m1": str(_scalar_from_sympy(self.m1_exact)),
-            "m2": str(_scalar_from_sympy(self.m2_exact)),
+            "kappa": str(self.kappa_exact),
+            "m1": str(self.m1_exact),
+            "m2": str(self.m2_exact),
             "potential": "kepler"
             if self.potential.label == "kepler"
             else self.potential.to_json(),
@@ -374,12 +342,16 @@ def _state_array(s) -> np.ndarray:
     return np.asarray(s, dtype=float)
 
 
-def _check_rho(spec: SystemSpec, a: np.ndarray):
+def state_rho(spec: SystemSpec, a) -> float:
+    """rho of the body's position (one-body) or of the relative position
+    g1^-1 g2 (two-body) in the flat state array a."""
     if spec.kind == "one-body":
-        r = rho(GroupElement(a[0], a[1], a[2]))
-    else:
-        st = PhaseState2B.from_array(a)
-        r = rho(st.relative)
+        return rho(GroupElement(a[0], a[1], a[2]))
+    return rho(PhaseState2B.from_array(a).relative)
+
+
+def _check_rho(spec: SystemSpec, a: np.ndarray):
+    r = state_rho(spec, a)
     if r == 0.0:
         raise CollisionError("state at the potential singularity rho = 0")
     return r
@@ -444,33 +416,42 @@ def poisson_bracket(f, g, s) -> float:
 # Condition coefficient and particular solutions
 # ---------------------------------------------------------------------------
 
+def axis_potential(spec: SystemSpec, c) -> ExactRatFunc:
+    """w(z) = W(z, 4 sgn(c) z): the potential on the side of the vertical
+    axis through z = c, where rho = 4|z|, as a rational function of z.
+
+    Raises ValueError where W is singular at (c, 4|c|): the test is on the
+    restricted denominator before any common factor with the numerator is
+    cancelled, so a singularity that the restriction hides still raises.
+    """
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("c must be nonzero")
+    s4 = 4 if c > 0 else -4
+
+    def restrict(table):
+        return sum((ExactPoly.monomial(coeff * s4**j, i + j, var="z")
+                    for (i, j), coeff in table.items()), ExactPoly((), var="z"))
+
+    pot = spec.potential
+    den = restrict(pot.den)
+    if den(c).is_zero():
+        raise ValueError(f"the potential is singular at (z, rho) = ({c}, {4 * abs(c)})")
+    return ExactRatFunc(restrict(pot.num), den)
+
+
 def condition_coefficient_a(spec: SystemSpec, c):
     """Coefficient a = [W_z(c, 4|c|) + 4 sgn(c) W_rho(c, 4|c|)] / 2.
 
+    On the axis rho = 4 sgn(c) z this is w'(c)/2 for w = axis_potential.
     A nonzero value certifies the hypothesis of the non-integrability
-    criterion along the vertical-axis solution through z = c.  Exact for
-    exact rational c; float input gives a float.  Raises ValueError where
-    the potential is singular at (c, 4|c|).
+    criterion along the vertical-axis solution through z = c.  The value is
+    exact: a Fraction, or an ExactScalar when the potential makes it
+    non-real; a float c is read as its exact binary value.  Raises
+    ValueError where the potential is singular at (c, 4|c|).
     """
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    exact = isinstance(c, (int, Fraction)) or (
-        isinstance(c, sp.Expr) and c.is_Rational
-    )
-    cq = _to_sympy_number(c) if exact else sp.Float(c)
-    sgn = 1 if cq > 0 else -1
-    pt = {_Z: cq, _RHO: 4 * sgn * cq}
-    pot = spec.potential
-    if pot.den_expr.subs(pt) == 0:
-        raise ValueError(f"the potential is singular at (z, rho) = ({cq}, {4 * sgn * cq})")
-    val = (pot.dz_expr.subs(pt) + 4 * sgn * pot.drho_expr.subs(pt)) / 2
-    val = sp.simplify(val) if exact else val
-    if exact:
-        if not val.is_rational:
-            return val
-        r = sp.Rational(val)
-        return Fraction(r.p, r.q)
-    return float(val)
+    a = axis_potential(spec, c).derivative()(Fraction(c)) / 2
+    return a.re if a.is_real() else a
 
 
 def two_body_condition_a(spec: SystemSpec, w2):

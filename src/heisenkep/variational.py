@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 from scipy.special import jv, yv
 
 from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
                        _dot, clear_denominators, tower_annihilator)
-from .heisenmodel import (_RHO, _Z, SystemSpec, _scalar_from_sympy,
-                          condition_coefficient_a)
+from .heisenmodel import SystemSpec, axis_potential
 from .dynamics import Trajectory, hamilton_jacobian, hamilton_rhs
 
 __all__ = [
@@ -198,14 +196,13 @@ class GaugeMatrix:
 _INTERLEAVE_1B = (0, 3, 1, 4, 2, 5)
 
 
-def _axis_derivatives(spec: SystemSpec, c: Fraction) -> tuple:
-    """W'(c) and W''(c) for the potential along the vertical axis on the side
-    of c, w(z) = W(z, 4 sgn(c) z), where rho = 4|z|: two exact scalars."""
-    sgn = 1 if c > 0 else -1
-    w = spec.potential.expr.subs(_RHO, 4 * sgn * _Z)
-    dw = sp.diff(w, _Z)
-    at = {_Z: sp.Rational(c.numerator, c.denominator)}
-    return _scalar_from_sympy(dw.subs(at)), _scalar_from_sympy(sp.diff(dw, _Z).subs(at))
+def _axis_derivatives(spec: SystemSpec, c) -> tuple:
+    """w'(c) and w''(c) for w(z) = W(z, 4 sgn(c) z), the potential on the
+    side of the vertical axis through z = c: two exact scalars.  Raises
+    ValueError where W is singular at (c, 4|c|)."""
+    c = Fraction(c)
+    dw = axis_potential(spec, c).derivative()
+    return dw(c), dw.derivative()(c)
 
 
 def ve_along(spec: SystemSpec, solution):
@@ -214,8 +211,8 @@ def ve_along(spec: SystemSpec, solution):
     A Trajectory gives a SampledLinearSystem.  A one-body parameter dict
     {"c": rational} gives the exact polynomial system along the vertical
     particular solution (0, 0, c, 0, 0, -2at), rows/columns in the
-    interleaved variation order (x, p_x, y, p_y, z, p_z).  The input is
-    verified to be a solution.
+    interleaved variation order (x, p_x, y, p_y, z, p_z).  A trajectory is
+    first checked against the vector field.
 
     The exact system is read off the Hamiltonian's structure, with no
     symbolic differentiation of H.  With u = p_x - y p_z/2 and
@@ -226,8 +223,8 @@ def ve_along(spec: SystemSpec, solution):
     y-derivatives of rho = sqrt((x^2 + y^2)^2 + 16 z^2) vanish to third order
     on the axis, so the only potential term is W_zz = W''(c) for
     w(z) = W(z, 4 sgn(c) z).  A = J Hess H = [[H_pq, H_pp], [-H_qq, -H_qp]].
-    The solution check is the identity W'(c) = 2a, with W'(c) from w and a
-    from condition_coefficient_a.
+    The line solves the field because, with a = w'(c)/2, it keeps
+    x = y = p_x = p_y = 0 and z = c, and p_z' = -H_z = -w'(c) = -2a.
     """
     if isinstance(solution, Trajectory):
         traj = solution
@@ -240,13 +237,8 @@ def ve_along(spec: SystemSpec, solution):
 
     if spec.kind != "one-body":
         raise ValueError("exact variational build implemented for one-body")
-    c = Fraction(solution["c"])
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    a = _scalar_from_sympy(sp.sympify(condition_coefficient_a(spec, c)))
-    dW, d2W = _axis_derivatives(spec, c)
-    if dW != a + a:
-        raise ValueError("particular solution fails the residual check")
+    dW, d2W = _axis_derivatives(spec, solution["c"])
+    a = dW / 2
     zero, one, at = ExactPoly(()), ExactPoly([1]), ExactPoly.x().scale(a)
     grad_u = (zero, at, zero, one, zero, zero)
     grad_v = (-at, zero, zero, zero, one, zero)
@@ -289,17 +281,18 @@ def ve_blocks_transformed(spec: SystemSpec, c) -> LinearSystem:
     is strictly lower triangular with the computed entry C."""
     if spec.kind != "one-body":
         raise ValueError("transformed blocks are defined for the one-body system")
-    a = condition_coefficient_a(spec, Fraction(c))
+    dW, d2W = _axis_derivatives(spec, c)
+    a = dW / 2
     if a == 0:
         raise ValueError("a must be nonzero")
-    ia = ExactScalar.i() * ExactScalar(a)
+    ia = ExactScalar.i() * a
     t = ExactPoly.x()
     A1 = [
         [ExactRatFunc.coerce(0), ExactRatFunc.coerce(1)],
         [ExactRatFunc(ExactPoly([-ia])), ExactRatFunc(t.scale(-(ia + ia)))],
     ]
     # C: linearization of dh3 in dq3 along the axis, -W''(c)
-    C = -_axis_derivatives(spec, Fraction(c))[1]
+    C = -d2W
 
     zero = ExactRatFunc.coerce(0)
     M = [[zero] * 6 for _ in range(6)]

@@ -218,18 +218,6 @@ def test_condition_a_rejects_zero(kepler1b):
         condition_coefficient_a(kepler1b, 0)
 
 
-def test_potential_derivative_evaluators_match_fd():
-    pot = PotentialSpec.from_table([[2, 2, "1"], [4, 0, "-16"], [0, 1, "1/3"]])
-    rng = random.Random(21)
-    h = 1e-6
-    for _ in range(20):
-        z, r = rng.uniform(0.5, 2), rng.uniform(1, 3)
-        fd_z = (pot.w(z + h, r) - pot.w(z - h, r)) / (2 * h)
-        fd_r = (pot.w(z, r + h) - pot.w(z, r - h)) / (2 * h)
-        assert pot.dw_dz(z, r) == pytest.approx(fd_z, rel=1e-6, abs=1e-6)
-        assert pot.dw_drho(z, r) == pytest.approx(fd_r, rel=1e-6, abs=1e-6)
-
-
 # -- particular solutions ---------------------------------------------------
 
 def test_particular_solution_initial_instant(kepler1b):
@@ -275,6 +263,15 @@ def test_system_spec_json_custom_potential():
     back = SystemSpec.from_json(spec.to_json())
     assert sp.simplify(back.potential.expr - spec.potential.expr) == 0
     assert back.kappa_exact == sp.Rational(3, 2)
+
+
+def test_potential_json_tables_are_canonical():
+    # sorted by (i, j), equal monomials merged, zero coefficients dropped
+    pot = PotentialSpec.from_table(
+        [[1, 0, "1/2"], [0, 2, "0"], [0, 0, 1], [1, 0, "1/2+1*i"]], [[0, 1, 2]])
+    assert pot.to_json() == {"num": [[0, 0, "1"], [1, 0, "1+1*i"]],
+                             "den": [[0, 1, "2"]]}
+    assert PotentialSpec.from_table(*pot.to_json().values()).to_json() == pot.to_json()
 
 
 @pytest.mark.parametrize(

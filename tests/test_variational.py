@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep.dynamics import IntegratorConfig, hamilton_rhs, integrate
@@ -21,7 +21,6 @@ from heisenkep.heisenmodel import (
     PhaseState1B,
     PotentialSpec,
     SystemSpec,
-    _scalar_from_sympy,
     condition_coefficient_a,
     particular_solution,
 )
@@ -44,6 +43,7 @@ from heisenkep.variational import (
     ve_along,
     ve_blocks_transformed,
     ve_twobody_blocks,
+    _axis_derivatives,
     _minimal_annihilator,
     _twist,
 )
@@ -138,6 +138,17 @@ def test_ve_rejects_non_solution(kepler1b):
 
 # -- the structural build against two independent oracles --------------------
 
+def _scalar_from_sympy(e) -> ExactScalar:
+    """An exact sympy Rational or Gaussian rational as an ExactScalar.
+
+    The value is read as it is: no ``nsimplify``, which can turn an exact
+    Rational such as -1/13718 into a product of fractional powers."""
+    re, im = sp.expand(e).as_real_imag()
+    if not (re.is_Rational and im.is_Rational):
+        raise ValueError(f"coefficient {e} is not a Gaussian rational")
+    return ExactScalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
+
+
 def _reference_ve_along(spec, c):
     """A(t) the general way: differentiate H symbolically, check that the
     vertical line solves the field, substitute it into the Jacobian and
@@ -219,14 +230,65 @@ def test_ve_builds_at_large_denominators(kepler1b, c):
 
 
 def test_singular_potential_raises_one_error():
-    # W = -1/(rho - 4) is singular at (z, rho) = (1, 4)
-    spec = _spec(1, ([[0, 0, -1]], [[0, 1, 1], [0, 0, -4]]))
-    for build in (lambda: condition_coefficient_a(spec, Fraction(1)),
-                  lambda: ve_along(spec, {"c": 1}),
-                  lambda: ve_blocks_transformed(spec, 1)):
-        with pytest.raises(ValueError, match=r"singular at \(z, rho\) = \(1, 4\)"):
-            build()
-    assert dict(ve_along(spec, {"c": 2}).meta)["a"] == "1/8"
+    # W = -1/(rho - 4) and W = (z - 1)/(rho - 4) are singular at
+    # (z, rho) = (1, 4); in the second the restriction to the axis cancels
+    # the singular factor (w = 1/4), and the point still raises
+    for num, a_at_2 in (([[0, 0, -1]], "1/8"), ([[1, 0, 1], [0, 0, -1]], "0")):
+        spec = _spec(1, (num, [[0, 1, 1], [0, 0, -4]]))
+        for build in (lambda: condition_coefficient_a(spec, Fraction(1)),
+                      lambda: ve_along(spec, {"c": 1}),
+                      lambda: ve_blocks_transformed(spec, 1)):
+            with pytest.raises(ValueError, match=r"singular at \(z, rho\) = \(1, 4\)"):
+                build()
+        assert dict(ve_along(spec, {"c": 2}).meta)["a"] == a_at_2
+
+
+_gauss_q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_coeffs = st.tuples(_gauss_q, _gauss_q | st.just(Fraction(0))).filter(any)
+_q_tables = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _coeffs,
+                            min_size=1, max_size=3)
+_ONE = (Fraction(1), Fraction(0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_q_tables, _q_tables,
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda q: q != 0))
+# singular: (z - 1)/(rho - 4) at c = 1, and 1/(rho - 4z), zero on the whole axis
+@example({(1, 0): _ONE, (0, 0): (Fraction(-1), Fraction(0))},
+         {(0, 1): _ONE, (0, 0): (Fraction(-4), Fraction(0))}, Fraction(1))
+@example({(0, 0): _ONE}, {(0, 1): _ONE, (1, 0): (Fraction(-4), Fraction(0))}, Fraction(2, 3))
+def test_axis_quantities_match_symbolic_differentiation(num, den, c):
+    # oracle: W built in sympy from the same rows, differentiated in z and
+    # rho, then on the axis rho = 4 sgn(c) z differentiated in z
+    def rows(table):
+        return [[i, j, str(ExactScalar(re, im))] for (i, j), (re, im) in table.items()]
+
+    def expr(table):
+        return sum(((sp.Rational(re) + sp.I * sp.Rational(im)) * z**i * r**j
+                    for (i, j), (re, im) in table.items()), sp.Integer(0))
+
+    spec = _spec(1, (rows(num), rows(den)))
+    z, r = sp.symbols("z rho")
+    cq, sgn = sp.Rational(c), 1 if c > 0 else -1
+    W = expr(num) / expr(den)
+    if expr(den).subs({z: cq, r: 4 * abs(cq)}) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            condition_coefficient_a(spec, c)
+        return
+    a = (sp.diff(W, z) + 4 * sgn * sp.diff(W, r)).subs({z: cq, r: 4 * abs(cq)}) / 2
+    assert condition_coefficient_a(spec, c) == _scalar_from_sympy(a)
+    w = W.subs(r, 4 * sgn * z)
+    assert _axis_derivatives(spec, c) == (_scalar_from_sympy(sp.diff(w, z).subs(z, cq)),
+                                          _scalar_from_sympy(sp.diff(w, z, 2).subs(z, cq)))
+
+
+@pytest.mark.parametrize("table", [None, _TABLES[1]])
+def test_exact_path_builds_no_sympy_expression(table):
+    spec = _spec(1, table)
+    condition_coefficient_a(spec, Fraction(1, 2))
+    ve_along(spec, {"c": Fraction(-3, 2)})
+    ve_blocks_transformed(spec, Fraction(1, 2))
+    assert "expr" not in spec.potential.__dict__
 
 
 # -- change of variables ----------------------------------------------------
