@@ -5,6 +5,8 @@ The integrator is an adaptive embedded Runge-Kutta pair (scipy's RK45 by
 default, DOP853 selectable) with dense output.  A symplectic scheme is not
 used: the extended system is Poisson with a nonconstant structure matrix,
 so one explicit adaptive scheme serves all three systems uniformly.
+scipy and sympy are imported only by the functions that integrate or
+generate evaluators, so loading this module does not load them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import sympy as sp
-from scipy.integrate import solve_ivp
 
 from .heisenmodel import (
     CollisionError,
@@ -117,6 +117,8 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     Terminates early with a flagged event when rho drops below cfg.rho_min;
     step-size underflow raises IntegrationError with the last good state.
     """
+    from scipy.integrate import solve_ivp
+
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
 
     def f(t, y):
@@ -330,12 +332,14 @@ def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
     plus W(z, u), so K is rational whenever W is."""
     if spec.kind != "one-body":
         raise ValueError("extended lift implemented for the one-body system")
+    import sympy as sp
+
     x, y, z, px, py, pz, u = sp.symbols("x y z p_x p_y p_z u", real=True)
-    from .heisenmodel import _RHO, _Z
+    z_w, rho_w = sp.symbols("z rho", real=True)
 
     P = u**2 - ((x**2 + y**2) ** 2 + 16 * z**2)
     K = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2 + spec.potential.expr.subs(
-        {_Z: z, _RHO: u}, simultaneous=True
+        {z_w: z, rho_w: u}, simultaneous=True
     )
     xs = (x, y, z, px, py, pz, u)
     grad_qP = [sp.diff(P, v) for v in (x, y, z)]
@@ -362,6 +366,8 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
     The Casimir residual P(u(t)) is tracked as a diagnostic: its drift is
     measured, not corrected, and a residual above 1e-6 flags the trajectory
     as leaving the leaf."""
+    from scipy.integrate import solve_ivp
+
     a0 = x0.to_array() if hasattr(x0, "to_array") else np.asarray(x0, dtype=float)
     if abs(sys.P(a0)) > 1e-12:
         raise ValueError("initial state is off the physical leaf P(u) = 0")

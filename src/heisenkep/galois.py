@@ -375,12 +375,13 @@ def _local_data(polys, f: ExactPoly, var: str):
 def _solve_indicial(ind, f: ExactPoly, var: str):
     """Roots of an indicial polynomial with coefficients in Q(i)[t]/(f),
     splitting f when the roots differ between its points: all roots in Q(i)
-    when the coefficients are constant, rational roots otherwise."""
+    when the coefficients are constant, otherwise roots in Q(i) whose real
+    and imaginary parts have denominators at most _MAXDENS[0]."""
     if all(c.degree <= 0 for c in ind):
         poly = ExactPoly([c.coeff(0) for c in ind], var="lam")
         return [(v, f) for v in gaussian_roots(poly)]
-    # point-dependent coefficients: collect rational candidates from the
-    # numeric roots of the pointwise indicial, then certify by gcd with f
+    # point-dependent coefficients: collect Gaussian-rational candidates from
+    # the numeric roots of the pointwise indicial, then certify by gcd with f
     cands = []
     for z in poly_roots_numeric(f, tol=1e-5):
         pv = [c(z) for c in ind]
@@ -389,14 +390,11 @@ def _solve_indicial(ind, f: ExactPoly, var: str):
         if len(pv) < 2:
             continue
         for lr in np.roots(list(reversed(pv))):
-            if abs(lr.imag) > 1e-5:
-                continue
-            v = Fraction(float(lr.real)).limit_denominator(_MAXDENS[0])
+            v = _rationalize(complex(lr), _MAXDENS[0])
             if v not in cands:
                 cands.append(v)
     out = []
-    for v in sorted(cands):
-        vs = ExactScalar(v)
+    for vs in sorted(cands, key=lambda v: (v.re, v.im)):
         acc = ExactPoly((), var=var)
         for k, c in enumerate(ind):
             acc = (acc + c.scale(vs**k)) % f

@@ -5,8 +5,9 @@ non-integrability condition.
 A potential W(z, rho) is a ratio of two tables of Q(i) coefficients of
 z^i rho^j, which is also its JSON form.  The exact quantities along the
 vertical axis (a, W'(c), W''(c)) come from these tables through one
-univariate rational function.  sympy is used only to generate the numeric
-evaluators of H, its vector field and its Jacobian.
+univariate rational function.  sympy is imported only by the functions
+that build W's expression and generate the numeric evaluators of H, its
+vector field and its Jacobian, so loading this module does not load it.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
 from .exactalg import ExactPoly, ExactRatFunc, ExactScalar
+
+if TYPE_CHECKING:
+    import sympy as sp
 
 __all__ = [
     "CollisionError",
@@ -41,8 +45,6 @@ __all__ = [
     "two_body_condition_a",
     "particular_solution",
 ]
-
-_Z, _RHO = sp.symbols("z rho", real=True)
 
 
 class CollisionError(ArithmeticError):
@@ -197,11 +199,15 @@ class PotentialSpec:
 
     @cached_property
     def expr(self) -> sp.Expr:
-        """W as a sympy expression, built only for the numeric evaluators."""
+        """W as a sympy expression in z and rho, built only for the numeric
+        evaluators."""
+        import sympy as sp
+
+        z, rho = sp.symbols("z rho", real=True)
 
         def build(table):
             return sum(
-                ((sp.Rational(c.a, c.d) + sp.I * sp.Rational(c.b, c.d)) * _Z**i * _RHO**j
+                ((sp.Rational(c.a, c.d) + sp.I * sp.Rational(c.b, c.d)) * z**i * rho**j
                  for (i, j), c in table.items()),
                 sp.Integer(0),
             )
@@ -257,6 +263,8 @@ class SystemSpec:
 
     @cached_property
     def _symbols(self):
+        import sympy as sp
+
         if self.kind == "one-body":
             return sp.symbols("x y z p_x p_y p_z", real=True)
         return sp.symbols(
@@ -265,13 +273,16 @@ class SystemSpec:
 
     @cached_property
     def h_expr(self) -> sp.Expr:
+        import sympy as sp
+
         s = self._symbols
+        z_w, rho_w = sp.symbols("z rho", real=True)
         W = self.potential.expr
         if self.kind == "one-body":
             x, y, z, px, py, pz = s
             kin = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2
             rho_e = sp.sqrt((x**2 + y**2) ** 2 + 16 * z**2)
-            return kin + W.subs({_Z: z, _RHO: rho_e}, simultaneous=True)
+            return kin + W.subs({z_w: z, rho_w: rho_e}, simultaneous=True)
         x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = s
         kin1 = ((px1 - y1 * pz1 / 2) ** 2 + (py1 + x1 * pz1 / 2) ** 2) / (2 * self.m1_exact)
         kin2 = ((px2 - y2 * pz2 / 2) ** 2 + (py2 + x2 * pz2 / 2) ** 2) / (2 * self.m2_exact)
@@ -279,14 +290,18 @@ class SystemSpec:
         yd = y2 - y1
         zd = z2 - z1 + (x2 * y1 - x1 * y2) / 2
         rho_e = sp.sqrt((xd**2 + yd**2) ** 2 + 16 * zd**2)
-        return kin1 + kin2 + W.subs({_Z: zd, _RHO: rho_e}, simultaneous=True)
+        return kin1 + kin2 + W.subs({z_w: zd, rho_w: rho_e}, simultaneous=True)
 
     @cached_property
     def _h_fn(self):
+        import sympy as sp
+
         return sp.lambdify(self._symbols, self.h_expr, modules="numpy")
 
     @cached_property
     def _rhs_fn(self):
+        import sympy as sp
+
         s = self._symbols
         n = len(s) // 2
         dq = [sp.diff(self.h_expr, p) for p in s[n:]]
@@ -295,6 +310,8 @@ class SystemSpec:
 
     @cached_property
     def _jac_fn(self):
+        import sympy as sp
+
         s = self._symbols
         n = len(s) // 2
         field = [sp.diff(self.h_expr, p) for p in s[n:]] + [

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import jv, yv
 
 from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
                        _dot, clear_denominators, tower_annihilator)
@@ -478,6 +477,8 @@ def bessel_closed_form(a, C1, C2, t, derivatives: bool = False):
     not.  With derivatives=True returns (y, y', y'').  For a = 0 the
     equation degenerates and the affine solution C1 + C2 t is returned.
     """
+    from scipy.special import jv, yv
+
     if t <= 0:
         raise ValueError("t must be positive (branch point of sqrt)")
     if a == 0:

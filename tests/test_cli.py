@@ -2,6 +2,9 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -328,6 +331,40 @@ def test_exact_preset_artifact_digest(runner, tmp_path, preset):
     assert res.exit_code == 0
     data = (tmp_path / f"{command}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Imports the package, runs every exact preset and then one numeric preset
+# in one interpreter, and prints which of scipy and sympy were loaded after
+# each step.
+_IMPORT_PROBE = """
+import json, sys
+from heisenkep import cli, dynamics, exactalg, galois, heisenmodel, variational
+
+def loaded():
+    return [m for m in ("scipy", "scipy.integrate", "sympy") if m in sys.modules]
+
+out, presets = sys.argv[1], sys.argv[2:]
+seen = {"import": loaded()}
+for preset in presets:
+    cli.main([preset.split("_")[0], "--config", preset, "--out", out],
+             standalone_mode=False)
+    seen[preset] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
+    presets = sorted(EXACT_ARTIFACTS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), *presets,
+         "simulate_invariant_line"],
+        check=True, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    exact_steps = ["import", *presets]
+    assert {step: seen[step] for step in exact_steps} == dict.fromkeys(exact_steps, [])
+    # positive control: the numeric run does load the integrator
+    assert "scipy.integrate" in seen["simulate_invariant_line"]
 
 
 # SHA-256 of every artifact of every numeric preset, with the exit code of

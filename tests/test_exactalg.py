@@ -2,11 +2,8 @@ import collections
 import copy
 import itertools
 import math
-import os
 import pickle
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -539,12 +536,6 @@ def test_miller_rabin_against_trial_division():
               3474749660383, 341550071728321, 3825123056546413051, 561, 41041):
         assert not _is_prime(n)
     assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) * (2**61 - 1))
-
-
-def test_exactalg_imports_no_sympy():
-    code = "import sys, heisenkep.exactalg; assert 'sympy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def _ints(rows):

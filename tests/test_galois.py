@@ -203,6 +203,10 @@ def test_exp_solutions_gaussian_residue(residue):
         (ExactRatFunc(ExactPoly([ExactScalar(Fraction(1, 2), Fraction(1, 2))]),
                       ExactPoly([-1, 1])) + ExactRatFunc(ExactPoly([I])),
          ExactRatFunc(ExactPoly.x())),
+        # residues -i at 0 and i/2 at the roots of t^2 + 1, whose local
+        # exponents differ between the points of t^3 + t; M = D - 2/t
+        (ExactRatFunc(ExactPoly([-I]), ExactPoly([0, 1, 0, 1])),
+         ExactRatFunc(ExactPoly([2]), ExactPoly.x())),
     ],
 )
 def test_exp_solutions_planted_gaussian_residue(r, m):
