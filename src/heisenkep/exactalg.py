@@ -1054,21 +1054,66 @@ def _ratrec(u: int, M: int, bound: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _reconstruct(residues: list[int], M: int):
-    """Rationals with the given residues modulo M, sharing one running
-    denominator so that entries with a common denominator come cheaply;
-    None if reconstruction fails."""
-    bound = math.isqrt(M // 2)
+# A guess past the balanced bound must leave 10 bits of M to spare: the
+# residue of no small fraction passes with a chance of about 2^-10 per
+# Euclidean step, and a wrong guess costs one failed exact check before the
+# next prime is folded in.
+_SPARE = 1 << 10
+
+
+def _guess(v: int, M: int):
+    """(n, d) with n = v d (mod M), 0 < d and |n| d below about M / 2^10, or
+    None: the symmetric residue as an integer when it is that small, else
+    the pair that the largest quotient of the extended Euclidean algorithm
+    follows (maximal-quotient rational reconstruction) when that quotient
+    exceeds 2^10."""
+    s = v - M if 2 * v > M else v
+    if abs(s) * _SPARE < M:
+        return s, 1
+    r0, r1, t0, t1 = M, v, 0, 1
+    best, nd = _SPARE, None
+    while r1 and r0 > best:  # a later quotient is at most r0
+        q = r0 // r1
+        if q > best:
+            best, nd = q, (r1, t1)
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if nd is None:
+        return None
+    return nd if nd[1] > 0 else (-nd[0], -nd[1])
+
+
+def _over_running_den(residues: list[int], M: int, rec, bound: int):
+    """Rationals with the given residues modulo M, each by rec from its
+    residue times the running denominator, which is kept at most bound;
+    None if rec fails or the denominator outgrows the bound."""
     den = 1
     out = []
     for u in residues:
-        nd = _ratrec(u * den % M, M, bound)
+        nd = rec(u * den % M)
         if nd is None:
             return None
         den *= nd[1]
         if den > bound:
             return None
         out.append(Fraction(nd[0], den))
+    return out
+
+
+def _reconstruct(residues: list[int], M: int):
+    """Rationals with the given residues modulo M, sharing one running
+    denominator so that entries with a common denominator come cheaply;
+    None if reconstruction fails.
+
+    The first attempt keeps every numerator and the running denominator
+    within the balanced bound sqrt(M / 2), where a rational is unique; when
+    the true values fit that bound it returns them.  Only when it fails is
+    each value guessed by _guess, so that small but unbalanced values come
+    back from fewer primes than the bound needs.  A guess may be wrong, and
+    callers certify the result exactly."""
+    bound = math.isqrt(M // 2)
+    out = _over_running_den(residues, M, lambda v: _ratrec(v, M, bound), bound)
+    if out is None:
+        out = _over_running_den(residues, M, lambda v: _guess(v, M), M)
     return out
 
 
@@ -1083,7 +1128,9 @@ def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
     residues) modulo the product M of the primes folded in so far, or is
     None to start afresh.  Returns the new accumulator and the values as
     ExactScalar by CRT and rational reconstruction, or None in their place
-    while reconstruction fails."""
+    while reconstruction fails.  Before M passes the balanced bound of the
+    true values they may be a guess (see _reconstruct), which the caller's
+    exact check rejects when it is wrong."""
     half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
     re_p = [(x + y) * half % p for x, y in zip(plus, minus)]
     im_p = [(x - y) * half_s % p for x, y in zip(plus, minus)]
@@ -1142,9 +1189,12 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
     minor Delta, so at most 2 log2(H) / 61 primes are unlucky.  By Cramer
     the kernel entries are u / Delta with |u| <= H, so their real and
     imaginary parts have numerators and a shared denominator |Delta|^2 at
-    most H^2, and reconstruction recovers them from (4 log2(H) + 2) / 61
-    lucky primes.  K is the sum of the two counts rounded up, plus one;
-    the bit lengths of the rows' squared norms sum to at least 2 log2(H)."""
+    most H^2, and the balanced attempt of _reconstruct recovers them from
+    (4 log2(H) + 2) / 61 lucky primes.  K is the sum of the two counts
+    rounded up, plus one; the bit lengths of the rows' squared norms sum to
+    at least 2 log2(H).  Its guesses often recover the basis from fewer
+    primes; a wrong guess fails the exact check like any other candidate,
+    so K holds as it is."""
     if not rows or not rows[0]:
         return [], 0
     ncols = len(rows[0])
@@ -1276,6 +1326,32 @@ def _cauchy_mod(f: list[int], M: list[int], p: int):
     return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
 
 
+def _mul_mod(a, b, p: int) -> list[int]:
+    """a b over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i : i + len(b)] = [x + c * y for x, y in zip(out[i : i + len(b)], b)]
+    return [c % p for c in out]
+
+
+def _over_den(f: list[int], den, M: list[int], p: int):
+    """Rational function (num, den') over F_p, den' monic, with
+    num = f den' (mod M) and den' dividing den: g = den f mod M over den,
+    reduced by their gcd.  If g is so long that deg g + deg den >= deg M,
+    den is no denominator of the interpolant that the points fix, and
+    _cauchy_mod's pair is returned instead."""
+    g = _divmod_mod(_mul_mod(den, f, p), M, p)[1]
+    if len(g) + len(den) > len(M):
+        return _cauchy_mod(f, M, p)
+    h, r = den, g
+    while r:
+        h, r = r, _divmod_mod(h, r, p)[1]
+    num, den = _divmod_mod(g, h, p)[0], _divmod_mod(den, h, p)[0]
+    inv = pow(den[-1], -1, p)
+    return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+
+
 def _fits(rec, x: int, v: int, p: int) -> bool:
     """num(x) = v den(x) modulo p, for rec = (num, den)."""
     num, den = rec
@@ -1333,9 +1409,14 @@ def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int, star
     returned so that the caller derives w^(m+1).  At the other points the
     values of the b_j and of the probe sum_j 3^j b_j extend one interpolant
     each.  From `start` points on, the probe is reconstructed until its
-    reconstruction fits a fresh point; then each b_j is reconstructed once,
-    and the image is returned at the first later point that every b_j fits.
-    A b_j that does not fit is reconstructed again at that point.  `start`
+    reconstruction fits a fresh point; then each b_j is reconstructed once
+    over the probe's denominator D (see _over_den), and the image is
+    returned at the first later point that every b_j fits.  By Cramer's rule
+    b_j = Delta_j / Delta and the probe is sum_j 3^j Delta_j / Delta, so D is
+    a multiple of every reduced denominator den_j unless the probe cancels
+    a factor of Delta that some b_j keeps; such a b_j falls back to Cauchy
+    interpolation, or misfits.  A b_j that does not fit is reconstructed
+    again at that point by Cauchy interpolation.  `start`
     is where the previous image of this order settled: it only delays the
     first reconstruction and bounds nothing.
 
@@ -1345,9 +1426,9 @@ def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int, star
     those of the Cramer denominator, are skipped.  Every
     deg num_j + deg den_j, and that of the probe, is at most T (see
     tower_annihilator).  Past 2 T points every reconstruction is the true
-    one, so at 2 T + 1 points the b_j are reconstructed and returned
-    without a further check, whatever `start` is: no image takes more than
-    2 T + 1 points."""
+    one, so at 2 T + 1 points the b_j are reconstructed by Cauchy
+    interpolation and returned without a further check, whatever `start`
+    is: no image takes more than 2 T + 1 points."""
     cols = _residues(cache, tower, p, root)
     if cols is None:
         return None
@@ -1378,7 +1459,7 @@ def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int, star
             if probe is None or not _fits(probe, x, b[m], p):
                 probe, settled = _cauchy_mod(fs[m], M, p), n
                 continue
-            recs = [_cauchy_mod(f, M, p) for f in fs[:m]]
+            recs = [_over_den(f, probe[1], M, p) for f in fs[:m]]
             continue
         misfits = [j for j in range(m) if not _fits(recs[j], x, b[j], p)]
         if not misfits:
@@ -1452,10 +1533,14 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     up to w^(m) is real, by sampling at integer points and Cauchy
     interpolation; they are lifted to Q(i)(t) by CRT and rational
     reconstruction, and returned only once they pass an exact substitution
-    into the tower.  A real tower has the two embeddings' images equal,
-    and its first monic dependency is unique, hence its own conjugate,
-    with real b_j: one image per prime gives it, with imaginary parts 0.
-    K below counts primes, not images, so it is the same either way.
+    into the tower.  Reconstruction guesses when its balanced bound is not
+    met yet (see _reconstruct), so the lift often ends at fewer primes than
+    the bound below needs; a wrong guess fails the substitution, and the
+    next prime is folded in as before.  A real tower has the two
+    embeddings' images equal, and its first monic dependency is unique,
+    hence its own conjugate, with real b_j: one image per prime gives it,
+    with imaginary parts 0.  K below counts primes, not images, so it is
+    the same either way.
 
     The tower is derived lazily: w^(m+1) is formed only when a sample point
     proves w, ..., w^(m) independent, so independence of w, ..., w^(m-1) is
@@ -1487,15 +1572,16 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     only if it is the true image, and lower ones otherwise.  So the lift
     keeps the lucky primes, which are all but U / 61 of the primes, U being
     the bit length of the product of those integers; every prime exceeds
-    2^61.  The running denominator of the lift is at most C^(2m), so
-    reconstruction succeeds once the lucky primes multiply to more than
-    2 C^(4m + 4).  K is the two counts, rounded up, plus one, and it
-    restarts at each order.  The count takes each image to be exact, as it
-    is from 2 T + 1 points on.  An image ended earlier can be wrong, or
-    below the final order miss every point of full rank, only when its
-    fresh points are roots modulo p of a nonzero polynomial that the tower
-    fixes; a wrong image of higher degrees than the true ones would hold
-    the lift back, and K turns that into this error too."""
+    2^61.  The running denominator of the lift is at most C^(2m), so the
+    balanced attempt of reconstruction succeeds once the lucky primes
+    multiply to more than 2 C^(4m + 4), whatever guesses came before.  K is
+    the two counts, rounded up, plus one, and it restarts at each order.
+    The count takes each image to be exact, as it is from 2 T + 1 points
+    on.  An image ended earlier can be wrong, or below the final order miss
+    every point of full rank, only when its fresh points are roots modulo p
+    of a nonzero polynomial that the tower fixes; a wrong image of higher
+    degrees than the true ones would hold the lift back, and K turns that
+    into this error too."""
     var = w[0].var
     if all(e.is_zero() for e in w):
         raise ValueError("the zero vector has no annihilator")

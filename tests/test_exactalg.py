@@ -22,12 +22,16 @@ from heisenkep.exactalg import (
     _add_point,
     _annihilates,
     _cauchy_mod,
+    _divmod_mod,
     _eval_mod,
     _fits,
     _gaussian_integer_row,
     _is_prime,
     _lift_gaussian,
     _modulus,
+    _poly_mod,
+    _ratrec,
+    _reconstruct,
     _rref_mod,
     _tower_image,
     scalar_nullspace,
@@ -591,6 +595,98 @@ def test_scalar_nullspace_raises_when_the_check_never_passes(monkeypatch):
         scalar_nullspace(big)
 
 
+# -- rational reconstruction --------------------------------------------------
+
+def _reference_reconstruct(residues, M):
+    """Reconstruction within the balanced bound alone, with no guess: each
+    numerator and the running denominator at most sqrt(M / 2)."""
+    bound = math.isqrt(M // 2)
+    den = 1
+    out = []
+    for u in residues:
+        nd = _ratrec(u * den % M, M, bound)
+        if nd is None:
+            return None
+        den *= nd[1]
+        if den > bound:
+            return None
+        out.append(Fraction(nd[0], den))
+    return out
+
+
+def _residue(q, M):
+    return q.numerator * pow(q.denominator, -1, M) % M
+
+
+@st.composite
+def residue_lists(draw):
+    """(residues, M) for M one prime or two: residues of rationals whose
+    numerator and denominator each have up to 8 bits more than sqrt(M), so
+    balanced, unbalanced and too large ones all come, and of arbitrary
+    ones."""
+    M = _modulus(0)[0] * (1 if draw(st.booleans()) else _modulus(1)[0])
+    bits = st.integers(0, M.bit_length() // 2 + 8)
+    rationals = st.builds(Fraction, bits.flatmap(lambda b: st.integers(-(2**b), 2**b)),
+                          bits.flatmap(lambda b: st.integers(1, 2**b)))
+    entry = st.one_of(rationals.map(lambda q: _residue(q, M)), st.integers(0, M - 1))
+    return draw(st.lists(entry, min_size=1, max_size=4)), M
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_lists())
+@example(([-(2**40) % _modulus(0)[0]], _modulus(0)[0]))
+def test_reconstruct_agrees_with_the_balanced_reference(case):
+    # wherever the balanced bound alone reconstructs, the result is the
+    # same list; anything else returned has the given residues.  The
+    # example is the residue of -2^40, which the balanced bound reads as
+    # -87 / 2^22: that stays the answer, though a guess would give -2^40
+    residues, M = case
+    got = _reconstruct(residues, M)
+    want = _reference_reconstruct(residues, M)
+    if want is not None:
+        assert got == want
+    elif got is not None:
+        assert [_residue(q, M) for q in got] == residues
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(640, 1023), st.data())
+@example(d=641, data=None)
+def test_reconstruct_recovers_unbalanced_values_from_one_prime(d, data):
+    # n_j / d with |n_j| d 2^12 < p, zero and negative numerators included,
+    # from the one prime p.  With n_0 prime to d the running denominator is
+    # d after the first value.  Every Euclidean pair past the true (n_j, 1)
+    # has a denominator of at least p // |n_j| > d 2^12, and d^2 2^12 exceeds
+    # sqrt(p / 2), so the balanced attempt returns the truth or fails.  The
+    # guess then takes n_0 / d by its quotient, at least p / (|n_0| d) - 2,
+    # above every other (none exceeds max(|n_0|, d)); no integer has n_0 / d
+    # as residue and size below p / 2^10 since d < 2^10; every later value is
+    # the integer n_j over d.
+    p = _modulus(0)[0]
+    big = p // (d << 12)
+    if data is None:  # the balanced attempt fails on the second value
+        numerators = [-1, big, 0, -big]
+    else:
+        n0 = data.draw(st.integers(-2**19, 2**19).filter(lambda n: math.gcd(n, d) == 1))
+        rest = st.one_of(st.just(0), st.integers(-big, big))
+        numerators = [n0] + data.draw(st.lists(rest, max_size=5))
+    values = [Fraction(n, d) for n in numerators]
+    residues = [_residue(q, p) for q in values]
+    assert _reconstruct(residues, p) == values
+    if max(map(abs, numerators)) > math.isqrt(p // 2):
+        assert _reference_reconstruct(residues, p) is None
+
+
+def test_guess_follows_the_largest_quotient():
+    # modulo the first prime p, 3 / 4219 meets a quotient above 2^10, that
+    # of a pair with a 50-bit numerator over 2, before its own quotient of
+    # about p / 12657; the symmetric residues of 0 and -5 are taken as such
+    p = _modulus(0)[0]
+    assert exactalg._guess(_residue(Fraction(3, 4219), p), p) == (3, 4219)
+    assert exactalg._guess(0, p) == (0, 1)
+    assert exactalg._guess(p - 5, p) == (-5, 1)
+
+
 # -- tower annihilators -----------------------------------------------------
 
 def test_clear_denominators():
@@ -749,6 +845,83 @@ def test_tower_image_start_only_delays():
     assert want == [((p - 3, 0, p - 1), (5, p - 1, 1))]  # b_0 = -r
     for start in range(1, 2 * T + 4):
         assert _tower_image({}, tower, p, s, T, skips, start)[0] == want
+
+
+def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeypatch):
+    # y' = r y with r = t + p + 2^31 for the first modulus p.  Modulo p the
+    # constant of b_0 = -r is -2^31, past sqrt(p / 2), and every other
+    # Euclidean pair of it has a denominator above that bound, so the
+    # balanced attempt fails and the guess takes the integer -2^31.  The
+    # exact check rejects it, and the second prime gives r, one prime before
+    # the balanced bound alone would.
+    p = _modulus(0)[0]
+    residues = [-(2**31) % p, p - 1, 1]  # b_0 = -t - p - 2^31, over 1
+    assert _reference_reconstruct(residues, p) is None
+    assert _reconstruct(residues, p) == [-(2**31), -1, 1]
+    certified = []
+    check = exactalg._certified
+
+    def spy(tower, m, coeffs):
+        certified.append(check(tower, m, coeffs))
+        return certified[-1]
+
+    monkeypatch.setattr(exactalg, "_certified", spy)
+    r = ExactRatFunc(ExactPoly([p + 2**31, 1]))
+    ann, calls = _tower_images_per_prime(monkeypatch, r)
+    assert ann == [-r, ExactRatFunc.coerce(1)]
+    assert certified == [False, True] and len(calls) == 2
+
+
+def _companion_tower(b0, b1):
+    """w = y, w' = y' and w'' = -b_0 y - b_1 y' in the coordinates (y, y')
+    of y'' + b_1 y' + b_0 y = 0, whose annihilator is [b_0, b_1, 1]."""
+    def derive(v):
+        return [v[0].derivative() - b0 * v[1], v[1].derivative() + v[0] - b1 * v[1]]
+    return [ExactRatFunc.coerce(1), ExactRatFunc.coerce(0)], derive
+
+
+_T = ExactPoly([0, 1])
+
+
+@pytest.mark.parametrize("b0, b1, shared", [
+    # b_j = N_j / D with one D = (t - 7)(t + 2): the probe b_0 + 3 b_1 is
+    # (t^2 + 9 t - 2) / D
+    (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)),
+     ExactRatFunc(3 * _T - 1, (_T - 7) * (_T + 2)), True),
+    # b_1 = (t + 2) / D reduces to 1 / (t - 7): the probe is
+    # (t^2 + 3 t + 7) / D, and g / D for b_1 needs the gcd
+    (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)), ExactRatFunc(1, _T - 7), True),
+    # b_0 = 3 / (t - 7) + 1 / (t + 2) and b_1 = -1 / (t - 7): the probe is
+    # 1 / (t + 2), and neither den_j divides t + 2
+    (ExactRatFunc(3, _T - 7) + ExactRatFunc(1, _T + 2), ExactRatFunc(-1, _T - 7), False),
+])
+def test_tower_image_over_the_probe_denominator(monkeypatch, b0, b1, shared):
+    w, derive = _companion_tower(b0, b1)
+    assert tower_annihilator(w, derive) == [b0, b1, ExactRatFunc.coerce(1)]
+    tower = [w, derive(w)]
+    tower.append(derive(tower[-1]))
+    p, s = _modulus(0)
+    T, skips = 20, 20
+    over, cauchy = exactalg._over_den, exactalg._cauchy_mod
+    calls = []
+
+    def spy(f, den, M, q):
+        out = over(f, den, M, q)
+        calls.append((out, den, cauchy(f, M, q)))
+        return out
+
+    monkeypatch.setattr(exactalg, "_over_den", spy)
+    image, settled = _tower_image({}, tower, p, s, T, skips, 1)
+    # the images of b_0 and b_1, their denominators monic
+    assert image == [(tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s)))
+                     for b in (b0, b1)]
+    assert len(calls) == 2 and all(out == by_cauchy for out, _, by_cauchy in calls)
+    # the route over the probe's denominator returns a divisor of it; the
+    # fallback need not
+    divides = [not _divmod_mod(den, out[1], p)[1] for out, den, _ in calls]
+    assert all(divides) == shared
+    monkeypatch.setattr(exactalg, "_over_den", lambda f, den, M, q: cauchy(f, M, q))
+    assert _tower_image({}, tower, p, s, T, skips, 1) == (image, settled)
 
 
 # -- copying and pickling -----------------------------------------------------

@@ -357,12 +357,14 @@ def test_sym_power_certificate_rejects_a_wrong_coefficient():
 
 
 def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
-    # deterministic work counts of the symmetric cube: rational
-    # reconstructions (240 before early termination) and reductions of tower
-    # entries modulo a prime (1960 before residues were kept), each entry
-    # reduced once per prime and embedding
-    recs, reductions = [0], {}
-    cauchy, poly_mod = exactalg._cauchy_mod, exactalg._poly_mod
+    # deterministic work counts of the symmetric cube: Cauchy interpolations
+    # (240 before early termination, 60 before the b_j shared the probe's
+    # denominator, 39 since), reductions of tower entries modulo a prime
+    # (1960 before residues were kept), each entry reduced once per prime
+    # and embedding, and primes at the final order (2 before reconstruction
+    # guessed past the balanced bound)
+    recs, reductions, images = [0], {}, []
+    cauchy, poly_mod, image = exactalg._cauchy_mod, exactalg._poly_mod, exactalg._tower_image
 
     def count_cauchy(*args):
         recs[0] += 1
@@ -372,10 +374,17 @@ def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
         reductions[p, root] = reductions.get((p, root), 0) + 1
         return poly_mod(f, p, root)
 
+    def count_images(cache, tower, p, root, T, skips, start):
+        images.append((len(tower), p))
+        return image(cache, tower, p, root, T, skips, start)
+
     monkeypatch.setattr(exactalg, "_cauchy_mod", count_cauchy)
     monkeypatch.setattr(exactalg, "_poly_mod", count_poly_mod)
+    monkeypatch.setattr(exactalg, "_tower_image", count_images)
     assert sym_power(o3r, 3) == sym3
-    assert recs[0] <= 120
+    assert recs[0] <= 45
+    final = max(n for n, _ in images)
+    assert len({p for n, p in images if n == final}) == 1
     assert sum(reductions.values()) <= 1000
     # numerator and denominator of 10 entries in each of the 11 vectors
     assert set(reductions.values()) == {2 * 10 * 11}
