@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -129,6 +128,16 @@ def _frac(v) -> Fraction:
     return Fraction(str(v))
 
 
+def _integrator_config(rc: RunConfig) -> IntegratorConfig:
+    """IntegratorConfig from the config's "integrator" table.  A key that
+    is not one of its fields is a usage error that names the key."""
+    opts = rc.config.get("integrator", {})
+    unknown = sorted(set(opts) - {f.name for f in fields(IntegratorConfig)})
+    if unknown:
+        raise click.ClickException(f"unknown integrator key(s): {', '.join(unknown)}")
+    return IntegratorConfig(**opts)
+
+
 def _matrix_strs(A: ExactMatrix) -> list:
     return [[str(A[i, j]) for j in range(A.cols)] for i in range(A.rows)]
 
@@ -206,7 +215,7 @@ def simulate(config, out_dir, seed, fmt):
     """Integrate one orbit, monitor its invariants, export the trajectory."""
     rc = _load_config("simulate", config, out_dir, seed, fmt)
     spec = SystemSpec.from_json(rc.config["system"])
-    icfg = IntegratorConfig(**rc.config.get("integrator", {}))
+    icfg = _integrator_config(rc)
     s0 = _initial_state(spec, rc.config)
     try:
         traj = integrate(spec, s0, icfg)
@@ -632,7 +641,7 @@ def sweep(config, out_dir, seed, fmt):
     """Integrate a family of orbits and summarize the drifts."""
     rc = _load_config("sweep", config, out_dir, seed, fmt)
     spec = SystemSpec.from_json(rc.config["system"])
-    icfg = IntegratorConfig(**rc.config.get("integrator", {}))
+    icfg = _integrator_config(rc)
     thresholds = rc.config.get("thresholds", {"H": 1e-9})
     states = _sweep_states(spec, rc.config, rc.seed)
 

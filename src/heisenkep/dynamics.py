@@ -2,7 +2,8 @@
 (algebraic-variable) systems, with conserved-quantity monitoring.
 
 The integrator is an adaptive embedded Runge-Kutta pair (scipy's RK45 by
-default, DOP853 selectable) with dense output.  A symplectic scheme is not
+default, DOP853 selectable).  Every trajectory keeps its dense output: the
+monitor samples it and differentiates J along it.  A symplectic scheme is not
 used: the extended system is Poisson with a nonconstant structure matrix,
 so one explicit adaptive scheme serves all three systems uniformly.
 scipy and sympy are imported only by the functions that integrate or
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     max_step: float = np.inf
     t_end: float = 10.0
-    dense: bool = True
     method: str = "RK45"
     rho_min: float = 1e-8
 
@@ -105,12 +104,6 @@ def hamilton_rhs(spec: SystemSpec, s) -> np.ndarray:
     return np.asarray(spec._rhs_fn(*a), dtype=float)
 
 
-def hamilton_jacobian(spec: SystemSpec, s) -> np.ndarray:
-    """Jacobian matrix of hamilton_rhs at s (generated symbolically)."""
-    a = np.asarray(s, dtype=float) if not hasattr(s, "to_array") else s.to_array()
-    return np.asarray(spec._jac_fn(*a), dtype=float)
-
-
 def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     """Adaptive integration of the canonical equations up to cfg.t_end.
 
@@ -138,7 +131,7 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
         max_step=cfg.max_step,
-        dense_output=cfg.dense,
+        dense_output=True,
         events=near_collision,
     )
     if res.status == -1:
@@ -190,9 +183,7 @@ def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
         ["H", "p_theta"] if spec.kind == "one-body" else ["H", "I1", "I2", "I3", "I4"]
     )
     ts = np.linspace(traj.t[0], traj.t[-1], 400)
-    states = traj.at(ts) if traj.sol is not None else traj.y
-    if traj.sol is None:
-        ts = traj.t
+    states = traj.at(ts)
     vals = {k: [] for k in keys + ["J"]}
     for row in states:
         fi = first_integrals(spec, row)
@@ -204,14 +195,13 @@ def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
 
     # dJ/dt - 2H via dense-output differentiation
     djdt_res = 0.0
-    if traj.sol is not None:
-        h = max(1e-5, (ts[-1] - ts[0]) * 1e-6)
-        inner = ts[(ts > ts[0] + h) & (ts < ts[-1] - h)]
-        for t in inner:
-            jp = first_integrals(spec, traj.at(t + h))["J"]
-            jm = first_integrals(spec, traj.at(t - h))["J"]
-            hh = hamiltonian(spec, traj.at(t))
-            djdt_res = max(djdt_res, abs((jp - jm) / (2 * h) - 2 * hh))
+    h = max(1e-5, (ts[-1] - ts[0]) * 1e-6)
+    inner = ts[(ts > ts[0] + h) & (ts < ts[-1] - h)]
+    for t in inner:
+        jp = first_integrals(spec, traj.at(t + h))["J"]
+        jm = first_integrals(spec, traj.at(t - h))["J"]
+        hh = hamiltonian(spec, traj.at(t))
+        djdt_res = max(djdt_res, abs((jp - jm) / (2 * h) - 2 * hh))
 
     h0 = vals["H"][0]
     j_const = bool(j_drift < 1e-8) if abs(h0) < 1e-9 else None
@@ -380,7 +370,7 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
         max_step=cfg.max_step,
-        dense_output=cfg.dense,
+        dense_output=True,
     )
     if res.status == -1:
         raise IntegrationError(

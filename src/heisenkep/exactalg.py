@@ -799,11 +799,6 @@ class ExactMatrix:
             [[self[i, j] * s for j in range(self.cols)] for i in range(self.rows)]
         )
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def derivative(self) -> "ExactMatrix":
         return ExactMatrix(
             [

@@ -698,9 +698,19 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
     """Three-case Liouvillian analysis of the third-order reduced equation:
     no exponential solution (case 1), not Fuchsian so the fully-algebraic
     case is excluded (case 3), and symmetric-cube exponent bookkeeping
-    (case 2)."""
+    (case 2).
+
+    The case-1 search is complete only where every finite singular point
+    is regular, so an irregular one makes the verdict Inconclusive."""
     L = operator if operator is not None else o3r_operator()
     evidence = {"operator_order": L.order}
+
+    fc = fuchsian_check(L)
+    irregular = [rec["factor"] for rec in fc["finite"] if not rec["regular"]]
+    if irregular:
+        evidence["case1"] = {"excluded": False, "irregular_finite_points": irregular}
+        return GaloisVerdict("Inconclusive", evidence | {
+            "reason": "irregular finite singular point: case-1 search incomplete"})
 
     sols = exp_solutions(L)
     evidence["case1"] = {
@@ -710,7 +720,6 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
     if sols:
         return GaloisVerdict("Inconclusive", evidence | {"reason": "case 1 fires"})
 
-    fc = fuchsian_check(L)
     evidence["case3"] = {
         "fuchsian": fc["fuchsian"],
         "irregular_at_infinity": not fc["infinity_regular"],

@@ -6,8 +6,8 @@ A potential W(z, rho) is a ratio of two tables of Q(i) coefficients of
 z^i rho^j, which is also its JSON form.  The exact quantities along the
 vertical axis (a, W'(c), W''(c)) come from these tables through one
 univariate rational function.  sympy is imported only by the functions
-that build W's expression and generate the numeric evaluators of H, its
-vector field and its Jacobian, so loading this module does not load it.
+that build W's expression and generate the numeric evaluators of H and
+its vector field, so loading this module does not load it.
 """
 
 from __future__ import annotations
@@ -307,18 +307,6 @@ class SystemSpec:
         dq = [sp.diff(self.h_expr, p) for p in s[n:]]
         dp = [-sp.diff(self.h_expr, q) for q in s[:n]]
         return sp.lambdify(s, dq + dp, modules="numpy")
-
-    @cached_property
-    def _jac_fn(self):
-        import sympy as sp
-
-        s = self._symbols
-        n = len(s) // 2
-        field = [sp.diff(self.h_expr, p) for p in s[n:]] + [
-            -sp.diff(self.h_expr, q) for q in s[:n]
-        ]
-        jac = [[sp.diff(f, v) for v in s] for f in field]
-        return sp.lambdify(s, jac, modules="numpy")
 
     # -- parsing ------------------------------------------------------------
 

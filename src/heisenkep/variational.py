@@ -1,34 +1,26 @@
-"""Variational equations along particular solutions, changes of variables,
-gauge transformations, and reduction to scalar equations.
+"""Variational equations along particular solutions, gauge
+transformations, and reduction to scalar equations.
 
-The builders return exact data (entries in Q(i)[t] or Q(i)(t)) whenever
-their inputs are exact; numeric evaluation wraps the exact form.  Along a
-numerically integrated trajectory the variational matrix is sampled
-instead.
+Every builder is exact: the variational matrices have entries in Q(i)[t],
+and gauge transforms and scalar reductions stay in Q(i)(t).  There is no
+numeric path here, so this module imports neither numpy nor `dynamics`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
                        _dot, clear_denominators, tower_annihilator)
 from .heisenmodel import SystemSpec, axis_potential
-from .dynamics import Trajectory, hamilton_jacobian, hamilton_rhs
 
 __all__ = [
     "LinearSystem",
-    "SampledLinearSystem",
     "DiffOperator",
     "GaugeMatrix",
     "NotCyclicError",
     "ve_along",
-    "transform_vars_q1h1",
-    "transform_vars_q1h1_inverse",
     "ve_blocks_transformed",
     "ve_twobody_blocks",
     "gauge_transform",
@@ -36,9 +28,6 @@ __all__ = [
     "reduction_gauge_resonant",
     "cyclic_to_scalar",
     "exp_substitution",
-    "bessel_closed_form",
-    "system_residual",
-    "fundamental_solution",
 ]
 
 
@@ -66,14 +55,6 @@ class LinearSystem:
     def dim(self) -> int:
         return self.A.rows
 
-    def eval(self, t) -> np.ndarray:
-        return np.array(
-            [
-                [complex(self.A[i, j](complex(t))) for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-        )
-
     def subsystem(self, indices) -> "LinearSystem":
         idx = list(indices)
         sub = ExactMatrix(
@@ -87,21 +68,6 @@ class LinearSystem:
     @staticmethod
     def from_json(doc) -> "LinearSystem":
         return LinearSystem(ExactMatrix.from_json(doc["A"]), var=doc["var"])
-
-
-class SampledLinearSystem:
-    """Variational matrix sampled along a numeric trajectory."""
-
-    def __init__(self, spec: SystemSpec, traj: Trajectory):
-        if traj.sol is None:
-            raise ValueError("trajectory needs dense output for sampling")
-        self.spec = spec
-        self.traj = traj
-        self.dim = spec.dim
-        self.var = "t"
-
-    def eval(self, t) -> np.ndarray:
-        return hamilton_jacobian(self.spec, self.traj.at(float(t)))
 
 
 class DiffOperator:
@@ -205,13 +171,12 @@ def _axis_derivatives(spec: SystemSpec, c) -> tuple:
 
 
 def ve_along(spec: SystemSpec, solution):
-    """Linearization A(t) of the canonical field along a solution.
+    """Linearization A(t) of the canonical field along the vertical
+    particular solution (0, 0, c, 0, 0, -2at) of a one-body system.
 
-    A Trajectory gives a SampledLinearSystem.  A one-body parameter dict
-    {"c": rational} gives the exact polynomial system along the vertical
-    particular solution (0, 0, c, 0, 0, -2at), rows/columns in the
-    interleaved variation order (x, p_x, y, p_y, z, p_z).  A trajectory is
-    first checked against the vector field.
+    `solution` is the parameter dict {"c": rational}.  The result is the
+    exact polynomial system, rows/columns in the interleaved variation
+    order (x, p_x, y, p_y, z, p_z).
 
     The exact system is read off the Hamiltonian's structure, with no
     symbolic differentiation of H.  With u = p_x - y p_z/2 and
@@ -225,15 +190,6 @@ def ve_along(spec: SystemSpec, solution):
     The line solves the field because, with a = w'(c)/2, it keeps
     x = y = p_x = p_y = 0 and z = c, and p_z' = -H_z = -w'(c) = -2a.
     """
-    if isinstance(solution, Trajectory):
-        traj = solution
-        for tq in np.linspace(traj.t[0], traj.t[-1], 7)[1:-1]:
-            h = 1e-6 * max(1.0, abs(tq))
-            fd = (traj.at(tq + h) - traj.at(tq - h)) / (2 * h)
-            if np.max(np.abs(fd - hamilton_rhs(spec, traj.at(tq)))) > 1e-4:
-                raise ValueError("trajectory fails the solution residual check")
-        return SampledLinearSystem(spec, traj)
-
     if spec.kind != "one-body":
         raise ValueError("exact variational build implemented for one-body")
     dW, d2W = _axis_derivatives(spec, solution["c"])
@@ -248,28 +204,6 @@ def ve_along(spec: SystemSpec, solution):
     p = _INTERLEAVE_1B
     entries = [[jac[p[i]][p[j]] for j in range(6)] for i in range(6)]
     return LinearSystem(ExactMatrix(entries, var="t"), var="t", meta=(("a", str(a)),))
-
-
-def transform_vars_q1h1(s) -> np.ndarray:
-    """Non-canonical complex change of variables to (q1, h1, q2, h2, q3, h3)."""
-    a = np.asarray(s, dtype=float) if not hasattr(s, "to_array") else s.to_array()
-    x, y, z, px, py, pz = a
-    q1 = x + 1j * y
-    q2 = x - 1j * y
-    h1 = px + 1j * py + 0.5j * pz * q1
-    h2 = px - 1j * py - 0.5j * pz * q2
-    return np.array([q1, h1, q2, h2, z, pz], dtype=complex)
-
-
-def transform_vars_q1h1_inverse(w) -> np.ndarray:
-    """Inverse of transform_vars_q1h1, back to (x, y, z, p_x, p_y, p_z)."""
-    q1, h1, q2, h2, q3, h3 = np.asarray(w, dtype=complex)
-    x = (q1 + q2) / 2
-    y = (q1 - q2) / (2j)
-    pz = h3
-    px = (h1 + h2 - 0.5j * pz * (q1 - q2)) / 2
-    py = (h1 - h2 - 0.5j * pz * (q1 + q2)) / (2j)
-    return np.array([x, y, q3, px, py, pz], dtype=complex).real
 
 
 def ve_blocks_transformed(spec: SystemSpec, c) -> LinearSystem:
@@ -462,79 +396,3 @@ def exp_substitution(ode: DiffOperator, s: ExactPoly) -> DiffOperator:
     """Operator satisfied by w where y = w * exp(s(t)), s polynomial; exact."""
     ds = ExactRatFunc(ExactPoly.coerce(s, ode.var).derivative(), var=ode.var)
     return DiffOperator(_twist(ode.coeffs, ds, ode.var), var=ode.var)
-
-
-# ---------------------------------------------------------------------------
-# Closed form in Bessel functions
-# ---------------------------------------------------------------------------
-
-def bessel_closed_form(a, C1, C2, t, derivatives: bool = False):
-    """Solution sqrt(t) e^{-i a t^2/2} [C1 J_{1/4}(s) + C2 Y_{1/4}(s)] of the
-    second-order reduced equation, with Bessel argument s = a t^2 / 2.
-
-    The argument convention was fixed by the residual oracle: s = a t^2 / 2
-    makes the expression annihilate the equation; the doubled argument does
-    not.  With derivatives=True returns (y, y', y'').  For a = 0 the
-    equation degenerates and the affine solution C1 + C2 t is returned.
-    """
-    from scipy.special import jv, yv
-
-    if t <= 0:
-        raise ValueError("t must be positive (branch point of sqrt)")
-    if a == 0:
-        return (C1 + C2 * t, C2, 0.0) if derivatives else C1 + C2 * t
-    nu = 0.25
-    sig = a * t * t / 2
-    dsig = a * t
-
-    def Z(order):
-        return C1 * jv(order, sig) + C2 * yv(order, sig)
-
-    z0 = Z(nu)
-    zp = Z(nu - 1) - (nu / sig) * z0
-    zpp = -zp / sig - (1 - nu * nu / (sig * sig)) * z0
-
-    rt = math.sqrt(t)
-    w = rt * z0
-    wp = 0.5 * z0 / rt + rt * zp * dsig
-    wpp = -0.25 * z0 / (rt * t) + zp * dsig / rt + rt * (zpp * dsig * dsig + zp * a)
-
-    E = np.exp(-0.5j * a * t * t)
-    y = E * w
-    if not derivatives:
-        return y
-    yp = E * (wp - 1j * a * t * w)
-    ypp = E * (wpp - 2j * a * t * wp + (-1j * a - a * a * t * t) * w)
-    return y, yp, ypp
-
-
-# ---------------------------------------------------------------------------
-# Numeric helpers
-# ---------------------------------------------------------------------------
-
-def system_residual(sys: LinearSystem, vec) -> list:
-    """Exact residual y' - A y for a vector of polynomials/rational funcs."""
-    v = [ExactRatFunc.coerce(p, sys.var) for p in vec]
-    n = sys.dim
-    return [
-        v[i].derivative()
-        - sum((sys.A[i, j] * v[j] for j in range(n)), ExactRatFunc.coerce(0, sys.var))
-        for i in range(n)
-    ]
-
-
-def fundamental_solution(sys, t0: float, t1: float, rtol=1e-10, atol=1e-12):
-    """Numeric fundamental matrix Phi(t1) with Phi(t0) = identity."""
-    from scipy.integrate import solve_ivp
-
-    dim = sys.dim
-
-    def f(t, y):
-        A = sys.eval(t)
-        return (A @ y.reshape(dim, dim)).reshape(-1)
-
-    y0 = np.eye(dim, dtype=complex).reshape(-1)
-    res = solve_ivp(f, (t0, t1), y0, rtol=rtol, atol=atol, method="DOP853")
-    if res.status != 0:
-        raise RuntimeError(f"fundamental-solution integration failed: {res.message}")
-    return res.y[:, -1].reshape(dim, dim)

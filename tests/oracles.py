@@ -1,0 +1,110 @@
+"""Numeric and exact oracles that only the tests use.
+
+The package's variational layer is exact.  These helpers evaluate its
+output numerically, integrate it, and give the closed form of the Kepler
+reduced equation in Bessel functions, so tests can check the exact
+builders against independent numbers.
+"""
+
+import math
+
+import numpy as np
+
+from heisenkep.exactalg import ExactRatFunc
+
+
+def evaluate(A, t) -> np.ndarray:
+    """The exact matrix A, entries in Q(i)(t), as a complex array at t."""
+    return np.array(
+        [[complex(A[i, j](complex(t))) for j in range(A.cols)] for i in range(A.rows)]
+    )
+
+
+def transform_vars_q1h1(s) -> np.ndarray:
+    """Non-canonical complex change of variables to (q1, h1, q2, h2, q3, h3)."""
+    a = np.asarray(s, dtype=float) if not hasattr(s, "to_array") else s.to_array()
+    x, y, z, px, py, pz = a
+    q1 = x + 1j * y
+    q2 = x - 1j * y
+    h1 = px + 1j * py + 0.5j * pz * q1
+    h2 = px - 1j * py - 0.5j * pz * q2
+    return np.array([q1, h1, q2, h2, z, pz], dtype=complex)
+
+
+def transform_vars_q1h1_inverse(w) -> np.ndarray:
+    """Inverse of transform_vars_q1h1, back to (x, y, z, p_x, p_y, p_z)."""
+    q1, h1, q2, h2, q3, h3 = np.asarray(w, dtype=complex)
+    x = (q1 + q2) / 2
+    y = (q1 - q2) / (2j)
+    pz = h3
+    px = (h1 + h2 - 0.5j * pz * (q1 - q2)) / 2
+    py = (h1 - h2 - 0.5j * pz * (q1 + q2)) / (2j)
+    return np.array([x, y, q3, px, py, pz], dtype=complex).real
+
+
+def bessel_closed_form(a, C1, C2, t, derivatives: bool = False):
+    """Solution sqrt(t) e^{-i a t^2/2} [C1 J_{1/4}(s) + C2 Y_{1/4}(s)] of the
+    second-order reduced equation, with Bessel argument s = a t^2 / 2.
+
+    The argument convention was fixed by the residual oracle: s = a t^2 / 2
+    makes the expression annihilate the equation; the doubled argument does
+    not.  With derivatives=True returns (y, y', y'').  For a = 0 the
+    equation degenerates and the affine solution C1 + C2 t is returned.
+    """
+    from scipy.special import jv, yv
+
+    if t <= 0:
+        raise ValueError("t must be positive (branch point of sqrt)")
+    if a == 0:
+        return (C1 + C2 * t, C2, 0.0) if derivatives else C1 + C2 * t
+    nu = 0.25
+    sig = a * t * t / 2
+    dsig = a * t
+
+    def Z(order):
+        return C1 * jv(order, sig) + C2 * yv(order, sig)
+
+    z0 = Z(nu)
+    zp = Z(nu - 1) - (nu / sig) * z0
+    zpp = -zp / sig - (1 - nu * nu / (sig * sig)) * z0
+
+    rt = math.sqrt(t)
+    w = rt * z0
+    wp = 0.5 * z0 / rt + rt * zp * dsig
+    wpp = -0.25 * z0 / (rt * t) + zp * dsig / rt + rt * (zpp * dsig * dsig + zp * a)
+
+    E = np.exp(-0.5j * a * t * t)
+    y = E * w
+    if not derivatives:
+        return y
+    yp = E * (wp - 1j * a * t * w)
+    ypp = E * (wpp - 2j * a * t * wp + (-1j * a - a * a * t * t) * w)
+    return y, yp, ypp
+
+
+def system_residual(sys, vec) -> list:
+    """Exact residual y' - A y for a vector of polynomials/rational funcs."""
+    v = [ExactRatFunc.coerce(p, sys.var) for p in vec]
+    n = sys.dim
+    return [
+        v[i].derivative()
+        - sum((sys.A[i, j] * v[j] for j in range(n)), ExactRatFunc.coerce(0, sys.var))
+        for i in range(n)
+    ]
+
+
+def fundamental_solution(sys, t0: float, t1: float, rtol=1e-10, atol=1e-12):
+    """Numeric fundamental matrix Phi(t1) with Phi(t0) = identity."""
+    from scipy.integrate import solve_ivp
+
+    dim = sys.dim
+
+    def f(t, y):
+        A = evaluate(sys.A, t)
+        return (A @ y.reshape(dim, dim)).reshape(-1)
+
+    y0 = np.eye(dim, dtype=complex).reshape(-1)
+    res = solve_ivp(f, (t0, t1), y0, rtol=rtol, atol=atol, method="DOP853")
+    if res.status != 0:
+        raise RuntimeError(f"fundamental-solution integration failed: {res.message}")
+    return res.y[:, -1].reshape(dim, dim)

@@ -30,7 +30,6 @@ from heisenkep.dynamics import (
     monitor_conserved,
 )
 from heisenkep.variational import (
-    bessel_closed_form,
     cyclic_to_scalar,
     exp_substitution,
     gauge_transform,
@@ -54,6 +53,7 @@ from heisenkep.galois import (
     sym_power,
     system_exp_solutions,
 )
+from oracles import bessel_closed_form
 
 I = ExactScalar.i()
 KEPLER = SystemSpec("one-body", 1)

@@ -281,6 +281,33 @@ def test_sweep_preset(runner, tmp_path):
     assert all(r["checks"]["H"]["pass"] for r in doc["runs"])
 
 
+@pytest.mark.parametrize("command, preset", [("simulate", "simulate_invariant_line"),
+                                             ("sweep", "sweep_onebody")])
+def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
+    cfg = _load(preset_path(preset))
+    cfg["integrator"] = {**cfg.get("integrator", {}), "dense": False, "rtol": 1e-9}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code != 0
+    assert "unknown integrator key(s): dense, rtol" in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_djdt_threshold_reads_the_dense_output(runner, tmp_path):
+    # without dense output this orbit used to report a dJ/dt residual of 0
+    cfg = _load(preset_path("sweep_onebody"))
+    cfg["states"] = cfg["states"][:1]
+    cfg["thresholds"] = {"djdt": 1e-12}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["sweep", "--config", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    check = _load(tmp_path / "sweep.json")["runs"][0]["checks"]["djdt"]
+    assert check["pass"] is False and 1e-12 < check["value"] < 1e-6
+
+
 def test_sweep_random_states_deterministic(runner, tmp_path):
     cfg = tmp_path / "rand.json"
     cfg.write_text(json.dumps({
@@ -367,6 +394,15 @@ def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
     assert "scipy.integrate" in seen["simulate_invariant_line"]
 
 
+def test_galois_import_loads_no_numeric_layer():
+    probe = ("import sys, heisenkep.galois; print(sorted(m for m in "
+             "('heisenkep.dynamics', 'scipy', 'sympy') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], check=True, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout.strip() == "[]"
+
+
 # SHA-256 of every artifact of every numeric preset, with the exit code of
 # its run (simulate_collision stops at the collision guard and exits 1).
 # The floats come from lambdified sympy expressions and scipy's integrators,
@@ -422,20 +458,17 @@ LAMBDIFY_SOURCES = {
     "kepler_1b": (
         lambda: SystemSpec("one-body", 1), {
             "_h_fn": "fc3cdfc6547b9bdf91d39715a3a73f3336d57e3f400f5ed9250af3f6f77010fc",
-            "_rhs_fn": "de85eb79fc187bd6294c7eb134ff96a999626fdcdc9a289c8737234ec3985234",
-            "_jac_fn": "945787bcc70f9902932ea5ab08eb32139343cae449f839734a6f4958ea2b106b"}),
+            "_rhs_fn": "de85eb79fc187bd6294c7eb134ff96a999626fdcdc9a289c8737234ec3985234"}),
     "kepler_2b": (
         lambda: SystemSpec("two-body", 1, m1=1, m2=3), {
             "_h_fn": "b7dc2e7759a5fad0a1997ef9d0f25b9f59a51c1a0ed773af0e0e43ce1093b5e5",
-            "_rhs_fn": "fd1d8b152035842906b86c9af4c47a2d74df0b0f77e5d6d2b4a893b9e5b223c2",
-            "_jac_fn": "6245d0d0a66e9e689bf5350d17b10a76b5bc8597243e42ebf1a994038945916b"}),
+            "_rhs_fn": "fd1d8b152035842906b86c9af4c47a2d74df0b0f77e5d6d2b4a893b9e5b223c2"}),
     # W = (z^2 rho/3 + z - 2)/(rho^2 + 1)
     "table": (
         lambda: SystemSpec("one-body", 1, potential=PotentialSpec.from_table(
             [[1, 0, 1], [0, 0, -2], [2, 1, "1/3"]], [[0, 2, 1], [0, 0, 1]])), {
             "_h_fn": "6218f2c72649fc4c57b17e28d1aea58fe7329448529620457238d8d1c5b981a3",
-            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c",
-            "_jac_fn": "3dafe031594a57486594d0a98ddd217ef65142a694557c57b5099c8ba0a8d646"}),
+            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c"}),
 }
 
 

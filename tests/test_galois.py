@@ -622,6 +622,20 @@ def test_tampered_operator_is_inconclusive():
     assert "(2)*t" in v.evidence["case1"]["exponential_solutions"]
 
 
+def test_irregular_finite_point_leaves_case_1_open():
+    # (D^2 - t)(D - 1/t^2) is solved by exp(-1/t), whose logarithmic
+    # derivative has a double pole at t = 0: outside the case-1 search
+    t = ExactPoly.x()
+    L = DiffOperator([ExactRatFunc(t**3 - 6, t**4), ExactRatFunc(4 - t**4, t**3),
+                      ExactRatFunc(ExactPoly([-1]), t * t), 1])
+    assert L.apply_exp_ansatz(ExactRatFunc(ExactPoly([1]), t * t)).is_zero()
+    v = liouvillian_verdict_o3r(operator=L)
+    assert v.tag == "Inconclusive"
+    assert v.evidence["case1"] == {"excluded": False, "irregular_finite_points": ["t"]}
+    assert "case-1 search incomplete" in v.evidence["reason"]
+    assert "case2" not in v.evidence
+
+
 # -- exterior square --------------------------------------------------------
 
 def test_exterior_square_identity_and_zero():

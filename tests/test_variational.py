@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heisenkep.dynamics import IntegratorConfig, hamilton_rhs, integrate
+from heisenkep.dynamics import hamilton_rhs
 from heisenkep.exactalg import (
     ExactMatrix,
     ExactPoly,
@@ -18,7 +17,6 @@ from heisenkep.exactalg import (
     _modulus,
 )
 from heisenkep.heisenmodel import (
-    PhaseState1B,
     PotentialSpec,
     SystemSpec,
     condition_coefficient_a,
@@ -29,23 +27,25 @@ from heisenkep.variational import (
     GaugeMatrix,
     LinearSystem,
     NotCyclicError,
-    SampledLinearSystem,
-    bessel_closed_form,
     cyclic_to_scalar,
     exp_substitution,
-    fundamental_solution,
     gauge_transform,
     reduction_gauge,
     reduction_gauge_resonant,
-    system_residual,
-    transform_vars_q1h1,
-    transform_vars_q1h1_inverse,
     ve_along,
     ve_blocks_transformed,
     ve_twobody_blocks,
     _axis_derivatives,
     _minimal_annihilator,
     _twist,
+)
+from oracles import (
+    bessel_closed_form,
+    evaluate,
+    fundamental_solution,
+    system_residual,
+    transform_vars_q1h1,
+    transform_vars_q1h1_inverse,
 )
 
 I = ExactScalar.i()
@@ -90,7 +90,7 @@ def test_ve_exact_matrix_a2(ve_a2):
 
 def test_ve_nontrivial_block_is_quartic_form(ve_a2):
     blk = ve_a2.subsystem(range(4))
-    A = blk.eval(1.0)
+    A = evaluate(blk.A, 1.0)
     expect = np.array(
         [[0, 1, 2, 0], [-4, 0, 0, 2], [-2, 0, 0, 1], [0, -2, -4, 0]], dtype=complex
     )
@@ -102,38 +102,6 @@ def test_ve_general_a_scaling(kepler1b):
     sys = ve_along(kepler1b, {"c": Fraction(1, 2)})
     assert dict(sys.meta)["a"] == "1/2"
     assert sys.A[0, 2] == P(ExactPoly.x().scale(Fraction(1, 2)))
-
-
-def test_ve_sampled_matches_finite_differences(kepler1b):
-    s0 = PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1)
-    traj = integrate(kepler1b, s0, IntegratorConfig(t_end=5.0))
-    sys = ve_along(kepler1b, traj)
-    assert isinstance(sys, SampledLinearSystem)
-    rng = np.random.default_rng(12)
-    from heisenkep.dynamics import hamilton_rhs
-
-    for t in rng.uniform(0.0, 5.0, size=50):
-        A = sys.eval(t)
-        s = traj.at(t)
-        h = 1e-6
-        for j in range(6):
-            sp_, sm = s.copy(), s.copy()
-            sp_[j] += h
-            sm[j] -= h
-            fd = (hamilton_rhs(kepler1b, sp_) - hamilton_rhs(kepler1b, sm)) / (2 * h)
-            assert np.max(np.abs(A[:, j] - fd)) < 1e-6
-
-
-def test_ve_rejects_non_solution(kepler1b):
-    s0 = PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1)
-    traj = integrate(kepler1b, s0, IntegratorConfig(t_end=2.0))
-    fake = integrate(kepler1b, s0, IntegratorConfig(t_end=2.0))
-    fake.y[:, :] *= 1.5  # corrupt samples; dense output stays original
-    bad = type(traj)(
-        t=traj.t, y=traj.y, stats=traj.stats, sol=lambda t: 1.5 * traj.sol(t)
-    )
-    with pytest.raises(ValueError):
-        ve_along(kepler1b, bad)
 
 
 # -- the structural build against two independent oracles --------------------
@@ -213,7 +181,7 @@ def test_ve_matches_central_differences_of_the_field(kappa, table, c):
             sp_[j] += h
             sm[j] -= h
             fd[:, j] = (hamilton_rhs(spec, sp_) - hamilton_rhs(spec, sm)) / (2 * h)
-        A = sys.eval(t)
+        A = evaluate(sys.A, t)
         assert np.max(np.abs(A - fd[np.ix_(p, p)])) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
