@@ -42,6 +42,7 @@ from .dynamics import (
     ExtendedState,
     IntegrationError,
     IntegratorConfig,
+    drift_names,
     extended_poisson_build,
     integrate,
     integrate_extended,
@@ -130,12 +131,24 @@ def _frac(v) -> Fraction:
 
 def _integrator_config(rc: RunConfig) -> IntegratorConfig:
     """IntegratorConfig from the config's "integrator" table.  A key that
-    is not one of its fields is a usage error that names the key."""
+    is not one of its fields, or a value it rejects, is a usage error."""
     opts = rc.config.get("integrator", {})
     unknown = sorted(set(opts) - {f.name for f in fields(IntegratorConfig)})
     if unknown:
         raise click.ClickException(f"unknown integrator key(s): {', '.join(unknown)}")
-    return IntegratorConfig(**opts)
+    try:
+        return IntegratorConfig(**opts)
+    except ValueError as e:
+        raise click.ClickException(str(e)) from e
+
+
+def _thresholds(rc: RunConfig, spec: SystemSpec) -> dict:
+    """The config's "thresholds" table, each key a quantity _simulate_checks reads."""
+    thresholds = rc.config.get("thresholds", {"H": 1e-9})
+    unknown = sorted(set(thresholds) - {"line", "djdt", "j_drift", *drift_names(spec)})
+    if unknown:
+        raise click.ClickException(f"unknown threshold key(s): {', '.join(unknown)}")
+    return thresholds
 
 
 def _matrix_strs(A: ExactMatrix) -> list:
@@ -216,6 +229,7 @@ def simulate(config, out_dir, seed, fmt):
     rc = _load_config("simulate", config, out_dir, seed, fmt)
     spec = SystemSpec.from_json(rc.config["system"])
     icfg = _integrator_config(rc)
+    thresholds = _thresholds(rc, spec)
     s0 = _initial_state(spec, rc.config)
     try:
         traj = integrate(spec, s0, icfg)
@@ -242,7 +256,6 @@ def simulate(config, out_dir, seed, fmt):
         return
 
     rep = monitor_conserved(spec, traj)
-    thresholds = rc.config.get("thresholds", {"H": 1e-9})
     checks = _simulate_checks(spec, traj, rep, thresholds)
     ok = all(c["pass"] for c in checks.values())
     doc = {
@@ -642,7 +655,7 @@ def sweep(config, out_dir, seed, fmt):
     rc = _load_config("sweep", config, out_dir, seed, fmt)
     spec = SystemSpec.from_json(rc.config["system"])
     icfg = _integrator_config(rc)
-    thresholds = rc.config.get("thresholds", {"H": 1e-9})
+    thresholds = _thresholds(rc, spec)
     states = _sweep_states(spec, rc.config, rc.seed)
 
     def run(idx, s0):

@@ -37,6 +37,7 @@ __all__ = [
     "hamilton_rhs",
     "integrate",
     "monitor_conserved",
+    "drift_names",
     "extended_poisson_build",
     "integrate_extended",
     "trajectory_to_csv",
@@ -66,6 +67,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        methods = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")  # solve_ivp's
+        if self.method not in methods:
+            raise ValueError(f"unknown integrator method {self.method!r}: use {', '.join(methods)}")
 
 
 @dataclass
@@ -174,17 +178,19 @@ class MonitorReport:
         }
 
 
+def drift_names(spec: SystemSpec) -> list[str]:
+    """The integrals whose drift monitor_conserved reports."""
+    return ["H", "p_theta"] if spec.kind == "one-body" else ["H", "I1", "I2", "I3", "I4"]
+
+
 def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
     """Drift of the known integrals and the dJ/dt = 2H residual.
 
     The dJ/dt residual differentiates J along the dense output (central
     differences on the interpolant, not on the raw samples)."""
-    keys = (
-        ["H", "p_theta"] if spec.kind == "one-body" else ["H", "I1", "I2", "I3", "I4"]
-    )
     ts = np.linspace(traj.t[0], traj.t[-1], 400)
     states = traj.at(ts)
-    vals = {k: [] for k in keys + ["J"]}
+    vals = {k: [] for k in drift_names(spec) + ["J"]}
     for row in states:
         fi = first_integrals(spec, row)
         for k in vals:
@@ -397,11 +403,7 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
 
 def trajectory_to_csv(spec: SystemSpec, traj: Trajectory, path, header_meta=None):
     """CSV with t, state components, then H, p_theta/I_k, J; flushed per row."""
-    keys = (
-        ["H", "p_theta", "J"]
-        if spec.kind == "one-body"
-        else ["H", "I1", "I2", "I3", "I4", "J"]
-    )
+    keys = drift_names(spec) + ["J"]
     if spec.kind == "one-body":
         names = ["x", "y", "z", "p_x", "p_y", "p_z"]
     else:

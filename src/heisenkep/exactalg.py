@@ -12,8 +12,8 @@ the integer parts (the multi-modular kernel, reduction modulo a prime)
 scale by d directly.
 
 The coefficient field is Q(i) only; no further algebraic extensions are
-introduced.  Quantities that genuinely live outside Q(i) (square roots of
-parameters, numeric root locations) are handled by the numeric layers.
+introduced.  Roots are found in Q(i) exactly (`gaussian_roots`), and
+nothing in this module is numeric: it needs the standard library only.
 
 Serialization: scalars render as ``a/b+c/d*i`` with zero parts omitted and
 unit denominators dropped; polynomials as JSON arrays of such strings in
@@ -22,11 +22,10 @@ degree-ascending order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re as _re
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "ExactScalar",
@@ -36,7 +35,7 @@ __all__ = [
     "clear_denominators",
     "scalar_nullspace",
     "tower_annihilator",
-    "poly_roots_numeric",
+    "gaussian_roots",
 ]
 
 
@@ -988,19 +987,22 @@ def _is_prime(n: int) -> bool:
 
 def _modulus(k: int) -> tuple[int, int]:
     """The k-th prime p = 1 (mod 4) below 2^62, counting down, with the
-    smaller square root s of -1 modulo p.
-
-    s = min(r, p - r) for r = g^((p-1)/4) with the first g = 2, 3, ... that
-    is a non-residue, i.e. whose r squares to -1."""
+    smaller square root of -1 modulo p."""
     while len(_MODULI) <= k:
-        p = (_MODULI[-1][0] if _MODULI else (1 << 62) + 1) - 4
-        while not _is_prime(p):
-            p -= 4
-        g = 2
-        while (r := pow(g, (p - 1) // 4, p)) * r % p != p - 1:
-            g += 1
-        _MODULI.append((p, min(r, p - r)))
+        _MODULI.append(_modulus_from((_MODULI[-1][0] if _MODULI else (1 << 62) + 1) - 4, -4))
     return _MODULI[k]
+
+
+def _modulus_from(p: int, step: int) -> tuple[int, int]:
+    """The first prime q of p, p + step, ... (each 1 mod 4) with the smaller
+    square root min(r, q - r) of -1 modulo q, r = g^((q-1)/4) for the first
+    g = 2, 3, ... whose r squares to -1."""
+    while not _is_prime(p):
+        p += step
+    g = 2
+    while (r := pow(g, (p - 1) // 4, p)) * r % p != p - 1:
+        g += 1
+    return p, min(r, p - r)
 
 
 def _gaussian_integer_row(row) -> tuple[list[int], list[int]]:
@@ -1637,23 +1639,67 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
             raise RuntimeError("tower_annihilator exceeded its bound on the primes")
 
 
-def poly_roots_numeric(p: ExactPoly, tol: float = 1e-9) -> list[complex]:
-    """All deg(p) complex roots (with multiplicity) via companion eigenvalues.
+# ---------------------------------------------------------------------------
+# Roots in Q(i)
+# ---------------------------------------------------------------------------
 
-    Each root is accepted only if the scaled residual |p(r)| / max(coeff
-    magnitudes * max(1,|r|)^deg) stays below tol.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined roots")
-    if p.degree == 0:
+def gaussian_roots(f: ExactPoly) -> list[ExactScalar]:
+    """The distinct roots of f in Q(i), sorted by real and then imaginary
+    part; exact and complete.
+
+    A root z = u/v in lowest terms has v | lc in Z[i], so N(lc) z lies in
+    Z[i], with parts at most B = N(lc) times Cauchy's bound on |z|.  The
+    squarefree part is rooted modulo a prime p = 1 (mod 4) from 101 upward
+    under each embedding i -> +-s by trying every residue, and its roots
+    and s are Hensel-lifted to a power M > 2 B^2 of p.  Each image under s
+    paired with each under -s gives the parts of N(lc) z as symmetric
+    residues; a pair within B is checked by exact evaluation.  A prime
+    dividing N(lc), or with a root that is not simple, is skipped; such
+    primes divide N(lc Res(f, f')), whose Hadamard bound caps their count,
+    past which RuntimeError is raised."""
+    if f.degree < 1:
         return []
-    cs = np.array([c.to_complex() for c in p.coeffs])
-    roots = np.roots(cs[::-1])
-    scale = np.max(np.abs(cs))
-    for r in roots:
-        res = abs(p(complex(r))) / (scale * max(1.0, abs(r)) ** p.degree)
-        if res > tol:
-            raise ArithmeticError(
-                f"root {r} fails residual acceptance ({res:.3e} > {tol:.3e})"
-            )
-    return sorted(roots.tolist(), key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+    f = f.exact_div(f.gcd(f.derivative()))
+    re, im = _gaussian_integer_row(f.coeffs)
+    norms = [a * a + b * b for a, b in zip(re, im)]
+    lc, n = norms[-1], f.degree
+    bound = lc + math.isqrt(lc * max(norms[:-1])) + 1
+    # log2 N(lc Res(f, f')), and each skipped prime exceeds 2^6
+    skips = (lc.bit_length() + (n - 1) * sum(norms).bit_length()
+             + n * sum(k * k * c for k, c in enumerate(norms)).bit_length()) // 6
+    p = 97
+    for _ in range(skips + 1):
+        p, s = _modulus_from(p + 4, 4)
+        if lc % p == 0:
+            continue
+        images = []
+        for root in (s, p - s) if any(im) else (s,):
+            fp = [(a + root * b) % p for a, b in zip(re, im)]
+            dp = [k * c for k, c in enumerate(fp)][1:]
+            xs = [x for x in range(p) if not _eval_mod(fp, x, p)]
+            if not all(_eval_mod(dp, x, p) for x in xs):
+                break
+            images.append(xs)
+        else:
+            break
+    else:
+        raise RuntimeError("gaussian_roots exceeded its bound on the primes")
+    M = p
+    while M <= 2 * bound * bound:
+        M *= M
+        s = (s - (s * s + 1) * pow(2 * s, -1, M)) % M
+        for root, xs in zip((s, M - s), images):
+            fp = [(a + root * b) % M for a, b in zip(re, im)]
+            dp = [k * c for k, c in enumerate(fp)][1:]
+            xs[:] = [(x - _eval_mod(fp, x, M) * pow(_eval_mod(dp, x, M), -1, M)) % M
+                     for x in xs]
+    half, half_s = pow(2, -1, M), pow(2 * s, -1, M)
+    out = []
+    for x, y in itertools.product(images[0], images[-1]):
+        parts = [v - M if 2 * v > M else v for v in ((x + y) * half * lc % M,
+                                                     (x - y) * half_s * lc % M)]
+        if max(map(abs, parts)) <= bound:
+            z = ExactScalar(Fraction(parts[0], lc), Fraction(parts[1], lc))
+            if f(z).is_zero():
+                out.append(z)
+    return sorted(out, key=lambda z: (z.re, z.im))

@@ -17,15 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactalg import (
     ExactMatrix,
     ExactPoly,
     ExactRatFunc,
     ExactScalar,
     clear_denominators,
-    poly_roots_numeric,
+    gaussian_roots,
     scalar_nullspace,
     squarefree_decomposition,
     tower_annihilator,
@@ -151,44 +149,8 @@ def parabolic_from_ode(ode) -> ParabolicParams:
 
 
 # ---------------------------------------------------------------------------
-# Exact root helpers (Gaussian-rational roots by rationalize-and-verify)
+# Newton polygon at infinity, polynomial solutions, twisting
 # ---------------------------------------------------------------------------
-
-_MAXDENS = (12, 1000, 10**4, 10**8)
-
-
-def _rationalize(x: complex, maxden: int) -> ExactScalar:
-    return ExactScalar(
-        Fraction(x.real).limit_denominator(maxden),
-        Fraction(x.imag).limit_denominator(maxden),
-    )
-
-
-def gaussian_roots(p: ExactPoly) -> list:
-    """Roots of p lying in Q(i), found numerically and certified exactly.
-
-    Only the squarefree part is rooted: the numeric roots of a factor of
-    high multiplicity scatter too far to rationalize.  Small denominators
-    are tried first, and a candidate counts for a numeric root only when it
-    lies nearer to it than half its distance to any other numeric root, so
-    that a coarse rationalization cannot land on a neighbouring root."""
-    if p.degree < 1:
-        return []
-    sqf = ExactPoly([1], var=p.var)
-    for f, _m in squarefree_decomposition(p):
-        sqf = sqf * f
-    zs = poly_roots_numeric(sqf, tol=1e-5)
-    out = []
-    for i, z in enumerate(zs):
-        sep = min((abs(z - w) for j, w in enumerate(zs) if j != i), default=math.inf)
-        for maxden in _MAXDENS:
-            cand = _rationalize(z, maxden)
-            if 2 * abs(cand.to_complex() - z) < sep and sqf(cand).is_zero():
-                if cand not in out:
-                    out.append(cand)
-                break
-    return out
-
 
 def _falling(j: int, var: str = "lam") -> ExactPoly:
     """Falling factorial lam (lam-1) ... (lam-j+1) as a polynomial."""
@@ -197,10 +159,6 @@ def _falling(j: int, var: str = "lam") -> ExactPoly:
         out = out * ExactPoly([-s, 1], var=var)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Newton polygon at infinity, polynomial solutions, twisting
-# ---------------------------------------------------------------------------
 
 def _infinity_indicial(polys) -> ExactPoly:
     """Slope-zero indicial polynomial I(N) at infinity: the leading
@@ -213,21 +171,12 @@ def _infinity_indicial(polys) -> ExactPoly:
     return I
 
 
-def _nonneg_integer_roots(I: ExactPoly) -> list:
-    out = []
-    for z in poly_roots_numeric(I, tol=1e-5):
-        if abs(z.imag) < 1e-5:
-            n = round(z.real)
-            if n >= 0 and n not in out and I(ExactScalar(n)).is_zero():
-                out.append(n)
-    return sorted(out)
-
-
 def _max_solution_degree(polys) -> int:
     """Largest degree a polynomial solution of sum_j c_j y^(j) = 0 can
     have, -1 if only y = 0: a solution t^N + ... leaves I(N) t^(N + M) as
     the leading term of L(y), so N is a nonnegative integer root of I."""
-    return max(_nonneg_integer_roots(_infinity_indicial(polys)), default=-1)
+    return max((int(z.re) for z in gaussian_roots(_infinity_indicial(polys))
+                if z.is_real() and z.re >= 0 and z.re.denominator == 1), default=-1)
 
 
 def _polynomial_solutions(P, bounds, var) -> list:
@@ -367,40 +316,34 @@ def _local_data(polys, f: ExactPoly, var: str):
         fall = _falling(j)
         for k in range(fall.degree + 1):
             ind[k] = (ind[k] + A.scale(fall.coeff(k))) % f
-    while len(ind) > 1 and ind[-1].is_zero():
-        ind.pop()
     return True, _solve_indicial(ind, f, var)
 
 
 def _solve_indicial(ind, f: ExactPoly, var: str):
-    """Roots of an indicial polynomial with coefficients in Q(i)[t]/(f),
-    splitting f when the roots differ between its points: all roots in Q(i)
-    when the coefficients are constant, otherwise roots in Q(i) whose real
-    and imaginary parts have denominators at most _MAXDENS[0]."""
-    if all(c.degree <= 0 for c in ind):
-        poly = ExactPoly([c.coeff(0) for c in ind], var="lam")
-        return [(v, f) for v in gaussian_roots(poly)]
-    # point-dependent coefficients: collect Gaussian-rational candidates from
-    # the numeric roots of the pointwise indicial, then certify by gcd with f
-    cands = []
-    for z in poly_roots_numeric(f, tol=1e-5):
-        pv = [c(z) for c in ind]
-        while pv and abs(pv[-1]) < 1e-9:
-            pv.pop()
-        if len(pv) < 2:
-            continue
-        for lr in np.roots(list(reversed(pv))):
-            v = _rationalize(complex(lr), _MAXDENS[0])
-            if v not in cands:
-                cands.append(v)
+    """Roots in Q(i) of the indicial polynomial sum_k ind[k] lam^k over
+    Q(i)[t]/(f), each with the divisor of f at whose points it is a root;
+    exact and complete.  At a regular point the leading coefficient is
+    nonzero at every root of f.  When each ind[k] is a constant alpha_k
+    times it, the roots are those of sum alpha_k lam^k on all of f.
+    Otherwise they are among the roots of det(sum_k lam^k M_k), the product
+    of the indicial polynomials over the points of f, with M_k the
+    multiplication by ind[k]; each is kept with gcd(f, its indicial),
+    which is not 1."""
+    lead = ind[-1]
+    alpha = [c.leading() / lead.leading() if c else _ZERO for c in ind]
+    if all(c == lead.scale(a) for c, a in zip(ind, alpha)):
+        return [(v, f) for v in gaussian_roots(ExactPoly(alpha, var="lam"))]
+    # column j of M_k holds the coefficients of ind[k] t^j mod f
+    cols = [[(c * ExactPoly.monomial(1, j, var=var)) % f for c in ind]
+            for j in range(f.degree)]
+    det = ExactMatrix([
+        [ExactPoly([col[k].coeff(i) for k in range(len(ind))], var="lam") for col in cols]
+        for i in range(f.degree)
+    ], var="lam").det()
     out = []
-    for vs in sorted(cands, key=lambda v: (v.re, v.im)):
-        acc = ExactPoly((), var=var)
-        for k, c in enumerate(ind):
-            acc = (acc + c.scale(vs**k)) % f
-        g = f if acc.is_zero() else f.gcd(acc)
-        if g.degree > 0:
-            out.append((vs, g))
+    for v in gaussian_roots(det.num):
+        at_v = sum((c.scale(v**k) for k, c in enumerate(ind)), ExactPoly((), var=var))
+        out.append((v, f.gcd(at_v)))
     return out
 
 
@@ -610,11 +553,7 @@ def singularity_analysis(L: DiffOperator) -> SingularityData:
     # algebraic growth t^{-alpha}: I(-alpha) = 0 for the slope-zero
     # indicial polynomial at infinity
     I = _infinity_indicial(polys)
-    alg = []
-    for cand in gaussian_roots(I):
-        a = -cand
-        if a not in alg:
-            alg.append(a)
+    alg = [-cand for cand in gaussian_roots(I)]
     fuchsian = inf_regular and all(rec["regular"] for rec in finite)
     return SingularityData(
         finite=finite,

@@ -295,6 +295,27 @@ def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, preset", [("simulate", "simulate_invariant_line"),
+                                             ("sweep", "sweep_onebody")])
+@pytest.mark.parametrize("table, entry, message", [
+    pytest.param("thresholds", {"djdt_typo": 1e-9}, "unknown threshold key(s): djdt_typo",
+                 id="threshold-key"),
+    pytest.param("integrator", {"method": "Euler"}, "unknown integrator method 'Euler'",
+                 id="integrator-method"),
+])
+def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, entry,
+                                      message):
+    cfg = _load(preset_path(preset))
+    cfg[table] = {**cfg.get(table, {}), **entry}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sweep_djdt_threshold_reads_the_dense_output(runner, tmp_path):
     # without dense output this orbit used to report a dJ/dt residual of 0
     cfg = _load(preset_path("sweep_onebody"))
@@ -394,13 +415,23 @@ def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
     assert "scipy.integrate" in seen["simulate_invariant_line"]
 
 
-def test_galois_import_loads_no_numeric_layer():
-    probe = ("import sys, heisenkep.galois; print(sorted(m for m in "
-             "('heisenkep.dynamics', 'scipy', 'sympy') if m in sys.modules))")
+def _loaded_by_import(module: str, candidates) -> str:
+    """Which of the candidate modules a fresh interpreter has loaded after
+    importing module."""
+    probe = (f"import sys, {module}; print(sorted(m for m in {tuple(candidates)!r} "
+             "if m in sys.modules))")
     proc = subprocess.run(
         [sys.executable, "-c", probe], check=True, stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_galois_import_loads_no_numeric_layer():
+    assert _loaded_by_import("heisenkep.galois", ("heisenkep.dynamics", "scipy", "sympy")) == "[]"
+
+
+def test_exactalg_import_loads_no_numeric_layer():
+    assert _loaded_by_import("heisenkep.exactalg", ("numpy", "scipy", "sympy")) == "[]"
 
 
 # SHA-256 of every artifact of every numeric preset, with the exit code of

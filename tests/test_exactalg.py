@@ -18,7 +18,6 @@ from heisenkep.exactalg import (
     ExactScalar,
     SingularMatrixError,
     clear_denominators,
-    poly_roots_numeric,
     _add_point,
     _annihilates,
     _cauchy_mod,
@@ -936,39 +935,6 @@ def test_value_types_copy_and_pickle():
             assert type(y) is type(x)
             assert y == x and hash(y) == hash(x)
             assert str(y) == str(x)
-
-
-# -- numeric roots ----------------------------------------------------------
-
-def test_roots_quadratic():
-    roots = poly_roots_numeric(ExactPoly([1, 0, 1]))
-    got = sorted(r.imag for r in roots)
-    assert got == pytest.approx([-1.0, 1.0], abs=1e-9)
-    assert all(abs(r.real) < 1e-9 for r in roots)
-
-
-def test_roots_cubic_integers():
-    p = ExactPoly([0, 1]) * ExactPoly([-1, 1]) * ExactPoly([-2, 1])
-    roots = sorted(r.real for r in poly_roots_numeric(p))
-    assert roots == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
-
-
-def test_roots_zero_poly_rejected():
-    with pytest.raises(ValueError):
-        poly_roots_numeric(ExactPoly(()))
-
-
-def test_roots_sum_property():
-    rng = random.Random(17)
-    for _ in range(10):
-        deg = rng.randint(2, 15)
-        cs = [ExactScalar(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(deg)]
-        cs.append(ExactScalar(rng.randint(1, 5)))
-        p = ExactPoly(cs)
-        roots = poly_roots_numeric(p, tol=1e-7)
-        s = sum(roots)
-        expect = -(p.coeffs[-2] / p.coeffs[-1]).to_complex()
-        assert abs(s - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
 # -- squarefree helper ------------------------------------------------------

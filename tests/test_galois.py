@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep import exactalg, galois, variational
@@ -51,6 +51,15 @@ from heisenkep.heisenmodel import SystemSpec
 from heisenkep.variational import _minimal_annihilator, gauge_transform, ve_along
 
 I = ExactScalar(0, 1)
+
+small_den_fracs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+gaussian_rationals = st.builds(ExactScalar, small_den_fracs, small_den_fracs)
+wide_fracs = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+wide_gaussian_rationals = st.builds(ExactScalar, wide_fracs, wide_fracs)
+any_gaussian_rationals = st.one_of(gaussian_rationals, wide_gaussian_rationals)
+# factors with no root in Q(i)
+ROOTLESS = [ExactPoly([1]), ExactPoly([-2, 0, 1]), ExactPoly([1, 1, 1]),
+            ExactPoly([ExactScalar(0, -2), 0, 0, 1])]
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +142,20 @@ def test_rehm_sign_invariance():
     assert rehm_classify(a).tag == rehm_classify(b).tag
 
 
+@settings(max_examples=60, deadline=None)
+@given(any_gaussian_rationals.filter(bool), any_gaussian_rationals,
+       any_gaussian_rationals, st.booleans(), st.integers(-5, 4))
+def test_rehm_agrees_with_kovacic_case_1(alpha, beta, gamma, plant, k):
+    # y'' = (alpha^2 t^2 + 2 alpha beta t + gamma) y has an exponential
+    # solution H(t + beta/alpha) exp(+-alpha (t + beta/alpha)^2 / 2) exactly
+    # when (beta^2 - gamma)/alpha is an odd integer; plant one in half the draws
+    if plant:
+        gamma = beta * beta - ExactScalar(2 * k + 1) * alpha
+    p = ParabolicParams.from_alpha(alpha, beta, gamma)
+    L = DiffOperator([-ExactPoly([p.gamma, p.two_alpha_beta, p.alpha_sq]), 0, 1])
+    assert (exp_solutions(L) != []) == (rehm_classify(p).tag == "Inconclusive")
+
+
 def test_parabolic_from_ode_rejections():
     with pytest.raises(ValueError):
         parabolic_from_ode(DiffOperator([1, 0, 1]))  # alpha = 0
@@ -149,20 +172,22 @@ def test_gaussian_roots_fourfold_root():
     assert gaussian_roots(ExactPoly([-r, 1]) ** 4) == [r]
 
 
-small_den_fracs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
-gaussian_rationals = st.builds(ExactScalar, small_den_fracs, small_den_fracs)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(gaussian_rationals, min_size=1, max_size=3, unique=True),
-    st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    st.lists(any_gaussian_rationals, min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    st.sampled_from(ROOTLESS),
 )
-def test_gaussian_roots_ground_truth(roots, mults):
-    p = ExactPoly([1])
+# a denominator above 10^8, and two roots 10^-10 apart
+@example([ExactScalar(Fraction(1, 10**9 + 7)), ExactScalar(Fraction(3, 10**6 + 3))],
+         [1, 1, 1], ROOTLESS[0])
+@example([ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(1, 3) + Fraction(1, 10**10))],
+         [1, 1, 1], ROOTLESS[0])
+def test_gaussian_roots_ground_truth(roots, mults, rootless):
+    p = rootless
     for r, m in zip(roots, mults):
         p = p * ExactPoly([-r, 1]) ** m
-    assert sorted(map(str, gaussian_roots(p))) == sorted(map(str, roots))
+    assert gaussian_roots(p) == sorted(roots, key=lambda z: (z.re, z.im))
 
 
 # -- exponential solutions --------------------------------------------------
@@ -191,6 +216,18 @@ def test_exp_solutions_gaussian_residue(residue):
     # y = t^residue solves D - residue/t: a Gaussian exponent at t = 0
     r = ExactRatFunc(ExactPoly([residue]), ExactPoly.x())
     assert [found for found, _ in exp_solutions(DiffOperator([-r, 1]))] == [r]
+
+
+def test_exp_solutions_residue_past_small_denominators():
+    # residue 1/13 at 0 and 1/2 at the roots of t^2 + 1, so the exponents
+    # differ between the points of t^3 + t
+    r = (ExactRatFunc(ExactPoly([Fraction(1, 13)]), ExactPoly.x())
+         + ExactRatFunc(ExactPoly.x(), ExactPoly([1, 0, 1])))
+    L = DiffOperator([-r, 1])
+    assert [found for found, _ in exp_solutions(L)] == [r]
+    at_zero = [rec["exponents"] for rec in singularity_analysis(L).finite
+               if rec["factor"] == ExactPoly.x()]
+    assert at_zero == [[ExactScalar(Fraction(1, 13))]]
 
 
 @pytest.mark.parametrize(
