@@ -3,10 +3,10 @@ exponential-solution search, symmetric powers with singularity analysis,
 the exterior-square factorization, and the orchestrated verdicts.
 
 All decisions are certified: a returned exponential solution carries an
-exact substitution certificate, an empty search is complete for the stated
-ansatz class (rational logarithmic derivative over Q(i) with simple finite
-poles), and the symmetric-power operator is certified by exact substitution
-in the monomial module.
+exact substitution certificate, an empty search proves that no right factor
+D - r with r in C(t) exists, or raises `IncompleteSearchError` when it could
+not cover all of C(t), and the symmetric-power operator is certified by
+exact substitution in the monomial module.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "SingularityData",
     "GaloisVerdict",
     "FactorizationBasis",
+    "IncompleteSearchError",
     "rehm_classify",
     "parabolic_from_ode",
     "exp_solutions",
@@ -54,6 +55,11 @@ __all__ = [
 ]
 
 _ZERO = ExactScalar(0)
+
+
+class IncompleteSearchError(ValueError):
+    """The exponential-solution search found nothing, but could not cover
+    every r in C(t); the message says what it left out."""
 
 
 @dataclass(frozen=True)
@@ -233,21 +239,32 @@ def _newton_polygon_slopes(polys):
     return sorted(out, key=lambda e: -e[0])
 
 
-def _poly_part_candidates(polys, var, max_d=None) -> dict:
+def _split_roots(f: ExactPoly):
+    """The roots of f in Q(i), and whether they are all of its roots."""
+    roots = gaussian_roots(f)
+    return roots, len(roots) == f.exact_div(f.gcd(f.derivative())).degree
+
+
+def _poly_part_candidates(polys, var, max_d=None):
     """Candidate polynomial parts s' of rational logarithmic derivatives,
     from the Newton polygon at infinity, recursively refined.  Each level
     fixes the term of degree d and refines below it, so the recursion ends
     after at most deg s' + 1 levels.
 
     polys are the cleared polynomial coefficients of an operator.  Returns
-    a dict from each candidate s', 0 first, to those coefficients twisted
-    by s': twisting by the leading term and then by a tail of the refined
-    operator is one twist by their sum."""
+    (candidates, split): a dict from each candidate s', 0 first, to those
+    coefficients twisted by s' (twisting by the leading term and then by a
+    tail of the refined operator is one twist by their sum), and whether
+    every edge polynomial, at every level, split over Q(i); if one did not,
+    the candidates in C[t] that its other roots lead to are missing."""
     out = {ExactPoly((), var=var): polys}
+    split = True
     for d, edge in _newton_polygon_slopes(polys):
         if max_d is not None and d > max_d:
             continue
-        for rho in gaussian_roots(edge):
+        roots, ok = _split_roots(edge)
+        split &= ok
+        for rho in roots:
             if rho.is_zero():
                 continue
             lead = ExactPoly.monomial(rho, d, var=var)
@@ -255,9 +272,11 @@ def _poly_part_candidates(polys, var, max_d=None) -> dict:
             if d == 0:
                 out.setdefault(lead, twisted)
                 continue
-            for tail, op in _poly_part_candidates(twisted, var, max_d=d - 1).items():
+            sub, ok = _poly_part_candidates(twisted, var, max_d=d - 1)
+            split &= ok
+            for tail, op in sub.items():
                 out.setdefault(lead + tail, op)
-    return out
+    return out, split
 
 
 def _integrate_poly(p: ExactPoly) -> ExactPoly:
@@ -284,10 +303,11 @@ def _local_data(polys, f: ExactPoly, var: str):
     """Regularity and exponents of the operator at the roots of the
     squarefree factor f of the leading coefficient.
 
-    Returns (regular, exponents) with exponents a list of pairs
+    Returns (regular, exponents, split) with exponents a list of pairs
     (value, subfactor): the ExactScalar exponent is valid at the roots of
     the subfactor (an exact divisor of f, found by gcd splitting when the
-    exponents differ between roots)."""
+    exponents differ between roots).  split says whether the list holds
+    every exponent, that is, whether all of them lie in Q(i)."""
     n = len(polys) - 1
 
     def mult(p):
@@ -302,7 +322,7 @@ def _local_data(polys, f: ExactPoly, var: str):
 
     mn = mult(polys[n])
     if not all(mult(polys[j]) >= mn - (n - j) for j in range(n)):
-        return False, []
+        return False, [], False
     # indicial polynomial sum_j A_j lam(lam-1)...(lam-j+1) with A_j the
     # (mn - n + j)-th Taylor coefficient of c_j, an element of Q(i)[t]/(f)
     ind = [ExactPoly((), var=var) for _ in range(n + 1)]
@@ -316,15 +336,16 @@ def _local_data(polys, f: ExactPoly, var: str):
         fall = _falling(j)
         for k in range(fall.degree + 1):
             ind[k] = (ind[k] + A.scale(fall.coeff(k))) % f
-    return True, _solve_indicial(ind, f, var)
+    return (True, *_solve_indicial(ind, f, var))
 
 
 def _solve_indicial(ind, f: ExactPoly, var: str):
     """Roots in Q(i) of the indicial polynomial sum_k ind[k] lam^k over
-    Q(i)[t]/(f), each with the divisor of f at whose points it is a root;
-    exact and complete.  At a regular point the leading coefficient is
-    nonzero at every root of f.  When each ind[k] is a constant alpha_k
-    times it, the roots are those of sum alpha_k lam^k on all of f.
+    Q(i)[t]/(f), each with the divisor of f at whose points it is a root,
+    and whether those are all of its roots in C; exact.  At a regular
+    point the leading coefficient is nonzero at every root of f.  When each
+    ind[k] is a constant alpha_k times it, the roots are those of
+    sum alpha_k lam^k on all of f.
     Otherwise they are among the roots of det(sum_k lam^k M_k), the product
     of the indicial polynomials over the points of f, with M_k the
     multiplication by ind[k]; each is kept with gcd(f, its indicial),
@@ -332,7 +353,8 @@ def _solve_indicial(ind, f: ExactPoly, var: str):
     lead = ind[-1]
     alpha = [c.leading() / lead.leading() if c else _ZERO for c in ind]
     if all(c == lead.scale(a) for c, a in zip(ind, alpha)):
-        return [(v, f) for v in gaussian_roots(ExactPoly(alpha, var="lam"))]
+        roots, split = _split_roots(ExactPoly(alpha, var="lam"))
+        return [(v, f) for v in roots], split
     # column j of M_k holds the coefficients of ind[k] t^j mod f
     cols = [[(c * ExactPoly.monomial(1, j, var=var)) % f for c in ind]
             for j in range(f.degree)]
@@ -340,59 +362,73 @@ def _solve_indicial(ind, f: ExactPoly, var: str):
         [ExactPoly([col[k].coeff(i) for k in range(len(ind))], var="lam") for col in cols]
         for i in range(f.degree)
     ], var="lam").det()
+    roots, split = _split_roots(det.num)
     out = []
-    for v in gaussian_roots(det.num):
+    for v in roots:
         at_v = sum((c.scale(v**k) for k, c in enumerate(ind)), ExactPoly((), var=var))
         out.append((v, f.gcd(at_v)))
-    return out
+    return out, split
 
 
 # ---------------------------------------------------------------------------
 # Exponential solutions
 # ---------------------------------------------------------------------------
 
-def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
-    """Complete list of right factors D - r with r in Q(i)(t) and only
-    simple poles at finite points.
+def exp_solutions(L: DiffOperator) -> list:
+    """Right factors D - r of L with r in C(t), each certified by exact
+    substitution, as (r, certificate) pairs.  An empty list proves that
+    there is none; a search that could not cover all of C(t) raises
+    IncompleteSearchError instead of returning one.
 
-    Candidates are assembled from local exponents at the finite singular
-    points (residues of r) and the Newton polygon at infinity (the
-    polynomial part of r), then each is certified by exact substitution.
-    An empty list proves there is no exponential solution in this class."""
+    r = s' + tail + q'/q with s' the polynomial part, from the Newton
+    polygon at infinity, and q a polynomial solution of L twisted by
+    s' + tail.  The tail has a simple pole at each finite singular point
+    whose residue is a local exponent there, which must lie in Q(i), at a
+    regular point.  Exponents in one class modulo Z differ by the order of
+    a root of q, so each part of `singularity_analysis` offers the least
+    exponent of each class, and no pole for the integer class when its
+    least exponent is nonnegative.  A part with two or more choices is
+    split into its points in Q(i), and the rest, at whose points the
+    residue is then taken to be the same.  For each choice of s' and the
+    tail, one r is returned for each basis vector of the solutions q."""
     var = L.var
-    polys = L.cleared()
-    lead = polys[L.order]
-
-    # residue choice groups: one per subfactor of the leading coefficient
-    groups = []
-    for f, _m in squarefree_decomposition(lead):
-        if f.degree < 1:
+    incomplete = []
+    pieces = []  # (squarefree factor, residue choices at its points)
+    for rec in singularity_analysis(L).finite:
+        f = rec["factor"]
+        if not rec["regular"]:
+            incomplete.append(f"irregular singular point at the roots of {f}")
             continue
-        regular, exps = _local_data(polys, f.monic(), var)
-        if not regular:
+        if not rec["split"]:
+            incomplete.append(f"local exponent outside Q(i) at the roots of {f}")
+        least = {}  # the exponents are sorted, so the first of a class is least
+        for v in rec["exponents"]:
+            least.setdefault((v.re - math.floor(v.re), v.im), v)
+        choices = [None if key == (0, 0) and v.re >= 0 else v for key, v in least.items()]
+        if len(choices) < 2:
+            pieces.append((f, choices))
             continue
-        by_sub = {}
-        for v, g in exps:
-            by_sub.setdefault(str(g), (g.monic(), []))[1].append(v)
-        groups.extend(by_sub.values())
-
-    combos = [()]
-    for g, values in groups:
-        choices = [None] + values
-        combos = [c + ((g, v),) for c in combos for v in choices]
-        if len(combos) > max_combinations:
-            raise RuntimeError("residue combination search space too large")
+        roots, split = _split_roots(f)
+        for z in roots:
+            lin = ExactPoly([-z, 1], var=var)
+            pieces.append((lin, choices))
+            f = f.exact_div(lin)
+        if not split:
+            incomplete.append(f"residues may differ between the roots of {f}")
+            pieces.append((f, choices))
 
     results = []
     seen = set()
-    for combo in combos:
+    for combo in itertools.product(*(choices for _f, choices in pieces)):
         tail = ExactRatFunc.coerce(0, var)
-        for g, v in combo:
-            if v is None:
-                continue
-            tail = tail + ExactRatFunc(g.derivative().scale(v), g, var=var)
+        for (f, _), v in zip(pieces, combo):
+            if v is not None:
+                tail = tail + ExactRatFunc(f.derivative().scale(v), f, var=var)
         base = clear_denominators(_twist(L.coeffs, tail, var), var)[1]
-        for spoly, tp in _poly_part_candidates(base, var).items():
+        cands, split = _poly_part_candidates(base, var)
+        if not split:
+            incomplete.append("edge polynomial at infinity outside Q(i)")
+        for spoly, tp in cands.items():
             bound = _max_solution_degree(tp)
             for (q,) in _polynomial_solutions([[[c]] for c in tp], [bound], var):
                 r = (
@@ -404,6 +440,8 @@ def exp_solutions(L: DiffOperator, max_combinations: int = 400) -> list:
                 if key not in seen and L.apply_exp_ansatz(r).is_zero():
                     seen.add(key)
                     results.append((r, {"poly_part": spoly, "poly_factor": q}))
+    if incomplete and not results:
+        raise IncompleteSearchError("; ".join(dict.fromkeys(incomplete)))
     return results
 
 
@@ -499,7 +537,9 @@ def singularity_analysis(L: DiffOperator) -> SingularityData:
     """Finite singular points with exact exponents (shared across the roots
     of each squarefree factor, with factor splitting when they differ),
     regular/irregular classification, and the algebraic-growth exponents
-    at infinity."""
+    at infinity.  Each finite record also says, under "split" and not in
+    `to_json`, whether its exponent list holds every local exponent, that
+    is, whether all of them lie in Q(i)."""
     var = L.var
     polys = L.cleared()
     n = L.order
@@ -510,7 +550,7 @@ def singularity_analysis(L: DiffOperator) -> SingularityData:
         if f.degree < 1:
             continue
         fm = f.monic()
-        regular, exps = _local_data(polys, fm, var)
+        regular, exps, split = _local_data(polys, fm, var)
         if not regular:
             finite.append(
                 {
@@ -519,6 +559,7 @@ def singularity_analysis(L: DiffOperator) -> SingularityData:
                     "regular": False,
                     "exponents": [],
                     "num_points": fm.degree,
+                    "split": False,
                 }
             )
             continue
@@ -543,6 +584,7 @@ def singularity_analysis(L: DiffOperator) -> SingularityData:
                     "regular": True,
                     "exponents": sorted(vals, key=lambda s: (s.re, s.im)),
                     "num_points": p.degree,
+                    "split": split,
                 }
             )
 
@@ -579,9 +621,7 @@ def fuchsian_check(L: DiffOperator) -> dict:
 # Case-2 exponent bookkeeping
 # ---------------------------------------------------------------------------
 
-def case2_obstruction(
-    L: DiffOperator, symL: DiffOperator, sing: SingularityData
-) -> GaloisVerdict:
+def case2_obstruction(sing: SingularityData) -> GaloisVerdict:
     """Exponent bookkeeping for the symmetric-power obstruction.
 
     A candidate solution P(t) prod_i (t - t_i)^{a_i} of the symmetric power
@@ -640,7 +680,8 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
     (case 2).
 
     The case-1 search is complete only where every finite singular point
-    is regular, so an irregular one makes the verdict Inconclusive."""
+    is regular, so an irregular one makes the verdict Inconclusive, as
+    does any other part of C(t) that `exp_solutions` could not search."""
     L = operator if operator is not None else o3r_operator()
     evidence = {"operator_order": L.order}
 
@@ -651,7 +692,12 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
         return GaloisVerdict("Inconclusive", evidence | {
             "reason": "irregular finite singular point: case-1 search incomplete"})
 
-    sols = exp_solutions(L)
+    try:
+        sols = exp_solutions(L)
+    except IncompleteSearchError as e:
+        evidence["case1"] = {"excluded": False, "incomplete": str(e)}
+        return GaloisVerdict("Inconclusive", evidence | {
+            "reason": "case-1 search incomplete"})
     evidence["case1"] = {
         "exponential_solutions": [str(r) for r, _ in sols],
         "excluded": not sols,
@@ -672,7 +718,7 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
     sym3 = sym_power(L, 3)
     sing = singularity_analysis(sym3)
     lead = sym3.cleared()[sym3.order]
-    c2 = case2_obstruction(L, sym3, sing)
+    c2 = case2_obstruction(sing)
     evidence["case2"] = {
         "sym3_order": sym3.order,
         "singularity_polynomial": str(lead),
@@ -756,10 +802,11 @@ def system_exp_solutions(sys) -> list:
     polynomial solution of L_i twisted by s', so its degree is a nonnegative
     integer root of that operator's indicial polynomial at infinity.  Each
     component is searched up to that bound, and set to zero where s' is no
-    candidate of L_i or the root does not exist; no solution is missed.
-    The directions v are recovered exactly by undetermined coefficients in
-    den v' - den (B - s' I) v = 0 and normalized so the last nonzero
-    leading entry is one."""
+    candidate of L_i or the root does not exist; no solution with s' in
+    Q(i)[t], the class searched, is missed, so an edge polynomial that does
+    not split over Q(i) flags nothing here.  The directions v are recovered
+    exactly by undetermined coefficients in den v' - den (B - s' I) v = 0
+    and normalized so the last nonzero leading entry is one."""
     B = sys if isinstance(sys, ExactMatrix) else sys.A
     n = B.rows
     var = B.var
@@ -767,7 +814,7 @@ def system_exp_solutions(sys) -> list:
     cands = [
         _poly_part_candidates(
             clear_denominators(_minimal_annihilator(B, i, var).coeffs, var)[1], var
-        )
+        )[0]
         for i in range(n)
     ]
     # 0 first, then each annihilator's candidates in order

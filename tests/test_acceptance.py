@@ -261,7 +261,7 @@ def test_criterion_4_resonant_pipeline():
     assert sum(rec["num_points"] for rec in sing.finite) == 15
     assert sing.infinity["algebraic_exponents"] == [ExactScalar(2)]
 
-    c2 = case2_obstruction(L, sym3, sing)
+    c2 = case2_obstruction(sing)
     assert c2.tag == "NotSolvableIdentityComponent"
     assert c2.evidence["case2"] == "excluded"
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep import exactalg, galois, variational
@@ -30,6 +30,7 @@ from heisenkep.galois import (
     _sym_module,
     FactorizationBasis,
     GaloisVerdict,
+    IncompleteSearchError,
     ParabolicParams,
     SingularityData,
     case2_obstruction,
@@ -297,6 +298,52 @@ def test_exp_solutions_high_degree_polynomial_part(n):
     # per recursion level, with no cap on the number of levels
     r = ExactRatFunc(ExactPoly([1] * n))
     assert [found for found, _ in exp_solutions(DiffOperator([-r, 1]))] == [r]
+
+
+_PLANT_POINTS = [0, 1, -1, Fraction(1, 2), 2]
+_PLANT_RESIDUES = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), 2, -1]
+# (constant, [(point, residue), ...]): r = constant + sum residue/(t - point)
+planted_logderivs = st.tuples(
+    st.sampled_from([0, 1, -1, Fraction(1, 2)]),
+    st.lists(st.tuples(st.sampled_from(_PLANT_POINTS), st.sampled_from(_PLANT_RESIDUES)),
+             min_size=1, max_size=2, unique_by=lambda zr: zr[0]),
+)
+
+
+def _logderiv(constant, poles):
+    return sum((ExactRatFunc(ExactPoly([res]), ExactPoly([-z, 1])) for z, res in poles),
+               ExactRatFunc.coerce(constant))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_logderivs, planted_logderivs)
+# residue 1/2 at 1 for the one and at -1 for the other, both on t^2 - 1
+@example((0, [(1, Fraction(1, 2))]), (0, [(-1, Fraction(1, 2))]))
+def test_exp_solutions_planted_factor_pair(first, second):
+    # L = (D - a)(D - r1) with a = r2 + u'/u, u = r2 - r1, is solved by
+    # exp(int r1) and by exp(int r2), since (D - r1) exp(int r2) = u exp(int r2).
+    # When y2/y1 is rational (equal constants, residues differing by
+    # integers) the two lie in one pencil y1 (c1 + c2 q), of which
+    # exp_solutions returns a basis rather than every member, so such pairs
+    # are not drawn.
+    residues = [dict(poles) for _c, poles in (first, second)]
+    assume(first[0] != second[0] or any(
+        (residues[0].get(z, 0) - residues[1].get(z, 0)).denominator != 1
+        for z in _PLANT_POINTS))
+    r1, r2 = _logderiv(*first), _logderiv(*second)
+    u = r2 - r1
+    a = r2 + u.derivative() / u
+    L = DiffOperator([a * r1 - r1.derivative(), -(a + r1), 1])
+    found = [r for r, _ in exp_solutions(L)]
+    assert r1 in found and r2 in found
+
+
+def test_exp_solutions_irregular_point_raises():
+    # exp(-1/t) solves D - 1/t^2, and its logarithmic derivative has a double
+    # pole at the irregular point t = 0, which the residue search cannot offer
+    t = ExactPoly.x()
+    with pytest.raises(IncompleteSearchError, match="irregular"):
+        exp_solutions(DiffOperator([ExactRatFunc(ExactPoly([-1]), t * t), 1]))
 
 
 # -- symmetric powers -------------------------------------------------------
@@ -570,8 +617,8 @@ def test_fuchsian_check_classifications(o3r):
 
 # -- case-2 bookkeeping -----------------------------------------------------
 
-def test_case2_excluded_for_sym_cube(o3r, sym3):
-    v = case2_obstruction(o3r, sym3, singularity_analysis(sym3))
+def test_case2_excluded_for_sym_cube(sym3):
+    v = case2_obstruction(singularity_analysis(sym3))
     assert v.tag == "NotSolvableIdentityComponent"
     assert v.evidence["case2"] == "excluded"
 
@@ -595,16 +642,16 @@ def _synthetic_sing(exponents, alpha_inf):
     )
 
 
-def test_case2_degree_match_not_excluded(o3r, sym3):
+def test_case2_degree_match_not_excluded():
     sing = _synthetic_sing([0, 1, 2], [-3])
-    v = case2_obstruction(o3r, sym3, sing)
+    v = case2_obstruction(sing)
     assert v.tag == "Inconclusive"
     assert v.evidence["feasible_degrees"] == [3]
 
 
-def test_case2_half_integer_not_excluded(o3r, sym3):
+def test_case2_half_integer_not_excluded():
     sing = _synthetic_sing([Fraction(1, 2), 1], [2])
-    v = case2_obstruction(o3r, sym3, sing)
+    v = case2_obstruction(sing)
     assert v.tag == "Inconclusive"
     assert "non-polynomial" in v.evidence["reason"]
 
@@ -671,6 +718,64 @@ def test_irregular_finite_point_leaves_case_1_open():
     assert v.evidence["case1"] == {"excluded": False, "irregular_finite_points": ["t"]}
     assert "case-1 search incomplete" in v.evidence["reason"]
     assert "case2" not in v.evidence
+
+
+@pytest.mark.parametrize(
+    "L,cause",
+    [
+        # D^2 - 2, solved by exp(+-sqrt2 t): a torus, not a non-solvable group
+        (DiffOperator([-2, 0, 1]), "edge polynomial"),
+        # solved by t^(+-sqrt2) e^t: exponents +-sqrt2 at t = 0
+        (DiffOperator([ExactRatFunc(ExactPoly([-2, -1, 1]), ExactPoly([0, 0, 1])),
+                       ExactRatFunc(ExactPoly([1, -2]), ExactPoly.x()), 1]),
+         "local exponent"),
+        # solved by sqrt(t - sqrt2) and sqrt(t + sqrt2): exponents 0 and 1/2
+        # at both roots of t^2 - 2, which have no point in Q(i) to give each
+        # its own residue
+        (DiffOperator([ExactRatFunc(ExactPoly([Fraction(-1, 4)]), ExactPoly([-2, 0, 1])),
+                       ExactRatFunc(ExactPoly.x(), ExactPoly([-2, 0, 1])), 1]),
+         "residues may differ"),
+    ],
+    ids=["edge-outside-Q(i)", "exponent-outside-Q(i)", "points-outside-Q(i)"],
+)
+def test_case_1_search_outside_q_i_is_inconclusive(L, cause):
+    with pytest.raises(IncompleteSearchError, match=cause):
+        exp_solutions(L)
+    v = liouvillian_verdict_o3r(operator=L)
+    assert v.tag == "Inconclusive"
+    assert v.evidence["case1"]["excluded"] is False
+    assert cause in v.evidence["case1"]["incomplete"]
+    assert "case2" not in v.evidence
+
+
+def test_sym_cube_of_o3r_has_no_exponential_solution(sym3):
+    """Case 2 excluded by a second route.  o3r has no y'' term, so its group
+    lies in SL(3); an imprimitive one permutes three lines, so the product
+    y1 y2 y3 of their solutions is a semi-invariant, a solution of sym^3 whose
+    logarithmic derivative is rational.  So no exponential solution of sym^3
+    over C(t) excludes case 2.  A search over Q(i)(t) covers C(t) here:
+    every local exponent is an integer and every edge polynomial at infinity
+    splits over Q, so each candidate s' + tail lies in Q(i)(t), and for each
+    one q solves a linear system over Q(i)."""
+    sing = singularity_analysis(sym3)
+    assert all(e.is_real() and e.re.denominator == 1
+               for e in sing.all_finite_exponents())
+    cands, split = _poly_part_candidates(sym3.cleared(), sym3.var)
+    assert split and all(c.is_real() for s in cands for c in s.coeffs)
+    assert exp_solutions(sym3) == []
+
+
+def test_sym_cube_controls_return_their_exponential_solutions():
+    # sym^3(D^3) = D^7, solved by 1
+    d7 = sym_power(DiffOperator([0, 0, 0, 1]), 3)
+    assert d7.order == 7
+    assert ExactRatFunc.coerce(0) in [r for r, _ in exp_solutions(d7)]
+    # L = (D - 1/t)(D - r) has the solution exp(int r), whose cube gives 3r
+    t = ExactPoly.x()
+    r = ExactRatFunc.coerce(1) + ExactRatFunc(ExactPoly([Fraction(1, 2)]), t - 1)
+    m = ExactRatFunc(ExactPoly([1]), t)
+    L = DiffOperator([m * r - r.derivative(), -(r + m), 1])
+    assert r * ExactRatFunc.coerce(3) in [found for found, _ in exp_solutions(sym_power(L, 3))]
 
 
 # -- exterior square --------------------------------------------------------
@@ -845,7 +950,8 @@ def _reference_system_exp_solutions(B):
     s_candidates = [ExactPoly((), var=var)]
     for i in range(B.rows):
         ode = _minimal_annihilator(B, i, var)
-        for spoly in _poly_part_candidates(clear_denominators(ode.coeffs, var)[1], var):
+        cands, _split = _poly_part_candidates(clear_denominators(ode.coeffs, var)[1], var)
+        for spoly in cands:
             s = _integrate_poly(spoly)
             if s not in s_candidates:
                 s_candidates.append(s)
