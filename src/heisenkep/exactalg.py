@@ -1285,86 +1285,78 @@ def _divmod_mod(a: list[int], b: list[int], p: int):
 def _add_point(fs: list[list[int]], M: list[int], x: int, vs: list[int], p: int):
     """Extend the interpolants fs, in monomial form through the roots of M,
     by the values vs at the new point x: f <- f + (v - f(x)) M / M(x), one
-    modular inverse for all of them.  Returns M (t - x)."""
+    modular inverse for all of them.  Returns M (t - x), or None, leaving
+    fs as they are, when every f already takes its value at x."""
+    cs = [(v - _eval_mod(f, x, p)) % p for f, v in zip(fs, vs)]
+    if not any(cs):
+        return None
     inv = pow(_eval_mod(M, x, p), -1, p)
-    for f, v in zip(fs, vs):
-        c = (v - _eval_mod(f, x, p)) * inv % p
+    for f, c in zip(fs, cs):
         if c:
+            c = c * inv % p
             f.extend([0] * (len(M) - len(f)))
             f[:] = [(a + c * b) % p for a, b in zip(f, M)]
     return _times_linear(M, x, p)
 
 
-def _cauchy_mod(f: list[int], M: list[int], p: int):
-    """Rational function (num, den) over F_p, den monic, with
-    num = f den (mod M): the one through the points (x_i, f(x_i)) for the
-    roots x_i of M = prod (t - x_i).
-
-    The extended Euclidean algorithm runs on M and f, and the pair taken
-    is the one that the quotient of largest degree follows (maximal-quotient
-    rational reconstruction).  The true (num, den), with
-    deg num + deg den = T, has a quotient of degree deg M - T, larger than
-    all others together once deg M > 2 T."""
-    f = _trim(list(f))
-    if not f:
-        return (), (1,)
-    r0, r1, t0, t1 = M, f, [], [1]
-    best_q = -1
-    while r1:
-        q, rem = _divmod_mod(r0, r1, p)
-        if len(q) > best_q:
-            best_q, num, den = len(q), r1, t1
-        t2 = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
-        for i, a in enumerate(q):
-            if a:
-                t2[i : i + len(t1)] = [(c - a * b) % p for c, b in zip(t2[i : i + len(t1)], t1)]
-        r0, r1, t0, t1 = r1, rem, t1, _trim(t2)
-    inv = pow(den[-1], -1, p)
-    return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of a and b, not both zero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _mul_mod(a, b, p: int) -> list[int]:
-    """a b over F_p."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i : i + len(b)] = [x + c * y for x, y in zip(out[i : i + len(b)], b)]
-    return [c % p for c in out]
+def _lcm_factors(dens, p: int) -> list[list[int]]:
+    """Polynomials over F_p whose product is the lcm of the monic dens."""
+    factors = []
+    for den in dens:
+        for f in factors:
+            den = _divmod_mod(den, _gcd_mod(f, den, p), p)[0]
+        if len(den) > 1:
+            factors.append(den)
+    return factors
 
 
-def _over_den(f: list[int], den, M: list[int], p: int):
-    """Rational function (num, den') over F_p, den' monic, with
-    num = f den' (mod M) and den' dividing den: g = den f mod M over den,
-    reduced by their gcd.  If g is so long that deg g + deg den >= deg M,
-    den is no denominator of the interpolant that the points fix, and
-    _cauchy_mod's pair is returned instead."""
-    g = _divmod_mod(_mul_mod(den, f, p), M, p)[1]
-    if len(g) + len(den) > len(M):
-        return _cauchy_mod(f, M, p)
-    h, r = den, g
-    while r:
-        h, r = r, _divmod_mod(h, r, p)[1]
-    num, den = _divmod_mod(g, h, p)[0], _divmod_mod(den, h, p)[0]
-    inv = pow(den[-1], -1, p)
-    return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+_GREW = object()  # the order exceeds the tower (_dependency_mod, _tower_image)
 
 
-def _fits(rec, x: int, v: int, p: int) -> bool:
-    """num(x) = v den(x) modulo p, for rec = (num, den)."""
-    num, den = rec
-    return (_eval_mod(num, x, p) - v * _eval_mod(den, x, p)) % p == 0
-
-
-def _dependency_mod(cols: list[list[int]], p: int):
-    """Rank modulo p of columns c_0..c_m, and the b with
-    sum_{j<m} b_j c_j = -c_m when c_0..c_{m-1} are independent and c_m lies
-    in their span (None otherwise)."""
+def _dependency_mod(cols: list[list[int]], first, p: int):
+    """Forward elimination modulo p of the rows of columns c_0..c_m,
+    arranged as `first`, or as they come when it is None.  Returns _GREW
+    when all m + 1 columns are independent; None when c_0..c_{m-1} are
+    dependent, or when a pivot lies past the first m rows of `first`
+    (their minor is singular); else (b, det, order): sum_{j<m} b_j c_j
+    = -c_m, the rows as pivoted, and the determinant on c_0..c_{m-1} of
+    the first m rows of `first`, or of `order` when `first` is None."""
     m = len(cols) - 1
     rows = [list(r) for r in zip(*cols)]
-    pivots = _rref_mod(rows, p)
-    if pivots != list(range(m)):
-        return len(pivots), None
-    return m, [-rows[j][m] % p for j in range(m)]
+    order = list(range(len(rows))) if first is None else list(first)
+    rows = [rows[i] for i in order]
+    det, invs = 1, []
+    for c in range(m):
+        pr = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pr is None or (first is not None and pr >= m):
+            return None
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            order[c], order[pr] = order[pr], order[c]
+            if first is not None:
+                det = -det
+        piv = rows[c]
+        det = det * piv[c] % p
+        invs.append(pow(piv[c], -1, p))
+        for row in rows[c + 1 :]:
+            f = row[c] * invs[c] % p
+            if f:
+                row[c:] = [(a - f * v) % p for a, v in zip(row[c:], piv[c:])]
+    if any(row[m] for row in rows[m:]):
+        return _GREW
+    b = [0] * m
+    for j in reversed(range(m)):
+        row = rows[j]
+        b[j] = -(row[m] + sum(row[k] * b[k] for k in range(j + 1, m))) * invs[j] % p
+    return b, det, order
 
 
 def _tower_at(cols, x: int, p: int):
@@ -1392,77 +1384,74 @@ def _residues(cache: dict, tower, p: int, root: int):
     return cols
 
 
-_GREW = object()  # returned by _tower_image when the order exceeds the tower
+# G of the sample points k G mod p of _tower_image, floor(2^64 / golden
+# ratio): they lie far from the small rationals where a tower's poles and
+# symmetries sit.  At x = 2, 3, 4, ... the tower of y'' + y' / (t - 3)^2 = 0
+# has equal Delta and P_1 at 2 and 4, and constant interpolants would fit.
+_STEP = 0x9E3779B97F4A7C15
 
 
-def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int, start: int):
+def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int):
     """The dependency sum_{j<m} b_j w^(j) + w^(m) = 0 of the tower
-    w, ..., w^(m) modulo p, under i -> root, by Cauchy interpolation of
-    each b_j; the tower's residues come from `cache` (see _residues).
+    w, ..., w^(m) modulo p, under i -> root, by interpolating its Cramer
+    polynomials; the tower's residues come from `cache` (see _residues).
 
-    Points x = 2, 3, ... where a denominator vanishes, or where the
-    first m columns are dependent, are skipped.  A point where all m + 1
+    Sample points are k G mod p (see _STEP).  A point where all m + 1
     columns are independent proves that over Q(i)(t) too, and _GREW is
-    returned so that the caller derives w^(m+1).  At the other points the
-    values of the b_j and of the probe sum_j 3^j b_j extend one interpolant
-    each.  From `start` points on, the probe is reconstructed until its
-    reconstruction fits a fresh point; then each b_j is reconstructed once
-    over the probe's denominator D (see _over_den), and the image is
-    returned at the first later point that every b_j fits.  By Cramer's rule
-    b_j = Delta_j / Delta and the probe is sum_j 3^j Delta_j / Delta, so D is
-    a multiple of every reduced denominator den_j unless the probe cancels
-    a factor of Delta that some b_j keeps; such a b_j falls back to Cauchy
-    interpolation, or misfits.  A b_j that does not fit is reconstructed
-    again at that point by Cauchy interpolation.  `start`
-    is where the previous image of this order settled: it only delays the
-    first reconstruction and bounds nothing.
+    returned so that the caller derives w^(m+1).  The first point where
+    the first m columns are independent fixes one m x m minor of them: the
+    rows its pivoting takes.  Points at a pole, or where that minor is
+    singular (before it is fixed: where those columns are dependent), are
+    skipped.  Cleared by the lcm D over F_p of the tower's denominators,
+    which divides the image of their lcm over Q(i), the columns are
+    polynomials of degrees at most delta_i (see tower_annihilator).  So the
+    minor's determinant Delta and P_j = b_j Delta, by Cramer's rule the
+    minor with column j replaced by -c_m, are polynomials of degree at most
+    T.  Each point's elimination gives b_j(x) and Delta(x) / D(x)^m, and
+    Delta(x) and the P_j(x) extend one interpolant each.  Once all m + 1
+    fit a fresh point, or at T + 1 points, where they are exact, the image
+    b_j = P_j / Delta is returned, reduced by one gcd over F_p, as
+    [(num_j, den_j)] with den_j monic.
 
-    Returns ([(num_j, den_j)], the number of points at which the probe
-    settled, or 2 T + 1), or None when p is unlucky: it divides a coefficient
-    denominator, or more than `skips` points, the denominators' roots and
-    those of the Cramer denominator, are skipped.  Every
-    deg num_j + deg den_j, and that of the probe, is at most T (see
-    tower_annihilator).  Past 2 T points every reconstruction is the true
-    one, so at 2 T + 1 points the b_j are reconstructed by Cauchy
-    interpolation and returned without a further check, whatever `start`
-    is: no image takes more than 2 T + 1 points."""
+    Returns None when p is unlucky: it divides a coefficient denominator,
+    or more than `skips` points are skipped.  Unless the first m columns are
+    dependent modulo p, at most poles + sum_{i<m} delta_i are: the roots of
+    D and of the fixed minor's Delta, of degree at most sum_{i<m} delta_i
+    and nonzero at the point that fixed it."""
     cols = _residues(cache, tower, p, root)
     if cols is None:
         return None
     m = len(cols) - 1
-    skipped, M = 0, [1]
-    fs = [[] for _ in range(m + 1)]  # b_0, ..., b_{m-1} and the probe
-    probe = recs = None
-    x = 1
+    factors = _lcm_factors({tuple(den) for vec in cols for _, den in vec}, p)
+    fs = [[] for _ in range(m + 1)]  # P_0, ..., P_{m-1} and Delta
+    M, first, skipped, k = [1], None, 0, 0
     while True:
-        x += 1
+        k += 1
+        x = k * _STEP % p
         vals = _tower_at(cols, x, p)
-        rank, b = (0, None) if vals is None else _dependency_mod(vals, p)
-        if rank == m + 1:
+        dep = None if vals is None else _dependency_mod(vals, first, p)
+        if dep is _GREW:
             return _GREW
-        if b is None:
+        if dep is None:
             skipped += 1
             if skipped > skips:
                 return None
             continue
-        b.append(sum(pow(3, j, p) * v for j, v in enumerate(b)) % p)
-        M = _add_point(fs, M, x, b, p)
-        n = len(M) - 1
-        if n > 2 * T:
-            return [_cauchy_mod(f, M, p) for f in fs[:m]], n
-        if recs is None:
-            if n < start:
-                continue
-            if probe is None or not _fits(probe, x, b[m], p):
-                probe, settled = _cauchy_mod(fs[m], M, p), n
-                continue
-            recs = [_over_den(f, probe[1], M, p) for f in fs[:m]]
-            continue
-        misfits = [j for j in range(m) if not _fits(recs[j], x, b[j], p)]
-        if not misfits:
-            return recs, settled
-        for j in misfits:
-            recs[j] = _cauchy_mod(fs[j], M, p)
+        b, det, order = dep
+        if first is None:
+            first = order
+        delta = det * pow(math.prod(_eval_mod(f, x, p) for f in factors), m, p) % p
+        M = _add_point(fs, M, x, [v * delta % p for v in b] + [delta], p)
+        if M is None or len(M) > T + 1:
+            break
+    *ps, delta = fs
+    image = []
+    for f in ps:
+        g = _gcd_mod(delta, f, p)
+        num, den = _divmod_mod(f, g, p)[0], _divmod_mod(delta, g, p)[0]
+        inv = pow(den[-1], -1, p)
+        image.append((tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)))
+    return image
 
 
 def _z_i(polys) -> list[tuple[list[int], list[int]]]:
@@ -1527,13 +1516,13 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
 
     The order m and the b_j are found modulo primes p = 1 (mod 4), under
     both embeddings i -> +-sqrt(-1), or one when every entry of the tower
-    up to w^(m) is real, by sampling at integer points and Cauchy
-    interpolation; they are lifted to Q(i)(t) by CRT and rational
-    reconstruction, and returned only once they pass an exact substitution
-    into the tower.  Reconstruction guesses when its balanced bound is not
-    met yet (see _reconstruct), so the lift often ends at fewer primes than
-    the bound below needs; a wrong guess fails the substitution, and the
-    next prime is folded in as before.  A real tower has the two
+    up to w^(m) is real, by sampling modulo p and interpolating the Cramer
+    polynomials of one minor (see _tower_image); they are lifted to
+    Q(i)(t) by CRT and rational reconstruction, and returned only once they
+    pass an exact substitution into the tower.  Reconstruction guesses when
+    its balanced bound is not met yet (see _reconstruct), so the lift often
+    ends at fewer primes than the bound below needs; a wrong guess fails the
+    substitution, and the next prime is folded in as before.  A real tower has the two
     embeddings' images equal, and its first monic dependency is unique,
     hence its own conjugate, with real b_j: one image per prime gives it,
     with imaginary parts 0.  K below counts primes, not images, so it is
@@ -1541,14 +1530,20 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
 
     The tower is derived lazily: w^(m+1) is formed only when a sample point
     proves w, ..., w^(m) independent, so independence of w, ..., w^(m-1) is
-    proved by their full rank modulo p at a point.  Each image starts
-    reconstructing where the previous image of the same order settled.
+    proved by their full rank modulo p at a point.
+
+    The certified b_j = num_j / den_j are returned without a gcd over
+    Q(i)[t].  They reduce modulo the last prime p to its image, which is
+    coprime over F_p with den_j monic.  A monic common factor over Q(i) of
+    num_j and den_j would, by Gauss's lemma over Z[i] localized at p, be
+    p-integral, and reduce to a common factor of that image modulo p.
 
     Bring the columns w, ..., w^(m) to polynomials c_0, ..., c_m with one
     polynomial, of degrees delta_i, and then into Z[i][t] with one integer.
-    By Cramer's rule b_j = Delta_j / Delta for m x m minors, with
-    deg Delta <= sum_{i<m} delta_i and
-    deg Delta_j + deg Delta <= T = sum_{i<=m} delta_i - delta_j
+    By Cramer's rule b_j = Delta_j / Delta for the m x m minor Delta of
+    any m rows on which c_0, ..., c_{m-1} are independent, with Delta_j that
+    minor with column j replaced by -c_m, so deg Delta <= sum_{i<m} delta_i
+    and deg Delta_j + deg Delta <= T = sum_{i<=m} delta_i - delta_j
     + sum_{i<m} delta_i.  Expanding a determinant shows that every minor has
     coefficients at most H = prod_i max(1, |c_i|_1), with |c_i|_1 the sum
     of |re| + |im| over the coefficients of column i.
@@ -1558,22 +1553,24 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     Delta_j and Delta, so by Mignotte's bound their coefficients are at
     most C = 2^T sqrt(T + 1) H, and the coefficients of n_j / lc(d_j) and
     d_j / lc(d_j) have real and imaginary parts with numerators, and a
-    denominator |lc(d_j)|^2, at most C^2.  Call p unlucky if it divides a
-    coefficient denominator of the tower, the norm (at most H^2) of a
-    nonzero coefficient of Delta, or for some j the norm of lc(n_j), of
-    lc(d_j) (at most C^2 each) or of Res(n_j, d_j) (at most
-    ((T + 1) C^2)^T by Hadamard).  At any other p, Delta does not vanish
-    modulo p, so no image is skipped as unlucky, and every image is that of
-    the b_j, with their degrees.  Any image is Delta'_j / Delta' modulo p
-    for a minor Delta' not vanishing modulo p, so it has the true degrees
-    only if it is the true image, and lower ones otherwise.  So the lift
-    keeps the lucky primes, which are all but U / 61 of the primes, U being
-    the bit length of the product of those integers; every prime exceeds
-    2^61.  The running denominator of the lift is at most C^(2m), so the
+    denominator |lc(d_j)|^2, at most C^2.  Fix one nonzero minor Delta.
+    Call p unlucky if it divides a coefficient denominator of the tower,
+    the norm (at most H^2) of a nonzero coefficient of Delta, or for some j
+    the norm of lc(n_j), of lc(d_j) (at most C^2 each) or of Res(n_j, d_j)
+    (at most ((T + 1) C^2)^T by Hadamard).  At any other p, Delta does not
+    vanish modulo p, so c_0, ..., c_{m-1} are independent modulo p and no
+    image is skipped as unlucky.  The minor that an image fixes may be
+    another, but it does not vanish modulo p either, and any such minor
+    gives P_j / Delta' = b_j modulo p; so every image at such a p is that
+    of the b_j, with their degrees.  At any p the image is b_j modulo p
+    reduced, so it has the true degrees only if it is the true image, and
+    lower ones otherwise.  So the lift keeps the lucky primes, which are
+    all but U / 61 of the primes, U being the bit length of the product of
+    those integers; every prime exceeds 2^61.  The running denominator of the lift is at most C^(2m), so the
     balanced attempt of reconstruction succeeds once the lucky primes
     multiply to more than 2 C^(4m + 4), whatever guesses came before.  K is
     the two counts, rounded up, plus one, and it restarts at each order.
-    The count takes each image to be exact, as it is from 2 T + 1 points
+    The count takes each image to be exact, as it is from T + 1 points
     on.  An image ended earlier can be wrong, or below the final order miss
     every point of full rank, only when its fresh points are roots modulo p
     of a nonzero polynomial that the tower fixes; a wrong image of higher
@@ -1598,17 +1595,15 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
         T = cramer + sum(delta) - min(delta[:m])
         real = all(c.is_real() for e in flat for f in (e.num, e.den) for c in f.coeffs)
         best = acc = None
-        hint = 1
         for n in range(n, n + _prime_budget(flat, polys, k, m, T)):
             p, s = _modulus(n)
             residues = {key: cols for key, cols in residues.items() if key[0] == p}
             images = []
             for root in (s,) if real else (s, p - s):
-                image = _tower_image(residues, tower, p, root, T, poles + cramer, hint)
+                image = _tower_image(residues, tower, p, root, T, poles + cramer)
                 if image is None or image is _GREW:
                     break
-                coeffs, hint = image
-                images.append(coeffs)
+                images.append(image)
             if image is _GREW:
                 break  # derive w^(m+1) and sample again at p
             if image is None:
@@ -1633,7 +1628,7 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
             coeffs = [tuple(ExactPoly([next(it) for _ in range(d)], var=var) for d in ab)
                       for ab in shape]
             if _certified(tower, m, coeffs):
-                return ([ExactRatFunc(num, den) for num, den in coeffs]
+                return ([ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
                         + [ExactRatFunc.coerce(1, var)])
         else:
             raise RuntimeError("tower_annihilator exceeded its bound on the primes")

@@ -20,10 +20,7 @@ from heisenkep.exactalg import (
     clear_denominators,
     _add_point,
     _annihilates,
-    _cauchy_mod,
-    _divmod_mod,
     _eval_mod,
-    _fits,
     _gaussian_integer_row,
     _is_prime,
     _lift_gaussian,
@@ -718,52 +715,40 @@ def test_tower_annihilator_derives_lazily():
 
 
 @st.composite
-def planted_fractions(draw):
-    """(p, num, den) over F_p: den monic with distinct roots, some of them
-    among the sample points 0, 1, 2, ..., and num nonzero at every root (or
-    num = 0)."""
+def planted_polynomials(draw):
+    """(p, f, xs) over F_p: f of degree below 6 (or f = 0), and distinct
+    sample points xs, more of them than f and f + t^len(f) need."""
     p = draw(st.sampled_from((101, 10007, _modulus(0)[0])))
-    roots = draw(st.lists(st.integers(0, 12), max_size=3, unique=True))
-    roots += draw(st.lists(st.integers(13, p - 1), max_size=2, unique=True))
-    den = [1]
-    for r in roots:
-        den = [(a - r * b) % p for a, b in zip([0] + den, den + [0])]
-    num = draw(st.lists(st.integers(0, p - 1), max_size=5))
-    while num and not num[-1]:
-        num.pop()
-    if num and any(not _eval_mod(num, r, p) for r in roots):
-        num = []
-    return p, num, den
+    f = draw(st.lists(st.integers(0, p - 1), max_size=6))
+    while f and not f[-1]:
+        f.pop()
+    xs = draw(st.lists(st.integers(0, 100), min_size=len(f) + 3, max_size=10, unique=True))
+    return p, f, xs
 
 
 @settings(max_examples=150, deadline=None)
-@given(planted_fractions())
-def test_incremental_interpolant_reconstructs_a_planted_fraction(planted):
-    # sample num / den at x = 0, 1, 2, ..., skipping its poles: the MQRR of
-    # the incremental interpolant is (num, den) once there are more than
-    # 2 T points, and that pair fits every later point
-    p, num, den = planted
-    want = (tuple(num), tuple(den)) if num else ((), (1,))
-    T = len(want[0]) + len(want[1]) - 2 if num else 0
-    fs, M, xs, vs = [[], []], [1], [], []
-    x = -1
-    while len(xs) < 2 * T + 4:
-        x += 1
-        d = _eval_mod(den, x, p)
-        if not d:
-            continue  # a pole
-        v = _eval_mod(num, x, p) * pow(d, -1, p) % p
-        if len(xs) > 2 * T:
-            assert _fits(want, x, v, p) and not _fits(want, x, v + 1, p)
-        # the second interpolant shares the points, with other values
-        M = _add_point(fs, M, x, [v, (v + x * x) % p], p)
-        xs.append(x)
-        vs.append(v)
-        assert all(_eval_mod(fs[0], xi, p) == vi
-                   and _eval_mod(fs[1], xi, p) == (vi + xi * xi) % p
-                   for xi, vi in zip(xs, vs))
-        if len(xs) > 2 * T:
-            assert _cauchy_mod(fs[0], M, p) == want
+@given(planted_polynomials())
+def test_incremental_interpolant_fits_a_planted_polynomial(planted):
+    # sample f and g = f + t^n, n = len(f), at distinct points: a point
+    # that both interpolants already fit is not added; the others extend
+    # them through every point added so far.  The (n + 1)-th point added
+    # still extends g's, and from there on both are exact: every point fits
+    # and _add_point leaves them as they are
+    p, f, xs = planted
+    n = len(f)
+    g = f + [1]
+    fs, M, added = [[], []], [1], []
+    for x in xs:
+        out = _add_point(fs, M, x, [_eval_mod(f, x, p), _eval_mod(g, x, p)], p)
+        if len(added) > n:
+            assert out is None and fs == [f, g]
+            continue
+        assert out is not None or len(added) < n
+        if out is not None:
+            M = out
+            added.append(x)
+        assert all(_eval_mod(fs[0], xi, p) == _eval_mod(f, xi, p)
+                   and _eval_mod(fs[1], xi, p) == _eval_mod(g, xi, p) for xi in added)
 
 
 def _one_dimensional_tower(r):
@@ -774,25 +759,23 @@ def _one_dimensional_tower(r):
 def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
     # y' = r y with r = 1/(t - 2) - 1/(t - 2 - p) = -p / ((t - 2)(t - 2 - p))
     # for the first modulus p: the image modulo p is b_0 = 0, of lower
-    # degree than the true b_0 = -r, and it settles at once, so the next
-    # prime starts from a hint far below the points the true image needs
+    # degree than the true b_0 = -r, and a later prime gives -r
     p = _modulus(0)[0]
     r = ExactRatFunc(1, ExactPoly([-2, 1])) - ExactRatFunc(1, ExactPoly([-2 - p, 1]))
     images = []
     image = exactalg._tower_image
 
-    def spy(cache, tower, q, root, T, skips, start):
-        out = image(cache, tower, q, root, T, skips, start)
-        images.append((q, start, out))
+    def spy(cache, tower, q, root, T, skips):
+        out = image(cache, tower, q, root, T, skips)
+        images.append((q, out))
         return out
 
     monkeypatch.setattr(exactalg, "_tower_image", spy)
     w, derive = _one_dimensional_tower(r)
     assert tower_annihilator(w, derive) == [-r, ExactRatFunc.coerce(1)]
-    (q0, _, (coeffs0, settled0)), *rest = images
-    q1, start1, (_, settled1) = next(im for im in rest if im[0] != p)
+    (q0, coeffs0), *rest = images
     assert q0 == p and coeffs0 == [((), (1,))]
-    assert q1 != p and start1 <= settled0 < settled1
+    assert any(q != p for q, _ in rest)
 
 
 def _tower_images_per_prime(monkeypatch, r):
@@ -801,9 +784,9 @@ def _tower_images_per_prime(monkeypatch, r):
     calls = []
     image = exactalg._tower_image
 
-    def spy(cache, tower, q, root, T, skips, start):
+    def spy(cache, tower, q, root, T, skips):
         calls.append((len(tower), q, root))
-        return image(cache, tower, q, root, T, skips, start)
+        return image(cache, tower, q, root, T, skips)
 
     monkeypatch.setattr(exactalg, "_tower_image", spy)
     ann = tower_annihilator(*_one_dimensional_tower(r))
@@ -828,22 +811,6 @@ def test_tower_annihilator_takes_two_images_per_prime_for_a_gaussian_tower(monke
     ann, calls = _tower_images_per_prime(monkeypatch, r)
     assert ann == [-r, ExactRatFunc.coerce(1)]
     assert set(calls.values()) == {2}
-
-
-def test_tower_image_start_only_delays():
-    # any start, even past the 2 T + 1 points that make an image exact,
-    # gives the same image; a stale hint costs points, never the answer
-    r = ExactRatFunc(ExactPoly([3, 0, 1]), ExactPoly([5, -1, 1]))
-    w, derive = _one_dimensional_tower(r)
-    tower = [w, derive(w)]
-    p, s = _modulus(0)
-    # cleared columns t^2 - t + 5 and t^2 + 3: T = 2 + 4 - 2, and two poles
-    # plus a Cramer degree of 2 may be skipped
-    T, skips = 4, 4
-    want = _tower_image({}, tower, p, s, T, skips, 1)[0]
-    assert want == [((p - 3, 0, p - 1), (5, p - 1, 1))]  # b_0 = -r
-    for start in range(1, 2 * T + 4):
-        assert _tower_image({}, tower, p, s, T, skips, start)[0] == want
 
 
 def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeypatch):
@@ -882,45 +849,111 @@ def _companion_tower(b0, b1):
 _T = ExactPoly([0, 1])
 
 
-@pytest.mark.parametrize("b0, b1, shared", [
-    # b_j = N_j / D with one D = (t - 7)(t + 2): the probe b_0 + 3 b_1 is
-    # (t^2 + 9 t - 2) / D
+@pytest.mark.parametrize("b0, b1", [
+    # b_j = N_j / D with one D = (t - 7)(t + 2)
     (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)),
-     ExactRatFunc(3 * _T - 1, (_T - 7) * (_T + 2)), True),
-    # b_1 = (t + 2) / D reduces to 1 / (t - 7): the probe is
-    # (t^2 + 3 t + 7) / D, and g / D for b_1 needs the gcd
-    (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)), ExactRatFunc(1, _T - 7), True),
-    # b_0 = 3 / (t - 7) + 1 / (t + 2) and b_1 = -1 / (t - 7): the probe is
-    # 1 / (t + 2), and neither den_j divides t + 2
-    (ExactRatFunc(3, _T - 7) + ExactRatFunc(1, _T + 2), ExactRatFunc(-1, _T - 7), False),
+     ExactRatFunc(3 * _T - 1, (_T - 7) * (_T + 2))),
+    # b_1 = (t + 2) / D reduces to 1 / (t - 7): P_1 / Delta needs the gcd
+    (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)), ExactRatFunc(1, _T - 7)),
+    # b_0 = 3 / (t - 7) + 1 / (t + 2) and b_1 = -1 / (t - 7)
+    (ExactRatFunc(3, _T - 7) + ExactRatFunc(1, _T + 2), ExactRatFunc(-1, _T - 7)),
 ])
-def test_tower_image_over_the_probe_denominator(monkeypatch, b0, b1, shared):
+def test_tower_image_is_the_reduced_cramer_quotient(monkeypatch, b0, b1):
     w, derive = _companion_tower(b0, b1)
     assert tower_annihilator(w, derive) == [b0, b1, ExactRatFunc.coerce(1)]
     tower = [w, derive(w)]
     tower.append(derive(tower[-1]))
     p, s = _modulus(0)
     T, skips = 20, 20
-    over, cauchy = exactalg._over_den, exactalg._cauchy_mod
-    calls = []
-
-    def spy(f, den, M, q):
-        out = over(f, den, M, q)
-        calls.append((out, den, cauchy(f, M, q)))
-        return out
-
-    monkeypatch.setattr(exactalg, "_over_den", spy)
-    image, settled = _tower_image({}, tower, p, s, T, skips, 1)
+    image = _tower_image({}, tower, p, s, T, skips)
     # the images of b_0 and b_1, their denominators monic
     assert image == [(tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s)))
                      for b in (b0, b1)]
-    assert len(calls) == 2 and all(out == by_cauchy for out, _, by_cauchy in calls)
-    # the route over the probe's denominator returns a divisor of it; the
-    # fallback need not
-    divides = [not _divmod_mod(den, out[1], p)[1] for out, den, _ in calls]
-    assert all(divides) == shared
-    monkeypatch.setattr(exactalg, "_over_den", lambda f, den, M, q: cauchy(f, M, q))
-    assert _tower_image({}, tower, p, s, T, skips, 1) == (image, settled)
+    # with no early stop, the interpolants are exact at T + 1 points and
+    # give the same image
+    points = []
+    add, grow = exactalg._add_point, exactalg._times_linear
+
+    def no_fit(fs, M, x, vs, q):
+        points.append(x)
+        return add(fs, M, x, vs, q) or grow(M, x, q)
+
+    monkeypatch.setattr(exactalg, "_add_point", no_fit)
+    assert _tower_image({}, tower, p, s, T, skips) == image
+    assert len(points) == T + 1
+
+
+def test_tower_image_keeps_its_minor_through_a_pivot_swap():
+    # w = (t - a, 1) under y'' = 0, with a the second sample point modulo
+    # the first prime: there the first row's pivot vanishes and elimination
+    # swaps rows, but Delta must stay the determinant of the minor that the
+    # first point fixed.  The dependency has b_0 = 2 / ((t - a)^2 - 1) and
+    # b_1 = -(t - a) b_0.
+    p, s = _modulus(0)
+    a = 2 * exactalg._STEP % p
+    u = _T - a
+    b0 = ExactRatFunc(2, u * u - 1)
+    b1 = -b0 * u
+    derive = _companion_tower(ExactRatFunc.coerce(0), ExactRatFunc.coerce(0))[1]
+    tower = [[ExactRatFunc(u), ExactRatFunc.coerce(1)]]
+    for _ in range(2):
+        tower.append(derive(tower[-1]))
+    assert _tower_image({}, tower, p, s, 20, 20) == [
+        (tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s))) for b in (b0, b1)]
+
+
+_GAUSSIAN = st.builds(ExactScalar, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+# poles at the sample points 2 and 3, off them, and at +-i
+_POLE_FACTORS = (_T - 2, _T - 3, _T - Fraction(1, 2), _T * _T + 1, _T - ExactScalar(0, 1))
+
+
+@st.composite
+def planted_companions(draw):
+    """b_0 and b_1 with Gaussian-rational coefficients, over denominators
+    made of _POLE_FACTORS: a shared part, with repeats, and a part of
+    each."""
+    shared = draw(st.lists(st.sampled_from(_POLE_FACTORS), max_size=2))
+
+    def fraction():
+        num = ExactPoly(draw(st.lists(_GAUSSIAN, max_size=3)))
+        own = draw(st.lists(st.sampled_from(_POLE_FACTORS), max_size=2))
+        return ExactRatFunc(num, math.prod(shared + own, start=ExactPoly([1])))
+
+    return fraction(), fraction()
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_companions())
+@example((ExactRatFunc(_T, (_T - 2) ** 2 * (_T - 3)), ExactRatFunc(1, (_T - 2) * (_T * _T + 1))))
+# Delta = (t - 3)^4 and P_1 = i (t - 3)^2 take equal values at t = 2 and 4
+@example((ExactRatFunc(0), ExactRatFunc(ExactPoly([ExactScalar(0, 1)]), (_T - 3) ** 2)))
+def test_tower_annihilator_recovers_planted_companion_towers(planted):
+    # the companion tower of y'' + b_1 y' + b_0 y carries the content D^2
+    # of its common denominator D in the Cramer polynomials; every image at
+    # the final order still samples at most T + 1 points past its skips
+    b0, b1 = planted
+    points, images = [0], []
+    tower_at, image = exactalg._tower_at, exactalg._tower_image
+
+    def count_points(*args):
+        points[0] += 1
+        return tower_at(*args)
+
+    def count_images(cache, tower, q, root, T, skips):
+        before = points[0]
+        out = image(cache, tower, q, root, T, skips)
+        images.append((len(tower), T, skips, points[0] - before))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_tower_at", count_points)
+        mp.setattr(exactalg, "_tower_image", count_images)
+        ann = tower_annihilator(*_companion_tower(b0, b1))
+    assert ann == [b0, b1, ExactRatFunc.coerce(1)]
+    # canonical as returned, with no gcd over Q(i)[t]
+    assert all(ExactRatFunc(b.num, b.den) == b for b in ann)
+    assert all(n <= T + 1 + skips for size, T, skips, n in images if size == 3)
 
 
 # -- copying and pickling -----------------------------------------------------

@@ -16,6 +16,7 @@ from heisenkep.exactalg import (
     ExactRatFunc,
     ExactScalar,
     _certified,
+    _GREW,
     _dependency_mod,
     _modulus,
     _poly_mod,
@@ -350,11 +351,16 @@ def test_exp_solutions_irregular_point_raises():
 
 def test_solve_dependency():
     p = _modulus(0)[0]
-    assert _dependency_mod([[1, 0, 0], [0, 1, 0], [1, 2, 0]], p) == (2, [p - 1, p - 2])
+    cols = [[1, 0, 0], [0, 1, 0], [1, 2, 0]]
+    assert _dependency_mod(cols, None, p) == ([p - 1, p - 2], 1, [0, 1, 2])
+    # rows 1 and 0 first: their minor [[0, 1], [1, 0]] has determinant -1
+    assert _dependency_mod(cols, [1, 0, 2], p) == ([p - 1, p - 2], p - 1, [0, 1, 2])
+    # rows 2 and 0 first: a singular minor
+    assert _dependency_mod(cols, [2, 0, 1], p) is None
     # the leading columns are dependent
-    assert _dependency_mod([[1, 2, 0], [2, 4, 0], [0, 0, 1]], p)[1] is None
+    assert _dependency_mod([[1, 2, 0], [2, 4, 0], [0, 0, 1]], None, p) is None
     # the last column lies outside their span: full rank
-    assert _dependency_mod([[1, 0, 0], [0, 1, 0], [0, 0, 1]], p) == (3, None)
+    assert _dependency_mod([[1, 0, 0], [0, 1, 0], [0, 0, 1]], None, p) is _GREW
 
 
 def test_sym_square_of_free_particle():
@@ -441,34 +447,37 @@ def test_sym_power_certificate_rejects_a_wrong_coefficient():
 
 
 def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
-    # deterministic work counts of the symmetric cube: Cauchy interpolations
-    # (240 before early termination, 60 before the b_j shared the probe's
-    # denominator, 39 since), reductions of tower entries modulo a prime
-    # (1960 before residues were kept), each entry reduced once per prime
-    # and embedding, and primes at the final order (2 before reconstruction
-    # guessed past the balanced bound)
-    recs, reductions, images = [0], {}, []
-    cauchy, poly_mod, image = exactalg._cauchy_mod, exactalg._poly_mod, exactalg._tower_image
+    # deterministic work counts of the symmetric cube: sample points of each
+    # image at the final order (41 while each b_j was a rational
+    # reconstruction, 24 since its Cramer polynomials are interpolated:
+    # deg Delta = 15 and deg P_j <= 22), reductions of tower entries modulo
+    # a prime (1960 before residues were kept), each entry reduced once per
+    # prime and embedding, and primes at the final order (2 before
+    # reconstruction guessed past the balanced bound)
+    points, reductions, images = [0], {}, []
+    tower_at, poly_mod, image = exactalg._tower_at, exactalg._poly_mod, exactalg._tower_image
 
-    def count_cauchy(*args):
-        recs[0] += 1
-        return cauchy(*args)
+    def count_points(*args):
+        points[0] += 1
+        return tower_at(*args)
 
     def count_poly_mod(f, p, root):
         reductions[p, root] = reductions.get((p, root), 0) + 1
         return poly_mod(f, p, root)
 
-    def count_images(cache, tower, p, root, T, skips, start):
-        images.append((len(tower), p))
-        return image(cache, tower, p, root, T, skips, start)
+    def count_images(cache, tower, p, root, T, skips):
+        before = points[0]
+        out = image(cache, tower, p, root, T, skips)
+        images.append((len(tower), p, points[0] - before))
+        return out
 
-    monkeypatch.setattr(exactalg, "_cauchy_mod", count_cauchy)
+    monkeypatch.setattr(exactalg, "_tower_at", count_points)
     monkeypatch.setattr(exactalg, "_poly_mod", count_poly_mod)
     monkeypatch.setattr(exactalg, "_tower_image", count_images)
     assert sym_power(o3r, 3) == sym3
-    assert recs[0] <= 45
-    final = max(n for n, _ in images)
-    assert len({p for n, p in images if n == final}) == 1
+    final = max(n for n, _, _ in images)
+    assert len({p for n, p, _ in images if n == final}) == 1
+    assert all(k <= 26 for n, _, k in images if n == final)
     assert sum(reductions.values()) <= 1000
     # numerator and denominator of 10 entries in each of the 11 vectors
     assert set(reductions.values()) == {2 * 10 * 11}
