@@ -6,10 +6,14 @@ construction time, so equality is structural and instances are hashable.
 
 A scalar is the Gaussian integer a + b*i over one positive integer
 denominator d, held as the three ints (a, b, d) with gcd(a, b, d) = 1, and
-zero as (0, 0, 1).  Arithmetic is integer arithmetic with one gcd per
-result, in place of a gcd for each of two ``Fraction`` parts.  Readers of
-the integer parts (the multi-modular kernel, reduction modulo a prime)
-scale by d directly.
+zero as (0, 0, 1).  A polynomial is its Gaussian-integer numerators over
+one positive integer denominator: int tuples re and im and an int d, with
+gcd(d, re..., im...) = 1 and the leading pair nonzero, and zero as
+((), (), 1).  Arithmetic on either is integer arithmetic with one gcd per
+result, in place of a gcd for each of two ``Fraction`` parts of every
+coefficient.  A polynomial's tuple of scalar coefficients is built only
+when read.  Readers of the integer parts (the multi-modular kernel,
+reduction modulo a prime, the root finder) scale by d directly.
 
 The coefficient field is Q(i) only; no further algebraic extensions are
 introduced.  Roots are found in Q(i) exactly (`gaussian_roots`), and
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re as _re
 from fractions import Fraction
 
@@ -277,21 +282,31 @@ _ONE = ExactScalar(1)
 # ---------------------------------------------------------------------------
 
 class ExactPoly:
-    """Univariate polynomial over Q(i), coefficients stored degree-ascending.
+    """Univariate polynomial over Q(i), held as Gaussian-integer numerators
+    over one positive integer denominator.
 
-    The zero polynomial has an empty coefficient tuple and degree -1
-    (the distinguished sentinel).  Trailing zero coefficients are stripped
-    at construction so the leading coefficient is always nonzero.
+    ``re`` and ``im`` are tuples of ints and ``d`` is an int: coefficient k
+    is (re[k] + im[k]*i)/d, degree-ascending.  The canonical form has
+    gcd(d, re..., im...) = 1 and the leading pair nonzero; the zero
+    polynomial is ((), (), 1), of degree -1.  Every constructor returns it,
+    so equality is structural.  Arithmetic is integer arithmetic that
+    normalizes each result once, with one gcd over its integers.
+
+    ``coeffs``, the coefficients as a tuple of ExactScalar, is built from the
+    integers when first read and then kept; ``hash``, ``str``, ``to_json``
+    and pickling read it, so they are those of that tuple.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("re", "im", "d", "var", "_coeffs")
 
-    def __init__(self, coeffs=(), var: str = "t"):
+    def __new__(cls, coeffs=(), var: str = "t"):
         cs = [ExactScalar.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
+        # over the lcm of canonical denominators the parts share no factor
+        d = math.lcm(*[c.d for c in cs])
+        return _poly(tuple(c.a * (d // c.d) for c in cs),
+                     tuple(c.b * (d // c.d) for c in cs), d, var)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPoly is immutable")
@@ -299,11 +314,20 @@ class ExactPoly:
     def __reduce__(self):
         return ExactPoly, (self.coeffs, self.var)
 
+    @property
+    def coeffs(self) -> tuple:
+        cs = self._coeffs
+        if cs is None:
+            cs = tuple(map(_mk, self.re, self.im, itertools.repeat(self.d)))
+            _set_coeffs(self, cs)
+        return cs
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(c, var: str = "t") -> "ExactPoly":
-        return ExactPoly([ExactScalar.coerce(c)], var=var)
+        c = ExactScalar.coerce(c)
+        return _poly((c.a,), (c.b,), c.d, var) if c else _poly((), (), 1, var)
 
     @staticmethod
     def x(var: str = "t") -> "ExactPoly":
@@ -323,21 +347,21 @@ class ExactPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def leading(self) -> ExactScalar:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _mk(self.re[-1], self.im[-1], self.d)
 
     def coeff(self, k: int) -> ExactScalar:
-        return self.coeffs[k] if 0 <= k <= self.degree else _ZERO
+        return _mk(self.re[k], self.im[k], self.d) if 0 <= k < len(self.re) else _ZERO
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -348,45 +372,69 @@ class ExactPoly:
             return self.var
         raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "ExactPoly":
+        """self op other for op add or sub, over the lcm of the denominators."""
         other = ExactPoly.coerce(other, self.var)
         var = self._cvar(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly(
-            [self.coeff(k) + other.coeff(k) for k in range(n)], var=var
-        )
+        ar, ai, d = self.re, self.im, self.d
+        br, bi, e = other.re, other.im, other.d
+        if d != e:
+            g = math.gcd(d, e)
+            u, w = e // g, d // g
+            ar, ai = [x * u for x in ar], [x * u for x in ai]
+            br, bi = [x * w for x in br], [x * w for x in bi]
+            d *= u
+        return _pmk([op(x, y) for x, y in itertools.zip_longest(ar, br, fillvalue=0)],
+                    [op(x, y) for x, y in itertools.zip_longest(ai, bi, fillvalue=0)],
+                    d, var)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-ExactPoly.coerce(other, self.var))
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return ExactPoly.coerce(other, self.var) - self
 
     def __neg__(self):
-        return ExactPoly([-c for c in self.coeffs], var=self.var)
+        return _poly(tuple(-x for x in self.re), tuple(-x for x in self.im), self.d, self.var)
 
     def __mul__(self, other):
         if isinstance(other, ExactScalar):
-            other = ExactPoly.constant(other, var=self.var)
+            return self.scale(other)
         other = ExactPoly.coerce(other, self.var)
         var = self._cvar(other)
-        if self.is_zero() or other.is_zero():
-            return ExactPoly((), var=var)
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ExactPoly(out, var=var)
+        if not self.re or not other.re:
+            return _poly((), (), 1, var)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        a_real, b_real = not any(ai), not any(bi)
+        re = _conv(ar, br)
+        if a_real and b_real:
+            im = [0] * len(re)
+        elif a_real or b_real:
+            im = _conv(ar, bi) if a_real else _conv(ai, br)
+        else:
+            # three products in place of four (Karatsuba)
+            p2 = _conv(ai, bi)
+            p3 = _conv(list(map(operator.add, ar, ai)), list(map(operator.add, br, bi)))
+            im = [z - x - y for x, y, z in zip(re, p2, p3)]
+            re = list(map(operator.sub, re, p2))
+        return _pmk(re, im, self.d * other.d, var)
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "ExactPoly":
         s = ExactScalar.coerce(s)
-        return ExactPoly([c * s for c in self.coeffs], var=self.var)
+        a, b = s.a, s.b
+        if b:
+            re = [x * a - y * b for x, y in zip(self.re, self.im)]
+            im = [x * b + y * a for x, y in zip(self.re, self.im)]
+        else:
+            re, im = [x * a for x in self.re], [y * a for y in self.im]
+        return _pmk(re, im, self.d * s.d, self.var)
 
     def __pow__(self, n: int) -> "ExactPoly":
         if n < 0:
@@ -401,22 +449,50 @@ class ExactPoly:
         return out
 
     def __divmod__(self, other):
+        """Quotient and remainder, by division of the integer numerators.
+
+        With beta the leading numerator of the divisor and mu * beta = N a
+        positive integer (mu = conj(beta), or the sign of a real beta), each
+        step subtracts mu times the leading remainder numerator times the
+        divisor from N times the remainder, and multiplies the remainder's
+        denominator by N.  A monic divisor, as _poly_gcd and lcm pass, has
+        N = its denominator, not its square, and N = 1 when it lies in
+        Z[i][t].  Quotient and remainder are normalized once."""
         other = ExactPoly.coerce(other, self.var)
-        if other.is_zero():
+        if not other.re:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._cvar(other)
-        rem = list(self.coeffs)
-        q = [_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = other.leading().inverse()
-        d = other.degree
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k].is_zero():
+        br, bi = other.re, other.im
+        n = len(br) - 1
+        rr, ri = list(self.re), list(self.im)
+        s = len(rr) - n  # quotient terms; none when s <= 0
+        x, y = br[-1], bi[-1]
+        N = x * x + y * y if y else abs(x)
+        qr, qi, qe = [0] * s, [0] * s, [0] * s
+        e = 0  # the remainder is over self.d * N^e
+        for k in range(len(rr) - 1, n - 1, -1):
+            cr, ci = rr[k], ri[k]
+            if not cr and not ci:
                 continue
-            f = rem[k] * inv_lead
-            q[k - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] = rem[k - d + j] - f * b
-        return ExactPoly(q, var=var), ExactPoly(rem[:d], var=var)
+            if y:
+                cr, ci = cr * x + ci * y, ci * x - cr * y
+            elif x < 0:
+                cr, ci = -cr, -ci
+            if N != 1:
+                e += 1
+                rr[:k] = [v * N for v in rr[:k]]
+                ri[:k] = [v * N for v in ri[:k]]
+            lo = k - n
+            for j in range(n):
+                u, v = br[j], bi[j]
+                rr[lo + j] -= cr * u - ci * v
+                ri[lo + j] -= cr * v + ci * u
+            qr[lo], qi[lo], qe[lo] = cr, ci, e
+        # the quotient by other.re/im is sum_k c_k / N^e_k; by other, times other.d
+        scale = [other.d * N ** (e - ek) for ek in qe]
+        q = _pmk(list(map(operator.mul, qr, scale)), list(map(operator.mul, qi, scale)),
+                 self.d * N**e, var)
+        return q, _pmk(rr[:n], ri[:n], self.d * N**e, var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -431,9 +507,20 @@ class ExactPoly:
         return q
 
     def monic(self) -> "ExactPoly":
-        if self.is_zero():
+        """self over its leading coefficient (x + y*i)/d: the numerators
+        times conj(x + y*i) over x^2 + y^2, or over x when y = 0."""
+        if not self.re:
             return self
-        return self.scale(self.leading().inverse())
+        x, y = self.re[-1], self.im[-1]
+        if not y:
+            if x == self.d:
+                return self
+            if x > 0:
+                return _pmk(self.re, self.im, x, self.var)
+            return _pmk([-v for v in self.re], [-v for v in self.im], -x, self.var)
+        return _pmk([u * x + v * y for u, v in zip(self.re, self.im)],
+                    [v * x - u * y for u, v in zip(self.re, self.im)],
+                    x * x + y * y, self.var)
 
     def gcd(self, other) -> "ExactPoly":
         """Monic gcd via the Euclidean algorithm (field coefficients)."""
@@ -447,10 +534,8 @@ class ExactPoly:
         return (self * other).exact_div(g).monic()
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly(
-            [c * ExactScalar(k) for k, c in enumerate(self.coeffs)][1:],
-            var=self.var,
-        )
+        return _pmk([k * x for k, x in enumerate(self.re)][1:],
+                    [k * x for k, x in enumerate(self.im)][1:], self.d, self.var)
 
     def compose_linear(self, a, b) -> "ExactPoly":
         """p(a*x + b) by Horner evaluation in the polynomial ring."""
@@ -466,11 +551,19 @@ class ExactPoly:
 
     def __call__(self, x):
         if isinstance(x, (ExactScalar, int, Fraction)):
+            # Horner on the numerators at x = (xa + xb*i)/xd, times xd^deg
             x = ExactScalar.coerce(x)
-            out = _ZERO
-            for c in reversed(self.coeffs):
-                out = out * x + c
-            return out
+            if not self.re:
+                return _ZERO
+            xa, xb, xd = x.a, x.b, x.d
+            vr, vi, w = self.re[-1], self.im[-1], 1
+            for cr, ci in zip(self.re[-2::-1], self.im[-2::-1]):
+                w *= xd
+                if xb:
+                    vr, vi = vr * xa - vi * xb + cr * w, vr * xb + vi * xa + ci * w
+                else:
+                    vr, vi = vr * xa + cr * w, vi * xa + ci * w
+            return _mk(vr, vi, self.d * w)
         out = 0j
         for c in reversed(self.coeffs):
             out = out * x + c.to_complex()
@@ -482,7 +575,7 @@ class ExactPoly:
         if not isinstance(other, (ExactPoly, ExactScalar, int, Fraction)):
             return NotImplemented
         other = ExactPoly.coerce(other, self.var)
-        return self.coeffs == other.coeffs
+        return self.d == other.d and self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -512,6 +605,52 @@ class ExactPoly:
 
     def __repr__(self):
         return f"ExactPoly({self})"
+
+
+_set_re = ExactPoly.re.__set__
+_set_im = ExactPoly.im.__set__
+_set_pd = ExactPoly.d.__set__
+_set_var = ExactPoly.var.__set__
+_set_coeffs = ExactPoly._coeffs.__set__
+
+
+def _poly(re: tuple, im: tuple, d: int, var: str) -> ExactPoly:
+    """The ExactPoly of a canonical (re, im, d)."""
+    p = _new(ExactPoly)
+    _set_re(p, re)
+    _set_im(p, im)
+    _set_pd(p, d)
+    _set_var(p, var)
+    _set_coeffs(p, None)
+    return p
+
+
+def _pmk(re: list, im: list, d: int, var: str) -> ExactPoly:
+    """(re + im*i)/d in canonical form, for numerator lists of one length
+    and d > 0: trailing zero pairs dropped and one gcd divided out."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if not n:
+        return _poly((), (), 1, var)
+    if n < len(re):
+        re, im = re[:n], im[:n]
+    g = math.gcd(d, *re, *im)
+    if g != 1:
+        return _poly(tuple(x // g for x in re), tuple(x // g for x in im), d // g, var)
+    return _poly(tuple(re), tuple(im), d, var)
+
+
+def _conv(a, b) -> list:
+    """Coefficients of the product of the integer polynomials a and b."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            out[i : i + n] = map(operator.add, out[i : i + n], map(x.__mul__, a))
+    return out
 
 
 def _poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
@@ -1244,7 +1383,8 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
 def _poly_mod(f: ExactPoly, p: int, root: int) -> list[int]:
     """Coefficients of f modulo p under i -> root; ValueError if p divides
     a coefficient denominator."""
-    return [(c.a + root * c.b) * pow(c.d, -1, p) % p for c in f.coeffs]
+    inv = pow(f.d, -1, p)
+    return [(a + root * b) * inv % p for a, b in zip(f.re, f.im)]
 
 
 def _eval_mod(f: list[int], x: int, p: int) -> int:
@@ -1361,12 +1501,22 @@ def _dependency_mod(cols: list[list[int]], first, p: int):
 
 def _tower_at(cols, x: int, p: int):
     """Tower columns (numerator and denominator residues) at x modulo p;
-    None at a pole."""
-    dens = [[_eval_mod(den, x, p) for _, den in vec] for vec in cols]
-    if not all(map(all, dens)):
-        return None
-    return [[_eval_mod(num, x, p) * pow(d, -1, p) % p for (num, _), d in zip(vec, ds)]
-            for vec, ds in zip(cols, dens)]
+    None at a pole.  Each residue polynomial is a dot product with one
+    table of the powers of x."""
+    powers = [1]
+    for _ in range(max(len(f) for vec in cols for e in vec for f in e) - 1):
+        powers.append(powers[-1] * x % p)
+    out = []
+    for vec in cols:
+        col = []
+        for num, den in vec:
+            d = sum(map(operator.mul, den, powers)) % p
+            if not d:
+                return None
+            v = sum(map(operator.mul, num, powers)) % p
+            col.append(v if d == 1 else v * pow(d, -1, p) % p)
+        out.append(col)
+    return out
 
 
 def _residues(cache: dict, tower, p: int, root: int):
@@ -1456,14 +1606,10 @@ def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int):
 
 def _z_i(polys) -> list[tuple[list[int], list[int]]]:
     """Real and imaginary integer coefficients of the polynomials, all
-    scaled by one positive integer."""
-    re, im = _gaussian_integer_row([c for f in polys for c in f.coeffs])
-    out, k = [], 0
-    for f in polys:
-        n = len(f.coeffs)
-        out.append((re[k : k + n], im[k : k + n]))
-        k += n
-    return out
+    scaled by the lcm of their denominators."""
+    den = math.lcm(*(f.d for f in polys))
+    return [([a * (den // f.d) for a in f.re], [b * (den // f.d) for b in f.im])
+            for f in polys]
 
 
 def _certified(tower, m: int, coeffs) -> bool:
@@ -1502,7 +1648,7 @@ def _prime_budget(flat, polys, k: int, m: int, T: int) -> int:
         for i in range(0, len(cols), k)
     )
     log_c = T + (T + 1).bit_length() + log_h
-    den_lcm = math.lcm(*(c.d for e in flat for f in (e.num, e.den) for c in f.coeffs))
+    den_lcm = math.lcm(*(f.d for e in flat for f in (e.num, e.den)))
     unlucky = (den_lcm.bit_length() + 2 * log_h
                + m * (4 * log_c + T * ((T + 1).bit_length() + 2 * log_c)))
     return -(-unlucky // 61) - (-((4 * m + 4) * log_c + 1) // 61) + 1
@@ -1593,7 +1739,7 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
         poles = sum(den.degree for den in {e.den for e in flat})
         cramer = sum(delta[:m])
         T = cramer + sum(delta) - min(delta[:m])
-        real = all(c.is_real() for e in flat for f in (e.num, e.den) for c in f.coeffs)
+        real = not any(any(f.im) for e in flat for f in (e.num, e.den))
         best = acc = None
         for n in range(n, n + _prime_budget(flat, polys, k, m, T)):
             p, s = _modulus(n)
@@ -1655,7 +1801,7 @@ def gaussian_roots(f: ExactPoly) -> list[ExactScalar]:
     if f.degree < 1:
         return []
     f = f.exact_div(f.gcd(f.derivative()))
-    re, im = _gaussian_integer_row(f.coeffs)
+    re, im = f.re, f.im
     norms = [a * a + b * b for a, b in zip(re, im)]
     lc, n = norms[-1], f.degree
     bound = lc + math.isqrt(lc * max(norms[:-1])) + 1

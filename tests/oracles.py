@@ -4,13 +4,21 @@ The package's variational layer is exact.  These helpers evaluate its
 output numerically, integrate it, and give the closed form of the Kepler
 reduced equation in Bessel functions, so tests can check the exact
 builders against independent numbers.
+
+The ``poly_*`` functions are polynomial arithmetic over Q(i) on tuples of
+ExactScalar coefficients, degree-ascending with no trailing zero, one
+scalar operation at a time: the representation ExactPoly had before it
+held integer numerators over one denominator, kept as its model.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from heisenkep.exactalg import ExactRatFunc
+from heisenkep.exactalg import ExactRatFunc, ExactScalar
+
+_ZERO = ExactScalar(0)
 
 
 def evaluate(A, t) -> np.ndarray:
@@ -108,3 +116,93 @@ def fundamental_solution(sys, t0: float, t1: float, rtol=1e-10, atol=1e-12):
     if res.status != 0:
         raise RuntimeError(f"fundamental-solution integration failed: {res.message}")
     return res.y[:, -1].reshape(dim, dim)
+
+
+def poly_from(cs) -> tuple:
+    """The coefficients cs as a tuple, trailing zeros dropped."""
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(a, b) -> tuple:
+    return poly_from(x + y for x, y in itertools.zip_longest(a, b, fillvalue=_ZERO))
+
+
+def poly_sub(a, b) -> tuple:
+    return poly_add(a, [-c for c in b])
+
+
+def poly_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return poly_from(out)
+
+
+def poly_scale(a, s) -> tuple:
+    return poly_from(c * s for c in a)
+
+
+def poly_derivative(a) -> tuple:
+    return poly_from(a[k] * k for k in range(1, len(a)))
+
+
+def poly_divmod(a, b) -> tuple:
+    rem = list(a)
+    d = len(b) - 1
+    q = [_ZERO] * max(0, len(rem) - d)
+    inv = b[-1].inverse()
+    for k in range(len(rem) - 1, d - 1, -1):
+        f = rem[k] * inv
+        q[k - d] = f
+        for j, c in enumerate(b):
+            rem[k - d + j] = rem[k - d + j] - f * c
+    return poly_from(q), poly_from(rem[:d])
+
+
+def poly_monic(a) -> tuple:
+    return poly_scale(a, a[-1].inverse()) if a else ()
+
+
+def poly_gcd(a, b) -> tuple:
+    """Monic Euclidean gcd."""
+    a, b = poly_monic(a), poly_monic(b)
+    while b:
+        a, b = b, poly_monic(poly_divmod(a, b)[1])
+    return a
+
+
+def poly_compose_linear(a, u, v) -> tuple:
+    """a(u x + v) by Horner evaluation."""
+    out = ()
+    for c in reversed(a):
+        out = poly_add(poly_mul(out, (v, u)), (c,))
+    return out
+
+
+def poly_eval(a, x) -> ExactScalar:
+    out = _ZERO
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def poly_str(a, var: str = "t") -> str:
+    if not a:
+        return "0"
+    terms = []
+    for k, c in enumerate(a):
+        if c.is_zero():
+            continue
+        cs = str(c)
+        if k == 0:
+            terms.append(cs)
+        else:
+            head = "" if cs == "1" else f"({cs})*"
+            terms.append(head + (var if k == 1 else f"{var}^{k}"))
+    return " + ".join(terms)

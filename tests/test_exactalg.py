@@ -36,6 +36,8 @@ from heisenkep.exactalg import (
 )
 from heisenkep import exactalg
 
+import oracles
+
 fracs = st.fractions(
     max_numerator=50, max_denominator=20  # type: ignore[call-arg]
 ) if False else st.builds(
@@ -182,6 +184,63 @@ def test_poly_divmod():
 def test_poly_json_round_trip():
     p = ExactPoly([ExactScalar(Fraction(1, 2), 1), ExactScalar(-3)])
     assert ExactPoly.from_json(p.to_json()) == p
+
+
+# Coefficients for the model of ExactPoly in oracles.py: small parts, which
+# make equal denominators common, parts above 10^12, and zero parts, so that
+# real-only polynomials and zero coefficients come up.
+_wide_fracs = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**15))
+_parts = st.one_of(fracs, _wide_fracs, st.just(Fraction(0)))
+_coeffs = st.one_of(st.builds(ExactScalar, _parts, _parts), st.builds(ExactScalar, _parts))
+_coeff_tuples = st.one_of(
+    st.just(()),
+    st.tuples(_coeffs),
+    st.lists(st.builds(ExactScalar, _parts), max_size=6),
+    st.lists(_coeffs, max_size=6),
+).map(oracles.poly_from)
+
+
+def _assert_poly_models(p, cs):
+    assert p.coeffs == cs
+    assert p.d > 0 and math.gcd(p.d, *p.re, *p.im) == 1
+    assert len(p.re) == len(p.im) == len(cs) and (not cs or p.re[-1] or p.im[-1])
+    assert p == ExactPoly(cs) and hash(p) == hash(cs)
+    assert str(p) == oracles.poly_str(cs, p.var)
+    assert p.to_json() == [str(c) for c in cs]
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q.var == p.var and hash(q) == hash(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeff_tuples, _coeff_tuples, _coeffs, _coeffs)
+@example((), (), ExactScalar(0), ExactScalar(0))
+@example((ExactScalar(3),), (), ExactScalar(Fraction(1, 2)), ExactScalar(0, 1))
+@example((ExactScalar(1), ExactScalar(0), ExactScalar(10**13)),
+         (ExactScalar(0, Fraction(1, 10**13 + 1)), ExactScalar(Fraction(-1, 3))),
+         ExactScalar(-2), ExactScalar(Fraction(10**12 + 1, 7)))
+def test_poly_matches_the_scalar_tuple_model(a, b, s, x):
+    pa, pb = ExactPoly(a, var="tau"), ExactPoly(b, var="tau")
+    _assert_poly_models(pa, a)
+    _assert_poly_models(pa + pb, oracles.poly_add(a, b))
+    _assert_poly_models(pa - pb, oracles.poly_sub(a, b))
+    _assert_poly_models(-pa, oracles.poly_sub((), a))
+    _assert_poly_models(pa * pb, oracles.poly_mul(a, b))
+    _assert_poly_models(pa.scale(s), oracles.poly_scale(a, s))
+    _assert_poly_models(pa.derivative(), oracles.poly_derivative(a))
+    _assert_poly_models(pa.monic(), oracles.poly_monic(a))
+    _assert_poly_models(pa.gcd(pb), oracles.poly_gcd(a, b))
+    _assert_poly_models(pa.compose_linear(s, x), oracles.poly_compose_linear(a, s, x))
+    assert pa(x) == oracles.poly_eval(a, x)
+    if b:
+        q, r = divmod(pa, pb)
+        want_q, want_r = oracles.poly_divmod(a, b)
+        _assert_poly_models(q, want_q)
+        _assert_poly_models(r, want_r)
+    # equal polynomials built by different routes are equal and hash equal
+    for p, other in ((pa * (pb + 1), pa * pb + pa),
+                     (pa.scale(s) + pb.scale(s), (pa + pb).scale(s)),
+                     (ExactPoly.from_json(pa.to_json(), var="tau"), pa + pb - pb)):
+        assert p == other and hash(p) == hash(other)
 
 
 # -- rational functions -----------------------------------------------------

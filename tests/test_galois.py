@@ -185,6 +185,12 @@ def test_gaussian_roots_fourfold_root():
          [1, 1, 1], ROOTLESS[0])
 @example([ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(1, 3) + Fraction(1, 10**10))],
          [1, 1, 1], ROOTLESS[0])
+# three roots with parts near 10^12 at multiplicity 6, times t^3 - 2i: the
+# squarefree gcd of this degree-21 input dominates the call
+@example([ExactScalar(Fraction(123456789011, 999999999989), Fraction(-987654321019, 999999999959)),
+          ExactScalar(Fraction(-555555555557, 777777777781), Fraction(1, 10**12 + 39)),
+          ExactScalar(Fraction(10**12 - 11, 3), Fraction(999999999999, 10**12 - 17))],
+         [6, 6, 6], ROOTLESS[3])
 def test_gaussian_roots_ground_truth(roots, mults, rootless):
     p = rootless
     for r, m in zip(roots, mults):
