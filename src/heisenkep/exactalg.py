@@ -1447,17 +1447,6 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _lcm_factors(dens, p: int) -> list[list[int]]:
-    """Polynomials over F_p whose product is the lcm of the monic dens."""
-    factors = []
-    for den in dens:
-        for f in factors:
-            den = _divmod_mod(den, _gcd_mod(f, den, p), p)[0]
-        if len(den) > 1:
-            factors.append(den)
-    return factors
-
-
 _GREW = object()  # the order exceeds the tower (_dependency_mod, _tower_image)
 
 
@@ -1500,38 +1489,33 @@ def _dependency_mod(cols: list[list[int]], first, p: int):
 
 
 def _tower_at(cols, x: int, p: int):
-    """Tower columns (numerator and denominator residues) at x modulo p;
-    None at a pole.  Each residue polynomial is a dot product with one
-    table of the powers of x."""
+    """Tower columns at x modulo p, each residue polynomial a dot product
+    with one table of the powers of x."""
     powers = [1]
-    for _ in range(max(len(f) for vec in cols for e in vec for f in e) - 1):
+    for _ in range(max(len(f) for col in cols for f in col) - 1):
         powers.append(powers[-1] * x % p)
-    out = []
-    for vec in cols:
-        col = []
-        for num, den in vec:
-            d = sum(map(operator.mul, den, powers)) % p
-            if not d:
-                return None
-            v = sum(map(operator.mul, num, powers)) % p
-            col.append(v if d == 1 else v * pow(d, -1, p) % p)
-        out.append(col)
-    return out
+    return [[sum(map(operator.mul, f, powers)) % p for f in col] for col in cols]
 
 
-def _residues(cache: dict, tower, p: int, root: int):
-    """Numerator and denominator residues of the tower's vectors modulo p
-    under i -> root, kept in `cache` so that each vector is reduced once
-    per (p, root) however often the tower grows; None when p divides a
-    coefficient denominator."""
-    cols = cache.setdefault((p, root), [])
-    try:
-        for vec in tower[len(cols):]:
-            cols.append([(_poly_mod(e.num, p, root), _poly_mod(e.den, p, root))
-                         for e in vec])
-    except ValueError:
-        return None
-    return cols
+def _residues(cache: dict, tower, d: ExactPoly, p: int, root: int):
+    """The residues modulo p under i -> root of d, of each vector N_j
+    divided by the highest power d^(j - f_j) of d that divides it, and the
+    f_j, kept in `cache` so that each vector is reduced once per (p, root)
+    however often the tower grows; ValueError when p divides a coefficient
+    denominator."""
+    if (p, root) not in cache:
+        cache[p, root] = (_poly_mod(d, p, root), [], [])
+    dp, cols, fs = cache[p, root]
+    for vec in tower[len(cols):]:
+        col, f = [_poly_mod(e, p, root) for e in vec], len(cols)
+        while len(dp) > 1 and any(map(any, col)):
+            qr = [_divmod_mod(e, dp, p) for e in col]
+            if any(r for _, r in qr):
+                break
+            col, f = [q for q, _ in qr], f - 1
+        cols.append(col)
+        fs.append(f)
+    return dp, cols, fs
 
 
 # G of the sample points k G mod p of _tower_image, floor(2^64 / golden
@@ -1541,45 +1525,42 @@ def _residues(cache: dict, tower, p: int, root: int):
 _STEP = 0x9E3779B97F4A7C15
 
 
-def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int):
-    """The dependency sum_{j<m} b_j w^(j) + w^(m) = 0 of the tower
-    w, ..., w^(m) modulo p, under i -> root, by interpolating its Cramer
+def _tower_image(cache: dict, tower, d: ExactPoly, p: int, root: int, T: int, skips: int):
+    """The dependency sum_{j<m} b_j v_j + v_m = 0 of the tower v_j = N_j / d^j,
+    j <= m, modulo p, under i -> root, by interpolating its Cramer
     polynomials; the tower's residues come from `cache` (see _residues).
 
+    The columns are c_j = d^f_j v_j, polynomials modulo p (see _residues).
     Sample points are k G mod p (see _STEP).  A point where all m + 1
     columns are independent proves that over Q(i)(t) too, and _GREW is
-    returned so that the caller derives w^(m+1).  The first point where
-    the first m columns are independent fixes one m x m minor of them: the
-    rows its pivoting takes.  Points at a pole, or where that minor is
-    singular (before it is fixed: where those columns are dependent), are
-    skipped.  Cleared by the lcm D over F_p of the tower's denominators,
-    which divides the image of their lcm over Q(i), the columns are
-    polynomials of degrees at most delta_i (see tower_annihilator).  So the
-    minor's determinant Delta and P_j = b_j Delta, by Cramer's rule the
-    minor with column j replaced by -c_m, are polynomials of degree at most
-    T.  Each point's elimination gives b_j(x) and Delta(x) / D(x)^m, and
-    Delta(x) and the P_j(x) extend one interpolant each.  Once all m + 1
-    fit a fresh point, or at T + 1 points, where they are exact, the image
-    b_j = P_j / Delta is returned, reduced by one gcd over F_p, as
-    [(num_j, den_j)] with den_j monic.
+    returned so that the caller derives v_{m+1}.  The first point where the first m columns are
+    independent fixes one m x m minor of them: the rows its pivoting
+    takes.  Points where that minor is singular (before it is fixed: where
+    those columns are dependent) are skipped.  The minor's determinant
+    Delta and P_j = beta_j Delta, by Cramer's rule the minor with column j
+    replaced by -c_m, are polynomials of degree at most T (see
+    tower_annihilator); the elimination at each point gives beta_j(x) and
+    Delta(x), which extend one interpolant each.  Once all m + 1 fit a
+    fresh point, or at T + 1 points, where they are exact, the image
+    b_j = P_j d^(f_j - f_m) / Delta is returned, reduced by one gcd over
+    F_p, as [(num_j, den_j)] with den_j monic.
 
     Returns None when p is unlucky: it divides a coefficient denominator,
     or more than `skips` points are skipped.  Unless the first m columns are
-    dependent modulo p, at most poles + sum_{i<m} delta_i are: the roots of
-    D and of the fixed minor's Delta, of degree at most sum_{i<m} delta_i
-    and nonzero at the point that fixed it."""
-    cols = _residues(cache, tower, p, root)
-    if cols is None:
+    dependent modulo p, at most sum_{i<m} delta_i are: the roots of the
+    fixed minor's Delta, of that degree at most and nonzero at the point
+    that fixed it."""
+    try:
+        dp, cols, f = _residues(cache, tower, d, p, root)
+    except ValueError:
         return None
     m = len(cols) - 1
-    factors = _lcm_factors({tuple(den) for vec in cols for _, den in vec}, p)
     fs = [[] for _ in range(m + 1)]  # P_0, ..., P_{m-1} and Delta
     M, first, skipped, k = [1], None, 0, 0
     while True:
         k += 1
         x = k * _STEP % p
-        vals = _tower_at(cols, x, p)
-        dep = None if vals is None else _dependency_mod(vals, first, p)
+        dep = _dependency_mod(_tower_at(cols, x, p), first, p)
         if dep is _GREW:
             return _GREW
         if dep is None:
@@ -1590,15 +1571,19 @@ def _tower_image(cache: dict, tower, p: int, root: int, T: int, skips: int):
         b, det, order = dep
         if first is None:
             first = order
-        delta = det * pow(math.prod(_eval_mod(f, x, p) for f in factors), m, p) % p
-        M = _add_point(fs, M, x, [v * delta % p for v in b] + [delta], p)
+        M = _add_point(fs, M, x, [v * det % p for v in b] + [det], p)
         if M is None or len(M) > T + 1:
             break
     *ps, delta = fs
     image = []
-    for f in ps:
-        g = _gcd_mod(delta, f, p)
-        num, den = _divmod_mod(f, g, p)[0], _divmod_mod(delta, g, p)[0]
+    for j, num in enumerate(ps):
+        den = delta
+        for _ in range(f[j] - f[m]):
+            num = _trim([c % p for c in _conv(num, dp)])
+        for _ in range(f[m] - f[j]):
+            den = _trim([c % p for c in _conv(den, dp)])
+        g = _gcd_mod(den, num, p)
+        num, den = _divmod_mod(num, g, p)[0], _divmod_mod(den, g, p)[0]
         inv = pow(den[-1], -1, p)
         image.append((tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)))
     return image
@@ -1612,57 +1597,68 @@ def _z_i(polys) -> list[tuple[list[int], list[int]]]:
             for f in polys]
 
 
-def _certified(tower, m: int, coeffs) -> bool:
-    """sum_{j<m} b_j w^(j) + w^(m) = 0 exactly, for b_j = num_j / den_j.
+def _certified(tower, d: ExactPoly, m: int, coeffs) -> bool:
+    """sum_{j<m} b_j v_j + v_m = 0 exactly, for b_j = num_j / den_j and
+    v_j = N_j / d^j.
 
-    With the b_j and 1 brought to the lcm of the den_j, and each row of the
-    tower brought to the lcm of its denominators, this is a polynomial
-    identity per row; it is checked over Z[i] with products and sums
-    only."""
-    var = tower[0][0].var
-    lhs = _z_i(clear_denominators(
-        [ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
-        + [ExactRatFunc.coerce(1, var)], var)[1])
+    With the b_j and 1 brought to the lcm of the den_j, as a_j, and times
+    d^m, this is the polynomial identity sum_{j<=m} a_j d^(m-j) N_j = 0 per
+    row; it is checked over Z[i] with products and sums only."""
+    D, lhs = clear_denominators([ExactRatFunc(*c, _canonical=True) for c in coeffs], d.var)
+    lhs = _z_i([f * d ** (m - j) for j, f in enumerate(lhs + [D])])
     for r in range(len(tower[0])):
-        rhs = _z_i(clear_denominators([vec[r] for vec in tower[: m + 1]], var)[1])
+        rhs = _z_i([vec[r] for vec in tower[: m + 1]])
         n = max(len(a) for a, _ in lhs) + max(len(a) for a, _ in rhs)
         tot_re, tot_im = [0] * n, [0] * n
         for (ar, ai), (br, bi) in zip(lhs, rhs):
             for i, (a, c) in enumerate(zip(ar, ai)):
                 if a or c:
-                    for k, (b, d) in enumerate(zip(br, bi), i):
-                        tot_re[k] += a * b - c * d
-                        tot_im[k] += a * d + c * b
+                    for k, (b, e) in enumerate(zip(br, bi), i):
+                        tot_re[k] += a * b - c * e
+                        tot_im[k] += a * e + c * b
         if any(tot_re) or any(tot_im):
             return False
     return True
 
 
-def _prime_budget(flat, polys, k: int, m: int, T: int) -> int:
-    """K of tower_annihilator at order m, for the tower entries `flat`, k to
-    a vector, cleared to the polynomials `polys`."""
-    cols = _z_i(polys)
+def _prime_budget(tower, d: ExactPoly, m: int) -> int:
+    """K of tower_annihilator at order m, for the tower N_0, ..., N_m over
+    powers of d."""
+    den_lcm = math.lcm(d.d, *(f.d for vec in tower for f in vec))
+    if d.degree:
+        tower = [[f * d ** (m - j) for f in vec] for j, vec in enumerate(tower)]
+    delta = [max(0, *(f.degree for f in vec)) for vec in tower]
+    T = sum(delta[:m]) + sum(delta) - min(delta[:m])
+    cols, k = _z_i([f for vec in tower for f in vec]), len(tower[0])
     log_h = sum(
         max(1, sum(abs(a) + abs(b) for re, im in cols[i : i + k] for a, b in zip(re, im)))
         .bit_length()
         for i in range(0, len(cols), k)
     )
     log_c = T + (T + 1).bit_length() + log_h
-    den_lcm = math.lcm(*(f.d for e in flat for f in (e.num, e.den)))
     unlucky = (den_lcm.bit_length() + 2 * log_h
                + m * (4 * log_c + T * ((T + 1).bit_length() + 2 * log_c)))
     return -(-unlucky // 61) - (-((4 * m + 4) * log_c + 1) // 61) + 1
 
 
-def tower_annihilator(w, derive) -> list[ExactRatFunc]:
+def _derive(N: list, j: int, d: ExactPoly, act) -> list:
+    """N_{j+1} = d N_j' - j d' N_j + act(N_j), the numerator over d^(j+1)
+    of v_j' + act(v_j) / d for v_j = N_j / d^j."""
+    dd = d.derivative().scale(j)
+    return [(d * f.derivative() - dd * f if d.degree else f.derivative()) + g
+            for f, g in zip(N, act(N))]
+
+
+def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
     """Coefficients [b_0, ..., b_{m-1}, 1] of the first Q(i)(t)-linear
-    dependency w^(m) + sum_j b_j w^(j) = 0 in the derivative tower of the
-    nonzero vector w of ExactRatFunc, where `derive` maps a vector of the
-    tower to the next.
+    dependency v_m + sum_j b_j v_j = 0 in the derivative tower v_0 = w,
+    v_{j+1} = v_j' + act(v_j) / d, of a nonzero vector w of ExactPoly, for
+    d monic and `act` Q(i)[t]-linear; v_j = N_j / d^j is held as N_j (see
+    _derive).
 
     The order m and the b_j are found modulo primes p = 1 (mod 4), under
-    both embeddings i -> +-sqrt(-1), or one when every entry of the tower
-    up to w^(m) is real, by sampling modulo p and interpolating the Cramer
+    both embeddings i -> +-sqrt(-1), or one when d and the N_j are real,
+    by sampling modulo p and interpolating the Cramer
     polynomials of one minor (see _tower_image); they are lifted to
     Q(i)(t) by CRT and rational reconstruction, and returned only once they
     pass an exact substitution into the tower.  Reconstruction guesses when
@@ -1674,9 +1670,9 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     with imaginary parts 0.  K below counts primes, not images, so it is
     the same either way.
 
-    The tower is derived lazily: w^(m+1) is formed only when a sample point
-    proves w, ..., w^(m) independent, so independence of w, ..., w^(m-1) is
-    proved by their full rank modulo p at a point.
+    The tower is derived lazily: v_{m+1} is formed only when a sample point
+    proves v_0, ..., v_m independent, so independence of v_0, ..., v_{m-1}
+    is proved by their full rank modulo p at a point.
 
     The certified b_j = num_j / den_j are returned without a gcd over
     Q(i)[t].  They reduce modulo the last prime p to its image, which is
@@ -1684,15 +1680,17 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     num_j and den_j would, by Gauss's lemma over Z[i] localized at p, be
     p-integral, and reduce to a common factor of that image modulo p.
 
-    Bring the columns w, ..., w^(m) to polynomials c_0, ..., c_m with one
-    polynomial, of degrees delta_i, and then into Z[i][t] with one integer.
-    By Cramer's rule b_j = Delta_j / Delta for the m x m minor Delta of
-    any m rows on which c_0, ..., c_{m-1} are independent, with Delta_j that
-    minor with column j replaced by -c_m, so deg Delta <= sum_{i<m} delta_i
-    and deg Delta_j + deg Delta <= T = sum_{i<=m} delta_i - delta_j
-    + sum_{i<m} delta_i.  Expanding a determinant shows that every minor has
-    coefficients at most H = prod_i max(1, |c_i|_1), with |c_i|_1 the sum
-    of |re| + |im| over the coefficients of column i.
+    Bring the columns to polynomials c_j = N_j d^(m-j) = d^m v_j, of
+    degrees delta_j, and then into Z[i][t] with one integer.  By Cramer's
+    rule b_j = Delta_j / Delta for the m x m minor Delta of any m rows on
+    which c_0, ..., c_{m-1} are independent, with Delta_j that minor with
+    column j replaced by -c_m, so deg Delta <= sum_{i<m} delta_i and
+    deg Delta_j + deg Delta <= T = sum_{i<=m} delta_i - delta_j
+    + sum_{i<m} delta_i.  _tower_image samples the N_j, with a power of d
+    divided out, and T from their degrees bounds its interpolants.
+    Expanding a determinant shows that every minor has coefficients at
+    most H = prod_i max(1, |c_i|_1), with |c_i|_1 the sum of |re| + |im|
+    over the coefficients of column i.
 
     After K primes at one order RuntimeError is raised.  Write
     b_j = n_j / d_j with n_j, d_j coprime in Z[i][t].  They divide
@@ -1700,17 +1698,17 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     most C = 2^T sqrt(T + 1) H, and the coefficients of n_j / lc(d_j) and
     d_j / lc(d_j) have real and imaginary parts with numerators, and a
     denominator |lc(d_j)|^2, at most C^2.  Fix one nonzero minor Delta.
-    Call p unlucky if it divides a coefficient denominator of the tower,
+    Call p unlucky if it divides a coefficient denominator of d or the N_j,
     the norm (at most H^2) of a nonzero coefficient of Delta, or for some j
     the norm of lc(n_j), of lc(d_j) (at most C^2 each) or of Res(n_j, d_j)
     (at most ((T + 1) C^2)^T by Hadamard).  At any other p, Delta does not
-    vanish modulo p, so c_0, ..., c_{m-1} are independent modulo p and no
-    image is skipped as unlucky.  The minor that an image fixes may be
-    another, but it does not vanish modulo p either, and any such minor
-    gives P_j / Delta' = b_j modulo p; so every image at such a p is that
-    of the b_j, with their degrees.  At any p the image is b_j modulo p
-    reduced, so it has the true degrees only if it is the true image, and
-    lower ones otherwise.  So the lift keeps the lucky primes, which are
+    vanish modulo p, so the columns, with any power of the monic d divided
+    out, are independent modulo p and no image is skipped as unlucky.  The
+    minor that an image fixes may be another, but it does not vanish modulo
+    p either, and any such minor gives b_j modulo p; so every image at such
+    a p is that of the b_j, with their degrees.  At any p the image is b_j
+    modulo p reduced, so it has the true degrees only if it is the true
+    image, and lower ones otherwise.  So the lift keeps the lucky primes, which are
     all but U / 61 of the primes, U being the bit length of the product of
     those integers; every prime exceeds 2^61.  The running denominator of the lift is at most C^(2m), so the
     balanced attempt of reconstruction succeeds once the lucky primes
@@ -1722,36 +1720,30 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
     of a nonzero polynomial that the tower fixes; a wrong image of higher
     degrees than the true ones would hold the lift back, and K turns that
     into this error too."""
-    var = w[0].var
-    if all(e.is_zero() for e in w):
+    var = d.var
+    if all(f.is_zero() for f in w):
         raise ValueError("the zero vector has no annihilator")
-    tower, n, k = [w], 0, len(w)
-    residues = {}  # (p, root) -> residues of the tower, for the current p
+    tower, n = [list(w)], 0
+    residues = {}  # (p, root) -> residues of d and the tower, for the current p
     while True:  # once per order m
-        tower.append(derive(tower[-1]))
-        m = len(tower) - 1
-        # degree of each vector, and number of poles, once one polynomial
-        # clears every denominator of the tower
-        flat = [e for vec in tower for e in vec]
-        polys = clear_denominators(flat, var)[1]
-        delta = [max(0, *(f.degree for f in polys[i : i + k]))
-                 for i in range(0, len(polys), k)]
-        poles = sum(den.degree for den in {e.den for e in flat})
+        m = len(tower)
+        tower.append(_derive(tower[-1], m - 1, d, act))
+        delta = [max(0, *(f.degree for f in vec)) for vec in tower]
         cramer = sum(delta[:m])
         T = cramer + sum(delta) - min(delta[:m])
-        real = not any(any(f.im) for e in flat for f in (e.num, e.den))
+        real = not any(d.im) and not any(any(f.im) for vec in tower for f in vec)
         best = acc = None
-        for n in range(n, n + _prime_budget(flat, polys, k, m, T)):
+        for n in range(n, n + _prime_budget(tower, d, m)):
             p, s = _modulus(n)
             residues = {key: cols for key, cols in residues.items() if key[0] == p}
             images = []
             for root in (s,) if real else (s, p - s):
-                image = _tower_image(residues, tower, p, root, T, poles + cramer)
+                image = _tower_image(residues, tower, d, p, root, T, cramer)
                 if image is None or image is _GREW:
                     break
                 images.append(image)
             if image is _GREW:
-                break  # derive w^(m+1) and sample again at p
+                break  # derive v_{m+1} and sample again at p
             if image is None:
                 continue
             plus, minus = images[0], images[-1]
@@ -1771,9 +1763,9 @@ def tower_annihilator(w, derive) -> list[ExactRatFunc]:
             if vals is None:
                 continue
             it = iter(vals)
-            coeffs = [tuple(ExactPoly([next(it) for _ in range(d)], var=var) for d in ab)
+            coeffs = [tuple(ExactPoly([next(it) for _ in range(size)], var=var) for size in ab)
                       for ab in shape]
-            if _certified(tower, m, coeffs):
+            if _certified(tower, d, m, coeffs):
                 return ([ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
                         + [ExactRatFunc.coerce(1, var)])
         else:

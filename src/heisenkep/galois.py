@@ -450,38 +450,37 @@ def exp_solutions(L: DiffOperator) -> list:
 # ---------------------------------------------------------------------------
 
 def _sym_module(L: DiffOperator, k: int):
-    """w = y^k in the monomial module, and the derivation of that module.
+    """(w, d, act) for tower_annihilator: w = y^k in the monomial module,
+    and its derivation v' + act(v) / d, with L cleared to polynomials
+    a_0, ..., a_n, d = a_n monic, and y^(o) -> y^(o+1) = d y^(o+1) / d, or
+    -sum_j a_j y^(j) / d for o = n - 1, at each place of a monomial.
 
-    Basis: size-k multisets of derivative orders < n, as sorted tuples.
-    Returns (w, d_vec), with vectors of ExactRatFunc entries."""
+    Basis: size-k multisets of derivative orders < n, as sorted tuples."""
     n = L.order
     var = L.var
     basis = sorted(itertools.combinations_with_replacement(range(n), k))
     index = {b: i for i, b in enumerate(basis)}
     dim = len(basis)
-    zero = ExactRatFunc.coerce(0, var)
-    red = [-L.coeff(j) for j in range(n)]  # y^(n) = sum red[j] y^(j)
+    zero = ExactPoly((), var=var)
+    *low, d = L.cleared()
+    red = [(j, -a) for j, a in enumerate(low) if a]
 
-    def d_vec(vec):
+    def act(vec):
         out = [zero] * dim
         for b, c in zip(basis, vec):
-            if c.is_zero():
+            if not c:
                 continue
-            dc = c.derivative()
-            if not dc.is_zero():
-                out[index[b]] = out[index[b]] + dc
+            shifted = c if not d.degree else d * c
+            reduced = [(j, c * a) for j, a in red] if b[-1] == n - 1 else ()
             for pos, o in enumerate(b):
-                # y^(o) -> y^(o+1), reduced by L when o + 1 = n
-                terms = ([(o + 1, c)] if o + 1 < n else
-                         [(j, c * r) for j, r in enumerate(red) if not r.is_zero()])
-                for j, e in terms:
-                    nb = tuple(sorted(b[:pos] + (j,) + b[pos + 1 :]))
-                    out[index[nb]] = out[index[nb]] + e
+                for j, e in ([(o + 1, shifted)] if o + 1 < n else reduced):
+                    nb = index[tuple(sorted(b[:pos] + (j,) + b[pos + 1 :]))]
+                    out[nb] = out[nb] + e
         return out
 
     w = [zero] * dim
-    w[index[tuple([0] * k)]] = ExactRatFunc.coerce(1, var)
-    return w, d_vec
+    w[index[(0,) * k]] = ExactPoly.constant(1, var=var)
+    return w, d, act
 
 
 def sym_power(L: DiffOperator, k: int) -> DiffOperator:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
-                       _dot, clear_denominators, tower_annihilator)
+                       clear_denominators, tower_annihilator)
 from .heisenmodel import SystemSpec, axis_potential
 
 __all__ = [
@@ -342,18 +342,25 @@ def reduction_gauge_resonant() -> GaugeMatrix:
     return GaugeMatrix(Q)
 
 
+def _row_module(B: ExactMatrix, index: int, var: str):
+    """(e, d, act) for tower_annihilator: the row e_index, and the rows'
+    derivation (row . y)' = (row' + row B) . y of y' = B y, with B = Bt / d
+    cleared by the lcm d of its denominators and act(row) = row Bt."""
+    n = B.rows
+    d, flat = clear_denominators([f for row in B.entries for f in row], var)
+    zero = ExactPoly((), var=var)
+
+    def act(row):
+        return [sum((f * g for f, g in zip(row, flat[j::n]) if f and g), zero)
+                for j in range(n)]
+
+    return [ExactPoly.constant(1 if j == index else 0, var=var) for j in range(n)], d, act
+
+
 def _minimal_annihilator(B: ExactMatrix, index: int, var: str) -> DiffOperator:
     """Minimal monic operator annihilating component `index` of every
     solution of y' = B y; its order is at most the dimension."""
-    n = B.rows
-    one = ExactRatFunc.coerce(1, var)
-    cols = [list(col) + [one] for col in zip(*B.entries)]
-
-    def derive(row):  # (row . y)' = (row B + row') . y, one normalization
-        return [_dot(row + [row[j].derivative()], cols[j], var) for j in range(n)]
-
-    e = [ExactRatFunc.coerce(1 if j == index else 0, var) for j in range(n)]
-    return DiffOperator(tower_annihilator(e, derive), var=var)
+    return DiffOperator(tower_annihilator(*_row_module(B, index, var)), var=var)
 
 
 def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:

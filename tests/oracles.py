@@ -9,6 +9,11 @@ The ``poly_*`` functions are polynomial arithmetic over Q(i) on tuples of
 ExactScalar coefficients, degree-ascending with no trailing zero, one
 scalar operation at a time: the representation ExactPoly had before it
 held integer numerators over one denominator, kept as its model.
+
+``sym_module`` and ``row_derivation`` derive the two derivative towers of
+the package in ExactRatFunc arithmetic, each entry in lowest terms: the
+model of the numerator towers over one denominator that
+``exactalg.tower_annihilator`` reads.
 """
 
 import itertools
@@ -16,7 +21,7 @@ import math
 
 import numpy as np
 
-from heisenkep.exactalg import ExactRatFunc, ExactScalar
+from heisenkep.exactalg import ExactRatFunc, ExactScalar, _dot
 
 _ZERO = ExactScalar(0)
 
@@ -206,3 +211,48 @@ def poly_str(a, var: str = "t") -> str:
             head = "" if cs == "1" else f"({cs})*"
             terms.append(head + (var if k == 1 else f"{var}^{k}"))
     return " + ".join(terms)
+
+
+def sym_module(L, k: int):
+    """w = y^k in the monomial module of L, and that module's derivation,
+    with vectors of ExactRatFunc entries."""
+    n = L.order
+    var = L.var
+    basis = sorted(itertools.combinations_with_replacement(range(n), k))
+    index = {b: i for i, b in enumerate(basis)}
+    dim = len(basis)
+    zero = ExactRatFunc.coerce(0, var)
+    red = [-L.coeff(j) for j in range(n)]  # y^(n) = sum red[j] y^(j)
+
+    def d_vec(vec):
+        out = [zero] * dim
+        for b, c in zip(basis, vec):
+            if c.is_zero():
+                continue
+            dc = c.derivative()
+            if not dc.is_zero():
+                out[index[b]] = out[index[b]] + dc
+            for pos, o in enumerate(b):
+                # y^(o) -> y^(o+1), reduced by L when o + 1 = n
+                terms = ([(o + 1, c)] if o + 1 < n else
+                         [(j, c * r) for j, r in enumerate(red) if not r.is_zero()])
+                for j, e in terms:
+                    nb = tuple(sorted(b[:pos] + (j,) + b[pos + 1 :]))
+                    out[index[nb]] = out[index[nb]] + e
+        return out
+
+    w = [zero] * dim
+    w[index[tuple([0] * k)]] = ExactRatFunc.coerce(1, var)
+    return w, d_vec
+
+
+def row_derivation(B, var: str):
+    """The derivation of rows for y' = B y: (row . y)' = (row B + row') . y."""
+    n = B.rows
+    one = ExactRatFunc.coerce(1, var)
+    cols = [list(col) + [one] for col in zip(*B.entries)]
+
+    def derive(row):
+        return [_dot(row + [row[j].derivative()], cols[j], var) for j in range(n)]
+
+    return derive

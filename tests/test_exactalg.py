@@ -20,6 +20,7 @@ from heisenkep.exactalg import (
     clear_denominators,
     _add_point,
     _annihilates,
+    _derive,
     _eval_mod,
     _gaussian_integer_row,
     _is_prime,
@@ -759,18 +760,18 @@ def test_tower_annihilator_derives_lazily():
     # rows of y' = B y with B = [[1, 0, 0], [1, 0, 0], [0, 1, 0]], so
     # y_0' = y_0: the first component has order 1 in a 3-dimensional
     # module, and only w' may be formed
-    one, zero = ExactRatFunc.coerce(1), ExactRatFunc.coerce(0)
+    one, zero = ExactPoly([1]), ExactPoly(())
     calls = []
 
-    def derive(row):
+    def act(row):  # row B
         calls.append(row)
-        return [row[0] + row[1] + row[0].derivative(),
-                row[2] + row[1].derivative(), row[2].derivative()]
+        return [row[0] + row[1], row[2], zero]
 
-    assert tower_annihilator([one, zero, zero], derive) == [-one, one]
+    assert tower_annihilator([one, zero, zero], one, act) == [
+        -ExactRatFunc.coerce(1), ExactRatFunc.coerce(1)]
     assert len(calls) == 1
     with pytest.raises(ValueError):
-        tower_annihilator([zero, zero], derive)
+        tower_annihilator([zero, zero], one, act)
 
 
 @st.composite
@@ -811,8 +812,9 @@ def test_incremental_interpolant_fits_a_planted_polynomial(planted):
 
 
 def _one_dimensional_tower(r):
-    """w = [1] and its derivation for y' = r y."""
-    return [ExactRatFunc.coerce(1)], lambda v: [v[0].derivative() + v[0] * r]
+    """w = [1] and its derivation v' + v r for y' = r y, as tower_annihilator
+    takes them."""
+    return [ExactPoly([1])], r.den, lambda v: [v[0] * r.num]
 
 
 def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
@@ -824,14 +826,13 @@ def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
     images = []
     image = exactalg._tower_image
 
-    def spy(cache, tower, q, root, T, skips):
-        out = image(cache, tower, q, root, T, skips)
+    def spy(cache, tower, d, q, root, T, skips):
+        out = image(cache, tower, d, q, root, T, skips)
         images.append((q, out))
         return out
 
     monkeypatch.setattr(exactalg, "_tower_image", spy)
-    w, derive = _one_dimensional_tower(r)
-    assert tower_annihilator(w, derive) == [-r, ExactRatFunc.coerce(1)]
+    assert tower_annihilator(*_one_dimensional_tower(r)) == [-r, ExactRatFunc.coerce(1)]
     (q0, coeffs0), *rest = images
     assert q0 == p and coeffs0 == [((), (1,))]
     assert any(q != p for q, _ in rest)
@@ -843,9 +844,9 @@ def _tower_images_per_prime(monkeypatch, r):
     calls = []
     image = exactalg._tower_image
 
-    def spy(cache, tower, q, root, T, skips):
+    def spy(cache, tower, d, q, root, T, skips):
         calls.append((len(tower), q, root))
-        return image(cache, tower, q, root, T, skips)
+        return image(cache, tower, d, q, root, T, skips)
 
     monkeypatch.setattr(exactalg, "_tower_image", spy)
     ann = tower_annihilator(*_one_dimensional_tower(r))
@@ -886,8 +887,8 @@ def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeyp
     certified = []
     check = exactalg._certified
 
-    def spy(tower, m, coeffs):
-        certified.append(check(tower, m, coeffs))
+    def spy(tower, d, m, coeffs):
+        certified.append(check(tower, d, m, coeffs))
         return certified[-1]
 
     monkeypatch.setattr(exactalg, "_certified", spy)
@@ -899,10 +900,11 @@ def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeyp
 
 def _companion_tower(b0, b1):
     """w = y, w' = y' and w'' = -b_0 y - b_1 y' in the coordinates (y, y')
-    of y'' + b_1 y' + b_0 y = 0, whose annihilator is [b_0, b_1, 1]."""
-    def derive(v):
-        return [v[0].derivative() - b0 * v[1], v[1].derivative() + v[0] - b1 * v[1]]
-    return [ExactRatFunc.coerce(1), ExactRatFunc.coerce(0)], derive
+    of y'' + b_1 y' + b_0 y = 0, whose annihilator is [b_0, b_1, 1]: with
+    b_j = c_j / d over the lcm d of their denominators, the derivation
+    v -> (v_0' - b_0 v_1, v_1' + v_0 - b_1 v_1) is v' + act(v) / d."""
+    d, (c0, c1) = clear_denominators([b0, b1], "t")
+    return [ExactPoly([1]), ExactPoly(())], d, lambda v: [-c0 * v[1], d * v[0] - c1 * v[1]]
 
 
 _T = ExactPoly([0, 1])
@@ -918,13 +920,14 @@ _T = ExactPoly([0, 1])
     (ExactRatFunc(3, _T - 7) + ExactRatFunc(1, _T + 2), ExactRatFunc(-1, _T - 7)),
 ])
 def test_tower_image_is_the_reduced_cramer_quotient(monkeypatch, b0, b1):
-    w, derive = _companion_tower(b0, b1)
-    assert tower_annihilator(w, derive) == [b0, b1, ExactRatFunc.coerce(1)]
-    tower = [w, derive(w)]
-    tower.append(derive(tower[-1]))
+    w, d, act = _companion_tower(b0, b1)
+    assert tower_annihilator(w, d, act) == [b0, b1, ExactRatFunc.coerce(1)]
+    tower = [w]
+    for j in range(2):
+        tower.append(_derive(tower[-1], j, d, act))
     p, s = _modulus(0)
     T, skips = 20, 20
-    image = _tower_image({}, tower, p, s, T, skips)
+    image = _tower_image({}, tower, d, p, s, T, skips)
     # the images of b_0 and b_1, their denominators monic
     assert image == [(tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s)))
                      for b in (b0, b1)]
@@ -938,8 +941,21 @@ def test_tower_image_is_the_reduced_cramer_quotient(monkeypatch, b0, b1):
         return add(fs, M, x, vs, q) or grow(M, x, q)
 
     monkeypatch.setattr(exactalg, "_add_point", no_fit)
-    assert _tower_image({}, tower, p, s, T, skips) == image
+    assert _tower_image({}, tower, d, p, s, T, skips) == image
     assert len(points) == T + 1
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+def test_tower_annihilator_divides_powers_of_d_out_of_the_columns(power):
+    # y' = r y with r = s d^power / d, given over d whatever the power: so
+    # d^power divides N_1 = s d^power, and each image divides it out of
+    # that column and puts d^(power - 1) back into the numerator of
+    # b_0 = -r, or d into its denominator
+    d = (_T - 2) * (_T * _T + 1)
+    s = ExactPoly([3, ExactScalar(0, 1)])
+    r = ExactRatFunc(s * d**power, d)
+    ann = tower_annihilator([ExactPoly([1])], d, lambda v: [v[0] * s * d**power])
+    assert ann == [-r, ExactRatFunc.coerce(1)]
 
 
 def test_tower_image_keeps_its_minor_through_a_pivot_swap():
@@ -953,11 +969,11 @@ def test_tower_image_keeps_its_minor_through_a_pivot_swap():
     u = _T - a
     b0 = ExactRatFunc(2, u * u - 1)
     b1 = -b0 * u
-    derive = _companion_tower(ExactRatFunc.coerce(0), ExactRatFunc.coerce(0))[1]
-    tower = [[ExactRatFunc(u), ExactRatFunc.coerce(1)]]
-    for _ in range(2):
-        tower.append(derive(tower[-1]))
-    assert _tower_image({}, tower, p, s, 20, 20) == [
+    _, d, act = _companion_tower(ExactRatFunc.coerce(0), ExactRatFunc.coerce(0))
+    tower = [[u, ExactPoly([1])]]
+    for j in range(2):
+        tower.append(_derive(tower[-1], j, d, act))
+    assert _tower_image({}, tower, d, p, s, 20, 20) == [
         (tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s))) for b in (b0, b1)]
 
 
@@ -999,9 +1015,9 @@ def test_tower_annihilator_recovers_planted_companion_towers(planted):
         points[0] += 1
         return tower_at(*args)
 
-    def count_images(cache, tower, q, root, T, skips):
+    def count_images(cache, tower, d, q, root, T, skips):
         before = points[0]
-        out = image(cache, tower, q, root, T, skips)
+        out = image(cache, tower, d, q, root, T, skips)
         images.append((len(tower), T, skips, points[0] - before))
         return out
 

@@ -16,6 +16,7 @@ from heisenkep.exactalg import (
     ExactRatFunc,
     ExactScalar,
     _certified,
+    _derive,
     _GREW,
     _dependency_mod,
     _modulus,
@@ -51,6 +52,8 @@ from heisenkep.galois import (
 )
 from heisenkep.heisenmodel import SystemSpec
 from heisenkep.variational import _minimal_annihilator, gauge_transform, ve_along
+
+import oracles
 
 I = ExactScalar(0, 1)
 
@@ -438,18 +441,69 @@ def test_poly_mod_images_and_primes_dividing_a_denominator():
             _poly_mod(ExactPoly([1, bad]), p, root)
 
 
+@st.composite
+def operators_with_a_pole(draw):
+    """(L, k): L of order 2 or 3 with polynomial coefficients of degree
+    below 3, the leading one not constant, and k = 2 or 3."""
+    n = draw(st.sampled_from((2, 3)))
+    small = st.builds(ExactScalar, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+                      st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+    low = [ExactPoly(draw(st.lists(small, max_size=3))) for _ in range(n)]
+    lead = ExactPoly(draw(st.lists(small, min_size=1, max_size=2))
+                     + [draw(small.filter(bool))])
+    return DiffOperator(low + [lead]), draw(st.sampled_from((2, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(operators_with_a_pole())
+def test_sym_module_numerators_match_the_rational_tower(drawn):
+    # the tower of y^k as numerators N_j over d^j, d the leading coefficient
+    # of L cleared, equals entry by entry the tower derived in ExactRatFunc
+    # arithmetic
+    L, k = drawn
+    w, d, act = _sym_module(L, k)
+    assume(d.degree > 0)
+    assert d.leading() == 1
+    v, d_vec = oracles.sym_module(L, k)
+    N = w
+    for j in range(4):
+        assert [ExactRatFunc(f, d**j) for f in N] == v
+        N, v = _derive(N, j, d, act), d_vec(v)
+
+
 def test_sym_power_certificate_rejects_a_wrong_coefficient():
     L = _euler_operator((0, Fraction(1, 2)), 2)
     S = sym_power(L, 2)
-    w, d_vec = _sym_module(L, 2)
+    w, d, act = _sym_module(L, 2)
     tower = [w]
-    for _ in range(S.order):
-        tower.append(d_vec(tower[-1]))
+    for j in range(S.order):
+        tower.append(_derive(tower[-1], j, d, act))
     coeffs = [(c.num, c.den) for c in S.coeffs[:-1]]
-    assert _certified(tower, S.order, coeffs)
+    assert _certified(tower, d, S.order, coeffs)
     num, den = coeffs[1]
     coeffs[1] = (num + ExactPoly([Fraction(1, 10**9)]), den)
-    assert not _certified(tower, S.order, coeffs)
+    assert not _certified(tower, d, S.order, coeffs)
+
+
+def _count_image_points(monkeypatch) -> list:
+    """A list that each _tower_image call appends (length of the tower,
+    prime, sample points taken) to."""
+    points, images = [0], []
+    tower_at, image = exactalg._tower_at, exactalg._tower_image
+
+    def count_points(*args):
+        points[0] += 1
+        return tower_at(*args)
+
+    def count_images(cache, tower, d, p, root, T, skips):
+        before = points[0]
+        out = image(cache, tower, d, p, root, T, skips)
+        images.append((len(tower), p, points[0] - before))
+        return out
+
+    monkeypatch.setattr(exactalg, "_tower_at", count_points)
+    monkeypatch.setattr(exactalg, "_tower_image", count_images)
+    return images
 
 
 def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
@@ -459,40 +513,47 @@ def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
     # deg Delta = 15 and deg P_j <= 22), reductions of tower entries modulo
     # a prime (1960 before residues were kept), each entry reduced once per
     # prime and embedding, and primes at the final order (2 before
-    # reconstruction guessed past the balanced bound)
-    points, reductions, images = [0], {}, []
-    tower_at, poly_mod, image = exactalg._tower_at, exactalg._poly_mod, exactalg._tower_image
-
-    def count_points(*args):
-        points[0] += 1
-        return tower_at(*args)
+    # reconstruction guessed past the balanced bound).  The tower is
+    # polynomial numerators over powers of one d, so each entry is one
+    # reduction, and d one more (2 x 10 x 11 while each entry was a
+    # numerator and a denominator)
+    reductions = {}
+    poly_mod = exactalg._poly_mod
 
     def count_poly_mod(f, p, root):
         reductions[p, root] = reductions.get((p, root), 0) + 1
         return poly_mod(f, p, root)
 
-    def count_images(cache, tower, p, root, T, skips):
-        before = points[0]
-        out = image(cache, tower, p, root, T, skips)
-        images.append((len(tower), p, points[0] - before))
-        return out
-
-    monkeypatch.setattr(exactalg, "_tower_at", count_points)
     monkeypatch.setattr(exactalg, "_poly_mod", count_poly_mod)
-    monkeypatch.setattr(exactalg, "_tower_image", count_images)
+    images = _count_image_points(monkeypatch)
     assert sym_power(o3r, 3) == sym3
     final = max(n for n, _, _ in images)
     assert len({p for n, p, _ in images if n == final}) == 1
     assert all(k <= 26 for n, _, k in images if n == final)
     assert sum(reductions.values()) <= 1000
-    # numerator and denominator of 10 entries in each of the 11 vectors
-    assert set(reductions.values()) == {2 * 10 * 11}
+    # the 10 entries of each of the 11 vectors, and d
+    assert set(reductions.values()) == {10 * 11 + 1}
+
+
+def test_factorize_default_tower_work_counts(weil_block, monkeypatch):
+    # sample points of each image at the final order of the six minimal
+    # annihilators of factorize_default's exterior square, one per
+    # coordinate: at most what each took while the towers were derived in
+    # ExactRatFunc arithmetic, with one prime and one image (the towers are
+    # real) at that order
+    E = exterior_square(weil_block.A)
+    images = _count_image_points(monkeypatch)
+    for i, (order, most) in enumerate([(3, 7), (3, 4), (5, 6), (5, 6), (3, 10), (3, 7)]):
+        images.clear()
+        assert _minimal_annihilator(E, i, E.var).order == order
+        final = [k for n, _, k in images if n == order + 1]
+        assert len(final) == 1 and final[0] <= most
 
 
 def test_sym_power_bounds_the_primes(monkeypatch):
     # a certificate that never passes must end in an error, not a search
     # over primes without end
-    monkeypatch.setattr(exactalg, "_certified", lambda tower, m, coeffs: False)
+    monkeypatch.setattr(exactalg, "_certified", lambda tower, d, m, coeffs: False)
     with pytest.raises(RuntimeError):
         sym_power(DiffOperator([0, 0, 1]), 2)
 

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep.dynamics import hamilton_rhs
@@ -14,6 +15,7 @@ from heisenkep.exactalg import (
     ExactRatFunc,
     ExactScalar,
     SingularMatrixError,
+    _derive,
     _modulus,
 )
 from heisenkep.heisenmodel import (
@@ -37,12 +39,14 @@ from heisenkep.variational import (
     ve_twobody_blocks,
     _axis_derivatives,
     _minimal_annihilator,
+    _row_module,
     _twist,
 )
 from oracles import (
     bessel_closed_form,
     evaluate,
     fundamental_solution,
+    row_derivation,
     system_residual,
     transform_vars_q1h1,
     transform_vars_q1h1_inverse,
@@ -551,6 +555,42 @@ def test_minimal_annihilator_matches_exact_elimination():
             cyclic += 1
             assert cyclic_to_scalar(LinearSystem(B), index) == ref
     assert short >= 3 and cyclic >= 3
+
+
+_T = ExactPoly([0, 1])
+_POLES = (_T, _T - 1, _T - Fraction(1, 3), _T * _T + 1, _T - ExactScalar(0, Fraction(1, 2)))
+_SMALL = st.builds(ExactScalar, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+                   st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+
+
+@st.composite
+def systems_with_poles(draw):
+    """(B, index): B of size 2 or 3 with entries c / q, c of degree below 2
+    and q a product of up to two of _POLES."""
+    n = draw(st.sampled_from((2, 3)))
+
+    def entry():
+        den = math.prod(draw(st.lists(st.sampled_from(_POLES), max_size=2)), start=ExactPoly([1]))
+        return ExactRatFunc(ExactPoly(draw(st.lists(_SMALL, max_size=2))), den)
+
+    B = ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    return B, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_with_poles())
+def test_row_module_numerators_match_the_rational_tower(drawn):
+    # the rows e, eB + e', ... as numerators N_k over d^k, with B = Bt / d,
+    # equal entry by entry the rows derived in ExactRatFunc arithmetic
+    B, index = drawn
+    w, d, act = _row_module(B, index, "t")
+    assume(d.degree > 0)
+    assert d.leading() == 1
+    derive = row_derivation(B, "t")
+    N, v = w, [ExactRatFunc.coerce(1 if j == index else 0) for j in range(B.rows)]
+    for k in range(B.rows + 1):
+        assert [ExactRatFunc(f, d**k) for f in N] == v
+        N, v = _derive(N, k, d, act), derive(v)
 
 
 def test_companion_round_trip():
