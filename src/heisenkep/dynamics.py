@@ -6,6 +6,14 @@ default, DOP853 selectable).  Every trajectory keeps its dense output: the
 monitor samples it and differentiates J along it.  A symplectic scheme is not
 used: the extended system is Poisson with a nonconstant structure matrix,
 so one explicit adaptive scheme serves all three systems uniformly.
+
+The vector field, the collision guard and the integrals run on Python
+floats, which round as numpy's scalars do at a third of the cost.  The
+monitor is not vectorised, as that would move the pinned artifact bytes:
+on arrays ``**2`` becomes ``np.square``, ``**1.5`` runs in SIMD, and scipy's
+dense output at many t is one matrix product, and each of these rounds
+differently from the per-point scalar path at some points (see README).
+
 scipy and sympy are imported only by the functions that integrate or
 generate evaluators, so loading this module does not load them.
 """
@@ -22,6 +30,7 @@ from .heisenmodel import (
     CollisionError,
     SystemSpec,
     _num_grad,
+    _on_floats,
     first_integrals,
     hamiltonian,
     state_rho,
@@ -105,7 +114,7 @@ def hamilton_rhs(spec: SystemSpec, s) -> np.ndarray:
     a = np.asarray(s, dtype=float) if not hasattr(s, "to_array") else s.to_array()
     if state_rho(spec, a) == 0.0:
         raise CollisionError("vector field evaluated at the collision set")
-    return np.asarray(spec._rhs_fn(*a), dtype=float)
+    return np.asarray(_on_floats(spec._rhs_fn, a), dtype=float)
 
 
 def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
@@ -119,7 +128,7 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
 
     def f(t, y):
-        return np.asarray(spec._rhs_fn(*y), dtype=float)
+        return np.asarray(_on_floats(spec._rhs_fn, y), dtype=float)
 
     def near_collision(t, y):
         return state_rho(spec, y) - cfg.rho_min
@@ -223,12 +232,13 @@ def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
 def max_line_deviation(points: np.ndarray) -> float:
     """Max orthogonal distance of a point cloud from its best-fit line."""
     pts = np.asarray(points, dtype=float)
-    center = pts.mean(axis=0)
-    d = pts - center
+    if pts.shape[0] == 0:
+        return 0.0
+    d = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(d, full_matrices=False)
     direction = vt[0]
     residual = d - np.outer(d @ direction, direction)
-    return float(np.max(np.linalg.norm(residual, axis=1))) if pts.shape[0] else 0.0
+    return float(np.max(np.linalg.norm(residual, axis=1)))
 
 
 # ---------------------------------------------------------------------------

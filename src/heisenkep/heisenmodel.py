@@ -82,8 +82,12 @@ def group_inv(g: GroupElement) -> GroupElement:
 
 def rho(g: GroupElement) -> float:
     """Homogeneous gauge sqrt((x^2+y^2)^2 + 16 z^2); zero only at the origin."""
-    r2 = g.x * g.x + g.y * g.y
-    return math.sqrt(r2 * r2 + 16.0 * g.z * g.z)
+    return _gauge(g.x, g.y, g.z)
+
+
+def _gauge(x, y, z) -> float:
+    r2 = x * x + y * y
+    return math.sqrt(r2 * r2 + 16.0 * z * z)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +354,12 @@ def _state_array(s) -> np.ndarray:
 def state_rho(spec: SystemSpec, a) -> float:
     """rho of the body's position (one-body) or of the relative position
     g1^-1 g2 (two-body) in the flat state array a."""
+    a = np.asarray(a, dtype=float)
     if spec.kind == "one-body":
-        return rho(GroupElement(a[0], a[1], a[2]))
-    return rho(PhaseState2B.from_array(a).relative)
+        return _gauge(*a[:3].tolist())
+    x1, y1, z1, x2, y2, z2 = a[:6].tolist()
+    # g1^-1 g2 in group_mul's order of operations
+    return _gauge(-x1 + x2, -y1 + y2, -z1 + z2 + (-x1 * y2 - x2 * -y1) / 2)
 
 
 def _check_rho(spec: SystemSpec, a: np.ndarray):
@@ -366,20 +373,32 @@ def hamiltonian(spec: SystemSpec, s) -> float:
     """Total energy; raises CollisionError on the singular set."""
     a = _state_array(s)
     _check_rho(spec, a)
-    return float(spec._h_fn(*a))
+    return float(_on_floats(spec._h_fn, a))
+
+
+def _on_floats(fn, a: np.ndarray):
+    """The lambdified fn at the state array a, evaluated on Python floats.
+
+    They round as numpy's scalars do (IEEE + - * /, C pow for **) at a third
+    of the cost.  Where Python raises and numpy returns inf or nan (x/0.0,
+    0.0**-1.5, overflow in **), this returns numpy's result."""
+    try:
+        return fn(*a.tolist())
+    except (ZeroDivisionError, OverflowError):
+        return fn(*a)
 
 
 def first_integrals(spec: SystemSpec, s) -> dict:
     """Values of the known conserved/quasi-conserved quantities at s."""
     a = _state_array(s)
     if spec.kind == "one-body":
-        x, y, z, px, py, pz = a
+        x, y, z, px, py, pz = a.tolist()
         return {
             "H": hamiltonian(spec, a),
             "p_theta": x * py - y * px,
             "J": x * px + y * py + 2 * z * pz,
         }
-    x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = a
+    x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = a.tolist()
     return {
         "H": hamiltonian(spec, a),
         "I1": px1 + y1 * pz1 / 2 + px2 + y2 * pz2 / 2,

@@ -10,6 +10,10 @@ ExactScalar coefficients, degree-ascending with no trailing zero, one
 scalar operation at a time: the representation ExactPoly had before it
 held integer numerators over one denominator, kept as its model.
 
+The ``numpy_scalar_*`` functions are the package's numeric evaluators as
+they were before they ran on Python floats: each unpacks the state array
+into numpy scalars, and the two-body gauge builds the phase state.
+
 ``sym_module`` and ``row_derivation`` derive the two derivative towers of
 the package in ExactRatFunc arithmetic, each entry in lowest terms: the
 model of the numerator towers over one denominator that
@@ -22,6 +26,7 @@ import math
 import numpy as np
 
 from heisenkep.exactalg import ExactRatFunc, ExactScalar, _dot
+from heisenkep.heisenmodel import CollisionError, GroupElement, PhaseState2B, rho
 
 _ZERO = ExactScalar(0)
 
@@ -256,3 +261,37 @@ def row_derivation(B, var: str):
         return [_dot(row + [row[j].derivative()], cols[j], var) for j in range(n)]
 
     return derive
+
+
+def numpy_scalar_state_rho(spec, a) -> float:
+    if spec.kind == "one-body":
+        return rho(GroupElement(a[0], a[1], a[2]))
+    return rho(PhaseState2B.from_array(a).relative)
+
+
+def numpy_scalar_h(spec, a):
+    return spec._h_fn(*a)
+
+
+def numpy_scalar_rhs(spec, a) -> np.ndarray:
+    return np.asarray(spec._rhs_fn(*a), dtype=float)
+
+
+def numpy_scalar_first_integrals(spec, a) -> dict:
+    """first_integrals on numpy scalars, with hamiltonian's collision check."""
+    if numpy_scalar_state_rho(spec, a) == 0.0:
+        raise CollisionError("state at the potential singularity rho = 0")
+    H = float(numpy_scalar_h(spec, a))
+    if spec.kind == "one-body":
+        x, y, z, px, py, pz = a
+        return {"H": H, "p_theta": x * py - y * px, "J": x * px + y * py + 2 * z * pz}
+    x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = a
+    return {
+        "H": H,
+        "I1": px1 + y1 * pz1 / 2 + px2 + y2 * pz2 / 2,
+        "I2": py1 - x1 * pz1 / 2 + py2 - x2 * pz2 / 2,
+        "I3": pz1 + pz2,
+        "I4": y1 * px1 - x1 * py1 + y2 * px2 - x2 * py2,
+        "J": x1 * px1 + y1 * py1 + 2 * z1 * pz1
+        + x2 * px2 + y2 * py2 + 2 * z2 * pz2,
+    }

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,3 +279,10 @@ def test_line_deviation_helper():
     assert max_line_deviation(pts) < 1e-12
     pts2 = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1.0, 0.0]])
     assert max_line_deviation(pts2) > 0.1
+
+
+def test_line_deviation_of_no_point_and_of_one_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no mean of an empty cloud
+        assert max_line_deviation(np.empty((0, 3))) == 0.0
+        assert max_line_deviation(np.array([[1.0, -2.0, 0.5]])) == 0.0

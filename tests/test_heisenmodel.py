@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -21,11 +22,21 @@ from heisenkep.heisenmodel import (
     group_inv,
     group_mul,
     hamiltonian,
+    _on_floats,
     particular_solution,
     poisson_bracket,
     rho,
+    state_rho,
     two_body_condition_a,
 )
+
+from oracles import (
+    numpy_scalar_first_integrals,
+    numpy_scalar_h,
+    numpy_scalar_rhs,
+    numpy_scalar_state_rho,
+)
+from test_cli import LAMBDIFY_SOURCES
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +323,47 @@ def test_system_spec_json_round_trip_exact(kappa, m1, m2, table):
     assert back.to_json() == doc
     if pot is not None:
         assert sp.cancel(back.potential.expr - pot.expr) == 0
+
+
+# -- evaluation on Python floats --------------------------------------------
+
+_lambdify_spec = functools.cache(lambda name: LAMBDIFY_SOURCES[name][0]())
+_component = st.floats(-4, 4) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _bits(v) -> np.ndarray:
+    """The float64 bit patterns of v, with every nan made the same nan."""
+    v = np.asarray(v, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64)
+
+
+def _integrals(fn, spec, a):
+    try:
+        return list(fn(spec, a).values())
+    except CollisionError:
+        return CollisionError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LAMBDIFY_SOURCES)), st.lists(_component, min_size=12, max_size=12))
+# the collision set rho = 0, where numpy gives inf or nan (Kepler: Python raises on x/0.0)
+@example("kepler_1b", [0.0, 0.0, 0.0, 0.3, -1.2, 0.5] + [0.0] * 6)
+@example("kepler_2b", [0.5, -1.0, 2.0, 0.5, -1.0, 2.0, 0.1, 0.2, 0.3, -0.4, 0.5, -0.6])
+@example("table", [0.0] * 12)
+# components near 1e160: Python raises where ** overflows
+@example("kepler_1b", [1e160, 0.5, -0.25, 1.0, 2.0, -1.0] + [0.0] * 6)
+@example("kepler_2b", [1e160, 0.0, 1.0, -1e160, 0.5, 0.0, 1.0, 2.0, 3.0, 1e160, -2.0, 1.0])
+@example("table", [0.5, 3e159, -1.0, 1.0, 1e160, 0.25] + [0.0] * 6)
+def test_float_evaluation_matches_numpy_scalars_bit_for_bit(name, values):
+    spec = _lambdify_spec(name)
+    a = np.array(values[: spec.dim])
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(_on_floats(spec._rhs_fn, a)),
+                              _bits(numpy_scalar_rhs(spec, a)))
+        assert np.array_equal(_bits(_on_floats(spec._h_fn, a)),
+                              _bits(numpy_scalar_h(spec, a)))
+        assert _bits(state_rho(spec, a)) == _bits(numpy_scalar_state_rho(spec, a))
+        new = _integrals(first_integrals, spec, a)
+        old = _integrals(numpy_scalar_first_integrals, spec, a)
+    assert (new is old) if CollisionError in (new, old) else np.array_equal(
+        _bits(new), _bits(old))
