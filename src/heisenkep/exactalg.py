@@ -12,8 +12,12 @@ gcd(d, re..., im...) = 1 and the leading pair nonzero, and zero as
 ((), (), 1).  Arithmetic on either is integer arithmetic with one gcd per
 result, in place of a gcd for each of two ``Fraction`` parts of every
 coefficient.  A polynomial's tuple of scalar coefficients is built only
-when read.  Readers of the integer parts (the multi-modular kernel,
-reduction modulo a prime, the root finder) scale by d directly.
+when read.  Readers of the integer parts (reduction modulo a prime in the
+tower lift, the root finder) scale by d directly.
+
+One exact elimination, `_gauss_jordan`, serves Q(i) (`scalar_nullspace`)
+and Q(i)(t) (`ExactMatrix`).  Only `tower_annihilator` works modulo primes,
+lifting by CRT and rational reconstruction and certifying exactly.
 
 The coefficient field is Q(i) only; no further algebraic extensions are
 introduced.  Roots are found in Q(i) exactly (`gaussian_roots`), and
@@ -966,50 +970,16 @@ class ExactMatrix:
         d is the product of the pivots, negated once per row swap; for a
         square matrix of full rank it is the determinant."""
         m = [list(r) for r in self.entries]
-        pivots = []
-        d = ExactRatFunc.coerce(1, self.var)
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if not m[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-                d = -d
-            d = d * m[r][c]
-            inv = m[r][c].inverse()
-            m[r] = [e * inv for e in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+        pivots, d = _gauss_jordan(m, self.cols, ExactRatFunc.coerce(1, self.var))
         return m, pivots, d
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def nullspace(self) -> list[list[ExactRatFunc]]:
-        """Basis of the right kernel over the rational-function field.
-
-        Basis vectors are in reduced echelon normalization: each has a 1 in
-        its free coordinate and the pivot coordinates filled in.
-        """
-        m, pivots, _ = self._rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        one = ExactRatFunc.coerce(1, self.var)
-        zero = ExactRatFunc.coerce(0, self.var)
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-        return basis
+        """Basis of the right kernel over the rational-function field, in
+        reduced echelon normalization (see _nullspace)."""
+        return _nullspace(self.entries, self.cols, ExactRatFunc.coerce(1, self.var))[0]
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -1092,7 +1062,73 @@ def _dot(fs, gs, var: str) -> ExactRatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Multi-modular elimination over Q(i)
+# Gauss-Jordan elimination over Q(i) and Q(i)(t)
+# ---------------------------------------------------------------------------
+
+def _gauss_jordan(m: list[list], ncols: int, one):
+    """Reduce the rows m to reduced row echelon form in place.
+
+    The entries lie in a field whose elements have is_zero, inverse, * and
+    -, and `one` is its 1: ExactScalar for Q(i), ExactRatFunc for Q(i)(t).
+    Returns the pivot columns and the product of the pivots, negated once
+    per row swap; for a square matrix of full rank it is the determinant.
+    Zero entries are skipped when the pivot row is scaled and when it is
+    subtracted from the other rows."""
+    pivots = []
+    d = one
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            d = -d
+        d = d * m[r][c]
+        inv = m[r][c].inverse()
+        row = m[r] = [e if e.is_zero() else e * inv for e in m[r]]
+        # earlier columns of the pivot row are already zero
+        support = [j for j in range(c, ncols) if not row[j].is_zero()]
+        for i, other in enumerate(m):
+            f = other[c]
+            if i != r and not f.is_zero():
+                for j in support:
+                    other[j] = other[j] - f * row[j]
+        pivots.append(c)
+        r += 1
+    return pivots, d
+
+
+def _nullspace(rows, ncols: int, one) -> tuple[list[list], int]:
+    """Right-kernel basis and rank of the rows, by _gauss_jordan.  The basis
+    is in reduced echelon normalization: one vector per free column, with a
+    1 there, a 0 at every other free column and -m[r][fc] at pivot column
+    pivots[r] of the reduced rows m."""
+    m = [list(r) for r in rows]
+    pivots, _ = _gauss_jordan(m, ncols, one)
+    zero = one - one
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis, len(pivots)
+
+
+def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
+    """Right-kernel basis and rank of a matrix of ExactScalar entries, by
+    exact Gauss-Jordan elimination (see _nullspace)."""
+    return _nullspace(rows, len(rows[0]), _ONE) if rows and rows[0] else ([], 0)
+
+
+# ---------------------------------------------------------------------------
+# Primes p = 1 (mod 4), CRT and rational reconstruction
 # ---------------------------------------------------------------------------
 
 _MODULI: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p), extended on use
@@ -1142,40 +1178,6 @@ def _modulus_from(p: int, step: int) -> tuple[int, int]:
     while (r := pow(g, (p - 1) // 4, p)) * r % p != p - 1:
         g += 1
     return p, min(r, p - r)
-
-
-def _gaussian_integer_row(row) -> tuple[list[int], list[int]]:
-    """Real and imaginary integer parts of a row scaled into Z[i]."""
-    den = math.lcm(*(e.d for e in row))
-    scale = [den // e.d for e in row]
-    return (
-        [e.a * k for e, k in zip(row, scale)],
-        [e.b * k for e, k in zip(row, scale)],
-    )
-
-
-def _rref_mod(m: list[list[int]], p: int) -> list[int]:
-    """Gauss-Jordan modulo p in place; returns the pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(len(m[0])):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        row = m[r]
-        inv = pow(row[c], -1, p)
-        # earlier columns of the pivot row are already zero
-        row[c:] = tail = [x * inv % p for x in row[c:]]
-        for i, other in enumerate(m):
-            f = other[c]
-            if f and i != r:
-                other[c:] = [(a - f * b) % p for a, b in zip(other[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return pivots
 
 
 def _ratrec(u: int, M: int, bound: int):
@@ -1245,7 +1247,8 @@ def _reconstruct(residues: list[int], M: int):
     the true values fit that bound it returns them.  Only when it fails is
     each value guessed by _guess, so that small but unbalanced values come
     back from fewer primes than the bound needs.  A guess may be wrong, and
-    callers certify the result exactly."""
+    its caller, the lift of tower_annihilator, certifies the result by
+    exact substitution."""
     bound = math.isqrt(M // 2)
     out = _over_running_den(residues, M, lambda v: _ratrec(v, M, bound), bound)
     if out is None:
@@ -1254,8 +1257,8 @@ def _reconstruct(residues: list[int], M: int):
 
 
 def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
-    """Fold one prime into the multi-modular lift of a list of Gaussian
-    rationals.
+    """Fold one prime into tower_annihilator's multi-modular lift of a list
+    of Gaussian rationals.
 
     `plus` and `minus` are their images modulo p under i -> s and i -> -s;
     the half sum and the half difference over s are the real and imaginary
@@ -1265,8 +1268,8 @@ def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
     None to start afresh.  Returns the new accumulator and the values as
     ExactScalar by CRT and rational reconstruction, or None in their place
     while reconstruction fails.  Before M passes the balanced bound of the
-    true values they may be a guess (see _reconstruct), which the caller's
-    exact check rejects when it is wrong."""
+    true values they may be a guess (see _reconstruct), which
+    tower_annihilator's exact substitution rejects when it is wrong."""
     half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
     re_p = [(x + y) * half % p for x, y in zip(plus, minus)]
     im_p = [(x - y) * half_s % p for x, y in zip(plus, minus)]
@@ -1282,98 +1285,6 @@ def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
     im_q = _reconstruct(im_acc, M) if re_q is not None else None
     values = None if im_q is None else list(map(ExactScalar, re_q, im_q))
     return (M, re_acc, im_acc), values
-
-
-def _annihilates(A, support, v) -> bool:
-    """A v = 0 exactly, for v with Gaussian-rational entries on `support`."""
-    wr, wi = _gaussian_integer_row(v)
-    for re, im in A:
-        a = [re[j] for j in support]
-        b = [im[j] for j in support]
-        if sum(x * y for x, y in zip(a, wr)) != sum(x * y for x, y in zip(b, wi)):
-            return False
-        if sum(x * y for x, y in zip(a, wi)) + sum(x * y for x, y in zip(b, wr)):
-            return False
-    return True
-
-
-def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
-    """Right-kernel basis and rank of a matrix of ExactScalar entries.
-
-    The basis is the reduced-echelon one that Gauss-Jordan elimination
-    gives: one vector per free column, with a 1 there and a 0 at every
-    other free column.  It is computed modulo primes p = 1 (mod 4) under
-    both embeddings i -> +-sqrt(-1) (mod p), which give the real and the
-    imaginary parts, or under one when every entry is real, lifted by CRT
-    and rational reconstruction, and certified by exact substitution.  A
-    real matrix has the two embeddings' images equal, and its reduced
-    echelon form is unique, hence its own conjugate and real: one image
-    per prime gives it, with imaginary parts 0.
-
-    The result is exact, not probabilistic.  The rank modulo p is at most
-    the rank over Q(i), so n - rank_p independent vectors that all pass the
-    exact check span the whole kernel.  A kernel vector whose last nonzero
-    entry is at column c shows that c is not a pivot, so the free columns,
-    and with them the basis, are those of exact Gauss-Jordan.  A prime whose
-    pivot columns differ from the true ones has fewer, or has them further
-    right, and its candidates fail the check; such primes are skipped or
-    replaced as better pivot lists appear.
-
-    After K primes RuntimeError is raised.  Every minor of the Z[i] rows is
-    at most H, their Hadamard bound, and every prime exceeds 2^61.  An
-    unlucky prime divides the norm, at most H^2, of a fixed nonzero pivot
-    minor Delta, so at most 2 log2(H) / 61 primes are unlucky.  By Cramer
-    the kernel entries are u / Delta with |u| <= H, so their real and
-    imaginary parts have numerators and a shared denominator |Delta|^2 at
-    most H^2, and the balanced attempt of _reconstruct recovers them from
-    (4 log2(H) + 2) / 61 lucky primes.  K is the sum of the two counts
-    rounded up, plus one; the bit lengths of the rows' squared norms sum to
-    at least 2 log2(H).  Its guesses often recover the basis from fewer
-    primes; a wrong guess fails the exact check like any other candidate,
-    so K holds as it is."""
-    if not rows or not rows[0]:
-        return [], 0
-    ncols = len(rows[0])
-    A = [_gaussian_integer_row(r) for r in rows]
-    log_h2 = sum(sum(a * a + b * b for a, b in zip(re, im)).bit_length()
-                 for re, im in A)
-    real = not any(any(im) for _, im in A)
-    best = acc = None
-    for k in range(-(-log_h2 // 61) - (-(2 * log_h2 + 2) // 61) + 1):
-        p, s = _modulus(k)
-        images = []
-        for root in (s,) if real else (s, p - s):
-            m = [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
-            images.append((m, _rref_mod(m, p)))
-        (plus, pivots), (minus, other) = images[0], images[-1]
-        if other != pivots:
-            continue  # unlucky for one embedding
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue  # unlucky: fewer pivots, or pivots further right
-        free = [c for c in range(ncols) if c not in pivots]
-        # entries -rref[r][fc] of the basis vectors
-        acc, vals = _lift_gaussian(
-            acc if key == best else None, p, s,
-            [-plus[r][fc] for r in range(len(pivots)) for fc in free],
-            [-minus[r][fc] for r in range(len(pivots)) for fc in free],
-        )
-        best = key
-        if vals is None:
-            continue
-        basis = []
-        nfree = len(free)
-        for j, fc in enumerate(free):
-            v = [vals[r * nfree + j] for r in range(len(pivots))] + [_ONE]
-            if not _annihilates(A, pivots + [fc], v):
-                break
-            vec = [_ZERO] * ncols
-            for c, x in zip(pivots + [fc], v):
-                vec[c] = x
-            basis.append(vec)
-        else:
-            return basis, len(pivots)
-    raise RuntimeError("scalar_nullspace exceeded its bound on the primes")
 
 
 # ---------------------------------------------------------------------------

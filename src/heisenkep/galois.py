@@ -190,8 +190,9 @@ def _polynomial_solutions(P, bounds, var) -> list:
 
     Each P[j] is an n x n matrix of ExactPoly, and component i of v has
     degree at most bounds[i] (-1 makes it zero).  The unknowns are the
-    coefficients of v, ordered by component and then by degree, so the
-    basis is the reduced-echelon one of `scalar_nullspace`."""
+    coefficients of v, ordered by component and then by degree, and the
+    basis is the reduced-echelon one that exact Gauss-Jordan elimination
+    of their linear system over Q(i) gives (`scalar_nullspace`)."""
     n = len(bounds)
     cols = [(i, s) for i in range(n) for s in range(bounds[i] + 1)]
     if not cols:
@@ -849,9 +850,11 @@ def factorization_basis(solutions) -> FactorizationBasis:
     Each direction Y (ordered z01, z02, z03, z12, z13, z23) must satisfy
     the Pluecker quadric; the kernel of its 4x4 operator matrix supplies
     columns of Q.  Kernel vectors are scaled so their last nonzero
-    coordinate is 1 and ordered by descending pivot index.  If the columns
-    do not span, the basis is completed with unit vectors and flagged as
-    partial (the factorization is then only block-triangular)."""
+    coordinate is 1 and ordered by descending pivot index.  Q takes each
+    kernel column, and then each unit vector, that raises the rank of those
+    taken before, so it is invertible.  Unless it took exactly four kernel
+    columns and nothing else, the basis is flagged as partial (the
+    factorization is then at best block-triangular)."""
     cols = []
     kernels = []
     for Y in solutions:
@@ -877,24 +880,14 @@ def factorization_basis(solutions) -> FactorizationBasis:
         kernels.append([c for c, _ in canon])
         cols.extend(c for c, _ in canon)
 
-    complete = (
-        len(cols) == 4
-        and ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)]).rank() == 4
-    )
-    if not complete:
-        for i in range(4):
-            if len(cols) == 4:
-                break
-            unit = [ExactRatFunc.coerce(1 if j == i else 0) for j in range(4)]
-            trial = ExactMatrix(
-                [
-                    [(cols + [unit])[j][i2] for j in range(len(cols) + 1)]
-                    for i2 in range(4)
-                ]
-            )
-            if trial.rank() == len(cols) + 1:
-                cols.append(unit)
-    Qm = ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
+    units = [[ExactRatFunc.coerce(1 if j == i else 0) for j in range(4)] for i in range(4)]
+    kept = []
+    for col in cols + units:
+        trial = kept + [col]
+        if len(kept) < 4 and ExactMatrix(list(zip(*trial))).rank() == len(trial):
+            kept = trial
+    complete = kept == cols  # exactly four kernel columns, and independent
+    Qm = ExactMatrix(list(zip(*kept)))
     return FactorizationBasis(
         Q=variational.GaugeMatrix(Qm), complete=complete, kernels=kernels
     )

@@ -9,9 +9,14 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heisenkep.cli import main, preset_path
-from heisenkep.heisenmodel import PotentialSpec, SystemSpec
+from heisenkep.cli import _generic_reduction, _ve_kepler, main, preset_path
+from heisenkep.exactalg import ExactScalar
+from heisenkep.galois import parabolic_from_ode
+from heisenkep.heisenmodel import PotentialSpec, SystemSpec, condition_coefficient_a
+from heisenkep.variational import ve_twobody_blocks
 
 
 @pytest.fixture()
@@ -90,6 +95,36 @@ def test_ve_twobody_resonant_coefficients(runner, tmp_path):
         "(-28/3)*tau + (16/27)*tau^3", "(-4/3)*tau^2", "0", "1",
     ]
     assert "parabolic" not in doc
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals.filter(lambda mu: mu not in (0, -1)))
+def test_generic_reduction_chain_parameters(mu):
+    # the chain inverts reduction_gauge(mu) exactly on its way
+    a1 = ve_twobody_blocks(mu, 0, 1).subsystem(range(4))
+    p = parabolic_from_ode(_generic_reduction(a1, mu)[2])
+    assert p.alpha_sq == ExactScalar((1 + mu) ** 2)
+    assert p.two_alpha_beta.is_zero()
+    assert p.gamma == ExactScalar(2 * (1 + mu))
+
+
+def test_generic_reduction_chain_degenerates_at_mu_minus_one():
+    mu = Fraction(-1)
+    reduced = _generic_reduction(ve_twobody_blocks(mu, 0, 1).subsystem(range(4)), mu)[2]
+    with pytest.raises(ValueError, match="degenerate: alpha = 0"):
+        parabolic_from_ode(reduced)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals.filter(bool), rationals.filter(bool))
+def test_kepler_reduction_chain_parameters(kappa, c):
+    p = _ve_kepler({"kappa": str(kappa), "c": str(c)})[1]
+    a = condition_coefficient_a(SystemSpec("one-body", kappa), c)
+    assert p.alpha_sq == ExactScalar(-a * a)
+    assert p.two_alpha_beta.is_zero() and p.gamma.is_zero()
 
 
 def test_ve_rejects_invalid_parameters(runner, tmp_path):
@@ -243,6 +278,22 @@ def test_factorize_malformed_matrix(runner, tmp_path):
     res = runner.invoke(main, ["factorize", "--config", str(cfg),
                                "--out", str(tmp_path)])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("diagonal", [[1, 2, 3, 4], [1, 1, 1, 1]])
+def test_factorize_dependent_kernel_columns(runner, tmp_path, diagonal):
+    # six decomposable solutions give twelve kernel columns, the first four
+    # of them dependent: Q keeps only columns that raise its rank, so it is
+    # invertible, and the basis is reported as not complete
+    cfg = tmp_path / "diag.json"
+    cfg.write_text(json.dumps({"matrix": [[d if i == j else 0 for j in range(4)]
+                                          for i, d in enumerate(diagonal)]}))
+    res = runner.invoke(main, ["factorize", "--config", str(cfg),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1 and "FAIL" in res.output
+    doc = _load(tmp_path / "factorize.json")
+    assert doc["complete"] is False and doc["det_Q"] != "0"
+    assert sum(s["decomposable"] for s in doc["solutions"]) == 6
 
 
 @pytest.mark.parametrize("c, a, C", [("19", "1/2888", "1/13718"),

@@ -19,17 +19,13 @@ from heisenkep.exactalg import (
     SingularMatrixError,
     clear_denominators,
     _add_point,
-    _annihilates,
     _derive,
     _eval_mod,
-    _gaussian_integer_row,
     _is_prime,
-    _lift_gaussian,
     _modulus,
     _poly_mod,
     _ratrec,
     _reconstruct,
-    _rref_mod,
     _tower_image,
     scalar_nullspace,
     squarefree_decomposition,
@@ -430,7 +426,7 @@ def test_det_matches_permutation_expansion():
     assert swapped >= 5 and singular >= 5
 
 
-# -- multi-modular Q(i) kernel ---------------------------------------------
+# -- Gauss-Jordan over Q(i) ---------------------------------------------------
 
 def _reference_nullspace(rows):
     """(basis, rank) by Gauss-Jordan over ExactScalar."""
@@ -484,96 +480,42 @@ def low_rank_matrices(draw, entries=big_scalars):
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(low_rank_matrices())
-def test_scalar_nullspace_matches_gauss_jordan(rows):
-    assert scalar_nullspace(rows) == _reference_nullspace(rows)
-
-
-def _reference_scalar_nullspace(rows):
-    """scalar_nullspace with both embeddings i -> +-s at every prime, real
-    input or not."""
-    if not rows or not rows[0]:
-        return [], 0
-    ncols = len(rows[0])
-    A = [_gaussian_integer_row(r) for r in rows]
-    log_h2 = sum(sum(a * a + b * b for a, b in zip(re, im)).bit_length()
-                 for re, im in A)
-    best = acc = None
-    for k in range(-(-log_h2 // 61) - (-(2 * log_h2 + 2) // 61) + 1):
-        p, s = _modulus(k)
-        plus, minus = (
-            [[(a + b * root) % p for a, b in zip(re, im)] for re, im in A]
-            for root in (s, p - s)
-        )
-        pivots = _rref_mod(plus, p)
-        if _rref_mod(minus, p) != pivots:
-            continue
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
-        free = [c for c in range(ncols) if c not in pivots]
-        acc, vals = _lift_gaussian(
-            acc if key == best else None, p, s,
-            [-plus[r][fc] for r in range(len(pivots)) for fc in free],
-            [-minus[r][fc] for r in range(len(pivots)) for fc in free],
-        )
-        best = key
-        if vals is None:
-            continue
-        basis = []
-        nfree = len(free)
-        for j, fc in enumerate(free):
-            v = [vals[r * nfree + j] for r in range(len(pivots))] + [ExactScalar(1)]
-            if not _annihilates(A, pivots + [fc], v):
-                break
-            vec = [ExactScalar(0)] * ncols
-            for c, x in zip(pivots + [fc], v):
-                vec[c] = x
-            basis.append(vec)
-        else:
-            return basis, len(pivots)
-    raise RuntimeError("reference exceeded its bound on the primes")
-
-
 big_ints = st.builds(ExactScalar, st.integers(-10**12, 10**12))
 big_gaussian_ints = st.builds(
     ExactScalar, st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(low_rank_matrices(big_ints), low_rank_matrices(big_gaussian_ints)))
-def test_scalar_nullspace_matches_the_two_embedding_reference(rows):
-    assert scalar_nullspace(rows) == _reference_scalar_nullspace(rows)
+def _sympy_rank(rows):
+    from sympy import QQ_I, Rational
+    from sympy.polys.matrices import DomainMatrix
+
+    def conv(e):
+        return QQ_I(Rational(e.re.numerator, e.re.denominator),
+                    Rational(e.im.numerator, e.im.denominator))
+
+    return DomainMatrix([[conv(e) for e in r] for r in rows],
+                        (len(rows), len(rows[0])), QQ_I).rank()
 
 
-def _rref_calls_per_prime(monkeypatch, rows):
-    """Calls of _rref_mod at each prime while scalar_nullspace(rows) runs."""
-    calls = collections.Counter()
-    rref = exactalg._rref_mod
-
-    def spy(m, p):
-        calls[p] += 1
-        return rref(m, p)
-
-    monkeypatch.setattr(exactalg, "_rref_mod", spy)
-    scalar_nullspace(rows)
-    return calls
-
-
-def test_scalar_nullspace_takes_one_image_per_prime_for_real_rows(monkeypatch):
-    p = _modulus(0)[0]
-    # singular modulo the first prime only, so a second prime is needed
-    real = _ints([[1, 2, 3], [4, 5, 6], [7, 8, 9 + p]])
-    calls = _rref_calls_per_prime(monkeypatch, real)
-    assert len(calls) >= 2 and set(calls.values()) == {1}
-    # 100-bit entries give kernel entries of about 400 bits: several primes
-    rng = random.Random(5)
-    gaussian = [[ExactScalar(rng.randrange(10**30), rng.randrange(10**30))
-                 for _ in range(3)] for _ in range(2)]
-    calls = _rref_calls_per_prime(monkeypatch, gaussian)
-    assert len(calls) >= 2 and set(calls.values()) == {2}
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(low_rank_matrices(), low_rank_matrices(big_ints),
+                 low_rank_matrices(big_gaussian_ints)))
+def test_scalar_nullspace_matches_gauss_jordan(rows):
+    basis, rank = scalar_nullspace(rows)
+    assert (basis, rank) == _reference_nullspace(rows)
+    # checks that do not share the reference's elimination
+    assert rank == _sympy_rank(rows) == len(rows[0]) - len(basis)
+    for v in basis:
+        for row in rows:
+            assert sum((a * x for a, x in zip(row, v)), ExactScalar(0)).is_zero()
+    # reduced echelon: v ends in a 1 at its free column, the free columns
+    # increase, and v is 0 at every other free column
+    free = [max(j for j, x in enumerate(v) if not x.is_zero()) for v in basis]
+    assert free == sorted(set(free))
+    for v, fc in zip(basis, free):
+        assert v[fc] == ExactScalar(1)
+        assert all(v[j].is_zero() for j in free if j != fc)
 
 
 def test_modulus_matches_sympy():
@@ -602,16 +544,6 @@ def _ints(rows):
     return [[ExactScalar(x) for x in row] for row in rows]
 
 
-def test_gaussian_integer_row_scales_by_the_lcm():
-    row = [
-        ExactScalar(Fraction(1, 2), Fraction(1, 3)),
-        ExactScalar(5),
-        ExactScalar(0, Fraction(-3, 4)),
-        ExactScalar(0),
-    ]
-    assert _gaussian_integer_row(row) == ([6, 60, 0, 0], [4, 0, -9, 0])
-
-
 def test_scalar_nullspace_prime_disagreement():
     p, s = _modulus(0)
     # full rank over Q, singular modulo p: the first prime's kernel vector
@@ -637,18 +569,6 @@ def test_scalar_nullspace_degenerate_shapes():
     assert scalar_nullspace(full) == ([], 2)
     wide = _ints([[1, 2, 3]])
     assert scalar_nullspace(wide) == _reference_nullspace(wide)
-
-
-def test_scalar_nullspace_raises_when_the_check_never_passes(monkeypatch):
-    # a kernel that never passes the exact check must end in an error, not
-    # a search over primes without end
-    monkeypatch.setattr(exactalg, "_annihilates", lambda A, support, v: False)
-    with pytest.raises(RuntimeError):
-        scalar_nullspace(_ints([[1, 2, 3], [2, 4, 7]]))
-    big = [[ExactScalar(Fraction(3**40 + k, 7), k) for k in range(4)],
-           [ExactScalar(5**30 - k, Fraction(1, 11)) for k in range(4)]]
-    with pytest.raises(RuntimeError):
-        scalar_nullspace(big)
 
 
 # -- rational reconstruction --------------------------------------------------
