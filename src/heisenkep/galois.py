@@ -850,12 +850,13 @@ def factorization_basis(solutions) -> FactorizationBasis:
     Each direction Y (ordered z01, z02, z03, z12, z13, z23) must satisfy
     the Pluecker quadric; the kernel of its 4x4 operator matrix supplies
     columns of Q.  Kernel vectors are scaled so their last nonzero
-    coordinate is 1 and ordered by descending pivot index.  Q takes each
-    kernel column, and then each unit vector, that raises the rank of those
-    taken before, so it is invertible.  Unless it took exactly four kernel
-    columns and nothing else, the basis is flagged as partial (the
-    factorization is then at best block-triangular)."""
-    cols = []
+    coordinate is 1 and ordered by descending pivot index.  Each kernel is
+    an invariant plane, so when two kernels have rank 4 together, Q is the
+    first such pair, the transformed system is block diagonal and the basis
+    complete.  (Four kernel columns from three planes need not do that.)
+    Otherwise Q takes each kernel column, and then each unit vector, that
+    raises the rank of those taken before, so it is invertible, and the
+    basis is partial: the factorization is then at best block-triangular."""
     kernels = []
     for Y in solutions:
         v = [_coerce_entry(y) for y in Y]
@@ -878,15 +879,19 @@ def factorization_basis(solutions) -> FactorizationBasis:
             canon.append(([c * inv for c in vec], piv))
         canon.sort(key=lambda p: -p[1])
         kernels.append([c for c, _ in canon])
-        cols.extend(c for c, _ in canon)
 
-    units = [[ExactRatFunc.coerce(1 if j == i else 0) for j in range(4)] for i in range(4)]
-    kept = []
-    for col in cols + units:
-        trial = kept + [col]
-        if len(kept) < 4 and ExactMatrix(list(zip(*trial))).rank() == len(trial):
-            kept = trial
-    complete = kept == cols  # exactly four kernel columns, and independent
+    def independent(trial):
+        return ExactMatrix(list(zip(*trial))).rank() == len(trial)
+
+    pairs = (k1 + k2 for k1, k2 in itertools.combinations(kernels, 2))
+    kept = next((q for q in pairs if independent(q)), None)
+    complete = kept is not None
+    if not complete:
+        units = [[ExactRatFunc.coerce(1 if j == i else 0) for j in range(4)] for i in range(4)]
+        kept = []
+        for col in [c for k in kernels for c in k] + units:
+            if len(kept) < 4 and independent(kept + [col]):
+                kept.append(col)
     Qm = ExactMatrix(list(zip(*kept)))
     return FactorizationBasis(
         Q=variational.GaugeMatrix(Qm), complete=complete, kernels=kernels

@@ -391,16 +391,18 @@ def _on_floats(fn, a: np.ndarray):
 def first_integrals(spec: SystemSpec, s) -> dict:
     """Values of the known conserved/quasi-conserved quantities at s."""
     a = _state_array(s)
-    if spec.kind == "one-body":
-        x, y, z, px, py, pz = a.tolist()
-        return {
-            "H": hamiltonian(spec, a),
-            "p_theta": x * py - y * px,
-            "J": x * px + y * py + 2 * z * pz,
-        }
-    x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = a.tolist()
+    return {"H": hamiltonian(spec, a), **_polynomial_integrals(spec.kind, a.tolist())}
+
+
+def _polynomial_integrals(kind: str, v) -> dict:
+    """The integrals other than H at the flat state v, given as floats or as
+    float64 columns (one array per coordinate): the same IEEE + - * / either
+    way, so a column holds the bits each float would."""
+    if kind == "one-body":
+        x, y, z, px, py, pz = v
+        return {"p_theta": x * py - y * px, "J": x * px + y * py + 2 * z * pz}
+    x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = v
     return {
-        "H": hamiltonian(spec, a),
         "I1": px1 + y1 * pz1 / 2 + px2 + y2 * pz2 / 2,
         "I2": py1 - x1 * pz1 / 2 + py2 - x2 * pz2 / 2,
         "I3": pz1 + pz2,

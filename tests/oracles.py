@@ -14,6 +14,10 @@ The ``numpy_scalar_*`` functions are the package's numeric evaluators as
 they were before they ran on Python floats: each unpacks the state array
 into numpy scalars, and the two-body gauge builds the phase state.
 
+``per_point_monitor`` is ``dynamics.monitor_conserved`` as it was before
+it batched its dense-output and integral evaluations: one ``traj.at(t)``
+and one ``first_integrals`` per point.
+
 ``sym_module`` and ``row_derivation`` derive the two derivative towers of
 the package in ExactRatFunc arithmetic, each entry in lowest terms: the
 model of the numerator towers over one denominator that
@@ -26,7 +30,15 @@ import math
 import numpy as np
 
 from heisenkep.exactalg import ExactRatFunc, ExactScalar, _dot
-from heisenkep.heisenmodel import CollisionError, GroupElement, PhaseState2B, rho
+from heisenkep.dynamics import MonitorReport, drift_names
+from heisenkep.heisenmodel import (
+    CollisionError,
+    GroupElement,
+    PhaseState2B,
+    first_integrals,
+    hamiltonian,
+    rho,
+)
 
 _ZERO = ExactScalar(0)
 
@@ -295,3 +307,29 @@ def numpy_scalar_first_integrals(spec, a) -> dict:
         "J": x1 * px1 + y1 * py1 + 2 * z1 * pz1
         + x2 * px2 + y2 * py2 + 2 * z2 * pz2,
     }
+
+
+def per_point_monitor(spec, traj) -> MonitorReport:
+    """monitor_conserved with one dense-output call and one first_integrals
+    per point."""
+    ts = np.linspace(traj.t[0], traj.t[-1], 400)
+    states = traj.at(ts)
+    vals = {k: [] for k in drift_names(spec) + ["J"]}
+    for row in states:
+        fi = first_integrals(spec, row)
+        for k in vals:
+            vals[k].append(fi[k])
+    drifts = {k: float(np.max(np.abs(np.array(v) - v[0]))) for k, v in vals.items() if k != "J"}
+    j_arr = np.array(vals["J"])
+    j_drift = float(np.max(np.abs(j_arr - j_arr[0])))
+    djdt_res = 0.0
+    h = max(1e-5, (ts[-1] - ts[0]) * 1e-6)
+    inner = ts[(ts > ts[0] + h) & (ts < ts[-1] - h)]
+    for t in inner:
+        jp = first_integrals(spec, traj.at(t + h))["J"]
+        jm = first_integrals(spec, traj.at(t - h))["J"]
+        hh = hamiltonian(spec, traj.at(t))
+        djdt_res = max(djdt_res, abs((jp - jm) / (2 * h) - 2 * hh))
+    h0 = vals["H"][0]
+    j_const = bool(j_drift < 1e-8) if abs(h0) < 1e-9 else None
+    return MonitorReport(drifts, float(djdt_res), float(h0), j_const, j_drift)

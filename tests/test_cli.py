@@ -283,17 +283,19 @@ def test_factorize_malformed_matrix(runner, tmp_path):
 @pytest.mark.parametrize("diagonal", [[1, 2, 3, 4], [1, 1, 1, 1]])
 def test_factorize_dependent_kernel_columns(runner, tmp_path, diagonal):
     # six decomposable solutions give twelve kernel columns, the first four
-    # of them dependent: Q keeps only columns that raise its rank, so it is
-    # invertible, and the basis is reported as not complete
+    # of them dependent: Q is the first two kernels of rank 4, two invariant
+    # planes, so the basis is complete and the blocks are diagonal
     cfg = tmp_path / "diag.json"
     cfg.write_text(json.dumps({"matrix": [[d if i == j else 0 for j in range(4)]
                                           for i, d in enumerate(diagonal)]}))
     res = runner.invoke(main, ["factorize", "--config", str(cfg),
                                "--out", str(tmp_path)])
-    assert res.exit_code == 1 and "FAIL" in res.output
+    assert res.exit_code == 0 and "PASS" in res.output
     doc = _load(tmp_path / "factorize.json")
-    assert doc["complete"] is False and doc["det_Q"] != "0"
+    assert doc["complete"] is True and doc["det_Q"] != "0"
     assert sum(s["decomposable"] for s in doc["solutions"]) == 6
+    assert sorted(doc["blocks"][i][i] for i in range(4)) == sorted(map(str, diagonal))
+    assert all(doc["blocks"][i][j] == "0" for i in range(4) for j in range(4) if i != j)
 
 
 @pytest.mark.parametrize("c, a, C", [("19", "1/2888", "1/13718"),
@@ -353,6 +355,8 @@ def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
                  id="threshold-key"),
     pytest.param("integrator", {"method": "Euler"}, "unknown integrator method 'Euler'",
                  id="integrator-method"),
+    pytest.param("integrator", {"t_end": -5}, "t_end must be positive",
+                 id="integrator-t-end"),
 ])
 def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, entry,
                                       message):

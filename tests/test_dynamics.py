@@ -1,9 +1,12 @@
 import csv
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenkep.dynamics import (
     ExtendedState,
@@ -18,12 +21,15 @@ from heisenkep.dynamics import (
     trajectory_to_csv,
 )
 from heisenkep.heisenmodel import (
+    GroupElement,
     PhaseState1B,
+    PhaseState2B,
     SystemSpec,
     condition_coefficient_a,
     hamiltonian,
     particular_solution,
 )
+from oracles import per_point_monitor
 
 TIGHT = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0)
 
@@ -149,6 +155,64 @@ def test_two_body_momentum_ramp(kepler2b):
     assert np.max(np.abs(pw2 + 2 * a * ts)) < 1e-9
 
 
+# -- batched dense output and monitor ---------------------------------------
+
+_TWO_BODY_S0 = PhaseState2B(GroupElement(1.5, 0.0, 0.2), GroupElement(-1.5, 0.0, -0.2),
+                            0.2, 1.5, 0.1, -0.2, -1.8, 0.0)
+
+
+@pytest.fixture(scope="module")
+def method_trajs(kepler1b, kepler2b):
+    """{(kind, method): trajectory} for every method at_each is checked on."""
+    cfg = dict(abs_tol=1e-9, rel_tol=1e-9, t_end=3.0)
+    starts = {"one-body": (kepler1b, PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1)),
+              "two-body": (kepler2b, _TWO_BODY_S0)}
+    return {(kind, m): integrate(spec, s0, IntegratorConfig(method=m, **cfg))
+            for kind, (spec, s0) in starts.items() for m in ("RK23", "RK45", "DOP853", "Radau")}
+
+
+@pytest.mark.parametrize("kind", ["one-body", "two-body"])
+@pytest.mark.parametrize("method", ["RK23", "RK45", "DOP853", "Radau"])
+@settings(max_examples=15, deadline=None)
+@given(extra=st.lists(st.floats(-1.0, 4.0), max_size=30))
+def test_at_each_is_per_point_at_bit_for_bit(method_trajs, kind, method, extra):
+    traj = method_trajs[kind, method]
+    # every step node, where two segments meet, and both ends of the range
+    ts = np.concatenate([traj.t, [traj.sol.t_min, traj.sol.t_max], extra])
+    rows = traj.at_each(ts)
+    assert rows.shape == (ts.size, traj.dim)
+    assert rows.tobytes() == np.array([traj.at(t) for t in ts]).tobytes()
+
+
+def test_at_each_of_no_time(method_trajs):
+    assert method_trajs["one-body", "RK45"].at_each([]).shape == (0, 6)
+    assert method_trajs["two-body", "DOP853"].at_each([]).shape == (0, 12)
+
+
+@pytest.mark.parametrize("kind", ["one-body", "two-body"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_monitor_matches_the_per_point_oracle(kepler1b, kepler2b, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "one-body":
+        spec, s0 = kepler1b, PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1).to_array()
+    else:
+        spec, s0 = kepler2b, _TWO_BODY_S0.to_array()
+    s0 = s0 + rng.uniform(-0.05, 0.05, s0.size)
+    traj = integrate(spec, s0, IntegratorConfig(abs_tol=1e-11, rel_tol=1e-11, t_end=8.0))
+    assert traj.flagged_event is None
+    assert (json.dumps(monitor_conserved(spec, traj).to_json(), sort_keys=True)
+            == json.dumps(per_point_monitor(spec, traj).to_json(), sort_keys=True))
+
+
+def test_monitor_of_a_span_too_short_to_differentiate(kepler1b):
+    # no grid point lies h inside both ends, so no residual is taken
+    traj = integrate(kepler1b, PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1),
+                     IntegratorConfig(t_end=1e-5))
+    rep = monitor_conserved(kepler1b, traj)
+    assert rep.djdt_residual_max == 0.0
+    assert rep.to_json() == per_point_monitor(kepler1b, traj).to_json()
+
+
 # -- reversibility and guards -----------------------------------------------
 
 def test_time_reversal_round_trip(kepler1b):
@@ -173,6 +237,12 @@ def test_collision_guard_flags(kepler1b):
 def test_config_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=0.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -5.0, float("nan")])
+def test_config_rejects_nonpositive_t_end(t_end):
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        IntegratorConfig(t_end=t_end)
 
 
 def test_trajectory_rejects_bad_grid():

@@ -45,13 +45,14 @@ from heisenkep.galois import (
     o3r_operator,
     parabolic_from_ode,
     plucker_check,
+    plucker_quadric,
     rehm_classify,
     singularity_analysis,
     sym_power,
     system_exp_solutions,
 )
 from heisenkep.heisenmodel import SystemSpec
-from heisenkep.variational import _minimal_annihilator, gauge_transform, ve_along
+from heisenkep.variational import LinearSystem, _minimal_annihilator, gauge_transform, ve_along
 
 import oracles
 
@@ -1109,6 +1110,31 @@ def test_factorization_basis_partial(weil_block):
             assert g.A[i, j].is_zero()
     assert any(not g.A[i, j].is_zero() for i in range(2) for j in range(2, 4))
     assert len(fb.kernels) == 1 and len(fb.kernels[0]) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(P=st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=4, max_size=4),
+       b=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+# a conjugate of diag(1, 2, 4, 8): six invariant planes, and four kernel
+# columns drawn from three of them leave nonzero off-diagonal blocks
+@example(P=[[-1, -2, 2, 1], [2, -2, 2, 2], [1, 0, 1, -1], [0, -2, 1, 2]],
+         b=[1, 0, 0, 2, 4, 0, 0, 8])
+def test_complete_factorization_basis_is_block_diagonal(P, b):
+    P = ExactMatrix(P)
+    assume(not P.det().is_zero())
+    D = ExactMatrix([[b[0], b[1], 0, 0], [b[2], b[3], 0, 0],
+                     [0, 0, b[4], b[5]], [0, 0, b[6], b[7]]])
+    A = P @ D @ P.inverse()
+    decomposable = [v for s, v in system_exp_solutions(exterior_square(A))
+                    if plucker_quadric(v).is_zero() and not s.is_zero()]
+    assume(decomposable)
+    fb = factorization_basis(decomposable)
+    g = gauge_transform(LinearSystem(A, var=A.var), fb.Q)
+    if fb.complete:
+        assert all(g.A[i, j].is_zero() and g.A[j, i].is_zero()
+                   for i in range(2) for j in range(2, 4))
+    if b == [1, 0, 0, 2, 4, 0, 0, 8]:
+        assert fb.complete and len(fb.kernels) == 6
 
 
 def test_factorization_basis_rejects_non_plucker():
