@@ -1,27 +1,31 @@
 """Numerical integration of the one-body, two-body, and extended
 (algebraic-variable) systems, with conserved-quantity monitoring.
 
-The integrator is an adaptive embedded Runge-Kutta pair (scipy's RK45 by
-default, DOP853 selectable).  Every trajectory keeps its dense output: the
-monitor samples it and differentiates J along it.  A symplectic scheme is not
-used: the extended system is Poisson with a nonconstant structure matrix,
-so one explicit adaptive scheme serves all three systems uniformly.
+The integrator is an embedded Runge-Kutta pair with dense output.  RK45, the
+default, is ``_rk45``: a Dormand-Prince 5(4) that repeats scipy's
+``solve_ivp`` op for op, so its bits are scipy's.  Other method names go to
+``solve_ivp``.  Every trajectory keeps its dense output: the monitor samples
+it and differentiates J along it.  A symplectic scheme is not used: the
+extended system is Poisson with a nonconstant structure matrix, so one
+explicit adaptive scheme serves all three systems uniformly.
 
 The vector field, the collision guard and H run on Python floats, which
 round as numpy's scalars do at a third of the cost.  The monitor batches
 what rounds as the scalar path does: ``Trajectory.at_each`` has the bits of
 per-point dense output, and the other integrals are IEEE ``+ - * /`` on
 float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
-from C ``pow``), and the grid keeps scipy's array call (see README).
+from C ``pow``), and the grid keeps OdeSolution's array call (see README).
 
-scipy and sympy are imported only by the functions that integrate or
-generate evaluators, so loading this module does not load them.
+scipy and sympy are imported only where needed (another method, evaluator
+generation), so loading this module or integrating with RK45 loads no scipy.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +93,14 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
     stats: dict
-    sol: object = None  # dense-output interpolant (scipy OdeSolution)
+    sol: object = None  # scipy's OdeSolution, for methods other than RK45
     flagged_event: str | None = None
+    # RK45 dense output, one row per segment t[i]..t[i + 1]: the state at t
+    # is y_old[i] + h[i] * Q[i] @ (x, x^2, x^3, x^4), x = (t - t_old[i]) / h[i]
+    t_old: np.ndarray | None = None
+    h: np.ndarray | None = None
+    Q: np.ndarray | None = None  # shape (segments, dim, 4)
+    y_old: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -103,32 +113,48 @@ class Trajectory:
         return self.y.shape[1]
 
     def at(self, t):
-        if self.sol is None:
-            raise ValueError("trajectory has no dense output")
-        return np.atleast_1d(self.sol(t)).T
+        """The dense output at a time t (a state) or at an array of times (a
+        row per time), as scipy's OdeSolution call computes it: for an array,
+        one matrix product per run of times in one segment."""
+        if self.Q is None:
+            if self.sol is None:
+                raise ValueError("trajectory has no dense output")
+            return np.atleast_1d(self.sol(t)).T
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return self._segment_at(self._segment_of(t), t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = self._segment_of(t_sorted)
+        cuts = np.flatnonzero(np.diff(seg)) + 1  # runs of times in one segment
+        ys = [self._segment_at(i[0], run)
+              for i, run in zip(np.split(seg, cuts), np.split(t_sorted, cuts))]
+        return np.hstack(ys)[:, np.argsort(order)].T
+
+    def _segment_of(self, t):
+        # the segment with the lower index where two meet
+        return np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
+
+    def _segment_at(self, i, t):
+        return _rk_dense(self.t_old[i], self.h[i], self.Q[i], self.y_old[i], t)
 
     def at_each(self, ts) -> np.ndarray:
         """Row i is at(ts[i]), bit for bit, from one batched pass.
 
-        For RK23 and RK45 forward in time this is scipy's RkDenseOutput step
-        for all t at once: the segment OdeSolution picks, the cumprod powers
-        of x = (t - t_old)/h, and one stacked matmul whose slices make the
-        BLAS call np.dot(Q, p) makes.  Otherwise it calls at(t) per point."""
-        from scipy.integrate._ivp.rk import RkDenseOutput
-
+        For RK45 this is the scalar dense-output step for all t at once: the
+        segment at() picks, the cumprod powers of x = (t - t_old)/h, and one
+        stacked matmul whose slices make the BLAS call np.dot(Q, p) makes.
+        Other methods call at(t) per point."""
         ts = np.asarray(ts, dtype=float)
-        sol, ips = self.sol, []
-        if ts.size and sol is not None and sol.ascending:
-            seg = np.searchsorted(sol.ts_sorted, ts, side=sol.side) - 1
-            ips = [sol.interpolants[i] for i in np.clip(seg, 0, sol.n_segments - 1).tolist()]
-        if not ips or any(type(ip) is not RkDenseOutput for ip in ips):
+        if self.Q is None:
             return np.array([self.at(t) for t in ts]).reshape(ts.size, self.dim)
-        h = np.array([ip.h for ip in ips])
-        x = (ts - np.array([ip.t_old for ip in ips])) / h
-        Q = np.stack([ip.Q for ip in ips])
+        seg = self._segment_of(ts)
+        h = self.h[seg]
+        x = (ts - self.t_old[seg]) / h
+        Q = self.Q[seg]
         p = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
         y = h[:, None] * np.matmul(Q, p[..., None])[..., 0]
-        y += np.stack([ip.y_old for ip in ips])
+        y += self.y_old[seg]
         return y
 
 
@@ -150,8 +176,6 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     Terminates early with a flagged event when rho drops below cfg.rho_min;
     step-size underflow raises IntegrationError with the last good state.
     """
-    from scipy.integrate import solve_ivp
-
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
 
     def f(t, y):
@@ -160,36 +184,231 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     def near_collision(t, y):
         return state_rho(spec, y) - cfg.rho_min
 
-    near_collision.terminal = True
-    near_collision.direction = -1
+    traj = _solve(f, a0, cfg, near_collision)
+    traj.flagged_event = "collision_guard" if traj.stats["status"] == 1 else None
+    return traj
 
-    res = solve_ivp(
-        f,
-        (0.0, cfg.t_end),
-        a0,
-        method=cfg.method,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-        events=near_collision,
-    )
-    if res.status == -1:
-        raise IntegrationError(
-            f"integration failed: {res.message}",
-            last_t=res.t[-1] if res.t.size else 0.0,
-            last_state=res.y[:, -1] if res.t.size else a0,
-        )
-    stats = {
-        "nfev": int(res.nfev),
-        "steps": int(res.t.size - 1),
-        "status": int(res.status),
-        "message": str(res.message),
-    }
-    flagged = "collision_guard" if res.status == 1 else None
-    return Trajectory(
-        t=res.t, y=res.y.T, stats=stats, sol=res.sol, flagged_event=flagged
-    )
+
+def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Trajectory:
+    """solve_ivp(fun, (0, cfg.t_end), y0, method=cfg.method, dense_output=True,
+    events=event) with cfg's tolerances and max_step; the event is terminal
+    and fires where it falls through zero.  A failed run raises
+    IntegrationError("<what> failed: ...")."""
+    if cfg.method == "RK45":
+        t, y, nfev, status, dense = _rk45(fun, y0, cfg, event)
+        traj, message = Trajectory(t, y, {}, **dense), _MESSAGES[status]
+    else:
+        from scipy.integrate import solve_ivp
+
+        if event is not None:
+            event.terminal, event.direction = True, -1
+        res = solve_ivp(fun, (0.0, cfg.t_end), y0, method=cfg.method, rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True,
+                        events=event)
+        traj = Trajectory(res.t, res.y.T, {}, sol=res.sol)
+        nfev, status, message = res.nfev, res.status, res.message
+    if status == -1:
+        raise IntegrationError(f"{what} failed: {message}", last_t=traj.t[-1],
+                               last_state=traj.y[-1])
+    traj.stats = {"nfev": int(nfev), "steps": int(traj.t.size - 1), "status": int(status),
+                  "message": str(message)}
+    return traj
+
+
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4), as scipy.integrate.RK45
+# ---------------------------------------------------------------------------
+
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+               [44/45, -56/15, 32/9, 0, 0],
+               [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([  # the quartic dense output, with Shampine's optimum c_6
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_ERROR_ESTIMATOR_ORDER = 4
+_ERROR_EXPONENT = -1 / (_ERROR_ESTIMATOR_ORDER + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EPS = np.finfo(float).eps
+_MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+             1: "A termination event occurred.",
+             -1: "Required step size is less than spacing between numbers."}
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk_dense(t_old, h, Q, y_old, t):
+    """The step's dense output at t, a 0-d or 1-d array (RkDenseOutput)."""
+    x = (t - t_old) / h
+    if t.ndim == 0:
+        p = np.cumprod(np.tile(x, Q.shape[1]))
+    else:
+        p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+    y = h * np.dot(Q, p)
+    y += y_old if y.ndim == 1 else y_old[:, None]
+    return y
+
+
+def _rk45(fun, y0, cfg: IntegratorConfig, event=None):
+    """solve_ivp's RK45 path op for op (see _solve); fun returns float64
+    arrays.  Returns t, y (a row per time), nfev, status and the dense
+    output's fields of Trajectory."""
+    t_bound, max_step, rtol, atol = float(cfg.t_end), cfg.max_step, cfg.rel_tol, cfg.abs_tol
+    if max_step <= 0:
+        raise ValueError("`max_step` must be positive.")
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=4)
+        rtol = max(rtol, 100 * _EPS)
+    y = np.asarray(y0).astype(float, copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    t, f = 0.0, fun(0.0, y)
+
+    # select_initial_step
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ESTIMATOR_ORDER + 1))
+    h_abs = min(100 * h0, h1, t_bound, max_step)
+
+    # K holds the stages in rows; the transposed views rk_step takes of it
+    # are made once, since K is written in place
+    K = np.empty((_E.size, y.size))
+    stages = [(K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, _C.size)]
+    K_B, K_E = K[:-1].T, K.T
+    ts, ys, dense = [t], [y0], []
+    g = None if event is None else event(t, y0)
+    attempts, status = 0, None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else min_step if h_abs < min_step else h_abs
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            # rk_step
+            K[0] = f
+            for s, (K_s, a_s, c) in enumerate(stages, start=1):
+                dy = np.dot(K_s, a_s) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K_B, _B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            attempts += 1
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K_E, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        if status == -1:
+            break
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t - t_bound >= 0:
+            status = 0
+        seg = (t_old, h, K_E.dot(_P), y_old)
+        dense.append(seg)
+        if event is not None:
+            g_new = event(t, y)
+            if g >= 0 and g_new <= 0:
+                t = _brentq(lambda r: event(r, _rk_dense(*seg, np.asarray(r))), t_old, t,
+                            4 * _EPS, 4 * _EPS)
+                y = _rk_dense(*seg, np.asarray(t))
+                status = 1
+            g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            dense.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+
+    fields = dict(zip(("t_old", "h", "Q", "y_old"), map(np.array, zip(*dense))))
+    # fun ran once at t = 0, once to select the first step, 6 times a step
+    return np.array(ts), np.vstack(ys), 2 + 6 * attempts, status, fields
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb]: scipy.optimize.brentq, its C loop line for line
+    on Python floats (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4)."""
+    def fx(x):
+        v = f(x)
+        if math.isnan(v):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return v
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect, as C does when a quotient below is not finite
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+        if 2 * abs(stry) < bound:  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -394,39 +613,15 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
     The Casimir residual P(u(t)) is tracked as a diagnostic: its drift is
     measured, not corrected, and a residual above 1e-6 flags the trajectory
     as leaving the leaf."""
-    from scipy.integrate import solve_ivp
-
     a0 = x0.to_array() if hasattr(x0, "to_array") else np.asarray(x0, dtype=float)
     if abs(sys.P(a0)) > 1e-12:
         raise ValueError("initial state is off the physical leaf P(u) = 0")
 
-    res = solve_ivp(
-        lambda t, xarr: sys.rhs(xarr),
-        (0.0, cfg.t_end),
-        a0,
-        method=cfg.method,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-    )
-    if res.status == -1:
-        raise IntegrationError(
-            f"extended integration failed: {res.message}",
-            last_t=res.t[-1] if res.t.size else 0.0,
-            last_state=res.y[:, -1] if res.t.size else a0,
-        )
-    p_res = max(abs(sys.P(res.y[:, k])) for k in range(res.t.size))
-    flagged = "leaf_departure" if p_res > 1e-6 else None
-    stats = {
-        "nfev": int(res.nfev),
-        "steps": int(res.t.size - 1),
-        "max_casimir_residual": float(p_res),
-        "status": int(res.status),
-    }
-    return Trajectory(
-        t=res.t, y=res.y.T, stats=stats, sol=res.sol, flagged_event=flagged
-    )
+    traj = _solve(lambda t, xarr: sys.rhs(xarr), a0, cfg, what="extended integration")
+    p_res = max(abs(sys.P(row)) for row in traj.y)
+    traj.flagged_event = "leaf_departure" if p_res > 1e-6 else None
+    traj.stats["max_casimir_residual"] = float(p_res)
+    return traj
 
 
 # ---------------------------------------------------------------------------

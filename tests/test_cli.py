@@ -437,14 +437,14 @@ def test_exact_preset_artifact_digest(runner, tmp_path, preset):
 
 
 # Imports the package, runs every exact preset and then one numeric preset
-# in one interpreter, and prints which of scipy and sympy were loaded after
-# each step.
+# in one interpreter, and prints which of scipy, its integrator and root
+# finder, and sympy were loaded after each step.
 _IMPORT_PROBE = """
 import json, sys
 from heisenkep import cli, dynamics, exactalg, galois, heisenmodel, variational
 
 def loaded():
-    return [m for m in ("scipy", "scipy.integrate", "sympy") if m in sys.modules]
+    return [m for m in ("scipy", "scipy.integrate", "scipy.optimize", "sympy") if m in sys.modules]
 
 out, presets = sys.argv[1], sys.argv[2:]
 seen = {"import": loaded()}
@@ -466,8 +466,9 @@ def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     exact_steps = ["import", *presets]
     assert {step: seen[step] for step in exact_steps} == dict.fromkeys(exact_steps, [])
-    # positive control: the numeric run does load the integrator
-    assert "scipy.integrate" in seen["simulate_invariant_line"]
+    # positive control: the numeric run loads sympy for its evaluators, and
+    # its RK45 orbit loads no scipy module
+    assert seen["simulate_invariant_line"] == ["sympy"]
 
 
 def _loaded_by_import(module: str, candidates) -> str:
@@ -491,9 +492,10 @@ def test_exactalg_import_loads_no_numeric_layer():
 
 # SHA-256 of every artifact of every numeric preset, with the exit code of
 # its run (simulate_collision stops at the collision guard and exits 1).
-# The floats come from lambdified sympy expressions and scipy's integrators,
-# so the digests hold for the library versions they were taken with.
-NUMERIC_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "sympy": "1.14.0"}
+# The floats come from lambdified sympy expressions and the in-package RK45
+# on numpy, so the digests hold for the numpy and sympy versions they were
+# taken with (and the OpenBLAS kernel and libm variant: see the README).
+NUMERIC_VERSIONS = {"numpy": "2.4.6", "sympy": "1.14.0"}
 NUMERIC_ARTIFACTS = {
     "simulate_collision": ("simulate", 1, {
         "report.json": "2878d261c3c3d5c22b32f10bcf9de33b79905329f12e635feab4c09746e39dc7",
@@ -528,7 +530,7 @@ def _require_versions(names):
 
 @pytest.mark.parametrize("preset", sorted(NUMERIC_ARTIFACTS))
 def test_numeric_preset_artifact_digest(runner, tmp_path, preset):
-    _require_versions(("numpy", "scipy", "sympy"))
+    _require_versions(("numpy", "sympy"))
     command, code, digests = NUMERIC_ARTIFACTS[preset]
     res = _run(runner, [command, "--config", preset, "--out", str(tmp_path)])
     assert res.exit_code == code

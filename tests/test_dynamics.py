@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenkep import dynamics
 from heisenkep.dynamics import (
     ExtendedState,
+    IntegrationError,
     IntegratorConfig,
     Trajectory,
     extended_poisson_build,
@@ -25,9 +27,11 @@ from heisenkep.heisenmodel import (
     PhaseState1B,
     PhaseState2B,
     SystemSpec,
+    _on_floats,
     condition_coefficient_a,
     hamiltonian,
     particular_solution,
+    state_rho,
 )
 from oracles import per_point_monitor
 
@@ -177,8 +181,10 @@ def method_trajs(kepler1b, kepler2b):
 @given(extra=st.lists(st.floats(-1.0, 4.0), max_size=30))
 def test_at_each_is_per_point_at_bit_for_bit(method_trajs, kind, method, extra):
     traj = method_trajs[kind, method]
-    # every step node, where two segments meet, and both ends of the range
-    ts = np.concatenate([traj.t, [traj.sol.t_min, traj.sol.t_max], extra])
+    # every step node, where two segments meet, and for RK45 both ends of
+    # each segment (the last one runs past a collision root)
+    ends = [] if traj.Q is None else [traj.t_old, traj.t_old + traj.h]
+    ts = np.concatenate([traj.t, *ends, extra])
     rows = traj.at_each(ts)
     assert rows.shape == (ts.size, traj.dim)
     assert rows.tobytes() == np.array([traj.at(t) for t in ts]).tobytes()
@@ -211,6 +217,135 @@ def test_monitor_of_a_span_too_short_to_differentiate(kepler1b):
     rep = monitor_conserved(kepler1b, traj)
     assert rep.djdt_residual_max == 0.0
     assert rep.to_json() == per_point_monitor(kepler1b, traj).to_json()
+
+
+# -- the in-package RK45 against scipy, its oracle ---------------------------
+
+def test_rk45_tableau_is_scipys():
+    from scipy.integrate import RK45
+    from scipy.integrate._ivp import rk
+
+    for name in "ABCEP":
+        ours, theirs = getattr(dynamics, "_" + name), getattr(RK45, name)
+        assert (ours.shape, ours.tobytes()) == (theirs.shape, theirs.tobytes())
+    assert dynamics._ERROR_ESTIMATOR_ORDER == RK45.error_estimator_order
+    assert ((dynamics._SAFETY, dynamics._MIN_FACTOR, dynamics._MAX_FACTOR)
+            == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR))
+
+
+def _outcome(run):
+    """run()'s value, or the repr of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _solve_ivp_orbit(spec, s0, cfg):
+    """integrate's orbit as scipy's solve_ivp computes it."""
+    from scipy.integrate import solve_ivp
+
+    def near_collision(t, y):
+        return state_rho(spec, y) - cfg.rho_min
+
+    near_collision.terminal, near_collision.direction = True, -1
+    return solve_ivp(lambda t, y: np.asarray(_on_floats(spec._rhs_fn, y), dtype=float),
+                     (0.0, cfg.t_end), s0, method="RK45", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, dense_output=True, events=near_collision)
+
+
+# the simulate presets' starts; the radial infall is perturbed along its line
+_ORBIT_STARTS = {"scatter": (1.0, 0.0, 0.2, 0.3, 1.2, 0.1),
+                 "zero energy": tuple(_zero_energy_state().to_array()),
+                 "infall": (1.0, 0.0, 0.0, -0.5, 0.0, 0.0),
+                 "two-body": tuple(_TWO_BODY_S0.to_array())}
+
+
+@settings(max_examples=20, deadline=None)
+@given(start=st.sampled_from(sorted(_ORBIT_STARTS)),
+       noise=st.lists(st.floats(-0.05, 0.05), min_size=12, max_size=12),
+       tol=st.sampled_from([1e-9, 1e-10, 1e-11, 1e-12]),
+       rho_min=st.sampled_from([1e-8, 1e-4, 1e-2]), t_end=st.floats(1.0, 3.0))
+def test_rk45_is_solve_ivp_bit_for_bit(kepler1b, kepler2b, start, noise, tol, rho_min, t_end):
+    s0 = np.array(_ORBIT_STARTS[start])
+    mask = np.zeros(s0.size) if start == "infall" else np.ones(s0.size)
+    mask[[0, 3]] = 1.0
+    s0 = s0 + mask * noise[:s0.size]
+    spec = kepler2b if start == "two-body" else kepler1b
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, t_end=t_end, rho_min=rho_min)
+    res = _outcome(lambda: _solve_ivp_orbit(spec, s0, cfg))
+    traj = _outcome(lambda: integrate(spec, s0, cfg))
+    if isinstance(res, str):  # the event root's bracket lost its sign change
+        assert traj == res
+        return
+    if start == "infall":
+        assert res.status == 1
+    assert traj.t.tobytes() == res.t.tobytes()
+    assert traj.y.tobytes() == res.y.T.tobytes()
+    assert (traj.stats == {"nfev": res.nfev, "steps": res.t.size - 1, "status": res.status,
+                           "message": res.message})
+    assert traj.flagged_event == ("collision_guard" if res.status == 1 else None)
+    assert traj.t[-1:].tobytes() == (res.t_events[0] if res.status == 1 else res.t[-1:]).tobytes()
+    grid = np.linspace(traj.t[0], traj.t[-1], 400)
+    ours, theirs = traj.at(grid), res.sol(grid).T
+    assert (ours.tobytes(), ours.strides) == (theirs.tobytes(), theirs.strides)
+    pts = np.concatenate([traj.t, grid[::7], [t_end]])
+    assert (np.array([traj.at(t) for t in pts]).tobytes()
+            == np.array([res.sol(t) for t in pts]).tobytes())
+
+
+def test_rk45_step_underflow_is_solve_ivps():
+    # y' = y^2 from y(0) = 1 blows up at t = 1, where the step underflows
+    from scipy.integrate import solve_ivp
+
+    fun = lambda t, y: y * y
+    res = solve_ivp(fun, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-9, dense_output=True)
+    assert res.status == -1
+    cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, t_end=2.0)
+    with pytest.raises(IntegrationError, match=f"integration failed: {res.message}") as err:
+        dynamics._solve(fun, np.array([1.0]), cfg)
+    assert err.value.last_t == res.t[-1]
+    assert err.value.last_state.tobytes() == res.y[:, -1].tobytes()
+
+
+def _tracing(f, xs):
+    def g(x):
+        xs.append(x)
+        return f(x)
+    return g
+
+
+_BRENT_FUNCTIONS = {
+    "cubic": lambda c: lambda x: c[0] + c[1] * x + c[2] * x * x + c[3] * x ** 3,
+    "flat": lambda c: lambda x: c[0] + c[1] * (x - c[2]) ** 9,
+    "staircase": lambda c: lambda x: math.floor(4 * c[1] * (x - c[2])) + 0.5,
+    "exp": lambda c: lambda x: math.exp(c[1] * x) - 1.0 - c[0],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_BRENT_FUNCTIONS)),
+       c=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
+       xtol=st.sampled_from([4 * np.finfo(float).eps, 1e-12, 1e-6, 0.1]),
+       rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-9, 1e-3]),
+       maxiter=st.sampled_from([1, 3, 10, 100]))
+def test_brentq_port_is_scipys(kind, c, a, b, xtol, rtol, maxiter):
+    from scipy.optimize import brentq
+
+    f = _BRENT_FUNCTIONS[kind](c)
+    seen = {"ours": [], "scipy": []}
+
+    def run(solver, key):
+        try:
+            return solver(_tracing(f, seen[key]), a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        except (ValueError, RuntimeError) as exc:
+            return repr(exc)
+
+    ours, theirs = run(dynamics._brentq, "ours"), run(brentq, "scipy")
+    assert (ours.hex() if isinstance(ours, float) else ours) == (
+        theirs.hex() if isinstance(theirs, float) else theirs)
+    assert [x.hex() for x in seen["ours"]] == [x.hex() for x in seen["scipy"]]
 
 
 # -- reversibility and guards -----------------------------------------------
