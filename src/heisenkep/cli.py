@@ -30,6 +30,7 @@ import numpy as np
 
 from .exactalg import ExactMatrix, ExactPoly, ExactScalar
 from .heisenmodel import (
+    CollisionError,
     SystemSpec,
     condition_coefficient_a,
     first_integrals,
@@ -233,6 +234,8 @@ def simulate(config, out_dir, seed, fmt):
     s0 = _initial_state(spec, rc.config)
     try:
         traj = integrate(spec, s0, icfg)
+    except CollisionError as e:
+        raise click.ClickException(str(e)) from e
     except IntegrationError as e:
         doc = {"system": spec.to_json(), "flagged_event": "integration_failure",
                "last_t": float(e.last_t), "last_state": list(map(float, e.last_state)),
@@ -661,6 +664,8 @@ def sweep(config, out_dir, seed, fmt):
     def run(idx, s0):
         try:
             traj = integrate(spec, s0, icfg)
+        except CollisionError as e:
+            raise click.ClickException(f"state {idx}: {e}") from e
         except IntegrationError:
             return {"index": idx, "initial_state": s0.tolist(),
                     "flagged_event": "integration_failure", "pass": False}

@@ -1,11 +1,10 @@
 """Numerical integration of the one-body, two-body, and extended
 (algebraic-variable) systems, with conserved-quantity monitoring.
 
-The integrator is an embedded Runge-Kutta pair with dense output.  RK45, the
-default, is ``_rk45``: a Dormand-Prince 5(4) that repeats scipy's
-``solve_ivp`` op for op, so its bits are scipy's.  Other method names go to
-``solve_ivp``.  Every trajectory keeps its dense output: the monitor samples
-it and differentiates J along it.  A symplectic scheme is not used: the
+The integrator, ``_solve``, is the Dormand-Prince 5(4) pair with dense output
+of scipy's ``solve_ivp`` RK45, repeated op for op, so its bits are scipy's.
+Every trajectory keeps its dense output: the monitor samples it and
+differentiates J along it.  A symplectic scheme is not used: the
 extended system is Poisson with a nonconstant structure matrix, so one
 explicit adaptive scheme serves all three systems uniformly.
 
@@ -16,8 +15,8 @@ per-point dense output, and the other integrals are IEEE ``+ - * /`` on
 float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
 from C ``pow``), and the grid keeps OdeSolution's array call (see README).
 
-scipy and sympy are imported only where needed (another method, evaluator
-generation), so loading this module or integrating with RK45 loads no scipy.
+sympy is imported only where evaluators are generated, and scipy not at
+all: scipy serves only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     max_step: float = np.inf
     t_end: float = 10.0
-    method: str = "RK45"
     rho_min: float = 1e-8
 
     def __post_init__(self):
@@ -83,9 +81,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        methods = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")  # solve_ivp's
-        if self.method not in methods:
-            raise ValueError(f"unknown integrator method {self.method!r}: use {', '.join(methods)}")
 
 
 @dataclass
@@ -93,14 +88,13 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
     stats: dict
-    sol: object = None  # scipy's OdeSolution, for methods other than RK45
-    flagged_event: str | None = None
-    # RK45 dense output, one row per segment t[i]..t[i + 1]: the state at t
+    # the dense output, one row per segment t[i]..t[i + 1]: the state at t
     # is y_old[i] + h[i] * Q[i] @ (x, x^2, x^3, x^4), x = (t - t_old[i]) / h[i]
-    t_old: np.ndarray | None = None
-    h: np.ndarray | None = None
-    Q: np.ndarray | None = None  # shape (segments, dim, 4)
-    y_old: np.ndarray | None = None
+    t_old: np.ndarray
+    h: np.ndarray
+    Q: np.ndarray  # shape (segments, dim, 4)
+    y_old: np.ndarray
+    flagged_event: str | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -116,10 +110,6 @@ class Trajectory:
         """The dense output at a time t (a state) or at an array of times (a
         row per time), as scipy's OdeSolution call computes it: for an array,
         one matrix product per run of times in one segment."""
-        if self.Q is None:
-            if self.sol is None:
-                raise ValueError("trajectory has no dense output")
-            return np.atleast_1d(self.sol(t)).T
         t = np.asarray(t)
         if t.ndim == 0:
             return self._segment_at(self._segment_of(t), t)
@@ -141,13 +131,10 @@ class Trajectory:
     def at_each(self, ts) -> np.ndarray:
         """Row i is at(ts[i]), bit for bit, from one batched pass.
 
-        For RK45 this is the scalar dense-output step for all t at once: the
-        segment at() picks, the cumprod powers of x = (t - t_old)/h, and one
-        stacked matmul whose slices make the BLAS call np.dot(Q, p) makes.
-        Other methods call at(t) per point."""
+        This is the scalar dense-output step for all t at once: the segment
+        at() picks, the cumprod powers of x = (t - t_old)/h, and one stacked
+        matmul whose slices make the BLAS call np.dot(Q, p) makes."""
         ts = np.asarray(ts, dtype=float)
-        if self.Q is None:
-            return np.array([self.at(t) for t in ts]).reshape(ts.size, self.dim)
         seg = self._segment_of(ts)
         h = self.h[seg]
         x = (ts - self.t_old[seg]) / h
@@ -174,9 +161,13 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     """Adaptive integration of the canonical equations up to cfg.t_end.
 
     Terminates early with a flagged event when rho drops below cfg.rho_min;
-    step-size underflow raises IntegrationError with the last good state.
+    step-size underflow raises IntegrationError with the last good state.  A
+    start on the collision set, where the vector field is not finite, raises
+    CollisionError.
     """
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
+    if state_rho(spec, a0) == 0.0:
+        raise CollisionError("initial state on the collision set, rho = 0")
 
     def f(t, y):
         return np.asarray(_on_floats(spec._rhs_fn, y), dtype=float)
@@ -186,32 +177,6 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
 
     traj = _solve(f, a0, cfg, near_collision)
     traj.flagged_event = "collision_guard" if traj.stats["status"] == 1 else None
-    return traj
-
-
-def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Trajectory:
-    """solve_ivp(fun, (0, cfg.t_end), y0, method=cfg.method, dense_output=True,
-    events=event) with cfg's tolerances and max_step; the event is terminal
-    and fires where it falls through zero.  A failed run raises
-    IntegrationError("<what> failed: ...")."""
-    if cfg.method == "RK45":
-        t, y, nfev, status, dense = _rk45(fun, y0, cfg, event)
-        traj, message = Trajectory(t, y, {}, **dense), _MESSAGES[status]
-    else:
-        from scipy.integrate import solve_ivp
-
-        if event is not None:
-            event.terminal, event.direction = True, -1
-        res = solve_ivp(fun, (0.0, cfg.t_end), y0, method=cfg.method, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True,
-                        events=event)
-        traj = Trajectory(res.t, res.y.T, {}, sol=res.sol)
-        nfev, status, message = res.nfev, res.status, res.message
-    if status == -1:
-        raise IntegrationError(f"{what} failed: {message}", last_t=traj.t[-1],
-                               last_state=traj.y[-1])
-    traj.stats = {"nfev": int(nfev), "steps": int(traj.t.size - 1), "status": int(status),
-                  "message": str(message)}
     return traj
 
 
@@ -259,16 +224,17 @@ def _rk_dense(t_old, h, Q, y_old, t):
     return y
 
 
-def _rk45(fun, y0, cfg: IntegratorConfig, event=None):
-    """solve_ivp's RK45 path op for op (see _solve); fun returns float64
-    arrays.  Returns t, y (a row per time), nfev, status and the dense
-    output's fields of Trajectory."""
+def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Trajectory:
+    """solve_ivp(fun, (0, cfg.t_end), y0, method="RK45", dense_output=True,
+    events=event) with cfg's tolerances and max_step, op for op; fun returns
+    float64 arrays.  The event is terminal and fires where it falls through
+    zero.  A failed run raises IntegrationError("<what> failed: ...")."""
     t_bound, max_step, rtol, atol = float(cfg.t_end), cfg.max_step, cfg.rel_tol, cfg.abs_tol
     if max_step <= 0:
         raise ValueError("`max_step` must be positive.")
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=4)
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=3)
         rtol = max(rtol, 100 * _EPS)
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
@@ -354,9 +320,15 @@ def _rk45(fun, y0, cfg: IntegratorConfig, event=None):
             ts.append(t)
             ys.append(y)
 
+    t, y = np.array(ts), np.vstack(ys)
+    if status == -1:
+        raise IntegrationError(f"{what} failed: {_MESSAGES[status]}", last_t=t[-1],
+                               last_state=y[-1])
     fields = dict(zip(("t_old", "h", "Q", "y_old"), map(np.array, zip(*dense))))
     # fun ran once at t = 0, once to select the first step, 6 times a step
-    return np.array(ts), np.vstack(ys), 2 + 6 * attempts, status, fields
+    stats = {"nfev": 2 + 6 * attempts, "steps": t.size - 1, "status": status,
+             "message": _MESSAGES[status]}
+    return Trajectory(t, y, stats, **fields)
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter=100):

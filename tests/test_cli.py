@@ -338,13 +338,14 @@ def test_sweep_preset(runner, tmp_path):
                                              ("sweep", "sweep_onebody")])
 def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
     cfg = _load(preset_path(preset))
-    cfg["integrator"] = {**cfg.get("integrator", {}), "dense": False, "rtol": 1e-9}
+    cfg["integrator"] = {**cfg.get("integrator", {}), "dense": False, "method": "RK45",
+                         "rtol": 1e-9}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
     assert res.exit_code != 0
-    assert "unknown integrator key(s): dense, rtol" in res.output
+    assert "unknown integrator key(s): dense, method, rtol" in res.output
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -353,8 +354,6 @@ def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
 @pytest.mark.parametrize("table, entry, message", [
     pytest.param("thresholds", {"djdt_typo": 1e-9}, "unknown threshold key(s): djdt_typo",
                  id="threshold-key"),
-    pytest.param("integrator", {"method": "Euler"}, "unknown integrator method 'Euler'",
-                 id="integrator-method"),
     pytest.param("integrator", {"t_end": -5}, "t_end must be positive",
                  id="integrator-t-end"),
 ])
@@ -368,6 +367,22 @@ def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, 
     res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, preset, key", [("simulate", "simulate_scatter", "state"),
+                                                  ("sweep", "sweep_onebody", "states")])
+def test_start_on_the_collision_set_is_rejected(runner, tmp_path, command, preset, key):
+    # rho = 0, where the vector field is not finite
+    cfg = _load(preset_path(preset))
+    state = [0.0, 0.0, 0.0, 0.1, 0.0, 0.0]
+    cfg[key] = state if key == "state" else [cfg[key][0], state]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "initial state on the collision set" in res.output
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -436,39 +451,48 @@ def test_exact_preset_artifact_digest(runner, tmp_path, preset):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-# Imports the package, runs every exact preset and then one numeric preset
-# in one interpreter, and prints which of scipy, its integrator and root
-# finder, and sympy were loaded after each step.
+# With every import of scipy failing, imports the package, runs the given
+# presets in one interpreter, and prints the exit code of each run and
+# whether sympy was loaded after it.
 _IMPORT_PROBE = """
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
 from heisenkep import cli, dynamics, exactalg, galois, heisenmodel, variational
 
-def loaded():
-    return [m for m in ("scipy", "scipy.integrate", "scipy.optimize", "sympy") if m in sys.modules]
-
 out, presets = sys.argv[1], sys.argv[2:]
-seen = {"import": loaded()}
+seen = {"import": [0, "sympy" in sys.modules]}
 for preset in presets:
-    cli.main([preset.split("_")[0], "--config", preset, "--out", out],
-             standalone_mode=False)
-    seen[preset] = loaded()
+    try:
+        code = cli.main([preset.split("_")[0], "--config", preset, "--out", out],
+                        standalone_mode=False)
+    except SystemExit as e:
+        code = e.code
+    seen[preset] = [code or 0, "sympy" in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
-    presets = sorted(EXACT_ARTIFACTS)
+    exact, numeric = sorted(EXACT_ARTIFACTS), sorted(NUMERIC_ARTIFACTS)
+    packaged = {p.stem for p in preset_path("ve_kepler_a2").parent.glob("*.json")}
+    assert packaged == {*exact, *numeric}
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), *presets,
-         "simulate_invariant_line"],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), *exact, *numeric],
         check=True, stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     seen = json.loads(proc.stdout.splitlines()[-1])
-    exact_steps = ["import", *presets]
-    assert {step: seen[step] for step in exact_steps} == dict.fromkeys(exact_steps, [])
-    # positive control: the numeric run loads sympy for its evaluators, and
-    # its RK45 orbit loads no scipy module
-    assert seen["simulate_invariant_line"] == ["sympy"]
+    exact_steps = ["import", *exact]
+    assert {step: seen[step] for step in exact_steps} == dict.fromkeys(exact_steps, [0, False])
+    # every numeric preset runs without scipy, and (positive control) the
+    # first loads sympy for its evaluators
+    assert {p: seen[p] for p in numeric} == {
+        p: [NUMERIC_ARTIFACTS[p][1], True] for p in numeric}
 
 
 def _loaded_by_import(module: str, candidates) -> str:
