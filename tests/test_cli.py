@@ -354,6 +354,9 @@ def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
 @pytest.mark.parametrize("table, entry, message", [
     pytest.param("thresholds", {"djdt_typo": 1e-9}, "unknown threshold key(s): djdt_typo",
                  id="threshold-key"),
+    # there is one integrator, so a method entry is an unknown key
+    pytest.param("integrator", {"method": "Euler"}, "unknown integrator key(s): method",
+                 id="integrator-method"),
     pytest.param("integrator", {"t_end": -5}, "t_end must be positive",
                  id="integrator-t-end"),
 ])
