@@ -13,7 +13,8 @@ round as numpy's scalars do at a third of the cost.  The monitor batches
 what rounds as the scalar path does: ``Trajectory.at_each`` has the bits of
 per-point dense output, and the other integrals are IEEE ``+ - * /`` on
 float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
-from C ``pow``), and the grid keeps OdeSolution's array call (see README).
+from C ``pow``), and the grid keeps the bits of OdeSolution's array call,
+one BLAS product per run of times in one segment (see README).
 
 sympy is imported only where evaluators are generated, and scipy not at
 all: scipy serves only as the tests' oracle.
@@ -32,11 +33,11 @@ import numpy as np
 from .heisenmodel import (
     CollisionError,
     SystemSpec,
+    _hamiltonian_rows,
     _num_grad,
     _on_floats,
     _polynomial_integrals,
     first_integrals,
-    hamiltonian,
     state_rho,
 )
 
@@ -81,6 +82,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
+        if not self.max_step > 0:
+            raise ValueError("max_step must be positive")
 
 
 @dataclass
@@ -108,25 +111,30 @@ class Trajectory:
 
     def at(self, t):
         """The dense output at a time t (a state) or at an array of times (a
-        row per time), as scipy's OdeSolution call computes it: for an array,
-        one matrix product per run of times in one segment."""
+        row per time), with the bits of scipy's OdeSolution call: for an
+        array, one np.dot(Q[i], p) per run of sorted times in one segment,
+        and the elementwise rest done for all times at once."""
         t = np.asarray(t)
         if t.ndim == 0:
-            return self._segment_at(self._segment_of(t), t)
+            i = self._segment_of(t)
+            return _rk_dense(self.t_old[i], self.h[i], self.Q[i], self.y_old[i], t)
         order = np.argsort(t)
         t_sorted = t[order]
         seg = self._segment_of(t_sorted)
-        cuts = np.flatnonzero(np.diff(seg)) + 1  # runs of times in one segment
-        ys = [self._segment_at(i[0], run)
-              for i, run in zip(np.split(seg, cuts), np.split(t_sorted, cuts))]
-        return np.hstack(ys)[:, np.argsort(order)].T
+        h = self.h[seg]
+        x = (t_sorted - self.t_old[seg]) / h
+        p = np.cumprod(np.tile(x, (self.Q.shape[2], 1)), axis=0)
+        y = np.empty((self.dim, t.size))
+        cuts = [*np.flatnonzero(np.diff(seg, prepend=-1)).tolist(), t.size]
+        for a, b in zip(cuts, cuts[1:]):  # runs of times in one segment
+            y[:, a:b] = np.dot(self.Q[seg[a]], p[:, a:b])
+        y *= h
+        y += self.y_old[seg].T
+        return y[:, np.argsort(order)].T
 
     def _segment_of(self, t):
         # the segment with the lower index where two meet
         return np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
-
-    def _segment_at(self, i, t):
-        return _rk_dense(self.t_old[i], self.h[i], self.Q[i], self.y_old[i], t)
 
     def at_each(self, ts) -> np.ndarray:
         """Row i is at(ts[i]), bit for bit, from one batched pass.
@@ -162,15 +170,18 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
 
     Terminates early with a flagged event when rho drops below cfg.rho_min;
     step-size underflow raises IntegrationError with the last good state.  A
-    start on the collision set, where the vector field is not finite, raises
+    start on the collision set, where the vector field is not finite, or
+    inside the guard, where rho never falls through rho_min, raises
     CollisionError.
     """
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
-    if state_rho(spec, a0) == 0.0:
-        raise CollisionError("initial state on the collision set, rho = 0")
+    rho0 = state_rho(spec, a0)
+    if rho0 == 0.0 or rho0 < cfg.rho_min:
+        where = "on the collision set" if rho0 == 0.0 else "inside the collision guard"
+        raise CollisionError(f"initial state {where}, rho = {rho0!r}")
 
     def f(t, y):
-        return np.asarray(_on_floats(spec._rhs_fn, y), dtype=float)
+        return _on_floats(spec._rhs_fn, y)
 
     def near_collision(t, y):
         return state_rho(spec, y) - cfg.rho_min
@@ -209,29 +220,24 @@ _MESSAGES = {0: "The solver successfully reached the end of the integration inte
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm(x) of a 1-d float array: a ddot, a correctly rounded sqrt
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _rk_dense(t_old, h, Q, y_old, t):
-    """The step's dense output at t, a 0-d or 1-d array (RkDenseOutput)."""
-    x = (t - t_old) / h
-    if t.ndim == 0:
-        p = np.cumprod(np.tile(x, Q.shape[1]))
-    else:
-        p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
-    y = h * np.dot(Q, p)
-    y += y_old if y.ndim == 1 else y_old[:, None]
+    """The step's dense output at a time t, a 0-d array (RkDenseOutput)."""
+    y = h * np.dot(Q, np.cumprod(np.tile((t - t_old) / h, Q.shape[1])))
+    y += y_old
     return y
 
 
 def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Trajectory:
     """solve_ivp(fun, (0, cfg.t_end), y0, method="RK45", dense_output=True,
     events=event) with cfg's tolerances and max_step, op for op; fun returns
-    float64 arrays.  The event is terminal and fires where it falls through
-    zero.  A failed run raises IntegrationError("<what> failed: ...")."""
+    a float64 array or a sequence of floats, which goes straight into a row
+    of the stage array.  The event is terminal and fires where it falls
+    through zero.  A failed run raises IntegrationError("<what> failed: ...")."""
     t_bound, max_step, rtol, atol = float(cfg.t_end), cfg.max_step, cfg.rel_tol, cfg.abs_tol
-    if max_step <= 0:
-        raise ValueError("`max_step` must be positive.")
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=3)
@@ -239,14 +245,15 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    t, f = 0.0, fun(0.0, y)
+    t, f = 0.0, np.asarray(fun(0.0, y), dtype=float)
 
     # select_initial_step
-    scale = atol + np.abs(y) * rtol
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((np.asarray(fun(h0, y + h0 * f), dtype=float) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -254,10 +261,12 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     h_abs = min(100 * h0, h1, t_bound, max_step)
 
     # K holds the stages in rows; the transposed views rk_step takes of it
-    # are made once, since K is written in place
+    # are made once, since K is written in place; K[-1], f at a step's end,
+    # becomes K[0] when the step is accepted
     K = np.empty((_E.size, y.size))
     stages = [(K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, _C.size)]
     K_B, K_E = K[:-1].T, K.T
+    K[0] = f
     ts, ys, dense = [t], [y0], []
     g = None if event is None else event(t, y0)
     attempts, status = 0, None
@@ -275,16 +284,15 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
             h = t_new - t
             h_abs = abs(h)
             # rk_step
-            K[0] = f
             for s, (K_s, a_s, c) in enumerate(stages, start=1):
                 dy = np.dot(K_s, a_s) * h
                 K[s] = fun(t + c * h, y + dy)
             y_new = y + h * np.dot(K_B, _B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            K[-1] = fun(t + h, y_new)
             attempts += 1
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
             error_norm = _rms(np.dot(K_E, _E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -301,10 +309,11 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
             break
 
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, abs_y = t_new, y_new, abs_y_new
         if t - t_bound >= 0:
             status = 0
         seg = (t_old, h, K_E.dot(_P), y_old)
+        K[0] = K[-1]
         dense.append(seg)
         if event is not None:
             g_new = event(t, y)
@@ -320,7 +329,7 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
             ts.append(t)
             ys.append(y)
 
-    t, y = np.array(ts), np.vstack(ys)
+    t, y = np.array(ts), np.array(ys)
     if status == -1:
         raise IntegrationError(f"{what} failed: {_MESSAGES[status]}", last_t=t[-1],
                                last_state=y[-1])
@@ -416,8 +425,8 @@ def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
     The dJ/dt residual differentiates J along the dense output (central
     differences on the interpolant, not on the raw samples)."""
     ts = np.linspace(traj.t[0], traj.t[-1], 400)
-    states = traj.at(ts)  # scipy's array call, whose bytes are pinned
-    vals = {"H": np.array([hamiltonian(spec, row) for row in states]),
+    states = traj.at(ts)  # the array call, whose bytes are pinned
+    vals = {"H": np.array(_hamiltonian_rows(spec, states)),
             **_polynomial_integrals(spec.kind, states.T)}
     drifts = {k: float(np.max(np.abs(v - v[0]))) for k, v in vals.items()}
     j_drift = drifts.pop("J")
@@ -427,7 +436,7 @@ def monitor_conserved(spec: SystemSpec, traj: Trajectory) -> MonitorReport:
     inner = ts[(ts > ts[0] + h) & (ts < ts[-1] - h)]
     plus, minus, mid = np.split(traj.at_each(np.concatenate([inner + h, inner - h, inner])), 3)
     jp, jm = (_polynomial_integrals(spec.kind, rows.T)["J"] for rows in (plus, minus))
-    hh = np.array([hamiltonian(spec, row) for row in mid])
+    hh = np.array(_hamiltonian_rows(spec, mid))
     # fmax skips NaN, as max(0.0, nan) does
     djdt_res = np.fmax.reduce(np.abs((jp - jm) / (2 * h) - 2 * hh), initial=0.0)
 

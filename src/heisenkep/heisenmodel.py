@@ -354,26 +354,35 @@ def _state_array(s) -> np.ndarray:
 def state_rho(spec: SystemSpec, a) -> float:
     """rho of the body's position (one-body) or of the relative position
     g1^-1 g2 (two-body) in the flat state array a."""
-    a = np.asarray(a, dtype=float)
-    if spec.kind == "one-body":
-        return _gauge(*a[:3].tolist())
-    x1, y1, z1, x2, y2, z2 = a[:6].tolist()
+    return _rho(spec.kind, np.asarray(a, dtype=float)[:6].tolist())
+
+
+def _rho(kind: str, v: list) -> float:
+    """state_rho of the state whose coordinates are the floats v."""
+    if kind == "one-body":
+        return _gauge(*v[:3])
+    x1, y1, z1, x2, y2, z2 = v[:6]
     # g1^-1 g2 in group_mul's order of operations
     return _gauge(-x1 + x2, -y1 + y2, -z1 + z2 + (-x1 * y2 - x2 * -y1) / 2)
 
 
-def _check_rho(spec: SystemSpec, a: np.ndarray):
-    r = state_rho(spec, a)
-    if r == 0.0:
-        raise CollisionError("state at the potential singularity rho = 0")
-    return r
-
-
 def hamiltonian(spec: SystemSpec, s) -> float:
     """Total energy; raises CollisionError on the singular set."""
-    a = _state_array(s)
-    _check_rho(spec, a)
-    return float(_on_floats(spec._h_fn, a))
+    return _hamiltonian_rows(spec, _state_array(s)[None])[0]
+
+
+def _hamiltonian_rows(spec: SystemSpec, rows: np.ndarray) -> list:
+    """hamiltonian at each row of a 2-d state array, on one tolist() of the
+    rows; a row falls back to numpy's scalars as _on_floats does."""
+    hs = []
+    for k, v in enumerate(rows.tolist()):
+        if _rho(spec.kind, v) == 0.0:
+            raise CollisionError("state at the potential singularity rho = 0")
+        try:
+            hs.append(float(spec._h_fn(*v)))
+        except (ZeroDivisionError, OverflowError):
+            hs.append(float(spec._h_fn(*rows[k])))
+    return hs
 
 
 def _on_floats(fn, a: np.ndarray):

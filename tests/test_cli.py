@@ -359,6 +359,8 @@ def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
                  id="integrator-method"),
     pytest.param("integrator", {"t_end": -5}, "t_end must be positive",
                  id="integrator-t-end"),
+    pytest.param("integrator", {"max_step": 0}, "max_step must be positive",
+                 id="integrator-max-step"),
 ])
 def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, entry,
                                       message):
@@ -386,6 +388,26 @@ def test_start_on_the_collision_set_is_rejected(runner, tmp_path, command, prese
     res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "initial state on the collision set" in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, preset, key", [("simulate", "simulate_scatter", "state"),
+                                                  ("sweep", "sweep_onebody", "states")])
+@pytest.mark.parametrize("px", [0.1, -0.1])
+def test_start_inside_the_collision_guard_is_rejected(runner, tmp_path, command, preset, key,
+                                                      px):
+    # 0 < rho = 1e-10 < rho_min, which the guard event, fired on a downward
+    # crossing of rho_min, would never see
+    cfg = _load(preset_path(preset))
+    state = [1e-5, 0.0, 0.0, px, 0.0, 0.0]
+    cfg[key] = state if key == "state" else [cfg[key][0], state]
+    cfg["integrator"] = {**cfg.get("integrator", {}), "rho_min": 1e-4}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "initial state inside the collision guard" in res.output
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -207,6 +207,16 @@ def test_monitor_matches_the_per_point_oracle(kepler1b, kepler2b, kind, seed):
             == json.dumps(per_point_monitor(spec, traj).to_json(), sort_keys=True))
 
 
+def test_monitor_of_a_dense_output_at_the_collision_set_raises(kepler1b):
+    # one segment whose dense output stays at the origin, where rho = 0
+    traj = Trajectory(t=np.array([0.0, 1.0]), y=np.zeros((2, 6)), stats={},
+                      t_old=np.zeros(1), h=np.ones(1), Q=np.zeros((1, 6, 4)),
+                      y_old=np.array([[0.0, 0.0, 0.0, 0.1, 0.0, 0.0]]))
+    for monitor in (monitor_conserved, per_point_monitor):
+        with pytest.raises(CollisionError):
+            monitor(kepler1b, traj)
+
+
 def test_monitor_of_a_span_too_short_to_differentiate(kepler1b):
     # no grid point lies h inside both ends, so no residual is taken
     traj = integrate(kepler1b, PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1),
@@ -284,8 +294,13 @@ def test_rk45_is_solve_ivp_bit_for_bit(kepler1b, kepler2b, start, noise, tol, rh
     assert traj.flagged_event == ("collision_guard" if res.status == 1 else None)
     assert traj.t[-1:].tobytes() == (res.t_events[0] if res.status == 1 else res.t[-1:]).tobytes()
     grid = np.linspace(traj.t[0], traj.t[-1], 400)
-    ours, theirs = traj.at(grid), res.sol(grid).T
-    assert (ours.tobytes(), ours.strides) == (theirs.tobytes(), theirs.strides)
+    rng = np.random.default_rng(0)
+    outside = np.linspace(-1.0, traj.t[-1] + 1.0, 57)  # runs past both ends
+    # sorted, shuffled, with repeats, partly outside [t_0, t_end], one time
+    for ts in (grid, rng.permutation(grid), rng.permutation(np.repeat(grid[::9], 3)),
+               rng.permutation(outside), outside[:1], grid[200:201]):
+        ours, theirs = traj.at(ts), res.sol(ts).T
+        assert (ours.tobytes(), ours.strides) == (theirs.tobytes(), theirs.strides)
     pts = np.concatenate([traj.t, grid[::7], [t_end]])
     assert (np.array([traj.at(t) for t in pts]).tobytes()
             == np.array([res.sol(t) for t in pts]).tobytes())
@@ -372,6 +387,14 @@ def test_start_on_the_collision_set_raises(kepler1b):
         integrate(kepler1b, PhaseState1B(0.0, 0.0, 0.0, 0.1, 0.0, 0.0), IntegratorConfig())
 
 
+@pytest.mark.parametrize("px", [0.1, -0.1])
+def test_start_inside_the_collision_guard_raises(kepler1b, px):
+    # rho = 1e-10 < rho_min: the guard event would only fire on a crossing
+    with pytest.raises(CollisionError, match="inside the collision guard"):
+        integrate(kepler1b, PhaseState1B(1e-5, 0.0, 0.0, px, 0.0, 0.0),
+                  IntegratorConfig(rho_min=1e-4))
+
+
 def test_rtol_clamp_warns_at_the_caller(kepler1b):
     with pytest.warns(UserWarning, match="rtol") as caught:
         integrate(kepler1b, PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1),
@@ -388,6 +411,12 @@ def test_config_rejects_bad_tolerances():
 def test_config_rejects_nonpositive_t_end(t_end):
     with pytest.raises(ValueError, match="t_end must be positive"):
         IntegratorConfig(t_end=t_end)
+
+
+@pytest.mark.parametrize("max_step", [0.0, -1.0, float("nan")])
+def test_config_rejects_nonpositive_max_step(max_step):
+    with pytest.raises(ValueError, match="max_step must be positive"):
+        IntegratorConfig(max_step=max_step)
 
 
 def test_trajectory_rejects_bad_grid():
