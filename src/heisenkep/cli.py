@@ -32,11 +32,11 @@ from .exactalg import ExactMatrix, ExactPoly, ExactScalar
 from .heisenmodel import (
     CollisionError,
     SystemSpec,
+    _canonical_bracket,
+    _num_grad,
     condition_coefficient_a,
     first_integrals,
-    hamiltonian,
     particular_solution,
-    poisson_bracket,
     state_rho,
 )
 from .dynamics import (
@@ -144,7 +144,7 @@ def _integrator_config(rc: RunConfig) -> IntegratorConfig:
 
 
 def _thresholds(rc: RunConfig, spec: SystemSpec) -> dict:
-    """The config's "thresholds" table, each key a quantity _simulate_checks reads."""
+    """The config's "thresholds" table, each key a quantity _orbit checks."""
     thresholds = rc.config.get("thresholds", {"H": 1e-9})
     unknown = sorted(set(thresholds) - {"line", "djdt", "j_drift", *drift_names(spec)})
     if unknown:
@@ -207,20 +207,34 @@ def _line_deviation(spec: SystemSpec, traj, n: int = 300) -> float:
     return max(max_line_deviation(pts[:, :3]), max_line_deviation(pts[:, 3:6]))
 
 
-def _simulate_checks(spec, traj, rep, thresholds: dict) -> dict:
-    checks = {}
-    for key, tol in thresholds.items():
-        if key == "line":
-            val = _line_deviation(spec, traj)
-        elif key == "djdt":
-            val = rep.djdt_residual_max
-        elif key == "j_drift":
-            val = rep.j_drift
-        else:
-            val = rep.drifts[key]
-        checks[key] = {"value": float(val), "tol": float(tol),
-                       "pass": bool(val < tol)}
-    return checks
+def _orbit(spec: SystemSpec, s0, icfg, thresholds: dict, where="", line=False) -> tuple:
+    """Integrate one orbit from s0 and check it against the thresholds.
+
+    Returns the trajectory (None when the integration failed) and the
+    report: flagged_event, then last_t and last_state for a flagged orbit,
+    or monitor, max_line_deviation (if line) and checks; then pass.  A
+    start on the collision set or inside its guard is a usage error, whose
+    message begins with where."""
+    try:
+        traj = integrate(spec, s0, icfg)
+    except CollisionError as e:
+        raise click.ClickException(f"{where}{e}") from e
+    except IntegrationError as e:
+        return None, {"flagged_event": "integration_failure", "last_t": float(e.last_t),
+                      "last_state": list(map(float, e.last_state)), "pass": False}
+    if traj.flagged_event is not None:
+        return traj, {"flagged_event": traj.flagged_event, "last_t": float(traj.t[-1]),
+                      "last_state": traj.y[-1].tolist(), "pass": False}
+    rep = monitor_conserved(spec, traj)
+    values = {"line": _line_deviation(spec, traj) if line or "line" in thresholds else None,
+              "djdt": rep.djdt_residual_max, "j_drift": rep.j_drift, **rep.drifts}
+    checks = {key: {"value": float(values[key]), "tol": float(tol),
+                    "pass": bool(values[key] < tol)} for key, tol in thresholds.items()}
+    report = {"flagged_event": None, "monitor": rep.to_json(), "checks": checks,
+              "pass": all(c["pass"] for c in checks.values())}
+    if line:
+        report["max_line_deviation"] = values["line"]
+    return traj, report
 
 
 @main.command()
@@ -231,45 +245,15 @@ def simulate(config, out_dir, seed, fmt):
     spec = SystemSpec.from_json(rc.config["system"])
     icfg = _integrator_config(rc)
     thresholds = _thresholds(rc, spec)
-    s0 = _initial_state(spec, rc.config)
-    try:
-        traj = integrate(spec, s0, icfg)
-    except CollisionError as e:
-        raise click.ClickException(str(e)) from e
-    except IntegrationError as e:
-        doc = {"system": spec.to_json(), "flagged_event": "integration_failure",
-               "last_t": float(e.last_t), "last_state": list(map(float, e.last_state)),
-               "all_pass": False}
-        _finish(rc, "report.json", doc, ok=False)
-        return
-
-    if rc.fmt == "csv":
-        trajectory_to_csv(spec, traj, rc.out_dir / "trajectory.csv",
-                          header_meta=rc.header())
-    else:
+    traj, report = _orbit(spec, _initial_state(spec, rc.config), icfg, thresholds, line=True)
+    if traj is not None and rc.fmt == "csv":
+        trajectory_to_csv(spec, traj, rc.out_dir / "trajectory.csv", header_meta=rc.header())
+    elif traj is not None:  # None: the integration failed, and there is no trajectory
         (rc.out_dir / "trajectory.json").write_text(json.dumps({
             "header": rc.header(), "t": traj.t.tolist(), "y": traj.y.tolist(),
         }, sort_keys=True) + "\n")
-
-    if traj.flagged_event is not None:
-        doc = {"system": spec.to_json(), "flagged_event": traj.flagged_event,
-               "last_t": float(traj.t[-1]),
-               "last_state": traj.y[-1].tolist(), "all_pass": False}
-        _finish(rc, "report.json", doc, ok=False)
-        return
-
-    rep = monitor_conserved(spec, traj)
-    checks = _simulate_checks(spec, traj, rep, thresholds)
-    ok = all(c["pass"] for c in checks.values())
-    doc = {
-        "system": spec.to_json(),
-        "flagged_event": None,
-        "monitor": rep.to_json(),
-        "max_line_deviation": _line_deviation(spec, traj),
-        "checks": checks,
-        "all_pass": ok,
-    }
-    _finish(rc, "report.json", doc, ok=ok)
+    ok = report.pop("pass")
+    _finish(rc, "report.json", {"system": spec.to_json(), **report, "all_pass": ok}, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -285,40 +269,44 @@ def _probe_states(spec: SystemSpec, rng, n: int) -> list:
     return out
 
 
+# verify's bracket identities (name, f, g, correction) of the first
+# integrals: the residual is {f, g} + c * k for a correction (c, k)
+_BRACKETS = (
+    ("{J,H} - 2H", "J", "H", (-2, "H")),
+    ("{p_theta,H}", "p_theta", "H", None),
+    ("{I1,I2} - I3", "I1", "I2", (-1, "I3")),
+    ("{I1,I4} - I2", "I1", "I4", (-1, "I2")),
+    ("{I2,I4} + I1", "I2", "I4", (1, "I1")),
+    *((f"{{{k},H}}", k, "H", None) for k in ("I1", "I2", "I3", "I4")),
+)
+
+
+def _row(name: str, residual, tol: float) -> dict:
+    return {"name": name, "residual": float(residual), "tol": tol,
+            "pass": bool(residual < tol)}
+
+
 def _bracket_rows(spec: SystemSpec, states) -> list:
-    H = lambda s: hamiltonian(spec, s)
-    J = lambda s: first_integrals(spec, s)["J"]
-    rows = []
+    """The identities of spec's integrals, each with its largest residual
+    over the states, from one gradient of all the integrals per state."""
+    table = [r for r in _BRACKETS if r[1] in ("J", *drift_names(spec))]
 
-    def row(name, residual_fn, tol):
-        res = max(abs(residual_fn(a)) for a in states)
-        rows.append({"name": name, "residual": float(res), "tol": tol,
-                     "pass": bool(res < tol)})
+    def integrals(a):
+        return np.array(list(first_integrals(spec, a).values()))
 
-    row("{J,H} - 2H", lambda a: poisson_bracket(J, H, a) - 2 * H(a), 1e-6)
-    if spec.kind == "one-body":
-        pth = lambda s: first_integrals(spec, s)["p_theta"]
-        row("{p_theta,H}", lambda a: poisson_bracket(pth, H, a), 1e-6)
-        return rows
-    I = {k: (lambda s, k=k: first_integrals(spec, s)[k])
-         for k in ("I1", "I2", "I3", "I4")}
-    row("{I1,I2} - I3",
-        lambda a: poisson_bracket(I["I1"], I["I2"], a)
-        - first_integrals(spec, a)["I3"], 1e-6)
-    row("{I1,I4} - I2",
-        lambda a: poisson_bracket(I["I1"], I["I4"], a)
-        - first_integrals(spec, a)["I2"], 1e-6)
-    row("{I2,I4} + I1",
-        lambda a: poisson_bracket(I["I2"], I["I4"], a)
-        + first_integrals(spec, a)["I1"], 1e-6)
-    for k in ("I1", "I2", "I3", "I4"):
-        row(f"{{{k},H}}", lambda a, k=k: poisson_bracket(I[k], H, a), 1e-6)
-    return rows
+    residuals = []
+    for a in states:
+        vals = first_integrals(spec, a)
+        grad = dict(zip(vals, _num_grad(integrals, a)))
+        residuals.append([
+            _canonical_bracket(grad[f], grad[g]) + (0 if c is None else c[0] * vals[c[1]])
+            for _, f, g, c in table])
+    return [_row(name, max(map(abs, res)), 1e-6)
+            for (name, *_), res in zip(table, zip(*residuals))]
 
 
 def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
     lifted = extended_poisson_build(spec)
-    rows = []
 
     def leaf_point():
         q = rng.uniform(-2, 2, size=3)
@@ -330,18 +318,12 @@ def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
     rank_fail = sum(
         1 for x in pts if np.linalg.matrix_rank(lifted.J(x), tol=1e-10) != 6
     )
-    rows.append({"name": "rank(J) = 2n", "residual": float(rank_fail),
-                 "tol": 0.5, "pass": rank_fail == 0})
     anti = max(float(np.max(np.abs(lifted.J(x) + lifted.J(x).T))) for x in pts)
-    rows.append({"name": "J antisymmetry", "residual": anti, "tol": 1e-12,
-                 "pass": anti < 1e-12})
     cas = max(
         abs(lifted.bracket(lifted.P, f, x, grad_f=lifted.grad_P))
         for x in pts[:25]
         for f in [lifted.K] + [lambda s, i=i: float(s[i]) ** 2 for i in range(7)]
     )
-    rows.append({"name": "{P,.} Casimir", "residual": float(cas), "tol": 1e-10,
-                 "pass": cas < 1e-10})
 
     q0, p0 = (1.0, 0.0, 0.2), (0.3, 1.2, 0.1)
     u0 = math.sqrt((q0[0] ** 2 + q0[1] ** 2) ** 2 + 16 * q0[2] ** 2)
@@ -349,13 +331,10 @@ def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
     direct = integrate(spec, np.array(q0 + p0), tight)
     ext = integrate_extended(lifted, ExtendedState(q0, p0, u0), tight)
     ts = np.linspace(0, 10, 200)
-    proj = float(np.max(np.abs(ext.at(ts)[:, :6] - direct.at(ts))))
-    rows.append({"name": "extended-flow projection", "residual": proj,
-                 "tol": 1e-6, "pass": proj < 1e-6})
-    pd = float(ext.stats["max_casimir_residual"])
-    rows.append({"name": "P drift", "residual": pd, "tol": 1e-8,
-                 "pass": pd < 1e-8})
-    return rows
+    proj = np.max(np.abs(ext.at(ts)[:, :6] - direct.at(ts)))
+    return [_row("rank(J) = 2n", rank_fail, 0.5), _row("J antisymmetry", anti, 1e-12),
+            _row("{P,.} Casimir", cas, 1e-10), _row("extended-flow projection", proj, 1e-6),
+            _row("P drift", ext.stats["max_casimir_residual"], 1e-8)]
 
 
 def _rows_to_csv(rows, path: Path, header: dict):
@@ -375,15 +354,19 @@ def verify(config, out_dir, seed, fmt):
     suites = rc.config.get(
         "suites", ["brackets"] + (["extended"] if spec.kind == "one-body" else [])
     )
+    counts = {"n_probes": int(rc.config.get("n_probes", 50)),
+              "n_points": int(rc.config.get("n_points", 100))}
+    for key, n in counts.items():
+        if n < 1:
+            raise click.ClickException(f"{key} must be at least 1, not {n}")
     rng = np.random.default_rng(rc.seed)
     rows = []
     if "brackets" in suites:
-        states = _probe_states(spec, rng, int(rc.config.get("n_probes", 50)))
-        rows += _bracket_rows(spec, states)
+        rows += _bracket_rows(spec, _probe_states(spec, rng, counts["n_probes"]))
     if "extended" in suites:
         if spec.kind != "one-body":
             raise click.ClickException("extended suite requires the one-body system")
-        rows += _extended_rows(spec, rng, int(rc.config.get("n_points", 100)))
+        rows += _extended_rows(spec, rng, counts["n_points"])
     ok = all(r["pass"] for r in rows)
     if rc.fmt == "csv":
         _rows_to_csv(rows, rc.out_dir / "verify.csv", rc.header())
@@ -631,6 +614,10 @@ def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
     if "states" in cfg:
         return [np.asarray(s, dtype=float) for s in cfg["states"]]
     rnd = cfg["random"]
+    unknown = sorted(set(rnd) - {"n", "rho_min", "min_p_theta", "q_low", "q_high",
+                                 "p_low", "p_high"})
+    if unknown:
+        raise click.ClickException(f"unknown random key(s): {', '.join(unknown)}")
     rng = np.random.default_rng(seed)
     n = int(rnd.get("n", 4))
     rho_min = float(rnd.get("rho_min", 0.5))
@@ -662,22 +649,12 @@ def sweep(config, out_dir, seed, fmt):
     states = _sweep_states(spec, rc.config, rc.seed)
 
     def run(idx, s0):
-        try:
-            traj = integrate(spec, s0, icfg)
-        except CollisionError as e:
-            raise click.ClickException(f"state {idx}: {e}") from e
-        except IntegrationError:
-            return {"index": idx, "initial_state": s0.tolist(),
-                    "flagged_event": "integration_failure", "pass": False}
-        if traj.flagged_event is not None:
-            return {"index": idx, "initial_state": s0.tolist(),
-                    "flagged_event": traj.flagged_event, "pass": False}
-        rep = monitor_conserved(spec, traj)
-        checks = _simulate_checks(spec, traj, rep, thresholds)
-        return {"index": idx, "initial_state": s0.tolist(),
-                "flagged_event": None, "drifts": rep.to_json()["drifts"],
-                "checks": checks,
-                "pass": all(c["pass"] for c in checks.values())}
+        report = _orbit(spec, s0, icfg, thresholds, where=f"state {idx}: ")[1]
+        row = {"index": idx, "initial_state": s0.tolist(),
+               "flagged_event": report["flagged_event"], "pass": report["pass"]}
+        if "monitor" in report:
+            row.update(drifts=report["monitor"]["drifts"], checks=report["checks"])
+        return row
 
     rows = [run(idx, s0) for idx, s0 in enumerate(states)]
     ok = all(r["pass"] for r in rows)

@@ -37,6 +37,7 @@ from .heisenmodel import (
     _num_grad,
     _on_floats,
     _polynomial_integrals,
+    _rho,
     first_integrals,
     state_rho,
 )
@@ -46,7 +47,7 @@ __all__ = [
     "Trajectory",
     "MonitorReport",
     "ExtendedState",
-    "PoissonMatrix",
+    "ExtendedSystem",
     "IntegrationError",
     "hamilton_rhs",
     "integrate",
@@ -184,7 +185,7 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
         return _on_floats(spec._rhs_fn, y)
 
     def near_collision(t, y):
-        return state_rho(spec, y) - cfg.rho_min
+        return _rho(spec.kind, y.tolist()) - cfg.rho_min
 
     traj = _solve(f, a0, cfg, near_collision)
     traj.flagged_event = "collision_guard" if traj.stats["status"] == 1 else None
@@ -213,7 +214,7 @@ _P = np.array([  # the quartic dense output, with Shampine's optimum c_6
 _ERROR_ESTIMATOR_ORDER = 4
 _ERROR_EXPONENT = -1 / (_ERROR_ESTIMATOR_ORDER + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a float, so _brentq runs on floats
 _MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred.",
              -1: "Required step size is less than spacing between numbers."}
@@ -484,45 +485,18 @@ class ExtendedState:
         return ExtendedState(tuple(a[:n]), tuple(a[n : 2 * n]), a[2 * n])
 
 
-class PoissonMatrix:
-    """The degenerate (2n+1)-dimensional structure matrix J(x) of the lift.
-
-    Antisymmetric at every point, rank 2n at regular points; the minimal
-    polynomial P(u) is the only Casimir."""
-
-    def __init__(self, n, grad_qP_fn, du_P_fn):
-        self.n = n
-        self._grad_qP = grad_qP_fn
-        self._du_P = du_P_fn
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        q, u = x[:n], x[2 * n]
-        gq = np.asarray(self._grad_qP(*q, u), dtype=float).reshape(n)
-        du = float(self._du_P(*q, u))
-        if du == 0.0:
-            raise ZeroDivisionError("branch point: dP/du = 0")
-        col = gq / du
-        J = np.zeros((2 * n + 1, 2 * n + 1))
-        J[:n, n : 2 * n] = np.eye(n)
-        J[n : 2 * n, :n] = -np.eye(n)
-        J[n : 2 * n, 2 * n] = col
-        J[2 * n, n : 2 * n] = -col
-        return J
-
-
 class ExtendedSystem:
-    """Bundle (J, K, P) for the lifted Kepler-type system."""
+    """The lifted Kepler-type system: the structure matrix J, the
+    Hamiltonian K and the minimal polynomial P(u), its only Casimir."""
 
-    def __init__(self, n, J: PoissonMatrix, K_fn, gradK_fn, P_fn, P_expr, K_expr):
+    def __init__(self, n, K_fn, gradK_fn, P_fn, grad_qP_fn, du_P_fn, P_expr):
         self.n = n
-        self.J = J
         self._K = K_fn
         self._gradK = gradK_fn
         self._P = P_fn
+        self._grad_qP = grad_qP_fn
+        self._du_P = du_P_fn
         self.P_expr = P_expr
-        self.K_expr = K_expr
 
     def K(self, x) -> float:
         return float(self._K(*np.asarray(x, dtype=float)))
@@ -538,9 +512,24 @@ class ExtendedSystem:
         x = np.asarray(x, dtype=float)
         n = self.n
         g = np.zeros(2 * n + 1)
-        g[:n] = np.asarray(self.J._grad_qP(*x[:n], x[2 * n]), dtype=float).reshape(n)
-        g[2 * n] = float(self.J._du_P(*x[:n], x[2 * n]))
+        g[:n] = np.asarray(self._grad_qP(*x[:n], x[2 * n]), dtype=float).reshape(n)
+        g[2 * n] = float(self._du_P(*x[:n], x[2 * n]))
         return g
+
+    def J(self, x) -> np.ndarray:
+        """The degenerate (2n+1)-dimensional structure matrix at x:
+        antisymmetric, of rank 2n at regular points."""
+        n = self.n
+        g = self.grad_P(x)
+        if g[2 * n] == 0.0:
+            raise ZeroDivisionError("branch point: dP/du = 0")
+        col = g[:n] / g[2 * n]
+        J = np.zeros((2 * n + 1, 2 * n + 1))
+        J[:n, n : 2 * n] = np.eye(n)
+        J[n : 2 * n, :n] = -np.eye(n)
+        J[n : 2 * n, 2 * n] = col
+        J[2 * n, n : 2 * n] = -col
+        return J
 
     def rhs(self, x) -> np.ndarray:
         return self.J(x) @ self.grad_K(x)
@@ -570,21 +559,14 @@ def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
         {z_w: z, rho_w: u}, simultaneous=True
     )
     xs = (x, y, z, px, py, pz, u)
-    grad_qP = [sp.diff(P, v) for v in (x, y, z)]
-    J = PoissonMatrix(
-        3,
-        sp.lambdify((x, y, z, u), grad_qP, modules="numpy"),
-        sp.lambdify((x, y, z, u), sp.diff(P, u), modules="numpy"),
-    )
-    gradK = [sp.diff(K, v) for v in xs]
     return ExtendedSystem(
         3,
-        J,
         sp.lambdify(xs, K, modules="numpy"),
-        sp.lambdify(xs, gradK, modules="numpy"),
+        sp.lambdify(xs, [sp.diff(K, v) for v in xs], modules="numpy"),
         sp.lambdify((x, y, z, u), P, modules="numpy"),
+        sp.lambdify((x, y, z, u), [sp.diff(P, v) for v in (x, y, z)], modules="numpy"),
+        sp.lambdify((x, y, z, u), sp.diff(P, u), modules="numpy"),
         P,
-        K,
     )
 
 

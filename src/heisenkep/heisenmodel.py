@@ -422,16 +422,17 @@ def _polynomial_integrals(kind: str, v) -> dict:
 
 
 def _num_grad(f, a: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with the cube-root-of-eps step rule."""
+    """Central-difference gradient with the cube-root-of-eps step rule.  An f
+    with array values gets one gradient per value, each a contiguous row."""
     base = float(np.cbrt(np.finfo(float).eps))
-    g = np.empty_like(a)
+    cols = []
     for i in range(a.size):
         h = base * max(1.0, abs(a[i]))
         ap, am = a.copy(), a.copy()
         ap[i] += h
         am[i] -= h
-        g[i] = (f(ap) - f(am)) / (2 * h)
-    return g
+        cols.append((f(ap) - f(am)) / (2 * h))
+    return np.ascontiguousarray(np.transpose(cols))
 
 
 def poisson_bracket(f, g, s) -> float:
@@ -441,9 +442,13 @@ def poisson_bracket(f, g, s) -> float:
     momenta, as in the PhaseState array orders).
     """
     a = _state_array(s)
-    n = a.size // 2
-    gf = _num_grad(f, a)
-    gg = _num_grad(g, a)
+    return _canonical_bracket(_num_grad(f, a), _num_grad(g, a))
+
+
+def _canonical_bracket(gf: np.ndarray, gg: np.ndarray) -> float:
+    """{f, g} from the gradients of f and g, contiguous 1-d arrays: OpenBLAS
+    sums a strided dot product in another order."""
+    n = gf.size // 2
     return float(np.dot(gf[:n], gg[n:]) - np.dot(gf[n:], gg[:n]))
 
 

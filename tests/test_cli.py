@@ -7,12 +7,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenkep import cli
 from heisenkep.cli import _generic_reduction, _ve_kepler, main, preset_path
+from heisenkep.dynamics import IntegrationError
 from heisenkep.exactalg import ExactScalar
 from heisenkep.galois import parabolic_from_ode
 from heisenkep.heisenmodel import PotentialSpec, SystemSpec, condition_coefficient_a
@@ -422,6 +425,101 @@ def test_sweep_djdt_threshold_reads_the_dense_output(runner, tmp_path):
     assert res.exit_code == 1
     check = _load(tmp_path / "sweep.json")["runs"][0]["checks"]["djdt"]
     assert check["pass"] is False and 1e-12 < check["value"] < 1e-6
+
+
+def _write_config(tmp_path, name, cfg):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_sweep_row_of_a_flagged_orbit(runner, tmp_path):
+    # no preset sweeps an orbit that ends flagged: add simulate_collision's
+    # start to a sweep and pin the row it gets
+    coll = _load(preset_path("simulate_collision"))
+    cfg = {**_load(preset_path("sweep_onebody")), "integrator": coll["integrator"]}
+    cfg["states"] = [cfg["states"][0], coll["state"]]
+    res = runner.invoke(main, ["sweep", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(tmp_path / "sweep")])
+    assert res.exit_code == 1
+    doc = _load(tmp_path / "sweep" / "sweep.json")
+    assert doc["all_pass"] is False and doc["runs"][0]["pass"] is True
+    assert doc["runs"][1] == {"index": 1, "initial_state": coll["state"],
+                              "flagged_event": "collision_guard", "pass": False}
+    res = runner.invoke(main, ["simulate", "--config", "simulate_collision",
+                               "--out", str(tmp_path / "simulate")])
+    assert res.exit_code == 1
+    assert _load(tmp_path / "simulate" / "report.json")["flagged_event"] == "collision_guard"
+
+
+def test_integration_failure_report(runner, tmp_path, monkeypatch):
+    # step-size underflow: simulate writes no trajectory, and both name the event
+    def underflow(spec, s0, cfg):
+        raise IntegrationError("integration failed", last_t=np.float64(0.5),
+                               last_state=np.arange(6.0))
+
+    monkeypatch.setattr(cli, "integrate", underflow)
+    res = runner.invoke(main, ["simulate", "--config", "simulate_scatter",
+                               "--out", str(tmp_path / "simulate")])
+    assert res.exit_code == 1
+    assert sorted(p.name for p in (tmp_path / "simulate").iterdir()) == ["report.json"]
+    report = _load(tmp_path / "simulate" / "report.json")
+    assert {k: report[k] for k in ("flagged_event", "last_t", "last_state", "all_pass")} == {
+        "flagged_event": "integration_failure", "last_t": 0.5,
+        "last_state": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "all_pass": False}
+    assert set(report) == {"system", "flagged_event", "last_t", "last_state", "all_pass",
+                           "header"}
+    res = runner.invoke(main, ["sweep", "--config", "sweep_onebody",
+                               "--out", str(tmp_path / "sweep")])
+    assert res.exit_code == 1
+    rows = _load(tmp_path / "sweep" / "sweep.json")["runs"]
+    assert rows[2] == {"index": 2, "initial_state": [0.8, 0.5, -0.2, 0.4, 1.1, 0.1],
+                       "flagged_event": "integration_failure", "pass": False}
+
+
+def test_sweep_line_threshold_checks_as_simulate_does(runner, tmp_path):
+    # the invariant-line orbit through z = 1/2, swept and simulated
+    line = _load(preset_path("simulate_invariant_line"))
+    state = [0.0, 0.0, 0.5, 0.0, 0.0, 0.0]
+    base = {k: line[k] for k in ("system", "integrator", "thresholds")}
+    res = _run(runner, ["sweep", "--config",
+                        _write_config(tmp_path, "sweep.json", {**base, "states": [state]}),
+                        "--out", str(tmp_path / "sweep")])
+    assert res.exit_code == 0
+    row = _load(tmp_path / "sweep" / "sweep.json")["runs"][0]
+    assert set(row) == {"index", "initial_state", "flagged_event", "drifts", "checks", "pass"}
+    assert row["checks"]["line"]["pass"] is True
+    res = _run(runner, ["simulate", "--config",
+                        _write_config(tmp_path, "simulate.json", {**base, "state": state}),
+                        "--out", str(tmp_path / "simulate")])
+    assert res.exit_code == 0
+    report = _load(tmp_path / "simulate" / "report.json")
+    assert row["checks"] == report["checks"]
+    assert row["drifts"] == report["monitor"]["drifts"]
+    assert report["checks"]["line"]["value"] == report["max_line_deviation"]
+
+
+def test_unknown_random_key_is_rejected(runner, tmp_path):
+    cfg = {"system": {"kind": "one-body", "kappa": 1}, "integrator": {"t_end": 1.0},
+           "random": {"n": 1, "rho_mn": 5}}
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["sweep", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "unknown random key(s): rho_mn" in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("preset, key", [("verify_twobody", "n_probes"),
+                                         ("verify_onebody", "n_points")])
+def test_verify_zero_probe_count_is_rejected(runner, tmp_path, preset, key):
+    cfg = {**_load(preset_path(preset)), key: 0}
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["verify", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert f"{key} must be at least 1" in res.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_sweep_random_states_deterministic(runner, tmp_path):

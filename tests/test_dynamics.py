@@ -381,6 +381,21 @@ def test_collision_guard_flags(kepler1b):
     assert traj.t[-1] < 50.0
 
 
+def test_collision_root_search_runs_on_python_floats(kepler1b, monkeypatch):
+    # the simulate_collision orbit: every iterate the guard's root search
+    # passes to the event is a Python float, so a zero denominator in a
+    # step raises the ZeroDivisionError that _brentq catches instead of
+    # giving numpy's RuntimeWarning and a NaN
+    xs = []
+    brentq = dynamics._brentq
+    monkeypatch.setattr(dynamics, "_brentq", lambda f, *args: brentq(_tracing(f, xs), *args))
+    traj = integrate(kepler1b, PhaseState1B(1.0, 0.0, 0.0, -0.5, 0.0, 0.0),
+                     IntegratorConfig(t_end=50.0))
+    assert traj.flagged_event == "collision_guard"
+    assert len(xs) > 3
+    assert [type(x).__name__ for x in xs] == ["float"] * len(xs)
+
+
 def test_start_on_the_collision_set_raises(kepler1b):
     # the vector field is not finite at rho = 0, so no first step exists
     with pytest.raises(CollisionError):
