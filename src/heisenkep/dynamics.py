@@ -79,10 +79,15 @@ class IntegratorConfig:
     rho_min: float = 1e-8
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        # a NaN or infinite tolerance makes the step size NaN, and the step
+        # loop then rejects every step; an infinite t_end is never reached;
+        # a NaN rho_min never fires the guard
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.rho_min < math.inf:
+            raise ValueError("rho_min must be positive and finite")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
 
@@ -163,7 +168,7 @@ def hamilton_rhs(spec: SystemSpec, s) -> np.ndarray:
     a = np.asarray(s, dtype=float) if not hasattr(s, "to_array") else s.to_array()
     if state_rho(spec, a) == 0.0:
         raise CollisionError("vector field evaluated at the collision set")
-    return np.asarray(_on_floats(spec._rhs_fn, a), dtype=float)
+    return np.asarray(_on_floats(spec._rhs, a), dtype=float)
 
 
 def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
@@ -181,8 +186,10 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
         where = "on the collision set" if rho0 == 0.0 else "inside the collision guard"
         raise CollisionError(f"initial state {where}, rho = {rho0!r}")
 
+    rhs = spec._rhs
+
     def f(t, y):
-        return _on_floats(spec._rhs_fn, y)
+        return _on_floats(rhs, y)
 
     def near_collision(t, y):
         return _rho(spec.kind, y.tolist()) - cfg.rho_min

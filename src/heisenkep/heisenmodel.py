@@ -7,12 +7,16 @@ z^i rho^j, which is also its JSON form.  The exact quantities along the
 vertical axis (a, W'(c), W''(c)) come from these tables through one
 univariate rational function.  sympy is imported only by the functions
 that build W's expression and generate the numeric evaluators of H and
-its vector field, so loading this module does not load it.
+its vector field, so loading this module does not load it.  The vector
+field runs from the source sympy printed, with each repeated subexpression
+evaluated once (``_hoisted``).
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import linecache
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,6 +316,12 @@ class SystemSpec:
         dp = [-sp.diff(self.h_expr, q) for q in s[:n]]
         return sp.lambdify(s, dq + dp, modules="numpy")
 
+    @cached_property
+    def _rhs(self):
+        """The vector field: _rhs_fn with each repeated subexpression
+        evaluated once, bit for bit."""
+        return _hoisted(self._rhs_fn)
+
     # -- parsing ------------------------------------------------------------
 
     @staticmethod
@@ -339,6 +349,97 @@ class SystemSpec:
             if self.potential.label == "kepler"
             else self.potential.to_json(),
         }
+
+
+class _Refused(Exception):
+    """An expression node that _hoisted leaves alone."""
+
+
+def _hoisted(fn):
+    """fn, a function that sympy's lambdify printed, with each BinOp, UnaryOp
+    or Call subtree of its return value that holds an argument and occurs
+    more than once evaluated once, into a local, before the return.
+
+    A hoisted subtree is the same operations on the same operands in the
+    same order, so the result has fn's bits on floats and on numpy scalars.
+    Every node of the expression is evaluated eagerly, so it raises where fn
+    raises.  A body of another shape, or a node other than BinOp, UnaryOp,
+    Call, Name and Constant below the returned List or Tuple (an IfExp or a
+    BoolOp is lazy), gives fn back.  The source is compiled under a
+    linecache entry, as lambdify's is, so inspect.getsource reads it."""
+    # lambdify's linecache entry is the def alone; inspect.getsource would
+    # tokenize it again to find the block, a quarter of this pass's cost
+    (fdef,) = ast.parse("".join(linecache.getlines(fn.__code__.co_filename))).body
+    ret = fdef.body[0]
+    if len(fdef.body) != 1 or not isinstance(ret, ast.Return):
+        return fn
+    params = {a.arg for a in fdef.args.args}
+    ids = {}        # structural key -> id; a subtree's ids precede its own
+    first = []      # id -> the first node with that key
+    kids = []       # id -> the ids of its operands, with repeats
+    var = set()     # the ids of subtrees that hold an argument
+    of = {}         # node -> id
+
+    def key(node) -> int:
+        """The id of node's structure: its type, operator and operand ids,
+        built bottom-up so that each node is keyed once."""
+        if isinstance(node, ast.Constant):
+            parts, k = (), (ast.Constant, type(node.value), repr(node.value))
+        elif isinstance(node, ast.Name):
+            parts, k = (), (ast.Name, node.id)
+        else:
+            if isinstance(node, ast.BinOp):
+                parts, op = (node.left, node.right), type(node.op)
+            elif isinstance(node, ast.UnaryOp):
+                parts, op = (node.operand,), type(node.op)
+            elif isinstance(node, ast.Call) and not node.keywords:
+                parts, op = (node.func, *node.args), None
+            else:  # also a bare return's None
+                raise _Refused
+            parts = [key(p) for p in parts]
+            k = (type(node), op, *parts)
+        i = ids.get(k)
+        if i is None:
+            i = ids[k] = len(first)
+            first.append(node)
+            kids.append(parts)
+            if isinstance(node, ast.Name) and node.id in params or var.intersection(parts):
+                var.add(i)
+        of[node] = i
+        return i
+
+    top = ret.value
+    try:
+        roots = [key(e) for e in (top.elts if isinstance(top, (ast.List, ast.Tuple)) else [top])]
+    except _Refused:
+        return fn
+    # uses[i]: the occurrences of i once every hoisted subtree is one local;
+    # a subtree's parents have higher ids, so each is final when reached
+    uses = [0] * len(first)
+    for r in roots:
+        uses[r] += 1
+    hoist = [False] * len(first)
+    for i in reversed(range(len(first))):
+        hoist[i] = uses[i] > 1 and i in var and not isinstance(first[i], ast.Name)
+        for c in kids[i]:
+            uses[c] += 1 if hoist[i] else uses[i]
+    local = {i: f"_s{n}" for n, i in enumerate(i for i, h in enumerate(hoist) if h)}
+
+    class Substitute(ast.NodeTransformer):
+        def visit(self, node):
+            node = self.generic_visit(node)
+            i = of.get(node)
+            return ast.Name(local[i], ast.Load()) if i in local else node
+
+    ret.value = Substitute().visit(ret.value)
+    fdef.body = [*(ast.Assign([ast.Name(name, ast.Store())], first[i], lineno=0)
+                   for i, name in local.items()), ret]
+    src = ast.unparse(fdef) + "\n"
+    filename = f"<hoisted {fn.__code__.co_filename}>"
+    namespace = {}
+    exec(compile(src, filename, "exec"), fn.__globals__, namespace)
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    return namespace[fdef.name]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -364,6 +365,18 @@ def test_unknown_integrator_key_is_rejected(runner, tmp_path, command, preset):
                  id="integrator-t-end"),
     pytest.param("integrator", {"max_step": 0}, "max_step must be positive",
                  id="integrator-max-step"),
+    # NaN and Infinity, as json writes them: the step loop never ended
+    pytest.param("integrator", {"t_end": math.inf}, "t_end must be positive",
+                 id="integrator-t-end-inf"),
+    pytest.param("integrator", {"abs_tol": math.nan}, "tolerances must be positive",
+                 id="integrator-abs-tol-nan"),
+    pytest.param("integrator", {"rel_tol": math.nan}, "tolerances must be positive",
+                 id="integrator-rel-tol-nan"),
+    pytest.param("integrator", {"rel_tol": math.inf}, "tolerances must be positive",
+                 id="integrator-rel-tol-inf"),
+    # the guard never fires
+    pytest.param("integrator", {"rho_min": math.nan}, "rho_min must be positive",
+                 id="integrator-rho-min-nan"),
 ])
 def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, entry,
                                       message):
@@ -688,22 +701,26 @@ def test_numeric_preset_artifact_digest(runner, tmp_path, preset):
 
 # SHA-256 of the generated source of the numeric evaluators.  The numeric
 # artifacts depend on the term order of these expressions, which depends on
-# sympy's printer only.
+# sympy's printer only.  _rhs is _rhs_fn with its repeated subexpressions
+# hoisted, as ast.unparse writes it.
 LAMBDIFY_SOURCES = {
     "kepler_1b": (
         lambda: SystemSpec("one-body", 1), {
             "_h_fn": "fc3cdfc6547b9bdf91d39715a3a73f3336d57e3f400f5ed9250af3f6f77010fc",
-            "_rhs_fn": "de85eb79fc187bd6294c7eb134ff96a999626fdcdc9a289c8737234ec3985234"}),
+            "_rhs_fn": "de85eb79fc187bd6294c7eb134ff96a999626fdcdc9a289c8737234ec3985234",
+            "_rhs": "c90bf9b51ff80a6c02a826f3c163f26e50082552557e7f0376a521f66ee0691f"}),
     "kepler_2b": (
         lambda: SystemSpec("two-body", 1, m1=1, m2=3), {
             "_h_fn": "b7dc2e7759a5fad0a1997ef9d0f25b9f59a51c1a0ed773af0e0e43ce1093b5e5",
-            "_rhs_fn": "fd1d8b152035842906b86c9af4c47a2d74df0b0f77e5d6d2b4a893b9e5b223c2"}),
+            "_rhs_fn": "fd1d8b152035842906b86c9af4c47a2d74df0b0f77e5d6d2b4a893b9e5b223c2",
+            "_rhs": "d8d3a9ba196a1e7ca46d1bfec1d3c5fc9a023f360ea0c56c142ce83d68718477"}),
     # W = (z^2 rho/3 + z - 2)/(rho^2 + 1)
     "table": (
         lambda: SystemSpec("one-body", 1, potential=PotentialSpec.from_table(
             [[1, 0, 1], [0, 0, -2], [2, 1, "1/3"]], [[0, 2, 1], [0, 0, 1]])), {
             "_h_fn": "6218f2c72649fc4c57b17e28d1aea58fe7329448529620457238d8d1c5b981a3",
-            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c"}),
+            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c",
+            "_rhs": "b7081cf8b255796d0f42ca8c228743fae22d6b69eb615762acc422e532ec9174"}),
 }
 
 

@@ -422,7 +422,18 @@ def test_config_rejects_bad_tolerances():
         IntegratorConfig(abs_tol=0.0)
 
 
-@pytest.mark.parametrize("t_end", [0.0, -5.0, float("nan")])
+# a NaN or infinite tolerance made integrate spin, rejecting every step; a NaN
+# rho_min let an orbit pass through the guard
+@pytest.mark.parametrize("field, message", [("abs_tol", "tolerances must be positive"),
+                                            ("rel_tol", "tolerances must be positive"),
+                                            ("rho_min", "rho_min must be positive")])
+@pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
+def test_config_rejects_a_nonpositive_or_nonfinite_tolerance_or_rho_min(field, message, value):
+    with pytest.raises(ValueError, match=message):
+        IntegratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("t_end", [0.0, -5.0, float("nan"), math.inf])
 def test_config_rejects_nonpositive_t_end(t_end):
     with pytest.raises(ValueError, match="t_end must be positive"):
         IntegratorConfig(t_end=t_end)

@@ -1,4 +1,6 @@
+import ast
 import functools
+import inspect
 import json
 import math
 import random
@@ -22,6 +24,7 @@ from heisenkep.heisenmodel import (
     group_inv,
     group_mul,
     hamiltonian,
+    _hoisted,
     _on_floats,
     particular_solution,
     poisson_bracket,
@@ -358,7 +361,7 @@ def test_float_evaluation_matches_numpy_scalars_bit_for_bit(name, values):
     spec = _lambdify_spec(name)
     a = np.array(values[: spec.dim])
     with np.errstate(all="ignore"):
-        assert np.array_equal(_bits(_on_floats(spec._rhs_fn, a)),
+        assert np.array_equal(_bits(_on_floats(spec._rhs, a)),
                               _bits(numpy_scalar_rhs(spec, a)))
         assert np.array_equal(_bits(_on_floats(spec._h_fn, a)),
                               _bits(numpy_scalar_h(spec, a)))
@@ -367,3 +370,76 @@ def test_float_evaluation_matches_numpy_scalars_bit_for_bit(name, values):
         old = _integrals(numpy_scalar_first_integrals, spec, a)
     assert (new is old) if CollisionError in (new, old) else np.array_equal(
         _bits(new), _bits(old))
+
+
+# -- the hoisted vector field -------------------------------------------------
+
+@functools.cache
+def _hoist_spec(source):
+    """A packaged evaluator spec by name, or a (kind, table) potential."""
+    if isinstance(source, str):
+        return _lambdify_spec(source)
+    kind, table = source
+    return SystemSpec(kind, 1, m1=2, m2=3, potential=PotentialSpec.from_table(
+        [[i, j, c] for (i, j), c in table], [[0, 2, 1], [0, 0, 1]]))
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except (ZeroDivisionError, OverflowError):
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LAMBDIFY_SOURCES))
+       | st.tuples(st.sampled_from(["one-body", "two-body"]),
+                   _tables.map(lambda t: tuple(sorted(t.items())))),
+       st.lists(_component, min_size=12, max_size=12))
+# rho = 0, and components near 1e160, where Python raises
+@example("kepler_1b", [0.0, 0.0, 0.0, 0.3, -1.2, 0.5] + [0.0] * 6)
+@example("kepler_2b", [0.5, -1.0, 2.0, 0.5, -1.0, 2.0, 0.1, 0.2, 0.3, -0.4, 0.5, -0.6])
+@example("table", [0.0] * 12)
+@example("kepler_1b", [1e160, 0.5, -0.25, 1.0, 2.0, -1.0] + [0.0] * 6)
+@example("kepler_2b", [1e160, 0.0, 1.0, -1e160, 0.5, 0.0, 1.0, 2.0, 3.0, 1e160, -2.0, 1.0])
+@example("table", [0.5, 3e159, -1.0, 1.0, 1e160, 0.25] + [0.0] * 6)
+def test_hoisted_rhs_is_the_printed_rhs_bit_for_bit(source, values):
+    spec = _hoist_spec(source)
+    a = np.array(values[: spec.dim])
+    with np.errstate(all="ignore"):  # numpy's sqrt makes numpy scalars of floats
+        assert _raises(spec._rhs, *a.tolist()) == _raises(spec._rhs_fn, *a.tolist())
+        assert np.array_equal(_bits(_on_floats(spec._rhs, a)), _bits(spec._rhs_fn(*a)))
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDIFY_SOURCES))
+def test_hoisted_rhs_evaluates_each_subexpression_once(name):
+    spec = _lambdify_spec(name)
+    fdef = ast.parse(inspect.getsource(spec._rhs)).body[0]
+    variables = {a.arg for a in fdef.args.args}
+    *assigns, ret = fdef.body
+    assert assigns and isinstance(ret, ast.Return)
+    variables |= {a.targets[0].id for a in assigns}
+    seen = set()
+    for node in ast.walk(ast.Module(fdef.body, [])):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)) and any(
+                isinstance(n, ast.Name) and n.id in variables for n in ast.walk(node)):
+            assert ast.dump(node) not in seen, ast.unparse(node)
+            seen.add(ast.dump(node))
+
+
+def test_hoist_tells_apart_subtrees_that_differ_in_an_operator_or_a_constant():
+    x, y = sp.symbols("x y", real=True)
+    fn = sp.lambdify([x, y], [(x + y)**3, (x - y)**3, x + y, x - y,
+                              2 * x * y, 3 * x * y, 2 * x * y, 3 * x * y], modules="math")
+    hoisted = _hoisted(fn)
+    assert inspect.getsource(hoisted).count(" = ") == 4
+    assert hoisted(1.5, 0.25) == fn(1.5, 0.25)
+
+
+def test_hoist_leaves_a_lazy_expression_alone():
+    x = sp.Symbol("x", real=True)
+    # the math printer writes Piecewise as a conditional expression
+    fn = sp.lambdify([x], [sp.Piecewise((1 / (x**2 + 1), x > 0), (x**2 + 1, True)),
+                           x**2 + 1], modules="math")
+    assert _hoisted(fn) is fn
