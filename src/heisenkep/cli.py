@@ -143,6 +143,17 @@ def _integrator_config(rc: RunConfig) -> IntegratorConfig:
         raise click.ClickException(str(e)) from e
 
 
+def _system(rc: RunConfig) -> SystemSpec:
+    """SystemSpec from the config's "system" table.  A missing key, or a
+    value that SystemSpec rejects, is a usage error."""
+    try:
+        return SystemSpec.from_json(rc.config["system"])
+    except KeyError as e:
+        raise click.ClickException(f"bad system table: missing key {e}") from e
+    except (ValueError, ZeroDivisionError) as e:
+        raise click.ClickException(f"bad system table: {e}") from e
+
+
 def _thresholds(rc: RunConfig, spec: SystemSpec) -> dict:
     """The config's "thresholds" table, each key a quantity _orbit checks."""
     thresholds = rc.config.get("thresholds", {"H": 1e-9})
@@ -242,7 +253,7 @@ def _orbit(spec: SystemSpec, s0, icfg, thresholds: dict, where="", line=False) -
 def simulate(config, out_dir, seed, fmt):
     """Integrate one orbit, monitor its invariants, export the trajectory."""
     rc = _load_config("simulate", config, out_dir, seed, fmt)
-    spec = SystemSpec.from_json(rc.config["system"])
+    spec = _system(rc)
     icfg = _integrator_config(rc)
     thresholds = _thresholds(rc, spec)
     traj, report = _orbit(spec, _initial_state(spec, rc.config), icfg, thresholds, line=True)
@@ -350,7 +361,7 @@ def _rows_to_csv(rows, path: Path, header: dict):
 def verify(config, out_dir, seed, fmt):
     """Run the bracket/identity suites and report residuals per identity."""
     rc = _load_config("verify", config, out_dir, seed, fmt)
-    spec = SystemSpec.from_json(rc.config["system"])
+    spec = _system(rc)
     suites = rc.config.get(
         "suites", ["brackets"] + (["extended"] if spec.kind == "one-body" else [])
     )
@@ -643,7 +654,7 @@ def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
 def sweep(config, out_dir, seed, fmt):
     """Integrate a family of orbits and summarize the drifts."""
     rc = _load_config("sweep", config, out_dir, seed, fmt)
-    spec = SystemSpec.from_json(rc.config["system"])
+    spec = _system(rc)
     icfg = _integrator_config(rc)
     thresholds = _thresholds(rc, spec)
     states = _sweep_states(spec, rc.config, rc.seed)

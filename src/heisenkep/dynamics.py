@@ -16,8 +16,10 @@ float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
 from C ``pow``), and the grid keeps the bits of OdeSolution's array call,
 one BLAS product per run of times in one segment (see README).
 
-sympy is imported only where evaluators are generated, and scipy not at
-all: scipy serves only as the tests' oracle.
+sympy is imported only where a table potential's evaluators or the
+extended lift's are generated (a Kepler system's are printed in
+``heisenmodel``), and scipy not at all: scipy serves only as the tests'
+oracle.
 """
 
 from __future__ import annotations

@@ -5,16 +5,20 @@ non-integrability condition.
 A potential W(z, rho) is a ratio of two tables of Q(i) coefficients of
 z^i rho^j, which is also its JSON form.  The exact quantities along the
 vertical axis (a, W'(c), W''(c)) come from these tables through one
-univariate rational function.  sympy is imported only by the functions
-that build W's expression and generate the numeric evaluators of H and
-its vector field, so loading this module does not load it.  The vector
-field runs from the source sympy printed, with each repeated subexpression
-evaluated once (``_hoisted``).
+univariate rational function.  For the Kepler potential W = -K/rho the
+module prints the source of the numeric evaluators of H and its vector
+field itself (``_kepler_sources``), character for character what sympy
+1.14's lambdify prints.  For any other potential sympy builds W's
+expression and generates them; it is imported only by the functions that
+do so, so loading this module does not load it.  The vector field runs
+from the printed source, with each repeated subexpression evaluated once
+(``_hoisted``).
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import linecache
 import math
@@ -302,12 +306,16 @@ class SystemSpec:
 
     @cached_property
     def _h_fn(self):
+        printed = _kepler_sources(self)
+        if printed:  # sqrt is numpy's, as in lambdify's namespace
+            return _compile_def(printed[0], "kepler H", {"sqrt": np.sqrt})
         import sympy as sp
 
         return sp.lambdify(self._symbols, self.h_expr, modules="numpy")
 
     @cached_property
     def _rhs_fn(self):
+        """The vector field as sympy prints it: the oracle of _rhs."""
         import sympy as sp
 
         s = self._symbols
@@ -319,8 +327,10 @@ class SystemSpec:
     @cached_property
     def _rhs(self):
         """The vector field: _rhs_fn with each repeated subexpression
-        evaluated once, bit for bit."""
-        return _hoisted(self._rhs_fn)
+        evaluated once, bit for bit.  A Kepler potential's is hoisted from
+        the printed source, without sympy."""
+        printed = _kepler_sources(self)
+        return _hoisted(_compile_def(printed[1], "kepler rhs", {}) if printed else self._rhs_fn)
 
     # -- parsing ------------------------------------------------------------
 
@@ -349,6 +359,116 @@ class SystemSpec:
             if self.potential.label == "kepler"
             else self.potential.to_json(),
         }
+
+
+# ---------------------------------------------------------------------------
+# Evaluator source
+# ---------------------------------------------------------------------------
+
+def _coef(c: Fraction) -> str:
+    """The rational c as sympy's printer writes it before the other factors
+    of a product: 1 and -1 as nothing and "-", n as "n*", p/q > 0 as
+    "(p/q)*" and -p/q as "-p/q*"."""
+    if abs(c) == 1:
+        return "" if c > 0 else "-"
+    if c.denominator == 1:
+        return f"{c}*"
+    return f"({c})*" if c > 0 else f"{c}*"
+
+
+def _over(c: Fraction, den: str) -> str:
+    """c/den as sympy's printer writes it: a non-integer c in
+    parentheses, its sign outside."""
+    body = str(abs(c)) if c.denominator == 1 else f"({abs(c)})"
+    return f"{'-' if c < 0 else ''}{body}/{den}"
+
+
+def _sum(*terms: str) -> str:
+    """The terms joined as sympy's printer joins a sum: a later term's
+    leading "-" goes out as " - "."""
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in terms[1:])
+
+
+def _kinetic(i: str, m: Fraction) -> tuple:
+    """The printed kinetic terms of the body of mass m whose coordinates
+    are suffixed i: its two terms of H, its rows of dq/dt = dH/dp, and the
+    kinetic terms of its rows dp_x/dt and dp_y/dt."""
+    h = 1 / (2 * m)
+    bx = f"(p_x{i} - 1/2*p_z{i}*y{i})"
+    by = f"(p_y{i} + (1/2)*p_z{i}*x{i})"
+    dq = [_sum(f"{_coef(2 * h)}p_x{i}", f"{_coef(-h)}p_z{i}*y{i}"),
+          _sum(f"{_coef(2 * h)}p_y{i}", f"{_coef(h)}p_z{i}*x{i}"),
+          _sum(f"{_coef(h)}x{i}*{by}", f"{_coef(-h)}y{i}*{bx}")]
+    return (f"{_coef(h)}{bx}**2", f"{_coef(h)}{by}**2", dq,
+            f"{_coef(-h)}p_z{i}*{by}", f"{_coef(h)}p_z{i}*{bx}")
+
+
+# the gauge rho^2 of the body (one-body) and of g1^-1 g2 (two-body), and
+# the force numerators of the two-body rows dp/dt, as sympy prints them
+_RHO2_1B = "16*z**2 + (x**2 + y**2)**2"
+_Z2B = "(-1/2*x1*y2 + (1/2)*x2*y1 - z1 + z2)"
+_R2B = "((-x1 + x2)**2 + (-y1 + y2)**2)"
+_RHO2_2B = f"{_R2B}**2 + 16*{_Z2B}**2"
+_FORCES_2B = (
+    f"(8*y2*{_Z2B} - 1/2*(4*x1 - 4*x2)*{_R2B})",
+    f"(-8*x2*{_Z2B} - 1/2*(4*y1 - 4*y2)*{_R2B})",
+    "(-8*x1*y2 + 8*x2*y1 - 16*z1 + 16*z2)",
+    f"(-8*y1*{_Z2B} - 1/2*(-4*x1 + 4*x2)*{_R2B})",
+    f"(8*x1*{_Z2B} - 1/2*(-4*y1 + 4*y2)*{_R2B})",
+    "(8*x1*y2 - 8*x2*y1 + 16*z1 - 16*z2)",
+)
+
+
+def _kepler_sources(spec: SystemSpec):
+    """The source that sympy's lambdify prints for spec's H and vector
+    field, character for character, when W = -K/rho for a real K != 0
+    (read from the potential's tables, whatever its label); None otherwise.
+
+    The kinetic coefficients are 1/m and 1/(2m), distributed over each
+    velocity row, and each force term is a rational multiple of a fixed
+    printed expression."""
+    pot = spec.potential
+    if (pot.num.keys() != {(0, 0)} or not pot.num[0, 0].is_real()
+            or pot.den != {(0, 1): ExactScalar(1)}):
+        return None
+    c = pot.num[0, 0].re  # W = c/rho
+    if spec.kind == "one-body":
+        names = "x, y, z, p_x, p_y, p_z"
+        hx, hy, dq, fx, fy = _kinetic("", Fraction(1))
+        den = f"({_RHO2_1B})**(3/2)"
+        h = _sum(hx, hy, _over(c, f"sqrt({_RHO2_1B})"))
+        rows = [*dq,
+                _sum(fx, f"{_coef(2 * c)}x*(x**2 + y**2)/{den}"),
+                _sum(fy, f"{_coef(2 * c)}y*(x**2 + y**2)/{den}"),
+                f"{_coef(16 * c)}z/{den}"]
+    else:
+        names = "x1, y1, z1, x2, y2, z2, p_x1, p_y1, p_z1, p_x2, p_y2, p_z2"
+        hx1, hy1, dq1, fx1, fy1 = _kinetic("1", spec.m1_exact)
+        hx2, hy2, dq2, fx2, fy2 = _kinetic("2", spec.m2_exact)
+        forces = [f"{_coef(-c)}{n}/({_RHO2_2B})**(3/2)" for n in _FORCES_2B]
+        h = _sum(hx1, hx2, hy1, hy2, _over(c, f"sqrt({_RHO2_2B})"))
+        rows = [*dq1, *dq2,
+                _sum(fx1, forces[0]), _sum(fy1, forces[1]), forces[2],
+                _sum(fx2, forces[3]), _sum(fy2, forces[4]), forces[5]]
+    head = f"def _lambdifygenerated({names}):\n    return "
+    return f"{head}{h}\n", f"{head}[{', '.join(rows)}]\n"
+
+
+# numbers each compiled source's linecache entry, as lambdify numbers its
+# own (hashlib would cost every process ~3.6 MB of resident memory)
+_compiled = itertools.count()
+
+
+def _compile_def(src: str, name: str, namespace: dict):
+    """The function that the one def in src defines, with globals
+    namespace, compiled under a linecache entry of its own so that
+    inspect.getsource and _hoisted read its source."""
+    filename = f"<{name}-{next(_compiled)}>"
+    local = {}
+    exec(compile(src, filename, "exec"), namespace, local)
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    (fn,) = local.values()
+    return fn
 
 
 class _Refused(Exception):
@@ -434,12 +554,8 @@ def _hoisted(fn):
     ret.value = Substitute().visit(ret.value)
     fdef.body = [*(ast.Assign([ast.Name(name, ast.Store())], first[i], lineno=0)
                    for i, name in local.items()), ret]
-    src = ast.unparse(fdef) + "\n"
-    filename = f"<hoisted {fn.__code__.co_filename}>"
-    namespace = {}
-    exec(compile(src, filename, "exec"), fn.__globals__, namespace)
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    return namespace[fdef.name]
+    return _compile_def(ast.unparse(fdef) + "\n", f"hoisted {fn.__code__.co_filename}",
+                        fn.__globals__)
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,32 @@ def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, 
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, preset", [("simulate", "simulate_invariant_line"),
+                                             ("sweep", "sweep_onebody"),
+                                             ("verify", "verify_twobody")])
+@pytest.mark.parametrize("entry, message", [
+    pytest.param({"kappa": 0}, "kappa must be nonzero", id="kappa-zero"),
+    pytest.param({"m1": -1}, "masses must be positive", id="mass-negative"),
+    pytest.param({"kind": "three-body"}, "unknown system kind", id="kind-unknown"),
+    pytest.param({"kappa": "1+1i"}, "malformed ExactScalar token", id="kappa-malformed"),
+    pytest.param({"kappa": "1e400"}, "malformed ExactScalar token", id="kappa-exponent"),
+    pytest.param({"kappa": "1/0"}, "bad system table", id="kappa-zero-denominator"),
+    pytest.param({"potential": {"num": [[0, 0, -1]], "den": [[0, 1, 0]]}},
+                 "potential denominator is identically zero", id="den-zero"),
+    pytest.param({"potential": {"den": [[0, 1, 1]]}}, "missing key 'num'", id="num-missing"),
+])
+def test_bad_system_entry_is_rejected(runner, tmp_path, command, preset, entry, message):
+    cfg = _load(preset_path(preset))
+    cfg["system"] = {**cfg["system"], **entry}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, preset, key", [("simulate", "simulate_scatter", "state"),
                                                   ("sweep", "sweep_onebody", "states")])
 def test_start_on_the_collision_set_is_rejected(runner, tmp_path, command, preset, key):
@@ -615,7 +641,9 @@ print(json.dumps(seen))
 
 
 def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
-    exact, numeric = sorted(EXACT_ARTIFACTS), sorted(NUMERIC_ARTIFACTS)
+    # verify_onebody runs last: sympy, once loaded, stays in sys.modules
+    exact = sorted(EXACT_ARTIFACTS)
+    numeric = sorted(NUMERIC_ARTIFACTS, key=lambda p: (p == "verify_onebody", p))
     packaged = {p.stem for p in preset_path("ve_kepler_a2").parent.glob("*.json")}
     assert packaged == {*exact, *numeric}
     proc = subprocess.run(
@@ -625,10 +653,11 @@ def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     exact_steps = ["import", *exact]
     assert {step: seen[step] for step in exact_steps} == dict.fromkeys(exact_steps, [0, False])
-    # every numeric preset runs without scipy, and (positive control) the
-    # first loads sympy for its evaluators
+    # every numeric preset runs without scipy, and only verify_onebody
+    # (positive control) loads sympy, for the extended lift: the Kepler
+    # evaluators are printed in the package
     assert {p: seen[p] for p in numeric} == {
-        p: [NUMERIC_ARTIFACTS[p][1], True] for p in numeric}
+        p: [NUMERIC_ARTIFACTS[p][1], p == "verify_onebody"] for p in numeric}
 
 
 def _loaded_by_import(module: str, candidates) -> str:
@@ -701,8 +730,10 @@ def test_numeric_preset_artifact_digest(runner, tmp_path, preset):
 
 # SHA-256 of the generated source of the numeric evaluators.  The numeric
 # artifacts depend on the term order of these expressions, which depends on
-# sympy's printer only.  _rhs is _rhs_fn with its repeated subexpressions
-# hoisted, as ast.unparse writes it.
+# sympy's printer only.  A Kepler spec's _h_fn and _rhs come from the
+# package's copy of that printer's text, and _rhs_fn from sympy itself.
+# _rhs is that text with its repeated subexpressions hoisted, as
+# ast.unparse writes it.
 LAMBDIFY_SOURCES = {
     "kepler_1b": (
         lambda: SystemSpec("one-body", 1), {

@@ -25,6 +25,7 @@ from heisenkep.heisenmodel import (
     group_mul,
     hamiltonian,
     _hoisted,
+    _kepler_sources,
     _on_floats,
     particular_solution,
     poisson_bracket,
@@ -39,7 +40,7 @@ from oracles import (
     numpy_scalar_rhs,
     numpy_scalar_state_rho,
 )
-from test_cli import LAMBDIFY_SOURCES
+from test_cli import LAMBDIFY_SOURCES, _require_versions
 
 
 @pytest.fixture(scope="module")
@@ -443,3 +444,52 @@ def test_hoist_leaves_a_lazy_expression_alone():
     fn = sp.lambdify([x], [sp.Piecewise((1 / (x**2 + 1), x > 0), (x**2 + 1, True)),
                            x**2 + 1], modules="math")
     assert _hoisted(fn) is fn
+
+
+# -- the printed Kepler evaluators ---------------------------------------------
+
+def _lambdify_sources(spec):
+    """The source that sympy's lambdify prints for spec's H and vector field."""
+    return (inspect.getsource(sp.lambdify(spec._symbols, spec.h_expr, modules="numpy")),
+            inspect.getsource(spec._rhs_fn))
+
+
+# numerators and denominators up to 10^6, and the coefficients that print
+# apart: +-1, integers, and 1/2 and 1/16 (one-body force terms of +-1)
+_wide = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)) | st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 4), Fraction(1, 16), Fraction(3, 2)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["one-body", "two-body"]), _wide, st.booleans(), _wide, _wide)
+@example("one-body", Fraction(1, 16), True, Fraction(1), Fraction(1))
+@example("two-body", Fraction(2), False, Fraction(1, 2), Fraction(1))
+@example("two-body", Fraction(8), True, Fraction(1, 4), Fraction(1, 2))
+def test_printed_kepler_evaluators_are_lambdify_source(kind, kappa, negative, m1, m2):
+    _require_versions(("sympy",))
+    spec = SystemSpec(kind, -kappa if negative else kappa, m1, m2)
+    printed = _kepler_sources(spec)
+    assert printed == _lambdify_sources(spec)
+    assert inspect.getsource(spec._h_fn) == printed[0]
+
+
+@pytest.mark.parametrize("kind,num,den,printed", [
+    ("one-body", [[1, 0, 1], [0, 0, -2]], [[0, 1, 1]], False),  # not a constant over rho
+    ("one-body", [[0, 0, -1]], [[0, 1, 2]], False),              # den 2 rho
+    ("one-body", [[0, 0, "-1+1*i"]], [[0, 1, 1]], False),        # a complex coefficient
+    # -K/rho with the label "custom", and for two bodies K != kappa m1 m2
+    ("one-body", [[0, 0, "-3/5"]], [[0, 1, 1]], True),
+    ("two-body", [[0, 0, "-3/5"]], [[0, 1, 1]], True),
+])
+def test_evaluators_fall_back_to_sympy_off_the_kepler_tables(kind, num, den, printed):
+    _require_versions(("sympy",))
+    spec = SystemSpec(kind, 1, 2, 3, potential=PotentialSpec.from_table(num, den))
+    assert spec.potential.label == "custom"
+    assert (_kepler_sources(spec) is not None) == printed
+    assert inspect.getsource(spec._h_fn) == _lambdify_sources(spec)[0]
+    assert spec._h_fn.__code__.co_filename.startswith("<kepler" if printed else "<lambdify")
+    if printed:
+        assert _kepler_sources(spec)[1] == _lambdify_sources(spec)[1]
+        # its sqrt is numpy's, as in lambdify's namespace
+        state = [1.0, 0.5, 0.25, 0.1, 0.2, 0.3, -0.5, 0.75, 2.0, 0.4, -0.1, 0.6]
+        assert type(spec._h_fn(*state[: spec.dim])) is np.float64
