@@ -203,11 +203,32 @@ def main():
 
 def _initial_state(spec: SystemSpec, cfg: dict) -> np.ndarray:
     if "particular" in cfg:
-        s = particular_solution(spec, {
-            k: float(_frac(v)) for k, v in cfg["particular"].items()
-        }, cfg.get("t0", 0.0))
+        try:
+            s = particular_solution(spec, {
+                k: float(_frac(v)) for k, v in cfg["particular"].items()
+            }, cfg.get("t0", 0.0))
+        except KeyError as e:
+            raise click.ClickException(f"state 0: particular misses key {e}") from e
+        except ValueError as e:
+            raise click.ClickException(f"state 0: {e}") from e
         return s.to_array()
-    return np.asarray(cfg["state"], dtype=float)
+    return _state_array(spec, cfg["state"], "state 0: ")
+
+
+def _state_array(spec: SystemSpec, state, where: str) -> np.ndarray:
+    """A config's initial state as an array.  A length other than the
+    system's dimension, or an entry that is not finite, is a usage error
+    whose message begins with where."""
+    try:
+        a = np.asarray(state, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise click.ClickException(f"{where}the initial state must be a list of numbers") from e
+    if a.shape != (spec.dim,):
+        raise click.ClickException(
+            f"{where}a {spec.kind} state has {spec.dim} entries, not {a.size}")
+    if not np.isfinite(a).all():
+        raise click.ClickException(f"{where}the initial state must be finite")
+    return a
 
 
 def _line_deviation(spec: SystemSpec, traj, n: int = 300) -> float:
@@ -621,9 +642,13 @@ def factorize(config, out_dir, seed, fmt):
 # sweep
 # ---------------------------------------------------------------------------
 
+# a random sweep gives up after this many draws per requested state
+_DRAWS_PER_STATE = 10_000
+
+
 def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
     if "states" in cfg:
-        return [np.asarray(s, dtype=float) for s in cfg["states"]]
+        return [_state_array(spec, s, f"state {i}: ") for i, s in enumerate(cfg["states"])]
     rnd = cfg["random"]
     unknown = sorted(set(rnd) - {"n", "rho_min", "min_p_theta", "q_low", "q_high",
                                  "p_low", "p_high"})
@@ -632,20 +657,27 @@ def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
     rng = np.random.default_rng(seed)
     n = int(rnd.get("n", 4))
     rho_min = float(rnd.get("rho_min", 0.5))
+    min_p_theta = float(rnd.get("min_p_theta", 0.0))
     half = spec.dim // 2
     out = []
-    while len(out) < n:
+    for _ in range(_DRAWS_PER_STATE * n):
+        if len(out) == n:
+            break
         q = rng.uniform(rnd.get("q_low", -1.5), rnd.get("q_high", 1.5), size=half)
         p = rng.uniform(rnd.get("p_low", -1.0), rnd.get("p_high", 1.0), size=half)
         a = np.concatenate([q, p])
         # min_p_theta only filters the drawn states: it does not keep orbits
         # off the centre, so a random sweep can still trip the collision
         # guard, and that row is reported as flagged
-        if spec.kind == "one-body" and (
-                abs(a[0] * a[4] - a[1] * a[3]) < float(rnd.get("min_p_theta", 0.0))):
+        if spec.kind == "one-body" and abs(a[0] * a[4] - a[1] * a[3]) < min_p_theta:
             continue
         if state_rho(spec, a) > rho_min:
             out.append(a)
+    if len(out) < n:
+        filters = f"rho > {rho_min}" + (
+            f" and |p_theta| >= {min_p_theta}" if spec.kind == "one-body" else "")
+        raise click.ClickException(f"random: {len(out)} of {n} states met the filters "
+                                   f"{filters} in {_DRAWS_PER_STATE * n} draws")
     return out
 
 

@@ -8,8 +8,12 @@ differentiates J along it.  A symplectic scheme is not used: the
 extended system is Poisson with a nonconstant structure matrix, so one
 explicit adaptive scheme serves all three systems uniformly.
 
-The vector field, the collision guard and H run on Python floats, which
-round as numpy's scalars do at a third of the cost.  The monitor batches
+The step runs on Python floats around its BLAS products.  numpy makes only
+the products whose summation order pins the bits (the stages, the 5th- and
+4th-order combinations, the dense output's Q and the error norm's ddot);
+the vector field, the collision guard and the rest of the step take the
+step's list of floats, which round as numpy's elementwise ops do at a
+fraction of the cost.  H runs on Python floats too.  The monitor batches
 what rounds as the scalar path does: ``Trajectory.at_each`` has the bits of
 per-point dense output, and the other integrals are IEEE ``+ - * /`` on
 float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
@@ -188,15 +192,15 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
         where = "on the collision set" if rho0 == 0.0 else "inside the collision guard"
         raise CollisionError(f"initial state {where}, rho = {rho0!r}")
 
-    rhs = spec._rhs
+    rhs, kind, rho_min = spec._rhs, spec.kind, cfg.rho_min
 
-    def f(t, y):
-        return _on_floats(rhs, y)
+    def f(v):
+        try:
+            return rhs(*v)
+        except (ZeroDivisionError, OverflowError):  # numpy's inf or nan, as _on_floats
+            return rhs(*np.array(v))
 
-    def near_collision(t, y):
-        return _rho(spec.kind, y.tolist()) - cfg.rho_min
-
-    traj = _solve(f, a0, cfg, near_collision)
+    traj = _solve(f, a0, cfg, lambda v: _rho(kind, v) - rho_min)
     traj.flagged_event = "collision_guard" if traj.stats["status"] == 1 else None
     return traj
 
@@ -243,10 +247,12 @@ def _rk_dense(t_old, h, Q, y_old, t):
 
 def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Trajectory:
     """solve_ivp(fun, (0, cfg.t_end), y0, method="RK45", dense_output=True,
-    events=event) with cfg's tolerances and max_step, op for op; fun returns
-    a float64 array or a sequence of floats, which goes straight into a row
-    of the stage array.  The event is terminal and fires where it falls
-    through zero.  A failed run raises IntegrationError("<what> failed: ...")."""
+    events=event) with cfg's tolerances and max_step, op for op.  fun and the
+    event take the state as a list of floats (the system is autonomous); fun
+    returns a sequence of floats, which goes straight into a row of the stage
+    array.  The event is terminal and fires where it falls through zero.  A
+    failed run raises IntegrationError("<what> failed: ...").  Only the BLAS
+    products K.a_s, K.b, K.e, K.P and the error norm's ddot run in numpy."""
     t_bound, max_step, rtol, atol = float(cfg.t_end), cfg.max_step, cfg.rel_tol, cfg.abs_tol
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
@@ -255,7 +261,7 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    t, f = 0.0, np.asarray(fun(0.0, y), dtype=float)
+    t, f = 0.0, np.asarray(fun(y.tolist()), dtype=float)
 
     # select_initial_step
     abs_y = np.abs(y)
@@ -263,22 +269,23 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    d2 = _rms((np.asarray(fun(h0, y + h0 * f), dtype=float) - f) / scale) / h0
+    d2 = _rms((np.asarray(fun((y + h0 * f).tolist()), dtype=float) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ESTIMATOR_ORDER + 1))
     h_abs = min(100 * h0, h1, t_bound, max_step)
 
-    # K holds the stages in rows; the transposed views rk_step takes of it
-    # are made once, since K is written in place; K[-1], f at a step's end,
-    # becomes K[0] when the step is accepted
+    # K holds the stages in rows; the products rk_step takes of its
+    # transposed views are bound once, since K is written in place; K[-1],
+    # f at a step's end, becomes K[0] when the step is accepted
     K = np.empty((_E.size, y.size))
-    stages = [(K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, _C.size)]
-    K_B, K_E = K[:-1].T, K.T
+    stages = [(K[:s].T.dot, _A[s, :s]) for s in range(1, _C.size)]
+    dot_B, dot_E = K[:-1].T.dot, K.T.dot
     K[0] = f
+    y, abs_y = y.tolist(), abs_y.tolist()
     ts, ys, dense = [t], [y0], []
-    g = None if event is None else event(t, y0)
+    g = None if event is None else event(y)
     attempts, status = 0, None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -294,16 +301,17 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
             h = t_new - t
             h_abs = abs(h)
             # rk_step
-            for s, (K_s, a_s, c) in enumerate(stages, start=1):
-                dy = np.dot(K_s, a_s) * h
-                K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K_B, _B)
-            K[-1] = fun(t + h, y_new)
+            for s, (dot, a_s) in enumerate(stages, start=1):
+                K[s] = fun([v + d * h for v, d in zip(y, dot(a_s).tolist())])
+            y_new = [v + h * d for v, d in zip(y, dot_B(_B).tolist())]
+            K[-1] = fun(y_new)
             attempts += 1
 
-            abs_y_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
-            error_norm = _rms(np.dot(K_E, _E) * h / scale)
+            # the scale takes np.maximum(|y|, |y_new|), which keeps a NaN
+            abs_y_new = [abs(v) for v in y_new]
+            error_norm = _rms(np.array([
+                e * h / (atol + (a if a >= b or a != a else b) * rtol)
+                for e, a, b in zip(dot_E(_E).tolist(), abs_y, abs_y_new)]))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -322,13 +330,13 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
         t, y, abs_y = t_new, y_new, abs_y_new
         if t - t_bound >= 0:
             status = 0
-        seg = (t_old, h, K_E.dot(_P), y_old)
+        seg = (t_old, h, dot_E(_P), y_old)
         K[0] = K[-1]
         dense.append(seg)
         if event is not None:
-            g_new = event(t, y)
+            g_new = event(y)
             if g >= 0 and g_new <= 0:
-                t = _brentq(lambda r: event(r, _rk_dense(*seg, np.asarray(r))), t_old, t,
+                t = _brentq(lambda r: event(_rk_dense(*seg, np.asarray(r)).tolist()), t_old, t,
                             4 * _EPS, 4 * _EPS)
                 y = _rk_dense(*seg, np.asarray(t))
                 status = 1
@@ -589,7 +597,7 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
     if abs(sys.P(a0)) > 1e-12:
         raise ValueError("initial state is off the physical leaf P(u) = 0")
 
-    traj = _solve(lambda t, xarr: sys.rhs(xarr), a0, cfg, what="extended integration")
+    traj = _solve(lambda v: sys.rhs(np.array(v)), a0, cfg, what="extended integration")
     p_res = max(abs(sys.P(row)) for row in traj.y)
     traj.flagged_event = "leaf_departure" if p_res > 1e-6 else None
     traj.stats["max_casimir_residual"] = float(p_res)

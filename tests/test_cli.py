@@ -453,6 +453,64 @@ def test_start_inside_the_collision_guard_is_rejected(runner, tmp_path, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+_SCATTER = [1.0, 0.0, 0.2, 0.3, 1.2, 0.1]
+
+
+@pytest.mark.parametrize("preset, change, message", [
+    # a short state used to end in the vector field's TypeError, a NaN in
+    # the integrator's ValueError and a zero c or w2 in particular_solution's
+    pytest.param("simulate_scatter", {"state": _SCATTER[:5]},
+                 "state 0: a one-body state has 6 entries, not 5", id="simulate-short"),
+    pytest.param("simulate_scatter", {"state": _SCATTER + [0.0]},
+                 "state 0: a one-body state has 6 entries, not 7", id="simulate-long"),
+    pytest.param("simulate_scatter", {"state": [math.nan] + _SCATTER[1:]},
+                 "state 0: the initial state must be finite", id="simulate-nan"),
+    pytest.param("simulate_scatter", {"state": ["1.0x"] + _SCATTER[1:]},
+                 "state 0: the initial state must be a list of numbers", id="simulate-text"),
+    pytest.param("sweep_onebody", {"states": [_SCATTER, _SCATTER[:5]]},
+                 "state 1: a one-body state has 6 entries, not 5", id="sweep-short"),
+    pytest.param("sweep_onebody", {"states": [_SCATTER, _SCATTER[:3] + [math.inf, 0, 0]]},
+                 "state 1: the initial state must be finite", id="sweep-inf"),
+    pytest.param("simulate_invariant_line", {"particular": {"c": 0}},
+                 "state 0: the solution must not be constant: c must be nonzero",
+                 id="particular-c-zero"),
+    pytest.param("simulate_twobody", {"particular": {"w2": 0}},
+                 "state 0: the solution must not be constant: w2 must be nonzero",
+                 id="particular-w2-zero"),
+    pytest.param("simulate_invariant_line", {"particular": {"w2": 1}},
+                 "state 0: particular misses key 'c'", id="particular-c-missing"),
+])
+def test_bad_initial_state_is_rejected(runner, tmp_path, preset, change, message):
+    cfg = {**_load(preset_path(preset)), **change}
+    out = tmp_path / "out"
+    res = runner.invoke(main, [preset.split("_")[0], "--config",
+                               _write_config(tmp_path, "cfg.json", cfg), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kind, random, message", [
+    # no draw can pass these filters: the draw loop used to run forever
+    ("one-body", {"n": 2, "rho_min": 1e9},
+     "random: 0 of 2 states met the filters rho > 1000000000.0 and |p_theta| >= 0.0 in "
+     "20000 draws"),
+    ("one-body", {"n": 1, "min_p_theta": 100},
+     "random: 0 of 1 states met the filters rho > 0.5 and |p_theta| >= 100.0 in 10000 draws"),
+    ("two-body", {"n": 1, "rho_min": 1e9},
+     "random: 0 of 1 states met the filters rho > 1000000000.0 in 10000 draws"),
+])
+def test_random_sweep_that_cannot_be_met_is_rejected(runner, tmp_path, kind, random, message):
+    system = {"kind": kind, "kappa": 1, **({"m1": 1, "m2": 3} if kind == "two-body" else {})}
+    cfg = {"system": system, "integrator": {"t_end": 1.0}, "random": random}
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["sweep", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sweep_djdt_threshold_reads_the_dense_output(runner, tmp_path):
     # without dense output this orbit used to report a dJ/dt residual of 0
     cfg = _load(preset_path("sweep_onebody"))

@@ -310,12 +310,12 @@ def test_rk45_step_underflow_is_solve_ivps():
     # y' = y^2 from y(0) = 1 blows up at t = 1, where the step underflows
     from scipy.integrate import solve_ivp
 
-    fun = lambda t, y: y * y
-    res = solve_ivp(fun, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-9, dense_output=True)
+    res = solve_ivp(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-9,
+                    dense_output=True)
     assert res.status == -1
     cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, t_end=2.0)
     with pytest.raises(IntegrationError, match=f"integration failed: {res.message}") as err:
-        dynamics._solve(fun, np.array([1.0]), cfg)
+        dynamics._solve(lambda v: [v[0] * v[0]], np.array([1.0]), cfg)
     assert err.value.last_t == res.t[-1]
     assert err.value.last_state.tobytes() == res.y[:, -1].tobytes()
 
@@ -515,6 +515,28 @@ def test_extended_energy_conserved(lifted):
     ext = integrate_extended(lifted, x0, TIGHT)
     ks = [lifted.K(ext.at(t)) for t in np.linspace(0, 10, 100)]
     assert max(abs(k - ks[0]) for k in ks) < 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(noise=st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6),
+       tol=st.sampled_from([1e-9, 1e-10, 1e-12]), t_end=st.floats(0.5, 2.0))
+def test_extended_flow_is_solve_ivp_bit_for_bit(lifted, noise, tol, t_end):
+    # leaf states near verify_onebody's start (1, 0, 0.2, 0.3, 1.2, 0.1)
+    from scipy.integrate import solve_ivp
+
+    q, p = np.add((1.0, 0.0, 0.2), noise[:3]), np.add((0.3, 1.2, 0.1), noise[3:])
+    u = math.sqrt((q[0] ** 2 + q[1] ** 2) ** 2 + 16 * q[2] ** 2)
+    x0 = ExtendedState(tuple(q), tuple(p), u)
+    res = solve_ivp(lambda t, x: lifted.rhs(x), (0.0, t_end), x0.to_array(), method="RK45",
+                    rtol=tol, atol=tol, dense_output=True)
+    ext = integrate_extended(lifted, x0, IntegratorConfig(abs_tol=tol, rel_tol=tol, t_end=t_end))
+    assert ext.t.tobytes() == res.t.tobytes()
+    assert ext.y.tobytes() == res.y.T.tobytes()
+    assert ({k: ext.stats[k] for k in ("nfev", "steps", "status", "message")}
+            == {"nfev": res.nfev, "steps": res.t.size - 1, "status": res.status,
+                "message": res.message})
+    grid = np.linspace(0.0, t_end, 50)
+    assert ext.at(grid).tobytes() == res.sol(grid).T.tobytes()
 
 
 def test_extended_rejects_off_leaf(lifted):
