@@ -413,20 +413,7 @@ class ExactPoly:
         var = self._cvar(other)
         if not self.re or not other.re:
             return _poly((), (), 1, var)
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        a_real, b_real = not any(ai), not any(bi)
-        re = _conv(ar, br)
-        if a_real and b_real:
-            im = [0] * len(re)
-        elif a_real or b_real:
-            im = _conv(ar, bi) if a_real else _conv(ai, br)
-        else:
-            # three products in place of four (Karatsuba)
-            p2 = _conv(ai, bi)
-            p3 = _conv(list(map(operator.add, ar, ai)), list(map(operator.add, br, bi)))
-            im = [z - x - y for x, y, z in zip(re, p2, p3)]
-            re = list(map(operator.sub, re, p2))
-        return _pmk(re, im, self.d * other.d, var)
+        return _pmk(*_zi_mul(self.re, self.im, other.re, other.im), self.d * other.d, var)
 
     __rmul__ = __mul__
 
@@ -655,6 +642,36 @@ def _conv(a, b) -> list:
         if x:
             out[i : i + n] = map(operator.add, out[i : i + n], map(x.__mul__, a))
     return out
+
+
+def _zi_mul(ar, ai, br, bi) -> tuple[list, list]:
+    """Real and imaginary coefficients of the product of the nonempty
+    Gaussian-integer polynomials ar + ai*i and br + bi*i, each given by two
+    int sequences of one length; the two results have one length too."""
+    a_real, b_real = not any(ai), not any(bi)
+    re = _conv(ar, br)
+    if a_real and b_real:
+        im = [0] * len(re)
+    elif a_real or b_real:
+        im = _conv(ar, bi) if a_real else _conv(ai, br)
+    else:
+        # three products in place of four (Karatsuba)
+        p2 = _conv(ai, bi)
+        p3 = _conv(list(map(operator.add, ar, ai)), list(map(operator.add, br, bi)))
+        im = [z - x - y for x, y, z in zip(re, p2, p3)]
+        re = list(map(operator.sub, re, p2))
+    return re, im
+
+
+def _add_into(sr: list, si: list, re: list, im: list) -> None:
+    """sr + si*i += re + im*i for Gaussian-integer coefficient lists, the
+    two of each pair of one length."""
+    if len(sr) < len(re):
+        pad = [0] * (len(re) - len(sr))
+        sr += pad
+        si += pad
+    sr[: len(re)] = map(operator.add, sr, re)
+    si[: len(im)] = map(operator.add, si, im)
 
 
 def _poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
@@ -1519,14 +1536,10 @@ def _certified(tower, d: ExactPoly, m: int, coeffs) -> bool:
     lhs = _z_i([f * d ** (m - j) for j, f in enumerate(lhs + [D])])
     for r in range(len(tower[0])):
         rhs = _z_i([vec[r] for vec in tower[: m + 1]])
-        n = max(len(a) for a, _ in lhs) + max(len(a) for a, _ in rhs)
-        tot_re, tot_im = [0] * n, [0] * n
+        tot_re, tot_im = [], []
         for (ar, ai), (br, bi) in zip(lhs, rhs):
-            for i, (a, c) in enumerate(zip(ar, ai)):
-                if a or c:
-                    for k, (b, e) in enumerate(zip(br, bi), i):
-                        tot_re[k] += a * b - c * e
-                        tot_im[k] += a * e + c * b
+            if ar and br:
+                _add_into(tot_re, tot_im, *_zi_mul(ar, ai, br, bi))
         if any(tot_re) or any(tot_im):
             return False
     return True
@@ -1624,9 +1637,12 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
     those integers; every prime exceeds 2^61.  The running denominator of the lift is at most C^(2m), so the
     balanced attempt of reconstruction succeeds once the lucky primes
     multiply to more than 2 C^(4m + 4), whatever guesses came before.  K is
-    the two counts, rounded up, plus one, and it restarts at each order.
-    The count takes each image to be exact, as it is from T + 1 points
-    on.  An image ended earlier can be wrong, or below the final order miss
+    the two counts, rounded up, plus one, so at least 2, and it restarts at
+    each order, counted from the order's first prime.  It is computed only
+    when a second prime is needed, that is, when the first neither proved
+    v_0, ..., v_m independent nor gave a certified dependency; most orders
+    never need it.  The count takes each image to be exact, as it is from
+    T + 1 points on.  An image ended earlier can be wrong, or below the final order miss
     every point of full rank, only when its fresh points are roots modulo p
     of a nonzero polynomial that the tower fixes; a wrong image of higher
     degrees than the true ones would hold the lift back, and K turns that
@@ -1644,7 +1660,14 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
         T = cramer + sum(delta) - min(delta[:m])
         real = not any(d.im) and not any(any(f.im) for vec in tower for f in vec)
         best = acc = None
-        for n in range(n, n + _prime_budget(tower, d, m)):
+        first, stop = n, None
+        for n in itertools.count(n):
+            if n > first:
+                # the first prime neither proved growth nor certified
+                if stop is None:
+                    stop = first + _prime_budget(tower, d, m)
+                if n == stop:
+                    raise RuntimeError("tower_annihilator exceeded its bound on the primes")
             p, s = _modulus(n)
             residues = {key: cols for key, cols in residues.items() if key[0] == p}
             images = []
@@ -1679,8 +1702,6 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
             if _certified(tower, d, m, coeffs):
                 return ([ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
                         + [ExactRatFunc.coerce(1, var)])
-        else:
-            raise RuntimeError("tower_annihilator exceeded its bound on the primes")
 
 
 # ---------------------------------------------------------------------------

@@ -311,18 +311,20 @@ def _local_data(polys, f: ExactPoly, var: str):
     every exponent, that is, whether all of them lie in Q(i)."""
     n = len(polys) - 1
 
-    def mult(p):
+    def mult(p, need=math.inf):
+        """The multiplicity of f in p, or need if that is lower."""
         if p.is_zero():
             return math.inf
         m, q = 0, p
-        while True:
+        while m < need:
             d, r = divmod(q, f)
             if not r.is_zero():
                 return m
             q, m = d, m + 1
+        return m
 
     mn = mult(polys[n])
-    if not all(mult(polys[j]) >= mn - (n - j) for j in range(n)):
+    if not all(mult(polys[j], mn - (n - j)) >= mn - (n - j) for j in range(n)):
         return False, [], False
     # indicial polynomial sum_j A_j lam(lam-1)...(lam-j+1) with A_j the
     # (mn - n + j)-th Taylor coefficient of c_j, an element of Q(i)[t]/(f)
@@ -425,7 +427,8 @@ def exp_solutions(L: DiffOperator) -> list:
         for (f, _), v in zip(pieces, combo):
             if v is not None:
                 tail = tail + ExactRatFunc(f.derivative().scale(v), f, var=var)
-        base = clear_denominators(_twist(L.coeffs, tail, var), var)[1]
+        # the twist by a zero tail is the identity
+        base = clear_denominators(_twist(L.coeffs, tail, var), var)[1] if tail else L.cleared()
         cands, split = _poly_part_candidates(base, var)
         if not split:
             incomplete.append("edge polynomial at infinity outside Q(i)")
@@ -804,26 +807,32 @@ def system_exp_solutions(sys) -> list:
     component is searched up to that bound, and set to zero where s' is no
     candidate of L_i or the root does not exist; no solution with s' in
     Q(i)[t], the class searched, is missed, so an edge polynomial that does
-    not split over Q(i) flags nothing here.  The directions v are recovered
+    not split over Q(i) flags nothing here.  Coordinates whose annihilators
+    are equal share one candidate search, and one degree bound for each
+    candidate.  The directions v are recovered
     exactly by undetermined coefficients in den v' - den (B - s' I) v = 0
     and normalized so the last nonzero leading entry is one."""
     B = sys if isinstance(sys, ExactMatrix) else sys.A
     n = B.rows
     var = B.var
 
-    cands = [
-        _poly_part_candidates(
-            clear_denominators(_minimal_annihilator(B, i, var).coeffs, var)[1], var
-        )[0]
-        for i in range(n)
-    ]
-    # 0 first, then each annihilator's candidates in order
-    spolys = list(dict.fromkeys(p for cs in cands for p in cs))
+    searches = {}  # cleared annihilator, as (re, im, d) tuples -> its candidates
+    keys = []  # the annihilator of each coordinate
+    for i in range(n):
+        polys = _minimal_annihilator(B, i, var).cleared()
+        key = tuple((p.re, p.im, p.d) for p in polys)
+        if key not in searches:
+            searches[key] = _poly_part_candidates(polys, var)[0]
+        keys.append(key)
+    # 0 first, then each coordinate's candidates in order
+    spolys = list(dict.fromkeys(p for key in keys for p in searches[key]))
 
     zero = ExactPoly((), var=var)
     results = []
     for spoly in spolys:
-        bounds = [_max_solution_degree(cs[spoly]) if spoly in cs else -1 for cs in cands]
+        degree = {key: _max_solution_degree(cs[spoly]) if spoly in cs else -1
+                  for key, cs in searches.items()}
+        bounds = [degree[key] for key in keys]
         spr = ExactRatFunc(spoly, var=var)
         den, flat = clear_denominators(
             [B[i, j] - spr if i == j else B[i, j] for i in range(n) for j in range(n)],

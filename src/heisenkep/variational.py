@@ -8,11 +8,12 @@ numeric path here, so this module imports neither numpy nor `dynamics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
-                       clear_denominators, tower_annihilator)
+from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar, _add_into,
+                       _pmk, _zi_mul, clear_denominators, tower_annihilator)
 from .heisenmodel import SystemSpec, axis_potential
 
 __all__ = [
@@ -84,6 +85,7 @@ class DiffOperator:
             cs = [c / lead for c in cs]
         self.coeffs = tuple(cs)
         self.var = var
+        self._cleared = None
 
     @property
     def order(self) -> int:
@@ -93,15 +95,17 @@ class DiffOperator:
         return self.coeffs[k]
 
     def cleared(self) -> list:
-        """Coefficients as polynomials after clearing denominators and
-        removing any common polynomial factor."""
-        _, polys = clear_denominators(self.coeffs, self.var)
-        g = ExactPoly((), var=self.var)
-        for p in polys:
-            g = p if g.is_zero() else g.gcd(p)
-        if g.degree > 0:
-            polys = [p.exact_div(g) for p in polys]
-        return polys
+        """Coefficients as polynomials a_j = D * coeff(j), with D the monic
+        lcm of their denominators, as a new list on each call.
+
+        The a_j have no common factor of positive degree.  It would divide
+        a_n = D, and for each irreducible q dividing D, some coeff(j) has a
+        denominator that q divides as often as it divides D; then D divided
+        by that denominator is prime to q, and so is the numerator, which
+        is prime to its denominator, so q does not divide a_j."""
+        if self._cleared is None:
+            self._cleared = tuple(clear_denominators(self.coeffs, self.var)[1])
+        return list(self._cleared)
 
     def apply_exp_ansatz(self, r) -> ExactRatFunc:
         """L(e^{int r}) / e^{int r}: zero iff D - r is a right factor."""
@@ -378,15 +382,46 @@ def _twist(coeffs, rprime, var):
     """Coefficients of the operator for u where y = u * exp(int rprime).
 
     The coefficients and rprime share one ring, ExactRatFunc or ExactPoly,
-    and so does the result.  Over ExactPoly no gcd is taken: twisting by a
-    polynomial commutes with multiplying the coefficients by a common
-    denominator, so a cleared operator twists to a cleared operator."""
-    ring = type(rprime)
+    and so does the result.  With y^(j) = e^(int rprime) sum_i B[j][i] u^(i),
+    B[0][0] = 1 and B[j+1][i] = B[j][i]' + rprime B[j][i] + B[j][i-1],
+    coefficient i is sum_j coeffs[j] B[j][i].
+
+    Over ExactPoly no gcd is taken: twisting by a polynomial commutes with
+    multiplying the coefficients by a common denominator, so a cleared
+    operator twists to a cleared operator.  There the recurrence runs in
+    one pass over Z[i][t]: with rprime = R / e and coeffs[j] = C_j / D for
+    integers e and D, Bt[j][i] = e^j B[j][i] has
+    Bt[j+1][i] = e (Bt[j][i]' + Bt[j][i-1]) + R Bt[j][i], and coefficient i
+    is sum_j C_j e^(n-j) Bt[j][i] over D e^n, normalized once."""
     n = len(coeffs) - 1
-    zero = ring.coerce(0, var)
-    # y^(j) = e^(int rprime) * sum_i B[j][i] u^(i)
+    if isinstance(rprime, ExactPoly):
+        e = rprime.d
+        D = math.lcm(*(c.d for c in coeffs))
+        out = [([], []) for _ in range(n + 1)]
+        row = [([1], [0])]  # Bt[j][0], ..., Bt[j][j]
+        for j, c in enumerate(coeffs):
+            if j:
+                nxt, prev = [], ([], [])
+                for br, bi in row:
+                    re = [e * k * x for k, x in enumerate(br)][1:]
+                    im = [e * k * x for k, x in enumerate(bi)][1:]
+                    _add_into(re, im, [e * x for x in prev[0]], [e * x for x in prev[1]])
+                    if rprime and (any(br) or any(bi)):
+                        _add_into(re, im, *_zi_mul(rprime.re, rprime.im, br, bi))
+                    nxt.append((re, im))
+                    prev = (br, bi)
+                nxt.append(([e * x for x in prev[0]], [e * x for x in prev[1]]))
+                row = nxt
+            if c:
+                k = D // c.d * e ** (n - j)
+                cr, ci = [x * k for x in c.re], [x * k for x in c.im]
+                for (sr, si), (br, bi) in zip(out, row):
+                    if any(br) or any(bi):
+                        _add_into(sr, si, *_zi_mul(cr, ci, br, bi))
+        return [_pmk(re, im, D * e ** n, var) for re, im in out]
+    zero = ExactRatFunc.coerce(0, var)
     B = [[zero] * (n + 1) for _ in range(n + 1)]
-    B[0][0] = ring.coerce(1, var)
+    B[0][0] = ExactRatFunc.coerce(1, var)
     for j in range(n):
         for i in range(j + 2):
             term = B[j][i].derivative() + rprime * B[j][i] if i <= j else zero
@@ -401,5 +436,5 @@ def _twist(coeffs, rprime, var):
 
 def exp_substitution(ode: DiffOperator, s: ExactPoly) -> DiffOperator:
     """Operator satisfied by w where y = w * exp(s(t)), s polynomial; exact."""
-    ds = ExactRatFunc(ExactPoly.coerce(s, ode.var).derivative(), var=ode.var)
-    return DiffOperator(_twist(ode.coeffs, ds, ode.var), var=ode.var)
+    ds = ExactPoly.coerce(s, ode.var).derivative()
+    return DiffOperator(_twist(ode.cleared(), ds, ode.var), var=ode.var)

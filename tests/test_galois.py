@@ -1047,21 +1047,66 @@ def test_system_exp_solutions_match_degree_capped_reference(kappa, c):
     assert system_exp_solutions(E) == _reference_system_exp_solutions(E)
 
 
-def test_system_exp_solutions_twists_each_candidate_once(monkeypatch):
-    # one polynomial twist per (annihilator, candidate leading term); the
-    # degree bounds reuse the twisted operators
-    A = ve_along(SystemSpec("one-body", 1), {"c": Fraction(1, 2)}).subsystem(range(4)).A
-    E = exterior_square(A)
-    calls = []
+def _count_searches(monkeypatch):
+    """Spies on system_exp_solutions' searches: the twists (their
+    arguments), the candidate searches on an annihilator (not their
+    recursive refinements) and the degree bounds."""
+    calls = {"twist": [], "search": 0, "bound": 0}
+    twist, search, bound = galois._twist, galois._poly_part_candidates, galois._max_solution_degree
 
     def counting_twist(coeffs, rprime, var):
-        calls.append([rprime, *coeffs])
-        return variational._twist(coeffs, rprime, var)
+        calls["twist"].append([rprime, *coeffs])
+        return twist(coeffs, rprime, var)
+
+    def counting_search(polys, var, max_d=None):
+        calls["search"] += max_d is None
+        return search(polys, var, max_d)
+
+    def counting_bound(polys):
+        calls["bound"] += 1
+        return bound(polys)
 
     monkeypatch.setattr(galois, "_twist", counting_twist)
+    monkeypatch.setattr(galois, "_poly_part_candidates", counting_search)
+    monkeypatch.setattr(galois, "_max_solution_degree", counting_bound)
+    return calls
+
+
+def test_system_exp_solutions_twists_each_candidate_once(monkeypatch):
+    # the six coordinates have 4 distinct annihilators, each searched once:
+    # one polynomial twist per (annihilator, candidate leading term), 4 x 2,
+    # and one degree bound per (annihilator, candidate), 4 x 3
+    A = ve_along(SystemSpec("one-body", 1), {"c": Fraction(1, 2)}).subsystem(range(4)).A
+    E = exterior_square(A)
+    calls = _count_searches(monkeypatch)
     system_exp_solutions(E)
-    assert 0 < len(calls) <= 12
-    assert not any(isinstance(x, ExactRatFunc) for args in calls for x in args)
+    assert calls["search"] == 4
+    assert len(calls["twist"]) == 8
+    assert calls["bound"] == 12
+    assert not any(isinstance(x, ExactRatFunc) for args in calls["twist"] for x in args)
+
+
+def test_system_exp_solutions_searches_distinct_annihilators_apart(monkeypatch):
+    # y2' = i t y2, y1' = -2t y1 and y0' = 2t y0 + y1: three distinct
+    # annihilators, of orders 1, 1 and 2, each searched on its own
+    t = ExactPoly.x()
+    B = ExactMatrix([[t.scale(2), 1, 0], [0, t.scale(-2), 0], [0, 0, t.scale(I)]])
+    calls = _count_searches(monkeypatch)
+    sols = system_exp_solutions(B)
+    assert calls["search"] == 3
+    assert sorted(_minimal_annihilator(B, i, "t").order for i in range(3)) == [1, 1, 2]
+    assert sols == _reference_system_exp_solutions(B)
+    assert {str(s) for s, _v in sols} == {"t^2", "(1/2*i)*t^2"}
+
+
+def test_factorization_and_sym_cube_need_no_prime_budget(monkeypatch, sym3, weil_block):
+    # no order of either tower needs a second prime, so neither computes K
+    def no_budget(tower, d, m):
+        raise AssertionError("prime budget computed")
+
+    monkeypatch.setattr(exactalg, "_prime_budget", no_budget)
+    assert len(system_exp_solutions(exterior_square(weil_block.A))) == 3
+    assert sym_power(o3r_operator(), 3) == sym3
 
 
 def test_system_exp_solutions_recovers_printed_directions(weil_block):

@@ -17,6 +17,7 @@ from heisenkep.exactalg import (
     SingularMatrixError,
     _derive,
     _modulus,
+    clear_denominators,
 )
 from heisenkep.heisenmodel import (
     PotentialSpec,
@@ -670,28 +671,84 @@ def test_exp_substitution_inverse_round_trip():
         assert twisted.apply_exp_ansatz(r - ds) == L.apply_exp_ansatz(r)
 
 
-_gauss_int = st.builds(ExactScalar, st.integers(-3, 3), st.integers(-3, 3))
+def _q_i_poly(max_degree):
+    return st.lists(_SMALL, max_size=max_degree + 1).map(ExactPoly)
 
 
-def _z_i_poly(max_degree):
-    return st.lists(_gauss_int, max_size=max_degree + 1).map(ExactPoly)
+def _per_operation_twist(coeffs, rprime, var):
+    """The twist of polynomial coefficients by a polynomial rprime, by the
+    recurrence B[j+1][i] = B[j][i]' + rprime B[j][i] + B[j][i-1] in
+    ExactPoly arithmetic, one normalized operation at a time."""
+    n = len(coeffs) - 1
+    zero = ExactPoly((), var=var)
+    B = [[zero] * (n + 1) for _ in range(n + 1)]
+    B[0][0] = ExactPoly.constant(1, var=var)
+    for j in range(n):
+        for i in range(j + 2):
+            term = B[j][i].derivative() + rprime * B[j][i] if i <= j else zero
+            if i > 0:
+                term = term + B[j][i - 1]
+            B[j + 1][i] = term
+    return [sum((coeffs[j] * B[j][i] for j in range(n + 1)), zero) for i in range(n + 1)]
+
+
+def _fields(polys):
+    return [(p.re, p.im, p.d, p.var) for p in polys]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(_z_i_poly(3), min_size=2, max_size=4),
-    _z_i_poly(2),
-    _z_i_poly(2),
+    st.lists(_q_i_poly(3), min_size=2, max_size=4),
+    _q_i_poly(2),
+    _q_i_poly(2),
 )
 def test_polynomial_twist_matches_rational_twist(P, a, b):
-    # a polynomial operator twisted by a polynomial stays in Z[i][t] with
-    # no gcd taken, and agrees with the twist over Q(i)(t)
+    # a polynomial operator twisted by a polynomial stays polynomial with
+    # no gcd taken, equals the per-operation recurrence field for field,
+    # and agrees with the twist over Q(i)(t)
     twisted = _twist(P, a, "t")
     assert all(isinstance(c, ExactPoly) for c in twisted)
+    assert _fields(twisted) == _fields(_per_operation_twist(P, a, "t"))
     lifted = [ExactRatFunc(c) for c in P]
     assert [ExactRatFunc(c) for c in twisted] == _twist(lifted, ExactRatFunc(a), "t")
     # twisting by a and then by b is one twist by a + b
     assert _twist(twisted, b, "t") == _twist(P, a + b, "t")
+
+
+@st.composite
+def operators_with_poles(draw):
+    """Monic operators of order 1 to 4 whose lower coefficients are c / q,
+    c of degree below 3 and q a product of up to three of _POLES, repeats
+    allowed, so the denominators share factors at several multiplicities."""
+    coeffs = []
+    for _ in range(draw(st.integers(1, 4))):
+        den = math.prod(draw(st.lists(st.sampled_from(_POLES), max_size=3)), start=ExactPoly([1]))
+        coeffs.append(ExactRatFunc(ExactPoly(draw(st.lists(_SMALL, max_size=3))), den))
+    return DiffOperator(coeffs + [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators_with_poles())
+def test_cleared_operator_has_content_one(L):
+    polys = L.cleared()
+    g = ExactPoly(())
+    for p in polys:
+        g = g.gcd(p)
+    assert g == 1
+    assert _fields(polys) == _fields(clear_denominators(L.coeffs, L.var)[1])
+    # each call returns a new list
+    polys[0] = ExactPoly([7])
+    polys.append(ExactPoly([1]))
+    assert _fields(L.cleared()) == _fields(clear_denominators(L.coeffs, L.var)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators_with_poles(), _q_i_poly(3))
+def test_exp_substitution_twists_the_cleared_operator(L, s):
+    # the twist of the cleared polynomial operator, made monic, is the
+    # twist of the rational coefficients
+    rational = _twist(L.coeffs, ExactRatFunc(s.derivative()), "t")
+    assert exp_substitution(L, s).coeffs == tuple(rational)
 
 
 # -- Bessel closed form -----------------------------------------------------
