@@ -56,13 +56,14 @@ from .variational import (
     cyclic_to_scalar,
     exp_substitution,
     gauge_transform,
-    reduction_gauge,
-    reduction_gauge_resonant,
+    generic_reduction,
+    resonant_reduction,
     ve_along,
     ve_blocks_transformed,
     ve_twobody_blocks,
 )
 from .galois import (
+    ParabolicParams,
     exterior_square,
     factorization_basis,
     liouvillian_verdict_o3r,
@@ -467,17 +468,10 @@ def _ve_kepler(cfg: dict) -> tuple:
     }, p
 
 
-def _generic_reduction(a1: LinearSystem, mu) -> tuple:
-    """A1 of the tau0 = 0 two-body system under the reduction gauge, the
-    scalar operator of its middle block, and the parabolic-cylinder
-    operator that y = w exp((1 - mu) tau^2 / 2) turns it into."""
-    g = gauge_transform(a1, reduction_gauge(mu))
-    ode = cyclic_to_scalar(g.subsystem([1, 2]), 0)
-    reduced = exp_substitution(ode, ExactPoly([0, 0, (1 - mu) / 2], var="tau"))
-    return g, ode, reduced
-
-
-def _ve_twobody(cfg: dict) -> dict:
+def _ve_twobody(cfg: dict) -> tuple:
+    """The ve document of the two-body branch, and what its chain ends in:
+    the ParabolicParams of the reduced equation, or for mu = -1 the
+    resonant third-order operator."""
     mu = _frac(cfg["mu"])
     tau0 = _frac(cfg.get("tau0", 0))
     w2 = _frac(cfg.get("w2", 1))
@@ -491,29 +485,38 @@ def _ve_twobody(cfg: dict) -> dict:
         "blocks": _matrix_strs(blocks.A),
         "A1": _matrix_strs(a1.A),
     }
-    if mu == -1:
-        if tau0 != 1:
-            raise click.ClickException("the resonant reduction needs tau0 = 1")
-        g = gauge_transform(a1, reduction_gauge_resonant())
-        sub3 = g.subsystem(range(3))
-        ode = cyclic_to_scalar(sub3, 1)
-        o3r = exp_substitution(ode, ExactPoly([0, 0, Fraction(2, 3)], var="tau"))
-        out.update({
-            "A1_reduced": _matrix_strs(g.A),
-            "scalar_ode": [str(cf) for cf in ode.coeffs],
-            "o3r_coefficients": [str(cf) for cf in o3r.coeffs],
-        })
-        return out
-    if tau0 != 0:
-        raise click.ClickException("the generic reduction needs tau0 = 0")
-    g, ode, reduced = _generic_reduction(a1, mu)
-    out.update({
-        "A1_reduced": _matrix_strs(g.A),
-        "scalar_ode": [str(cf) for cf in ode.coeffs],
-        "reduced_ode": [str(cf) for cf in reduced.coeffs],
-        "parabolic": _parabolic_json(parabolic_from_ode(reduced)),
-    })
-    return out
+    resonant = mu == -1
+    if tau0 != int(resonant):
+        raise click.ClickException(f"the {'resonant' if resonant else 'generic'} "
+                                   f"reduction needs tau0 = {int(resonant)}")
+    g, ode, end = resonant_reduction(a1) if resonant else generic_reduction(a1, mu)
+    out.update({"A1_reduced": _matrix_strs(g.A), "scalar_ode": [str(cf) for cf in ode.coeffs]})
+    if resonant:
+        out["o3r_coefficients"] = [str(cf) for cf in end.coeffs]
+        return out, end
+    p = parabolic_from_ode(end)
+    out.update({"reduced_ode": [str(cf) for cf in end.coeffs], "parabolic": _parabolic_json(p)})
+    return out, p
+
+
+def _reduction(cfg: dict, key: str) -> tuple:
+    """The ve document of the chain that cfg[key] names, and what the
+    chain ends in.  galois names it by "branch", and its two-body chain
+    starts on the tau0 = 1 solution exactly when mu = -1.  A missing key,
+    or a value that the chain rejects, is a usage error."""
+    try:
+        name = cfg[key]
+        if name == "kepler":
+            return _ve_kepler(cfg)
+        if name == "twobody":
+            if key == "branch":
+                cfg = {**cfg, "tau0": 1 if _frac(cfg["mu"]) == -1 else 0}
+            return _ve_twobody(cfg)
+    except KeyError as e:
+        raise click.ClickException(f"missing config key {e}") from e
+    except ValueError as e:
+        raise click.ClickException(str(e)) from e
+    raise click.ClickException(f"unknown {key} {name!r}")
 
 
 @main.command()
@@ -521,61 +524,27 @@ def _ve_twobody(cfg: dict) -> dict:
 def ve(config, out_dir, seed, fmt):
     """Exact variational matrices and the gauge-reduced scalar equations."""
     rc = _load_config("ve", config, out_dir, seed, fmt)
-    try:
-        if rc.config["system"] == "kepler":
-            doc = _ve_kepler(rc.config)[0]
-        elif rc.config["system"] == "twobody":
-            doc = _ve_twobody(rc.config)
-        else:
-            raise click.ClickException(
-                f"unknown system {rc.config['system']!r}"
-            )
-    except ValueError as e:
-        raise click.ClickException(str(e)) from e
-    _finish(rc, "ve.json", doc, ok=True)
+    _finish(rc, "ve.json", _reduction(rc.config, "system")[0], ok=True)
 
 
 # ---------------------------------------------------------------------------
 # galois
 # ---------------------------------------------------------------------------
 
-def _galois_kepler(cfg: dict) -> dict:
-    data, p = _ve_kepler(cfg)
-    verdict = rehm_classify(p)
-    return {"branch": "kepler", "a": data["a"],
-            "parabolic": data["parabolic"], "verdict": json.loads(verdict.to_json())}
-
-
-def _galois_twobody_generic(cfg: dict) -> dict:
-    mu = _frac(cfg["mu"])
-    a1 = ve_twobody_blocks(mu, 0, _frac(cfg.get("w2", 1))).subsystem(range(4))
-    p = parabolic_from_ode(_generic_reduction(a1, mu)[2])
-    verdict = rehm_classify(p)
-    return {"branch": "twobody", "mu": str(ExactScalar.coerce(mu)),
-            "parabolic": _parabolic_json(p), "verdict": json.loads(verdict.to_json())}
-
-
 @main.command()
 @_common
 def galois(config, out_dir, seed, fmt):
-    """Non-solvability verdict for the chosen branch of the analysis."""
+    """Non-solvability verdict for the chosen branch of the analysis: the
+    classification of what the branch's ve chain ends in."""
     rc = _load_config("galois", config, out_dir, seed, fmt)
-    branch = rc.config["branch"]
-    try:
-        if branch == "kepler":
-            doc = _galois_kepler(rc.config)
-        elif branch == "twobody" and _frac(rc.config["mu"]) != -1:
-            doc = _galois_twobody_generic(rc.config)
-        elif branch == "twobody":
-            verdict = liouvillian_verdict_o3r()
-            doc = {"branch": "twobody", "mu": "-1",
-                   "verdict": json.loads(verdict.to_json())}
-        else:
-            raise click.ClickException(f"unknown branch {branch!r}")
-    except ValueError as e:
-        raise click.ClickException(str(e)) from e
-    ok = doc["verdict"]["tag"] == "NotSolvableIdentityComponent"
-    _finish(rc, "galois.json", doc, ok=ok)
+    data, end = _reduction(rc.config, "branch")
+    if isinstance(end, ParabolicParams):
+        verdict = rehm_classify(end)
+    else:
+        verdict = liouvillian_verdict_o3r(end)
+    doc = {"branch": rc.config["branch"], "verdict": json.loads(verdict.to_json()),
+           **{k: data[k] for k in ("a", "mu", "parabolic") if k in data}}
+    _finish(rc, "galois.json", doc, ok=verdict.tag == "NotSolvableIdentityComponent")
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +572,7 @@ def factorize(config, out_dir, seed, fmt):
     try:
         A = _input_matrix(rc.config)
         E = exterior_square(A)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise click.ClickException(str(e)) from e
     sols = system_exp_solutions(E)
     sol_docs = []

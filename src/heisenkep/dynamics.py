@@ -100,15 +100,16 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
+    """The accepted steps of an integration: sample times t, states y, and
+    the dense output, one row of h and Q per segment t[i]..t[i + 1].  The
+    state at a time s in segment i is y[i] + h[i] * Q[i] @ (x, x^2, x^3, x^4)
+    with x = (s - t[i]) / h[i]."""
+
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
     stats: dict
-    # the dense output, one row per segment t[i]..t[i + 1]: the state at t
-    # is y_old[i] + h[i] * Q[i] @ (x, x^2, x^3, x^4), x = (t - t_old[i]) / h[i]
-    t_old: np.ndarray
     h: np.ndarray
     Q: np.ndarray  # shape (segments, dim, 4)
-    y_old: np.ndarray
     flagged_event: str | None = None
 
     def __post_init__(self):
@@ -129,19 +130,19 @@ class Trajectory:
         t = np.asarray(t)
         if t.ndim == 0:
             i = self._segment_of(t)
-            return _rk_dense(self.t_old[i], self.h[i], self.Q[i], self.y_old[i], t)
+            return _rk_dense(self.t[i], self.h[i], self.Q[i], self.y[i], t)
         order = np.argsort(t)
         t_sorted = t[order]
         seg = self._segment_of(t_sorted)
         h = self.h[seg]
-        x = (t_sorted - self.t_old[seg]) / h
+        x = (t_sorted - self.t[seg]) / h
         p = np.cumprod(np.tile(x, (self.Q.shape[2], 1)), axis=0)
         y = np.empty((self.dim, t.size))
         cuts = [*np.flatnonzero(np.diff(seg, prepend=-1)).tolist(), t.size]
         for a, b in zip(cuts, cuts[1:]):  # runs of times in one segment
             y[:, a:b] = np.dot(self.Q[seg[a]], p[:, a:b])
         y *= h
-        y += self.y_old[seg].T
+        y += self.y[seg].T
         return y[:, np.argsort(order)].T
 
     def _segment_of(self, t):
@@ -152,16 +153,16 @@ class Trajectory:
         """Row i is at(ts[i]), bit for bit, from one batched pass.
 
         This is the scalar dense-output step for all t at once: the segment
-        at() picks, the cumprod powers of x = (t - t_old)/h, and one stacked
+        at() picks, the cumprod powers of x = (t - t[i])/h, and one stacked
         matmul whose slices make the BLAS call np.dot(Q, p) makes."""
         ts = np.asarray(ts, dtype=float)
         seg = self._segment_of(ts)
         h = self.h[seg]
-        x = (ts - self.t_old[seg]) / h
+        x = (ts - self.t[seg]) / h
         Q = self.Q[seg]
         p = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
         y = h[:, None] * np.matmul(Q, p[..., None])[..., 0]
-        y += self.y_old[seg]
+        y += self.y[seg]
         return y
 
 
@@ -330,12 +331,12 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
         t, y, abs_y = t_new, y_new, abs_y_new
         if t - t_bound >= 0:
             status = 0
-        seg = (t_old, h, dot_E(_P), y_old)
+        dense.append((h, dot_E(_P)))  # t_old and y_old are ts[-1] and ys[-1]
         K[0] = K[-1]
-        dense.append(seg)
         if event is not None:
             g_new = event(y)
             if g >= 0 and g_new <= 0:
+                seg = (t_old, *dense[-1], y_old)
                 t = _brentq(lambda r: event(_rk_dense(*seg, np.asarray(r)).tolist()), t_old, t,
                             4 * _EPS, 4 * _EPS)
                 y = _rk_dense(*seg, np.asarray(t))
@@ -351,11 +352,11 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     if status == -1:
         raise IntegrationError(f"{what} failed: {_MESSAGES[status]}", last_t=t[-1],
                                last_state=y[-1])
-    fields = dict(zip(("t_old", "h", "Q", "y_old"), map(np.array, zip(*dense))))
+    h, Q = map(np.array, zip(*dense))
     # fun ran once at t = 0, once to select the first step, 6 times a step
     stats = {"nfev": 2 + 6 * attempts, "steps": t.size - 1, "status": status,
              "message": _MESSAGES[status]}
-    return Trajectory(t, y, stats, **fields)
+    return Trajectory(t, y, stats, h, Q)
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
@@ -502,18 +503,29 @@ class ExtendedState:
         return ExtendedState(tuple(a[:n]), tuple(a[n : 2 * n]), a[2 * n])
 
 
-class ExtendedSystem:
-    """The lifted Kepler-type system: the structure matrix J, the
-    Hamiltonian K and the minimal polynomial P(u), its only Casimir."""
+# The lift's Casimir P = u^2 - ((x^2 + y^2)^2 + 16 z^2), the same for every
+# potential, and its derivatives in q and u: the text sympy's lambdify
+# prints for them, so the same numpy scalars give the same bits.
+def _casimir(x, y, z, u):
+    return u**2 - 16*z**2 - (x**2 + y**2)**2
 
-    def __init__(self, n, K_fn, gradK_fn, P_fn, grad_qP_fn, du_P_fn, P_expr):
-        self.n = n
+
+def _casimir_grad_q(x, y, z, u):
+    return [-4*x*(x**2 + y**2), -4*y*(x**2 + y**2), -32*z]
+
+
+def _casimir_du(x, y, z, u):
+    return 2*u
+
+
+class ExtendedSystem:
+    """The lifted Kepler-type system in x = (x, y, z, p_x, p_y, p_z, u): the
+    structure matrix J, the Hamiltonian K and the Casimir P, its only one.
+    K_fn and gradK_fn take the seven coordinates; P is fixed."""
+
+    def __init__(self, K_fn, gradK_fn):
         self._K = K_fn
         self._gradK = gradK_fn
-        self._P = P_fn
-        self._grad_qP = grad_qP_fn
-        self._du_P = du_P_fn
-        self.P_expr = P_expr
 
     def K(self, x) -> float:
         return float(self._K(*np.asarray(x, dtype=float)))
@@ -523,29 +535,27 @@ class ExtendedSystem:
 
     def P(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(self._P(*x[: self.n], x[2 * self.n]))
+        return float(_casimir(*x[:3], x[6]))
 
     def grad_P(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = self.n
-        g = np.zeros(2 * n + 1)
-        g[:n] = np.asarray(self._grad_qP(*x[:n], x[2 * n]), dtype=float).reshape(n)
-        g[2 * n] = float(self._du_P(*x[:n], x[2 * n]))
+        g = np.zeros(7)
+        g[:3] = np.asarray(_casimir_grad_q(*x[:3], x[6]), dtype=float)
+        g[6] = float(_casimir_du(*x[:3], x[6]))
         return g
 
     def J(self, x) -> np.ndarray:
-        """The degenerate (2n+1)-dimensional structure matrix at x:
-        antisymmetric, of rank 2n at regular points."""
-        n = self.n
+        """The degenerate 7 x 7 structure matrix at x: antisymmetric, of
+        rank 6 at regular points."""
         g = self.grad_P(x)
-        if g[2 * n] == 0.0:
+        if g[6] == 0.0:
             raise ZeroDivisionError("branch point: dP/du = 0")
-        col = g[:n] / g[2 * n]
-        J = np.zeros((2 * n + 1, 2 * n + 1))
-        J[:n, n : 2 * n] = np.eye(n)
-        J[n : 2 * n, :n] = -np.eye(n)
-        J[n : 2 * n, 2 * n] = col
-        J[2 * n, n : 2 * n] = -col
+        col = g[:3] / g[6]
+        J = np.zeros((7, 7))
+        J[:3, 3:6] = np.eye(3)
+        J[3:6, :3] = -np.eye(3)
+        J[3:6, 6] = col
+        J[6, 3:6] = -col
         return J
 
     def rhs(self, x) -> np.ndarray:
@@ -562,8 +572,9 @@ class ExtendedSystem:
 def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
     """Lift of the one-body algebraic Hamiltonian to rational (q, p, u) data.
 
-    P(u) = u^2 - ((x^2+y^2)^2 + 16 z^2) and K(q, p, u) is the kinetic energy
-    plus W(z, u), so K is rational whenever W is."""
+    K(q, p, u) is the kinetic energy plus W(z, u), so K is rational whenever
+    W is; sympy builds K and grad K.  The Casimir
+    P(u) = u^2 - ((x^2+y^2)^2 + 16 z^2) does not depend on W."""
     if spec.kind != "one-body":
         raise ValueError("extended lift implemented for the one-body system")
     import sympy as sp
@@ -571,19 +582,13 @@ def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
     x, y, z, px, py, pz, u = sp.symbols("x y z p_x p_y p_z u", real=True)
     z_w, rho_w = sp.symbols("z rho", real=True)
 
-    P = u**2 - ((x**2 + y**2) ** 2 + 16 * z**2)
     K = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2 + spec.potential.expr.subs(
         {z_w: z, rho_w: u}, simultaneous=True
     )
     xs = (x, y, z, px, py, pz, u)
     return ExtendedSystem(
-        3,
         sp.lambdify(xs, K, modules="numpy"),
         sp.lambdify(xs, [sp.diff(K, v) for v in xs], modules="numpy"),
-        sp.lambdify((x, y, z, u), P, modules="numpy"),
-        sp.lambdify((x, y, z, u), [sp.diff(P, v) for v in (x, y, z)], modules="numpy"),
-        sp.lambdify((x, y, z, u), sp.diff(P, u), modules="numpy"),
-        P,
     )
 
 

@@ -666,14 +666,11 @@ def case2_obstruction(sing: SingularityData) -> GaloisVerdict:
 # ---------------------------------------------------------------------------
 
 def o3r_operator() -> DiffOperator:
-    """The third-order reduced operator of the resonant mass-ratio branch,
-    derived through the actual reduction chain rather than hard-coded."""
-    sys = variational.ve_twobody_blocks(Fraction(-1), 1, 1).subsystem(range(4))
-    g = variational.gauge_transform(sys, variational.reduction_gauge_resonant())
-    ode = variational.cyclic_to_scalar(g.subsystem(range(3)), 1)
-    return variational.exp_substitution(
-        ode, ExactPoly([0, 0, Fraction(2, 3)], var="tau")
-    )
+    """The third-order reduced operator of the resonant mass-ratio branch:
+    the end of resonant_reduction, the chain `ve` prints, on the A1 block of
+    the mu = -1, tau0 = 1 system."""
+    a1 = variational.ve_twobody_blocks(Fraction(-1), 1, 1).subsystem(range(4))
+    return variational.resonant_reduction(a1)[2]
 
 
 def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdict:

@@ -27,6 +27,8 @@ __all__ = [
     "gauge_transform",
     "reduction_gauge",
     "reduction_gauge_resonant",
+    "generic_reduction",
+    "resonant_reduction",
     "cyclic_to_scalar",
     "exp_substitution",
 ]
@@ -344,6 +346,26 @@ def reduction_gauge_resonant() -> GaugeMatrix:
         [[ExactRatFunc(P(e, var), var=var) for e in row] for row in rows], var=var
     )
     return GaugeMatrix(Q)
+
+
+def generic_reduction(a1: LinearSystem, mu) -> tuple:
+    """The two-body chain for mu not 0 or -1, written once for `ve` to print
+    and `galois` to classify: the A1 block of the tau0 = 0 system under
+    reduction_gauge(mu), the scalar operator of its middle block, and the
+    parabolic-cylinder operator that y = w exp((1 - mu) tau^2 / 2) gives."""
+    g = gauge_transform(a1, reduction_gauge(mu))
+    ode = cyclic_to_scalar(g.subsystem([1, 2]), 0)
+    return g, ode, exp_substitution(ode, ExactPoly([0, 0, (1 - mu) / 2], var="tau"))
+
+
+def resonant_reduction(a1: LinearSystem) -> tuple:
+    """The resonant two-body chain, as generic_reduction: the A1 block of the
+    mu = -1, tau0 = 1 system under reduction_gauge_resonant(), the scalar
+    operator of component 1 of its first three, and the third-order
+    operator that y = w exp(2 tau^2 / 3) gives."""
+    g = gauge_transform(a1, reduction_gauge_resonant())
+    ode = cyclic_to_scalar(g.subsystem(range(3)), 1)
+    return g, ode, exp_substitution(ode, ExactPoly([0, 0, Fraction(2, 3)], var="tau"))
 
 
 def _row_module(B: ExactMatrix, index: int, var: str):

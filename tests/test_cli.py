@@ -11,16 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heisenkep import cli
-from heisenkep.cli import _generic_reduction, _ve_kepler, main, preset_path
+from heisenkep.cli import _ve_kepler, main, preset_path
 from heisenkep.dynamics import IntegrationError
 from heisenkep.exactalg import ExactScalar
-from heisenkep.galois import parabolic_from_ode
+from heisenkep.galois import o3r_operator, parabolic_from_ode
 from heisenkep.heisenmodel import PotentialSpec, SystemSpec, condition_coefficient_a
-from heisenkep.variational import ve_twobody_blocks
+from heisenkep.variational import generic_reduction, ve_twobody_blocks
 
 
 @pytest.fixture()
@@ -109,7 +109,7 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 def test_generic_reduction_chain_parameters(mu):
     # the chain inverts reduction_gauge(mu) exactly on its way
     a1 = ve_twobody_blocks(mu, 0, 1).subsystem(range(4))
-    p = parabolic_from_ode(_generic_reduction(a1, mu)[2])
+    p = parabolic_from_ode(generic_reduction(a1, mu)[2])
     assert p.alpha_sq == ExactScalar((1 + mu) ** 2)
     assert p.two_alpha_beta.is_zero()
     assert p.gamma == ExactScalar(2 * (1 + mu))
@@ -117,7 +117,7 @@ def test_generic_reduction_chain_parameters(mu):
 
 def test_generic_reduction_chain_degenerates_at_mu_minus_one():
     mu = Fraction(-1)
-    reduced = _generic_reduction(ve_twobody_blocks(mu, 0, 1).subsystem(range(4)), mu)[2]
+    reduced = generic_reduction(ve_twobody_blocks(mu, 0, 1).subsystem(range(4)), mu)[2]
     with pytest.raises(ValueError, match="degenerate: alpha = 0"):
         parabolic_from_ode(reduced)
 
@@ -172,6 +172,70 @@ def test_galois_inconclusive_exits_nonzero(runner, tmp_path):
     assert (res.exit_code == 0) == (
         doc["verdict"]["tag"] == "NotSolvableIdentityComponent"
     )
+
+
+# galois classifies what ve derives: the parabolic block of each galois
+# artifact is the one of the ve artifact of the same chain, and the resonant
+# ve artifact prints the operator the resonant verdict classifies
+
+def _ve_and_galois(runner, out, galois_cfg):
+    ve_cfg = {**galois_cfg, "system": galois_cfg["branch"]}
+    if galois_cfg["branch"] == "twobody":
+        ve_cfg["tau0"] = "1" if Fraction(galois_cfg["mu"]) == -1 else "0"
+    docs = []
+    for command, cfg in (("ve", ve_cfg), ("galois", galois_cfg)):
+        path = out / f"{command}_cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code in (0, 1) and (out / f"{command}.json").exists(), res.output
+        docs.append(_load(out / f"{command}.json"))
+    return docs
+
+
+@pytest.mark.parametrize("preset", ["galois_kepler", "galois_twobody_generic",
+                                    "galois_twobody_resonant"])
+def test_galois_preset_parabolic_is_ves(runner, tmp_path, preset):
+    ve_doc, galois_doc = _ve_and_galois(runner, tmp_path, _load(preset_path(preset)))
+    assert galois_doc.get("parabolic") == ve_doc.get("parabolic")
+    assert ("parabolic" in galois_doc) == (preset != "galois_twobody_resonant")
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rationals.filter(lambda mu: mu not in (0, -1)))
+def test_galois_twobody_parabolic_is_ves(runner, tmp_path_factory, mu):
+    out = tmp_path_factory.mktemp("mu")
+    ve_doc, galois_doc = _ve_and_galois(runner, out, {"branch": "twobody", "mu": str(mu)})
+    assert galois_doc["parabolic"] == ve_doc["parabolic"]
+    assert galois_doc["mu"] == ve_doc["mu"]
+
+
+def test_resonant_ve_prints_the_classified_operator(runner, tmp_path):
+    assert _run(runner, ["ve", "--config", "ve_twobody_resonant",
+                         "--out", str(tmp_path)]).exit_code == 0
+    assert _load(tmp_path / "ve.json")["o3r_coefficients"] == [
+        str(c) for c in o3r_operator().coeffs]
+
+
+# A missing key, a value that the chain rejects, or an entry that is not
+# exact is a usage error: exit 1 with a message, and no artifact
+@pytest.mark.parametrize("command, cfg, message", [
+    pytest.param("galois", {"branch": "twobody"}, "missing config key 'mu'", id="galois-no-mu"),
+    pytest.param("galois", {"branch": "kepler"}, "missing config key 'a'", id="galois-no-a"),
+    pytest.param("galois", {"branch": "twobody", "mu": "-1", "w2": "0"}, "w2 must be nonzero",
+                 id="galois-resonant-w2-zero"),
+    pytest.param("ve", {"mu": "1/2"}, "missing config key 'system'", id="ve-no-system"),
+    pytest.param("factorize", {"matrix": [[0.5, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                          [0, 0, 0, 1]]}, "not exact", id="factorize-float"),
+])
+def test_bad_exact_config_is_rejected(runner, tmp_path, command, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 # -- simulate ---------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_at_each_is_per_point_at_bit_for_bit(kind_trajs, kind, extra):
     traj = kind_trajs[kind]
     # every step node, where two segments meet, and both ends of each
     # segment (the last one runs past a collision root)
-    ts = np.concatenate([traj.t, traj.t_old, traj.t_old + traj.h, extra])
+    ts = np.concatenate([traj.t, traj.t[:-1] + traj.h, extra])
     rows = traj.at_each(ts)
     assert rows.shape == (ts.size, traj.dim)
     assert rows.tobytes() == np.array([traj.at(t) for t in ts]).tobytes()
@@ -209,9 +209,8 @@ def test_monitor_matches_the_per_point_oracle(kepler1b, kepler2b, kind, seed):
 
 def test_monitor_of_a_dense_output_at_the_collision_set_raises(kepler1b):
     # one segment whose dense output stays at the origin, where rho = 0
-    traj = Trajectory(t=np.array([0.0, 1.0]), y=np.zeros((2, 6)), stats={},
-                      t_old=np.zeros(1), h=np.ones(1), Q=np.zeros((1, 6, 4)),
-                      y_old=np.array([[0.0, 0.0, 0.0, 0.1, 0.0, 0.0]]))
+    traj = Trajectory(t=np.array([0.0, 1.0]), y=np.array([[0.0, 0.0, 0.0, 0.1, 0.0, 0.0]] * 2),
+                      stats={}, h=np.ones(1), Q=np.zeros((1, 6, 4)))
     for monitor in (monitor_conserved, per_point_monitor):
         with pytest.raises(CollisionError):
             monitor(kepler1b, traj)
@@ -447,8 +446,8 @@ def test_config_rejects_nonpositive_max_step(max_step):
 
 def test_trajectory_rejects_bad_grid():
     with pytest.raises(ValueError):
-        Trajectory(t=np.array([0.0, 0.0]), y=np.zeros((2, 6)), stats={}, t_old=np.zeros(1),
-                   h=np.ones(1), Q=np.zeros((1, 6, 4)), y_old=np.zeros((1, 6)))
+        Trajectory(t=np.array([0.0, 0.0]), y=np.zeros((2, 6)), stats={}, h=np.ones(1),
+                   Q=np.zeros((1, 6, 4)))
 
 
 # -- extended Poisson system ------------------------------------------------
@@ -483,12 +482,35 @@ def test_casimir_bracket_vanishes(lifted):
             assert abs(lifted.bracket(lifted.P, f, x, grad_f=lifted.grad_P)) < 1e-10
 
 
+def test_casimir_sources_are_sympys_lambdify():
+    # P and its derivatives are written out in the package, as the text
+    # sympy's lambdify prints for them
+    import inspect
+
+    import sympy as sp
+
+    x, y, z, u = sp.symbols("x y z u", real=True)
+    P = u**2 - ((x**2 + y**2) ** 2 + 16 * z**2)
+    oracle = (P, [sp.diff(P, v) for v in (x, y, z)], sp.diff(P, u))
+    rng = np.random.default_rng(10)
+    for fn, expr in zip((dynamics._casimir, dynamics._casimir_grad_q, dynamics._casimir_du),
+                        oracle):
+        printed = sp.lambdify((x, y, z, u), expr, modules="numpy")
+        assert (inspect.getsource(fn).split("\n", 1)[1]
+                == inspect.getsource(printed).split("\n", 1)[1])
+        for _ in range(10):
+            args = rng.uniform(-2.0, 2.0, size=4)
+            assert (np.asarray(fn(*args), dtype=float).tobytes()
+                    == np.asarray(printed(*args), dtype=float).tobytes())
+
+
 def test_casimir_in_kernel_exactly(lifted):
     # J(x) grad P(x) = 0 identically, not only on the leaf
     import sympy as sp
 
     x, y, z, px, py, pz, u = sp.symbols("x y z p_x p_y p_z u", real=True)
-    gradP = [sp.diff(lifted.P_expr, v) for v in (x, y, z, px, py, pz, u)]
+    P = u**2 - ((x**2 + y**2) ** 2 + 16 * z**2)
+    gradP = [sp.diff(P, v) for v in (x, y, z, px, py, pz, u)]
     rng = np.random.default_rng(9)
     fn = sp.lambdify((x, y, z, px, py, pz, u), gradP, modules="numpy")
     for _ in range(20):
