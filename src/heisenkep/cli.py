@@ -7,7 +7,9 @@ emitted with sorted keys, exact values are serialized as strings, and
 floats round-trip through repr.  The seed is recorded in every output
 header.  Presets for the standard scenarios ship with the package under
 ``heisenkep/presets``; a bare config name is resolved there when no file
-of that name exists.
+of that name exists.  numpy and the numeric layer (``dynamics``) are
+imported on the simulate, verify and sweep paths alone, so that ve, galois
+and factorize load neither.
 
 Grammar::
 
@@ -17,6 +19,7 @@ Grammar::
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -24,9 +27,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from .exactalg import ExactMatrix, ExactPoly, ExactScalar
 from .heisenmodel import (
@@ -38,18 +41,6 @@ from .heisenmodel import (
     first_integrals,
     particular_solution,
     state_rho,
-)
-from .dynamics import (
-    ExtendedState,
-    IntegrationError,
-    IntegratorConfig,
-    drift_names,
-    extended_poisson_build,
-    integrate,
-    integrate_extended,
-    max_line_deviation,
-    monitor_conserved,
-    trajectory_to_csv,
 )
 from .variational import (
     LinearSystem,
@@ -72,6 +63,11 @@ from .galois import (
     rehm_classify,
     system_exp_solutions,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dynamics import IntegratorConfig
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +130,8 @@ def _frac(v) -> Fraction:
 def _integrator_config(rc: RunConfig) -> IntegratorConfig:
     """IntegratorConfig from the config's "integrator" table.  A key that
     is not one of its fields, or a value it rejects, is a usage error."""
+    from .dynamics import IntegratorConfig
+
     opts = rc.config.get("integrator", {})
     unknown = sorted(set(opts) - {f.name for f in fields(IntegratorConfig)})
     if unknown:
@@ -157,6 +155,8 @@ def _system(rc: RunConfig) -> SystemSpec:
 
 def _thresholds(rc: RunConfig, spec: SystemSpec) -> dict:
     """The config's "thresholds" table, each key a quantity _orbit checks."""
+    from .dynamics import drift_names
+
     thresholds = rc.config.get("thresholds", {"H": 1e-9})
     unknown = sorted(set(thresholds) - {"line", "djdt", "j_drift", *drift_names(spec)})
     if unknown:
@@ -220,6 +220,8 @@ def _state_array(spec: SystemSpec, state, where: str) -> np.ndarray:
     """A config's initial state as an array.  A length other than the
     system's dimension, or an entry that is not finite, is a usage error
     whose message begins with where."""
+    import numpy as np
+
     try:
         a = np.asarray(state, dtype=float)
     except (TypeError, ValueError) as e:
@@ -233,6 +235,10 @@ def _state_array(spec: SystemSpec, state, where: str) -> np.ndarray:
 
 
 def _line_deviation(spec: SystemSpec, traj, n: int = 300) -> float:
+    import numpy as np
+
+    from .dynamics import max_line_deviation
+
     ts = np.linspace(traj.t[0], traj.t[-1], n)
     pts = traj.at(ts)
     if spec.kind == "one-body":
@@ -248,6 +254,8 @@ def _orbit(spec: SystemSpec, s0, icfg, thresholds: dict, where="", line=False) -
     or monitor, max_line_deviation (if line) and checks; then pass.  A
     start on the collision set or inside its guard is a usage error, whose
     message begins with where."""
+    from .dynamics import IntegrationError, integrate, monitor_conserved
+
     try:
         traj = integrate(spec, s0, icfg)
     except CollisionError as e:
@@ -280,6 +288,8 @@ def simulate(config, out_dir, seed, fmt):
     thresholds = _thresholds(rc, spec)
     traj, report = _orbit(spec, _initial_state(spec, rc.config), icfg, thresholds, line=True)
     if traj is not None and rc.fmt == "csv":
+        from .dynamics import trajectory_to_csv
+
         trajectory_to_csv(spec, traj, rc.out_dir / "trajectory.csv", header_meta=rc.header())
     elif traj is not None:  # None: the integration failed, and there is no trajectory
         (rc.out_dir / "trajectory.json").write_text(json.dumps({
@@ -322,6 +332,10 @@ def _row(name: str, residual, tol: float) -> dict:
 def _bracket_rows(spec: SystemSpec, states) -> list:
     """The identities of spec's integrals, each with its largest residual
     over the states, from one gradient of all the integrals per state."""
+    import numpy as np
+
+    from .dynamics import drift_names
+
     table = [r for r in _BRACKETS if r[1] in ("J", *drift_names(spec))]
 
     def integrals(a):
@@ -339,6 +353,11 @@ def _bracket_rows(spec: SystemSpec, states) -> list:
 
 
 def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
+    import numpy as np
+
+    from .dynamics import (ExtendedState, IntegratorConfig, extended_poisson_build, integrate,
+                           integrate_extended)
+
     lifted = extended_poisson_build(spec)
 
     def leaf_point():
@@ -370,18 +389,22 @@ def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
             _row("P drift", ext.stats["max_casimir_residual"], 1e-8)]
 
 
-def _rows_to_csv(rows, path: Path, header: dict):
-    lines = ["# " + json.dumps(header, sort_keys=True),
-             "name,residual,tol,pass"]
-    for r in rows:
-        lines.append(f"{r['name']},{r['residual']!r},{r['tol']!r},{r['pass']}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: dict, columns: list, rows) -> None:
+    """A table as CSV: a "# " line of the header's JSON, the column names,
+    then the rows, each field quoted where it holds a comma or a quote."""
+    with path.open("w", newline="") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 @main.command()
 @_common
 def verify(config, out_dir, seed, fmt):
     """Run the bracket/identity suites and report residuals per identity."""
+    import numpy as np
+
     rc = _load_config("verify", config, out_dir, seed, fmt)
     spec = _system(rc)
     suites = rc.config.get(
@@ -402,7 +425,8 @@ def verify(config, out_dir, seed, fmt):
         rows += _extended_rows(spec, rng, counts["n_points"])
     ok = all(r["pass"] for r in rows)
     if rc.fmt == "csv":
-        _rows_to_csv(rows, rc.out_dir / "verify.csv", rc.header())
+        _write_csv(rc.out_dir / "verify.csv", rc.header(), ["name", "residual", "tol", "pass"],
+                   ([r["name"], r["residual"], r["tol"], r["pass"]] for r in rows))
     doc = {"system": spec.to_json(), "rows": rows, "all_pass": ok}
     _finish(rc, "verify.json", doc, ok=ok)
 
@@ -471,9 +495,11 @@ def _ve_kepler(cfg: dict) -> tuple:
 def _ve_twobody(cfg: dict) -> tuple:
     """The ve document of the two-body branch, and what its chain ends in:
     the ParabolicParams of the reduced equation, or for mu = -1 the
-    resonant third-order operator."""
+    resonant third-order operator.  The chain starts on the tau0 = 1
+    solution when mu = -1 and on tau0 = 0 otherwise, the default of tau0."""
     mu = _frac(cfg["mu"])
-    tau0 = _frac(cfg.get("tau0", 0))
+    resonant = mu == -1
+    tau0 = _frac(cfg.get("tau0", int(resonant)))
     w2 = _frac(cfg.get("w2", 1))
     blocks = ve_twobody_blocks(mu, tau0, w2)
     a1 = blocks.subsystem(range(4))
@@ -485,7 +511,6 @@ def _ve_twobody(cfg: dict) -> tuple:
         "blocks": _matrix_strs(blocks.A),
         "A1": _matrix_strs(a1.A),
     }
-    resonant = mu == -1
     if tau0 != int(resonant):
         raise click.ClickException(f"the {'resonant' if resonant else 'generic'} "
                                    f"reduction needs tau0 = {int(resonant)}")
@@ -501,16 +526,13 @@ def _ve_twobody(cfg: dict) -> tuple:
 
 def _reduction(cfg: dict, key: str) -> tuple:
     """The ve document of the chain that cfg[key] names, and what the
-    chain ends in.  galois names it by "branch", and its two-body chain
-    starts on the tau0 = 1 solution exactly when mu = -1.  A missing key,
-    or a value that the chain rejects, is a usage error."""
+    chain ends in (galois names it by "branch").  A missing key, or a value
+    that the chain rejects, is a usage error."""
     try:
         name = cfg[key]
         if name == "kepler":
             return _ve_kepler(cfg)
         if name == "twobody":
-            if key == "branch":
-                cfg = {**cfg, "tau0": 1 if _frac(cfg["mu"]) == -1 else 0}
             return _ve_twobody(cfg)
     except KeyError as e:
         raise click.ClickException(f"missing config key {e}") from e
@@ -616,6 +638,8 @@ _DRAWS_PER_STATE = 10_000
 
 
 def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
+    import numpy as np
+
     if "states" in cfg:
         return [_state_array(spec, s, f"state {i}: ") for i, s in enumerate(cfg["states"])]
     rnd = cfg["random"]
@@ -670,12 +694,9 @@ def sweep(config, out_dir, seed, fmt):
 
     rows = [run(idx, s0) for idx, s0 in enumerate(states)]
     ok = all(r["pass"] for r in rows)
-    if rc.fmt == "csv":
-        lines = ["# " + json.dumps(rc.header(), sort_keys=True),
-                 "index,flagged_event,pass"]
-        for r in rows:
-            lines.append(f"{r['index']},{r['flagged_event'] or ''},{r['pass']}")
-        (rc.out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    if rc.fmt == "csv":  # csv writes no flagged_event (None) as an empty field
+        _write_csv(rc.out_dir / "sweep.csv", rc.header(), ["index", "flagged_event", "pass"],
+                   ([r["index"], r["flagged_event"], r["pass"]] for r in rows))
     doc = {"system": spec.to_json(), "runs": rows, "all_pass": ok}
     _finish(rc, "sweep.json", doc, ok=ok)
 

@@ -184,12 +184,12 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
     Terminates early with a flagged event when rho drops below cfg.rho_min;
     step-size underflow raises IntegrationError with the last good state.  A
     start on the collision set, where the vector field is not finite, or
-    inside the guard, where rho never falls through rho_min, raises
-    CollisionError.
+    inside the guard (rho <= rho_min), where rho never falls through
+    rho_min, raises CollisionError.
     """
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
     rho0 = state_rho(spec, a0)
-    if rho0 == 0.0 or rho0 < cfg.rho_min:
+    if rho0 <= cfg.rho_min:
         where = "on the collision set" if rho0 == 0.0 else "inside the collision guard"
         raise CollisionError(f"initial state {where}, rho = {rho0!r}")
 
@@ -496,11 +496,6 @@ class ExtendedState:
 
     def to_array(self) -> np.ndarray:
         return np.array(list(self.q) + list(self.p) + [self.u], dtype=float)
-
-    @staticmethod
-    def from_array(a, n: int) -> "ExtendedState":
-        a = [float(v) for v in a]
-        return ExtendedState(tuple(a[:n]), tuple(a[n : 2 * n]), a[2 * n])
 
 
 # The lift's Casimir P = u^2 - ((x^2 + y^2)^2 + 16 z^2), the same for every

@@ -574,10 +574,6 @@ class ExactPoly:
     def to_json(self) -> list:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(data, var: str = "t") -> "ExactPoly":
-        return ExactPoly([ExactScalar.parse(s) for s in data], var=var)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -845,14 +841,6 @@ class ExactRatFunc:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(data, var: str = "t") -> "ExactRatFunc":
-        return ExactRatFunc(
-            ExactPoly.from_json(data["num"], var),
-            ExactPoly.from_json(data["den"], var),
-        )
-
-
 def clear_denominators(fs, var: str):
     """(D, [f * D for f in fs]): D is the monic lcm of the denominators of
     the rational functions fs, so every f * D is a polynomial."""
@@ -896,10 +884,6 @@ class ExactMatrix:
         return ExactMatrix(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], var=var
         )
-
-    @staticmethod
-    def zero(rows: int, cols: int, var: str = "t") -> "ExactMatrix":
-        return ExactMatrix([[0] * cols for _ in range(rows)], var=var)
 
     @property
     def var(self) -> str:
@@ -1019,28 +1003,6 @@ class ExactMatrix:
             raise ValueError("determinant of non-square matrix")
         _, pivots, d = self._rref()
         return d if len(pivots) == self.rows else ExactRatFunc.coerce(0, self.var)
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "var": self.var,
-            "entries": [
-                [self[i, j].to_json() for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        }
-
-    @staticmethod
-    def from_json(data) -> "ExactMatrix":
-        var = data.get("var", "t")
-        return ExactMatrix(
-            [
-                [ExactRatFunc.from_json(e, var) for e in row]
-                for row in data["entries"]
-            ],
-            var=var,
-        )
 
     def __str__(self):
         return "\n".join(

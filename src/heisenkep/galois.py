@@ -514,35 +514,14 @@ class SingularityData:
             out.extend(rec["exponents"])
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "finite": [
-                {
-                    "factor": rec["factor"].to_json(),
-                    "multiplicity": rec["multiplicity"],
-                    "regular": rec["regular"],
-                    "exponents": [str(e) for e in rec["exponents"]],
-                    "num_points": rec["num_points"],
-                }
-                for rec in self.finite
-            ],
-            "infinity": {
-                "regular": self.infinity["regular"],
-                "algebraic_exponents": [
-                    str(e) for e in self.infinity["algebraic_exponents"]
-                ],
-            },
-            "fuchsian": self.fuchsian,
-        }
-
 
 def singularity_analysis(L: DiffOperator) -> SingularityData:
     """Finite singular points with exact exponents (shared across the roots
     of each squarefree factor, with factor splitting when they differ),
     regular/irregular classification, and the algebraic-growth exponents
-    at infinity.  Each finite record also says, under "split" and not in
-    `to_json`, whether its exponent list holds every local exponent, that
-    is, whether all of them lie in Q(i)."""
+    at infinity.  Each finite record also says, under "split", whether its
+    exponent list holds every local exponent, that is, whether all of them
+    lie in Q(i)."""
     var = L.var
     polys = L.cleared()
     n = L.order

@@ -9,10 +9,10 @@ univariate rational function.  For the Kepler potential W = -K/rho the
 module prints the source of the numeric evaluators of H and its vector
 field itself (``_kepler_sources``), character for character what sympy
 1.14's lambdify prints.  For any other potential sympy builds W's
-expression and generates them; it is imported only by the functions that
-do so, so loading this module does not load it.  The vector field runs
-from the printed source, with each repeated subexpression evaluated once
-(``_hoisted``).
+expression and generates them.  sympy and numpy are imported only by the
+functions that use them, so loading this module, as the exact layers do,
+loads neither.  The vector field runs from the printed source, with each
+repeated subexpression evaluated once (``_hoisted``).
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .exactalg import ExactPoly, ExactRatFunc, ExactScalar
 
 if TYPE_CHECKING:
+    import numpy as np
     import sympy as sp
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "first_integrals",
     "poisson_bracket",
     "condition_coefficient_a",
-    "two_body_condition_a",
     "particular_solution",
 ]
 
@@ -114,11 +112,9 @@ class PhaseState1B:
     pz: float
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.px, self.py, self.pz], dtype=float)
+        import numpy as np
 
-    @staticmethod
-    def from_array(a) -> "PhaseState1B":
-        return PhaseState1B(*map(float, a))
+        return np.array([self.x, self.y, self.z, self.px, self.py, self.pz], dtype=float)
 
     @property
     def position(self) -> GroupElement:
@@ -140,6 +136,8 @@ class PhaseState2B:
     pz2: float
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [
                 self.g1.x, self.g1.y, self.g1.z,
@@ -264,10 +262,6 @@ class SystemSpec:
         self.potential = potential
 
     @property
-    def mu(self) -> float:
-        return self.m1 / self.m2
-
-    @property
     def dim(self) -> int:
         return 6 if self.kind == "one-body" else 12
 
@@ -308,6 +302,8 @@ class SystemSpec:
     def _h_fn(self):
         printed = _kepler_sources(self)
         if printed:  # sqrt is numpy's, as in lambdify's namespace
+            import numpy as np
+
             return _compile_def(printed[0], "kepler H", {"sqrt": np.sqrt})
         import sympy as sp
 
@@ -565,13 +561,15 @@ def _hoisted(fn):
 def _state_array(s) -> np.ndarray:
     if isinstance(s, (PhaseState1B, PhaseState2B)):
         return s.to_array()
+    import numpy as np
+
     return np.asarray(s, dtype=float)
 
 
 def state_rho(spec: SystemSpec, a) -> float:
     """rho of the body's position (one-body) or of the relative position
     g1^-1 g2 (two-body) in the flat state array a."""
-    return _rho(spec.kind, np.asarray(a, dtype=float)[:6].tolist())
+    return _rho(spec.kind, [float(v) for v in a[:6]])
 
 
 def _rho(kind: str, v: list) -> float:
@@ -641,6 +639,8 @@ def _polynomial_integrals(kind: str, v) -> dict:
 def _num_grad(f, a: np.ndarray) -> np.ndarray:
     """Central-difference gradient with the cube-root-of-eps step rule.  An f
     with array values gets one gradient per value, each a contiguous row."""
+    import numpy as np
+
     base = float(np.cbrt(np.finfo(float).eps))
     cols = []
     for i in range(a.size):
@@ -665,6 +665,8 @@ def poisson_bracket(f, g, s) -> float:
 def _canonical_bracket(gf: np.ndarray, gg: np.ndarray) -> float:
     """{f, g} from the gradients of f and g, contiguous 1-d arrays: OpenBLAS
     sums a strided dot product in another order."""
+    import numpy as np
+
     n = gf.size // 2
     return float(np.dot(gf[:n], gg[n:]) - np.dot(gf[n:], gg[:n]))
 
@@ -711,13 +713,6 @@ def condition_coefficient_a(spec: SystemSpec, c):
     return a.re if a.is_real() else a
 
 
-def two_body_condition_a(spec: SystemSpec, w2):
-    """Coefficient a for the two-body vertical solution, evaluated at c = w2.
-
-    For the Kepler potential this is kappa*m1*m2 / (8 w2 |w2|)."""
-    return condition_coefficient_a(spec, w2)
-
-
 def particular_solution(spec: SystemSpec, params: dict, t: float):
     """The vertical-axis special solution at time t, original coordinates.
 
@@ -735,7 +730,7 @@ def particular_solution(spec: SystemSpec, params: dict, t: float):
         raise ValueError("the solution must not be constant: w2 must be nonzero")
     w1 = params.get("w1", 0.0)
     pw1 = params.get("pw1", 0.0)
-    a = float(two_body_condition_a(spec, w2))
+    a = float(condition_coefficient_a(spec, w2))
     pw2 = -2.0 * a * t
     return PhaseState2B(
         GroupElement(0.0, 0.0, (float(w1) + float(w2)) / 2),

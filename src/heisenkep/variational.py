@@ -3,7 +3,8 @@ transformations, and reduction to scalar equations.
 
 Every builder is exact: the variational matrices have entries in Q(i)[t],
 and gauge transforms and scalar reductions stay in Q(i)(t).  There is no
-numeric path here, so this module imports neither numpy nor `dynamics`.
+numeric path here, so loading this module loads neither numpy nor
+`dynamics`.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ class LinearSystem:
             [[self.A[i, j] for j in idx] for i in idx], var=self.A.var
         )
         return LinearSystem(sub, var=self.var, meta=self.meta)
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "var": self.var, "A": self.A.to_json()}
-
-    @staticmethod
-    def from_json(doc) -> "LinearSystem":
-        return LinearSystem(ExactMatrix.from_json(doc["A"]), var=doc["var"])
 
 
 class DiffOperator:
@@ -140,13 +134,6 @@ class DiffOperator:
             "var": self.var,
             "coeffs": [c.to_json() for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json(doc) -> "DiffOperator":
-        return DiffOperator(
-            [ExactRatFunc.from_json(c, doc["var"]) for c in doc["coeffs"]],
-            var=doc["var"],
-        )
 
 
 class GaugeMatrix:
@@ -254,13 +241,9 @@ def ve_twobody_blocks(mu, tau0, w2) -> LinearSystem:
     p_w1, p_w2); A3 has the single nonzero entry 4i/w2."""
     if mu == 0:
         raise ValueError("mu must be nonzero")
-    m = ExactScalar.coerce(mu if not isinstance(mu, str) else ExactScalar.parse(mu))
-    t0 = ExactScalar.coerce(
-        tau0 if not isinstance(tau0, str) else ExactScalar.parse(tau0)
-    )
     if w2 == 0:
         raise ValueError("w2 must be nonzero")
-    w2s = ExactScalar.coerce(w2 if not isinstance(w2, str) else ExactScalar.parse(w2))
+    m, t0, w2s = (ExactScalar.coerce(v) for v in (mu, tau0, w2))
 
     var = "tau"
     tm = ExactPoly([-t0, ExactScalar(1)], var=var)   # tau - tau0

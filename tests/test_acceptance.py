@@ -17,7 +17,6 @@ from heisenkep.heisenmodel import (
     SystemSpec,
     condition_coefficient_a,
     particular_solution,
-    two_body_condition_a,
 )
 from heisenkep.dynamics import (
     ExtendedState,
@@ -457,7 +456,7 @@ def test_criterion_9_condition_fixtures():
     # two-body Kepler: a = m1 m2 kappa / (8 w2 |w2|)
     two = SystemSpec("two-body", 2, m1=1, m2=3)
     w2 = Fraction(5, 4)
-    assert two_body_condition_a(two, w2) == 6 / (8 * w2 * abs(w2))
+    assert condition_coefficient_a(two, w2) == 6 / (8 * w2 * abs(w2))
 
     # boundary fixture: V = z^2 (x^2+y^2)^2 = z^2 rho^2 - 16 z^4 gives a = 0
     flat = SystemSpec(

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import inspect
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heisenkep import cli
+from heisenkep import dynamics
 from heisenkep.cli import _ve_kepler, main, preset_path
 from heisenkep.dynamics import IntegrationError
 from heisenkep.exactalg import ExactScalar
@@ -179,9 +180,7 @@ def test_galois_inconclusive_exits_nonzero(runner, tmp_path):
 # ve artifact prints the operator the resonant verdict classifies
 
 def _ve_and_galois(runner, out, galois_cfg):
-    ve_cfg = {**galois_cfg, "system": galois_cfg["branch"]}
-    if galois_cfg["branch"] == "twobody":
-        ve_cfg["tau0"] = "1" if Fraction(galois_cfg["mu"]) == -1 else "0"
+    ve_cfg = {**galois_cfg, "system": galois_cfg["branch"]}  # ve's tau0 defaults from mu
     docs = []
     for command, cfg in (("ve", ve_cfg), ("galois", galois_cfg)):
         path = out / f"{command}_cfg.json"
@@ -210,6 +209,21 @@ def test_galois_twobody_parabolic_is_ves(runner, tmp_path_factory, mu):
     assert galois_doc["mu"] == ve_doc["mu"]
 
 
+@pytest.mark.parametrize("preset", ["ve_twobody_resonant", "ve_twobody_mu_half"])
+def test_ve_tau0_defaults_from_mu(runner, tmp_path, preset):
+    # tau0 = 1 for mu = -1 and 0 otherwise, as galois takes it: the preset
+    # without tau0 (and w2, default 1) writes the preset's artifact
+    cfg = _load(preset_path(preset))
+    del cfg["tau0"], cfg["w2"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    docs = []
+    for config, out in ((preset, tmp_path / "preset"), (str(path), tmp_path / "default")):
+        assert _run(runner, ["ve", "--config", config, "--out", str(out)]).exit_code == 0
+        docs.append({k: v for k, v in _load(out / "ve.json").items() if k != "header"})
+    assert docs[0] == docs[1]
+
+
 def test_resonant_ve_prints_the_classified_operator(runner, tmp_path):
     assert _run(runner, ["ve", "--config", "ve_twobody_resonant",
                          "--out", str(tmp_path)]).exit_code == 0
@@ -225,6 +239,8 @@ def test_resonant_ve_prints_the_classified_operator(runner, tmp_path):
     pytest.param("galois", {"branch": "twobody", "mu": "-1", "w2": "0"}, "w2 must be nonzero",
                  id="galois-resonant-w2-zero"),
     pytest.param("ve", {"mu": "1/2"}, "missing config key 'system'", id="ve-no-system"),
+    pytest.param("ve", {"system": "twobody", "mu": "-1", "tau0": "0"},
+                 "the resonant reduction needs tau0 = 1", id="ve-resonant-tau0"),
     pytest.param("factorize", {"matrix": [[0.5, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                                           [0, 0, 0, 1]]}, "not exact", id="factorize-float"),
 ])
@@ -305,12 +321,27 @@ def test_verify_onebody_extended_rows(runner, tmp_path):
 
 
 def test_verify_csv_rows(runner, tmp_path):
+    # a name such as "{J,H} - 2H" holds a comma: each row still reads as 4 fields
     res = _run(runner, ["verify", "--config", "verify_twobody",
                         "--out", str(tmp_path), "--format", "csv"])
     assert res.exit_code == 0
     lines = (tmp_path / "verify.csv").read_text().splitlines()
-    assert lines[1] == "name,residual,tol,pass"
-    assert all(line.endswith(",True") for line in lines[2:])
+    assert lines[0].startswith("# {") and lines[1] == "name,residual,tol,pass"
+    rows = list(csv.reader(lines[2:]))
+    assert [len(r) for r in rows] == [4] * len(rows)
+    assert [r[0] for r in rows] == [r["name"] for r in _load(tmp_path / "verify.json")["rows"]]
+    assert all(r[3] == "True" for r in rows)
+
+
+def test_sweep_csv_rows(runner, tmp_path):
+    res = _run(runner, ["sweep", "--config", "sweep_onebody",
+                        "--out", str(tmp_path), "--format", "csv"])
+    assert res.exit_code == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0].startswith("# {") and lines[1] == "index,flagged_event,pass"
+    runs = _load(tmp_path / "sweep.json")["runs"]
+    assert list(csv.reader(lines[2:])) == [
+        [str(r["index"]), r["flagged_event"] or "", str(r["pass"])] for r in runs]
 
 
 # -- factorize --------------------------------------------------------------
@@ -517,6 +548,26 @@ def test_start_inside_the_collision_guard_is_rejected(runner, tmp_path, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, preset, key", [("simulate", "simulate_scatter", "state"),
+                                                  ("sweep", "sweep_onebody", "states")])
+@pytest.mark.parametrize("pz", [-1.0, 1.0])
+def test_start_on_the_collision_guard_is_rejected(runner, tmp_path, command, preset, key, pz):
+    # rho = 4 * 0.25 = rho_min exactly: inward (pz = -1) the guard event
+    # fired at t = 0 and left no trajectory, and on the axis (pz = 1) rho
+    # stays at rho_min
+    cfg = _load(preset_path(preset))
+    state = [0.0, 0.0, 0.25, 0.0, 0.0, pz]
+    cfg[key] = state if key == "state" else [cfg[key][0], state]
+    cfg["integrator"] = {**cfg.get("integrator", {}), "rho_min": 1.0, "t_end": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "initial state inside the collision guard, rho = 1.0" in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 _SCATTER = [1.0, 0.0, 0.2, 0.3, 1.2, 0.1]
 
 
@@ -619,7 +670,7 @@ def test_integration_failure_report(runner, tmp_path, monkeypatch):
         raise IntegrationError("integration failed", last_t=np.float64(0.5),
                                last_state=np.arange(6.0))
 
-    monkeypatch.setattr(cli, "integrate", underflow)
+    monkeypatch.setattr(dynamics, "integrate", underflow)
     res = runner.invoke(main, ["simulate", "--config", "simulate_scatter",
                                "--out", str(tmp_path / "simulate")])
     assert res.exit_code == 1
@@ -747,23 +798,27 @@ class NoScipy:
             raise ImportError(f"{name} is blocked")
 
 sys.meta_path.insert(0, NoScipy())
-from heisenkep import cli, dynamics, exactalg, galois, heisenmodel, variational
+from heisenkep import cli, exactalg, galois, heisenmodel, variational
+
+def loaded():
+    return ["sympy" in sys.modules, "numpy" in sys.modules]
 
 out, presets = sys.argv[1], sys.argv[2:]
-seen = {"import": [0, "sympy" in sys.modules]}
+seen = {"import": [0, *loaded()]}
 for preset in presets:
     try:
         code = cli.main([preset.split("_")[0], "--config", preset, "--out", out],
                         standalone_mode=False)
     except SystemExit as e:
         code = e.code
-    seen[preset] = [code or 0, "sympy" in sys.modules]
+    seen[preset] = [code or 0, *loaded()]
 print(json.dumps(seen))
 """
 
 
 def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
-    # verify_onebody runs last: sympy, once loaded, stays in sys.modules
+    # the exact presets run first, and verify_onebody last: numpy and sympy,
+    # once loaded, stay in sys.modules
     exact = sorted(EXACT_ARTIFACTS)
     numeric = sorted(NUMERIC_ARTIFACTS, key=lambda p: (p == "verify_onebody", p))
     packaged = {p.stem for p in preset_path("ve_kepler_a2").parent.glob("*.json")}
@@ -773,13 +828,15 @@ def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
         check=True, stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     seen = json.loads(proc.stdout.splitlines()[-1])
+    # the exact layers and the exact subcommands load neither numpy nor sympy
     exact_steps = ["import", *exact]
-    assert {step: seen[step] for step in exact_steps} == dict.fromkeys(exact_steps, [0, False])
-    # every numeric preset runs without scipy, and only verify_onebody
-    # (positive control) loads sympy, for the extended lift: the Kepler
-    # evaluators are printed in the package
+    assert {step: seen[step] for step in exact_steps} == dict.fromkeys(
+        exact_steps, [0, False, False])
+    # every numeric preset loads numpy (positive control) and runs without
+    # scipy, and only verify_onebody loads sympy, for the extended lift: the
+    # Kepler evaluators are printed in the package
     assert {p: seen[p] for p in numeric} == {
-        p: [NUMERIC_ARTIFACTS[p][1], p == "verify_onebody"] for p in numeric}
+        p: [NUMERIC_ARTIFACTS[p][1], p == "verify_onebody", True] for p in numeric}
 
 
 def _loaded_by_import(module: str, candidates) -> str:
@@ -794,7 +851,8 @@ def _loaded_by_import(module: str, candidates) -> str:
 
 
 def test_galois_import_loads_no_numeric_layer():
-    assert _loaded_by_import("heisenkep.galois", ("heisenkep.dynamics", "scipy", "sympy")) == "[]"
+    assert _loaded_by_import("heisenkep.galois",
+                             ("heisenkep.dynamics", "numpy", "scipy", "sympy")) == "[]"
 
 
 def test_exactalg_import_loads_no_numeric_layer():

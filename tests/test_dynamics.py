@@ -149,9 +149,9 @@ def test_momentum_ramp_matches_prediction(kepler1b):
 
 def test_two_body_momentum_ramp(kepler2b):
     w2 = 1.25
-    from heisenkep.heisenmodel import two_body_condition_a
+    from heisenkep.heisenmodel import condition_coefficient_a
 
-    a = float(two_body_condition_a(kepler2b, w2))
+    a = float(condition_coefficient_a(kepler2b, w2))
     s0 = particular_solution(kepler2b, {"w2": w2, "pw1": 0.0}, 0.0)
     traj = integrate(kepler2b, s0, TIGHT)
     ts = np.linspace(0, 10, 200)

@@ -100,13 +100,6 @@ def test_operator_cleared_removes_denominators():
     assert polys[0] == ExactPoly([1])
 
 
-def test_operator_json_round_trip(o3r):
-    doc = o3r.to_json()
-    again = DiffOperator.from_json(doc)
-    assert again == o3r
-    assert again.var == "tau"
-
-
 def test_operator_rejects_trivial():
     with pytest.raises(ValueError):
         DiffOperator([1])
@@ -861,7 +854,7 @@ def test_exterior_square_identity_and_zero():
     assert exterior_square(ExactMatrix.identity(4)) == ExactMatrix.identity(
         6
     ).scale(2)
-    assert exterior_square(ExactMatrix.zero(4, 4)) == ExactMatrix.zero(6, 6)
+    assert exterior_square(ExactMatrix([[0] * 4] * 4)) == ExactMatrix([[0] * 6] * 6)
 
 
 def test_exterior_square_spectrum():

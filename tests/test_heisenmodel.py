@@ -31,7 +31,6 @@ from heisenkep.heisenmodel import (
     poisson_bracket,
     rho,
     state_rho,
-    two_body_condition_a,
 )
 
 from oracles import (
@@ -250,7 +249,7 @@ def test_particular_solution_momentum_ramp(kepler1b):
 
 def test_two_body_coefficient_formula(kepler2b):
     for w2 in (Fraction(1), Fraction(-1, 2), Fraction(5, 4)):
-        a = two_body_condition_a(kepler2b, w2)
+        a = condition_coefficient_a(kepler2b, w2)
         expect = Fraction(2 * 1 * 3) / (8 * w2 * abs(w2))
         assert a == expect
 

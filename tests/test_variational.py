@@ -783,17 +783,3 @@ def test_bessel_degenerate_and_domain():
     with pytest.raises(ValueError):
         bessel_closed_form(2.0, 1.0, 0.0, -1.0)
 
-
-# -- serialization ----------------------------------------------------------
-
-def test_linear_system_json_round_trip():
-    sys = ve_twobody_blocks(Fraction(-1), 1, 1)
-    back = LinearSystem.from_json(sys.to_json())
-    assert back.A == sys.A and back.var == "tau"
-
-
-def test_scalar_ode_json_round_trip():
-    sys = ve_twobody_blocks(Fraction(-1), 1, 1).subsystem(range(4))
-    g = gauge_transform(sys, reduction_gauge_resonant()).subsystem(range(3))
-    ode = cyclic_to_scalar(g, 1)
-    assert DiffOperator.from_json(ode.to_json()) == ode
