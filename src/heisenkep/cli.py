@@ -109,7 +109,12 @@ def _load_config(subcommand: str, config, out_dir, seed, fmt) -> RunConfig:
             path = candidate
     if not path.exists():
         raise click.ClickException(f"config file not found: {config}")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as e:
+        raise click.ClickException(f"config is not JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise click.ClickException("config must be a JSON object")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return RunConfig(subcommand, doc, path.name, out, int(seed), fmt)
@@ -143,14 +148,22 @@ def _integrator_config(rc: RunConfig) -> IntegratorConfig:
 
 
 def _system(rc: RunConfig) -> SystemSpec:
-    """SystemSpec from the config's "system" table.  A missing key, or a
-    value that SystemSpec rejects, is a usage error."""
+    """SystemSpec from the config's "system" table.  A table that is not a
+    JSON object, a missing key, a value that SystemSpec rejects, or a
+    potential coefficient that is not real (the numeric evaluators need
+    real ones) is a usage error."""
     try:
-        return SystemSpec.from_json(rc.config["system"])
+        if not isinstance(rc.config["system"], dict):
+            raise click.ClickException("bad system table: it must be a JSON object")
+        spec = SystemSpec.from_json(rc.config["system"])
     except KeyError as e:
         raise click.ClickException(f"bad system table: missing key {e}") from e
-    except (ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:  # TypeError: a potential not a table
         raise click.ClickException(f"bad system table: {e}") from e
+    pot = spec.potential
+    if not all(c.is_real() for c in (*pot.num.values(), *pot.den.values())):
+        raise click.ClickException("bad system table: the potential's coefficients must be real")
+    return spec
 
 
 def _thresholds(rc: RunConfig, spec: SystemSpec) -> dict:
@@ -380,8 +393,11 @@ def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
     q0, p0 = (1.0, 0.0, 0.2), (0.3, 1.2, 0.1)
     u0 = math.sqrt((q0[0] ** 2 + q0[1] ** 2) ** 2 + 16 * q0[2] ** 2)
     tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0)
-    direct = integrate(spec, np.array(q0 + p0), tight)
-    ext = integrate_extended(lifted, ExtendedState(q0, p0, u0), tight)
+    try:
+        direct = integrate(spec, np.array(q0 + p0), tight)
+        ext = integrate_extended(lifted, ExtendedState(q0, p0, u0), tight)
+    except CollisionError as e:
+        raise click.ClickException(f"extended suite: {e}") from e
     ts = np.linspace(0, 10, 200)
     proj = np.max(np.abs(ext.at(ts)[:, :6] - direct.at(ts)))
     return [_row("rank(J) = 2n", rank_fail, 0.5), _row("J antisymmetry", anti, 1e-12),
@@ -410,6 +426,10 @@ def verify(config, out_dir, seed, fmt):
     suites = rc.config.get(
         "suites", ["brackets"] + (["extended"] if spec.kind == "one-body" else [])
     )
+    if not suites or not isinstance(suites, list) or any(
+            name not in ("brackets", "extended") for name in suites):
+        raise click.ClickException(f"suites must be a non-empty list of brackets and "
+                                   f"extended, not {json.dumps(suites)}")
     counts = {"n_probes": int(rc.config.get("n_probes", 50)),
               "n_points": int(rc.config.get("n_points", 100))}
     for key, n in counts.items():
@@ -449,6 +469,8 @@ def _kepler_c(cfg: dict, kappa: Fraction) -> Fraction:
     if "c" in cfg:
         return _frac(cfg["c"])
     a = _frac(cfg["a"])
+    if a == 0:
+        raise click.ClickException("a must be nonzero")
     c = _sqrt_fraction(kappa / (8 * a))
     if c is None:
         raise click.ClickException(

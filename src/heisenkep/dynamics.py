@@ -20,10 +20,9 @@ float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
 from C ``pow``), and the grid keeps the bits of OdeSolution's array call,
 one BLAS product per run of times in one segment (see README).
 
-sympy is imported only where a table potential's evaluators or the
-extended lift's are generated (a Kepler system's are printed in
-``heisenmodel``), and scipy not at all: scipy serves only as the tests'
-oracle.
+Every evaluator, the extended lift's K and grad K included, is compiled
+from source that ``heisenmodel`` prints, so neither sympy nor scipy is
+imported: both serve only as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import numpy as np
 from .heisenmodel import (
     CollisionError,
     SystemSpec,
+    _evaluator,
     _hamiltonian_rows,
     _num_grad,
     _on_floats,
@@ -183,9 +183,9 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
 
     Terminates early with a flagged event when rho drops below cfg.rho_min;
     step-size underflow raises IntegrationError with the last good state.  A
-    start on the collision set, where the vector field is not finite, or
-    inside the guard (rho <= rho_min), where rho never falls through
-    rho_min, raises CollisionError.
+    start on the collision set, inside the guard (rho <= rho_min), where rho
+    never falls through rho_min, or where the vector field is not finite (a
+    singularity of the potential) raises CollisionError.
     """
     a0 = s0.to_array() if hasattr(s0, "to_array") else np.asarray(s0, dtype=float)
     rho0 = state_rho(spec, a0)
@@ -253,7 +253,8 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     returns a sequence of floats, which goes straight into a row of the stage
     array.  The event is terminal and fires where it falls through zero.  A
     failed run raises IntegrationError("<what> failed: ...").  Only the BLAS
-    products K.a_s, K.b, K.e, K.P and the error norm's ddot run in numpy."""
+    products K.a_s, K.b, K.e, K.P and the error norm's ddot run in numpy.  A
+    fun(y0) that is not finite raises CollisionError (solve_ivp hangs or fails)."""
     t_bound, max_step, rtol, atol = float(cfg.t_end), cfg.max_step, cfg.rel_tol, cfg.abs_tol
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
@@ -262,7 +263,10 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    t, f = 0.0, np.asarray(fun(y.tolist()), dtype=float)
+    with np.errstate(all="ignore"):  # a singular start raises below
+        t, f = 0.0, np.asarray(fun(y.tolist()), dtype=float)
+    if not np.isfinite(f).all():
+        raise CollisionError("the vector field is not finite at the initial state")
 
     # select_initial_step
     abs_y = np.abs(y)
@@ -568,23 +572,11 @@ def extended_poisson_build(spec: SystemSpec) -> ExtendedSystem:
     """Lift of the one-body algebraic Hamiltonian to rational (q, p, u) data.
 
     K(q, p, u) is the kinetic energy plus W(z, u), so K is rational whenever
-    W is; sympy builds K and grad K.  The Casimir
+    W is; ``heisenmodel`` prints K and grad K as it prints H.  The Casimir
     P(u) = u^2 - ((x^2+y^2)^2 + 16 z^2) does not depend on W."""
     if spec.kind != "one-body":
         raise ValueError("extended lift implemented for the one-body system")
-    import sympy as sp
-
-    x, y, z, px, py, pz, u = sp.symbols("x y z p_x p_y p_z u", real=True)
-    z_w, rho_w = sp.symbols("z rho", real=True)
-
-    K = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2 + spec.potential.expr.subs(
-        {z_w: z, rho_w: u}, simultaneous=True
-    )
-    xs = (x, y, z, px, py, pz, u)
-    return ExtendedSystem(
-        sp.lambdify(xs, K, modules="numpy"),
-        sp.lambdify(xs, [sp.diff(K, v) for v in xs], modules="numpy"),
-    )
+    return ExtendedSystem(_evaluator(spec, 0, lift=True), _evaluator(spec, 1, lift=True))
 
 
 def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajectory:
@@ -592,7 +584,8 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
 
     The Casimir residual P(u(t)) is tracked as a diagnostic: its drift is
     measured, not corrected, and a residual above 1e-6 flags the trajectory
-    as leaving the leaf."""
+    as leaving the leaf.  A start where the field is not finite raises
+    CollisionError."""
     a0 = x0.to_array() if hasattr(x0, "to_array") else np.asarray(x0, dtype=float)
     if abs(sys.P(a0)) > 1e-12:
         raise ValueError("initial state is off the physical leaf P(u) = 0")

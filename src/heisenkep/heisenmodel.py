@@ -5,21 +5,22 @@ non-integrability condition.
 A potential W(z, rho) is a ratio of two tables of Q(i) coefficients of
 z^i rho^j, which is also its JSON form.  The exact quantities along the
 vertical axis (a, W'(c), W''(c)) come from these tables through one
-univariate rational function.  For the Kepler potential W = -K/rho the
-module prints the source of the numeric evaluators of H and its vector
-field itself (``_kepler_sources``), character for character what sympy
-1.14's lambdify prints.  For any other potential sympy builds W's
-expression and generates them.  sympy and numpy are imported only by the
-functions that use them, so loading this module, as the exact layers do,
-loads neither.  The vector field runs from the printed source, with each
-repeated subexpression evaluated once (``_hoisted``).
+univariate rational function.  The numeric evaluators of H, of its vector
+field and of the one-body lift's K and grad K are compiled from source
+that this module prints, with no sympy.  For the Kepler potential
+W = -K/rho the text is character for character what sympy 1.14's
+lambdify prints (``_kepler_sources``), so its floats are sympy's.  For any
+other table it is the chain rule on float coefficients
+(``_table_sources``).  numpy is imported only by the functions that use
+it, so loading this module, as the exact layers do, does not load it.  A
+vector field runs with each repeated subexpression evaluated once
+(``_hoisted``).
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
-import json
 import linecache
 import math
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .exactalg import ExactPoly, ExactRatFunc, ExactScalar
 
 if TYPE_CHECKING:
     import numpy as np
-    import sympy as sp
 
 __all__ = [
     "CollisionError",
@@ -54,7 +54,8 @@ __all__ = [
 
 
 class CollisionError(ArithmeticError):
-    """Evaluation at the potential singularity rho = 0."""
+    """Evaluation at a singularity of the potential: the collision set
+    rho = 0, or a start where the vector field is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +69,6 @@ class GroupElement:
     x: float
     y: float
     z: float
-
-    def as_tuple(self):
-        return (self.x, self.y, self.z)
 
 
 def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -116,10 +114,6 @@ class PhaseState1B:
 
         return np.array([self.x, self.y, self.z, self.px, self.py, self.pz], dtype=float)
 
-    @property
-    def position(self) -> GroupElement:
-        return GroupElement(self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class PhaseState2B:
@@ -146,15 +140,6 @@ class PhaseState2B:
                 self.px2, self.py2, self.pz2,
             ],
             dtype=float,
-        )
-
-    @staticmethod
-    def from_array(a) -> "PhaseState2B":
-        a = [float(v) for v in a]
-        return PhaseState2B(
-            GroupElement(a[0], a[1], a[2]),
-            GroupElement(a[3], a[4], a[5]),
-            *a[6:],
         )
 
     @property
@@ -188,7 +173,8 @@ def _table(rows) -> dict:
 
 class PotentialSpec:
     """Rational potential W(z, rho) = num/den, each a table
-    {(i, j): coeff} of Q(i) coefficients of z^i rho^j."""
+    {(i, j): coeff} of Q(i) coefficients of z^i rho^j, read from rows
+    [i, j, coeff]; no den_table means den = 1."""
 
     def __init__(self, num_table, den_table=None, label: str = "custom"):
         self.num = _table(num_table)
@@ -196,33 +182,6 @@ class PotentialSpec:
         if not self.den:
             raise ValueError("potential denominator is identically zero")
         self.label = label
-
-    @staticmethod
-    def kepler(kappa) -> "PotentialSpec":
-        return PotentialSpec([(0, 0, -_exact(kappa))], [(0, 1, 1)], label="kepler")
-
-    @staticmethod
-    def from_table(num_table, den_table=None) -> "PotentialSpec":
-        """Tables of monomials [i, j, coeff] meaning coeff * z^i * rho^j;
-        no den_table means den = 1."""
-        return PotentialSpec(num_table, den_table)
-
-    @cached_property
-    def expr(self) -> sp.Expr:
-        """W as a sympy expression in z and rho, built only for the numeric
-        evaluators."""
-        import sympy as sp
-
-        z, rho = sp.symbols("z rho", real=True)
-
-        def build(table):
-            return sum(
-                ((sp.Rational(c.a, c.d) + sp.I * sp.Rational(c.b, c.d)) * z**i * rho**j
-                 for (i, j), c in table.items()),
-                sp.Integer(0),
-            )
-
-        return sp.together(build(self.num) / build(self.den))
 
     def to_json(self) -> dict:
         return {key: [[i, j, str(c)] for (i, j), c in table.items()]
@@ -254,96 +213,33 @@ class SystemSpec:
         self.kappa = float(kq)
         self.m1 = float(m1q)
         self.m2 = float(m2q)
-        if potential is None:
-            if kind == "one-body":
-                potential = PotentialSpec.kepler(kq)
-            else:
-                potential = PotentialSpec.kepler(kq * m1q * m2q)
+        if potential is None:  # W = -K/rho, K = kappa (one body) or kappa m1 m2
+            k = kq if kind == "one-body" else kq * m1q * m2q
+            potential = PotentialSpec([(0, 0, -k)], [(0, 1, 1)], label="kepler")
         self.potential = potential
 
     @property
     def dim(self) -> int:
         return 6 if self.kind == "one-body" else 12
 
-    # -- symbolic machinery -------------------------------------------------
-
-    @cached_property
-    def _symbols(self):
-        import sympy as sp
-
-        if self.kind == "one-body":
-            return sp.symbols("x y z p_x p_y p_z", real=True)
-        return sp.symbols(
-            "x1 y1 z1 x2 y2 z2 p_x1 p_y1 p_z1 p_x2 p_y2 p_z2", real=True
-        )
-
-    @cached_property
-    def h_expr(self) -> sp.Expr:
-        import sympy as sp
-
-        s = self._symbols
-        z_w, rho_w = sp.symbols("z rho", real=True)
-        W = self.potential.expr
-        if self.kind == "one-body":
-            x, y, z, px, py, pz = s
-            kin = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2
-            rho_e = sp.sqrt((x**2 + y**2) ** 2 + 16 * z**2)
-            return kin + W.subs({z_w: z, rho_w: rho_e}, simultaneous=True)
-        x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = s
-        kin1 = ((px1 - y1 * pz1 / 2) ** 2 + (py1 + x1 * pz1 / 2) ** 2) / (2 * self.m1_exact)
-        kin2 = ((px2 - y2 * pz2 / 2) ** 2 + (py2 + x2 * pz2 / 2) ** 2) / (2 * self.m2_exact)
-        xd = x2 - x1
-        yd = y2 - y1
-        zd = z2 - z1 + (x2 * y1 - x1 * y2) / 2
-        rho_e = sp.sqrt((xd**2 + yd**2) ** 2 + 16 * zd**2)
-        return kin1 + kin2 + W.subs({z_w: zd, rho_w: rho_e}, simultaneous=True)
+    # -- numeric evaluators --------------------------------------------------
 
     @cached_property
     def _h_fn(self):
-        printed = _kepler_sources(self)
-        if printed:  # sqrt is numpy's, as in lambdify's namespace
-            import numpy as np
-
-            return _compile_def(printed[0], "kepler H", {"sqrt": np.sqrt})
-        import sympy as sp
-
-        return sp.lambdify(self._symbols, self.h_expr, modules="numpy")
-
-    @cached_property
-    def _rhs_fn(self):
-        """The vector field as sympy prints it: the oracle of _rhs."""
-        import sympy as sp
-
-        s = self._symbols
-        n = len(s) // 2
-        dq = [sp.diff(self.h_expr, p) for p in s[n:]]
-        dp = [-sp.diff(self.h_expr, q) for q in s[:n]]
-        return sp.lambdify(s, dq + dp, modules="numpy")
+        return _evaluator(self, 0)
 
     @cached_property
     def _rhs(self):
-        """The vector field: _rhs_fn with each repeated subexpression
-        evaluated once, bit for bit.  A Kepler potential's is hoisted from
-        the printed source, without sympy."""
-        printed = _kepler_sources(self)
-        return _hoisted(_compile_def(printed[1], "kepler rhs", {}) if printed else self._rhs_fn)
+        return _evaluator(self, 1)
 
     # -- parsing ------------------------------------------------------------
 
     @staticmethod
-    def from_json(doc) -> "SystemSpec":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+    def from_json(doc: dict) -> "SystemSpec":
+        kind, kappa = doc["kind"], doc["kappa"]
         pot = doc.get("potential", "kepler")
-        kind = doc["kind"]
-        kappa = doc["kappa"]
-        m1 = doc.get("m1", 1)
-        m2 = doc.get("m2", 1)
-        if pot == "kepler":
-            potential = None
-        else:
-            potential = PotentialSpec.from_table(pot["num"], pot.get("den"))
-        return SystemSpec(kind, kappa, m1, m2, potential)
+        potential = None if pot == "kepler" else PotentialSpec(pot["num"], pot.get("den"))
+        return SystemSpec(kind, kappa, doc.get("m1", 1), doc.get("m2", 1), potential)
 
     def to_json(self) -> dict:
         return {
@@ -415,20 +311,30 @@ _FORCES_2B = (
 )
 
 
-def _kepler_sources(spec: SystemSpec):
+def _kepler_sources(spec: SystemSpec, lift: bool = False):
     """The source that sympy's lambdify prints for spec's H and vector
-    field, character for character, when W = -K/rho for a real K != 0
-    (read from the potential's tables, whatever its label); None otherwise.
+    field, or with lift for the one-body lift's K and grad K in
+    (x, y, z, p_x, p_y, p_z, u), character for character, when W = c/rho
+    for a real c != 0 (read from the potential's tables, whatever its
+    label); None otherwise.
 
     The kinetic coefficients are 1/m and 1/(2m), distributed over each
     velocity row, and each force term is a rational multiple of a fixed
-    printed expression."""
+    printed expression.  The lift's K is the kinetic energy plus c/u."""
     pot = spec.potential
     if (pot.num.keys() != {(0, 0)} or not pot.num[0, 0].is_real()
             or pot.den != {(0, 1): ExactScalar(1)}):
         return None
     c = pot.num[0, 0].re  # W = c/rho
-    if spec.kind == "one-body":
+    if lift:
+        names = "x, y, z, p_x, p_y, p_z, u"
+        hx, hy, dq, _, _ = _kinetic("", Fraction(1))
+        # the kinetic forces of a body of mass -1 are dK/dx and dK/dy
+        *_, kx, ky = _kinetic("", Fraction(-1))
+        # sympy prints 1/u and 1/u**2 as float powers, -1/u and -1/u**2 not
+        h = _sum(hx, hy, "u**(-1.0)" if c == 1 else _over(c, "u"))
+        rows = [kx, ky, "0", *dq, "u**(-2.0)" if c == -1 else _over(-c, "u**2")]
+    elif spec.kind == "one-body":
         names = "x, y, z, p_x, p_y, p_z"
         hx, hy, dq, fx, fy = _kinetic("", Fraction(1))
         den = f"({_RHO2_1B})**(3/2)"
@@ -448,6 +354,84 @@ def _kepler_sources(spec: SystemSpec):
                 _sum(fx2, forces[3]), _sum(fy2, forces[4]), forces[5]]
     head = f"def _lambdifygenerated({names}):\n    return "
     return f"{head}{h}\n", f"{head}[{', '.join(rows)}]\n"
+
+
+def _poly(table: dict, z: str, r: str) -> str:
+    """The sum of c*z**i*r**j over a table of real coefficients c, each
+    written as a float, at the texts z and r; "0.0" for an empty table."""
+    terms = []
+    for (i, j), c in table.items():
+        if not c.is_real():
+            raise ValueError("a numeric evaluator needs real potential coefficients")
+        powers = (v if k == 1 else f"{v}**{k}" for v, k in ((z, i), (r, j)) if k)
+        terms.append("*".join([repr(float(c.re)), *powers]))
+    return " + ".join(terms) or "0.0"
+
+
+def _partials(pot: PotentialSpec, z: str, r: str) -> tuple:
+    """The texts of W, W_z and W_rho at the texts z and r: the exact
+    partial derivatives of the tables N and D, then the quotient rule
+    W_v = (N_v - W D_v)/D."""
+    n, d = _poly(pot.num, z, r), _poly(pot.den, z, r)
+    w = f"(({n})/({d}))"
+
+    def partial(table, v):  # in z (v = 0) or in rho (v = 1)
+        return {(i - (v == 0), j - (v == 1)): c * (i, j)[v]
+                for (i, j), c in table.items() if (i, j)[v]}
+
+    return (w, *(f"((({_poly(partial(pot.num, v), z, r)}) - {w}*"
+                 f"({_poly(partial(pot.den, v), z, r)}))/({d}))" for v in (0, 1)))
+
+
+def _table_sources(spec: SystemSpec, lift: bool = False) -> tuple:
+    """The package's source of spec's H and vector field, or with lift of
+    the one-body lift's K and grad K, for any potential table: W, W_z and
+    W_rho from _partials, then the chain rule through the gauge's
+    closed-form gradient, d rho = (2 x r2, 2 y r2, 16 z)/rho with
+    r2 = x^2 + y^2, at the body (one-body) or at g1^-1 g2 (two-body)."""
+    if spec.kind == "one-body":
+        names = "x, y, z, p_x, p_y, p_z"
+        x, y, z, r2, rho2 = "x", "y", "z", "(x**2 + y**2)", _RHO2_1B
+    else:
+        names = "x1, y1, z1, x2, y2, z2, p_x1, p_y1, p_z1, p_x2, p_y2, p_z2"
+        x, y, z, r2, rho2 = "(-x1 + x2)", "(-y1 + y2)", _Z2B, _R2B, _RHO2_2B
+    rho = "u" if lift else f"sqrt({rho2})"
+    w, wz, wr = _partials(spec.potential, z, rho)
+    gx, gy = f"({wr}*2*{x}*{r2}/{rho})", f"({wr}*2*{y}*{r2}/{rho})"
+    gz = f"({wz} + {wr}*16*{z}/{rho})"
+    if spec.kind == "two-body":
+        hx1, hy1, dq1, fx1, fy1 = _kinetic("1", spec.m1_exact)
+        hx2, hy2, dq2, fx2, fy2 = _kinetic("2", spec.m2_exact)
+        h = f"{hx1} + {hx2} + {hy1} + {hy2} + {w}"
+        # the relative element's z is z2 - z1 + (x2 y1 - x1 y2)/2
+        rows = [*dq1, *dq2,
+                f"{fx1} + {gx} + (1/2)*y2*{gz}", f"{fy1} + {gy} - (1/2)*x2*{gz}", gz,
+                f"{fx2} - {gx} - (1/2)*y1*{gz}", f"{fy2} - {gy} + (1/2)*x1*{gz}", f"-{gz}"]
+    else:
+        hx, hy, dq, fx, fy = _kinetic("", Fraction(1))
+        h = f"{hx} + {hy} + {w}"
+        rows = [*dq, f"{fx} - {gx}", f"{fy} - {gy}", f"-{gz}"]
+        if lift:  # W(z, u) depends on neither x nor y
+            names += ", u"
+            rows = [*_kinetic("", Fraction(-1))[3:], wz, *dq, wr]
+    head = f"def _table({names}):\n    return "
+    return f"{head}{h}\n", f"{head}[{', '.join(rows)}]\n"
+
+
+def _evaluator(spec: SystemSpec, k: int, lift: bool = False):
+    """Entry k of spec's (H, vector field), or with lift of the one-body
+    lift's (K, grad K), compiled from the printed source: _kepler_sources'
+    for a Kepler table, whose sqrt is numpy's as in lambdify's namespace,
+    and _table_sources' otherwise.  A vector field or gradient evaluates
+    each repeated subexpression once (_hoisted)."""
+    printed = _kepler_sources(spec, lift)
+    if printed is not None:
+        import numpy as np
+
+        fn = _compile_def(printed[k], "kepler", {"sqrt": np.sqrt})
+    else:
+        fn = _compile_def(_table_sources(spec, lift)[k], "table", {"sqrt": math.sqrt})
+    return _hoisted(fn) if k else fn
 
 
 # numbers each compiled source's linecache entry, as lambdify numbers its
@@ -472,7 +456,7 @@ class _Refused(Exception):
 
 
 def _hoisted(fn):
-    """fn, a function that sympy's lambdify printed, with each BinOp, UnaryOp
+    """fn, a function compiled from printed source, with each BinOp, UnaryOp
     or Call subtree of its return value that holds an argument and occurs
     more than once evaluated once, into a local, before the return.
 
@@ -483,7 +467,7 @@ def _hoisted(fn):
     Call, Name and Constant below the returned List or Tuple (an IfExp or a
     BoolOp is lazy), gives fn back.  The source is compiled under a
     linecache entry, as lambdify's is, so inspect.getsource reads it."""
-    # lambdify's linecache entry is the def alone; inspect.getsource would
+    # the linecache entry is the def alone; inspect.getsource would
     # tokenize it again to find the block, a quarter of this pass's cost
     (fdef,) = ast.parse("".join(linecache.getlines(fn.__code__.co_filename))).body
     ret = fdef.body[0]
@@ -601,7 +585,7 @@ def _hamiltonian_rows(spec: SystemSpec, rows: np.ndarray) -> list:
 
 
 def _on_floats(fn, a: np.ndarray):
-    """The lambdified fn at the state array a, evaluated on Python floats.
+    """The printed fn at the state array a, evaluated on Python floats.
 
     They round as numpy's scalars do (IEEE + - * /, C pow for **) at a third
     of the cost.  Where Python raises and numpy returns inf or nan (x/0.0,

@@ -12,11 +12,17 @@ held integer numerators over one denominator, kept as its model.
 
 The ``numpy_scalar_*`` functions are the package's numeric evaluators as
 they were before they ran on Python floats: each unpacks the state array
-into numpy scalars, and the two-body gauge builds the phase state.
+into numpy scalars, and the two-body gauge builds g1^-1 g2 by the group
+law.
 
 ``per_point_monitor`` is ``dynamics.monitor_conserved`` as it was before
 it batched its dense-output and integral evaluations: one ``traj.at(t)``
 and one ``first_integrals`` per point.
+
+``potential_expr``, ``symbols``, ``h_expr``, ``rhs_fn`` and ``lift_fns``
+build W, H, the vector field and the one-body lift's K and grad K in sympy,
+and lambdify them: the evaluators as the package generated them before it
+printed its own, kept as the reference its printed ones are held to.
 
 ``sym_module`` and ``row_derivation`` derive the two derivative towers of
 the package in ExactRatFunc arithmetic, each entry in lowest terms: the
@@ -24,18 +30,21 @@ model of the numerator towers over one denominator that
 ``exactalg.tower_annihilator`` reads.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
+import sympy as sp
 
 from heisenkep.exactalg import ExactRatFunc, ExactScalar, _dot
 from heisenkep.dynamics import MonitorReport, drift_names
 from heisenkep.heisenmodel import (
     CollisionError,
     GroupElement,
-    PhaseState2B,
     first_integrals,
+    group_inv,
+    group_mul,
     hamiltonian,
     rho,
 )
@@ -278,7 +287,8 @@ def row_derivation(B, var: str):
 def numpy_scalar_state_rho(spec, a) -> float:
     if spec.kind == "one-body":
         return rho(GroupElement(a[0], a[1], a[2]))
-    return rho(PhaseState2B.from_array(a).relative)
+    g1, g2 = (GroupElement(*map(float, a[k:k + 3])) for k in (0, 3))
+    return rho(group_mul(group_inv(g1), g2))
 
 
 def numpy_scalar_h(spec, a):
@@ -286,7 +296,7 @@ def numpy_scalar_h(spec, a):
 
 
 def numpy_scalar_rhs(spec, a) -> np.ndarray:
-    return np.asarray(spec._rhs_fn(*a), dtype=float)
+    return np.asarray(spec._rhs(*a), dtype=float)
 
 
 def numpy_scalar_first_integrals(spec, a) -> dict:
@@ -333,3 +343,79 @@ def per_point_monitor(spec, traj) -> MonitorReport:
     h0 = vals["H"][0]
     j_const = bool(j_drift < 1e-8) if abs(h0) < 1e-9 else None
     return MonitorReport(drifts, float(djdt_res), float(h0), j_const, j_drift)
+
+
+@functools.cache
+def potential_expr(pot):
+    """W as a sympy expression in z and rho."""
+    z, rho = sp.symbols("z rho", real=True)
+
+    def build(table):
+        return sum(
+            ((sp.Rational(c.a, c.d) + sp.I * sp.Rational(c.b, c.d)) * z**i * rho**j
+             for (i, j), c in table.items()),
+            sp.Integer(0),
+        )
+
+    return sp.together(build(pot.num) / build(pot.den))
+
+
+@functools.cache
+def symbols(spec):
+    """The state's symbols, in the flat array order."""
+    if spec.kind == "one-body":
+        return sp.symbols("x y z p_x p_y p_z", real=True)
+    return sp.symbols(
+        "x1 y1 z1 x2 y2 z2 p_x1 p_y1 p_z1 p_x2 p_y2 p_z2", real=True
+    )
+
+
+@functools.cache
+def h_expr(spec):
+    """H as a sympy expression in symbols(spec)."""
+    s = symbols(spec)
+    z_w, rho_w = sp.symbols("z rho", real=True)
+    W = potential_expr(spec.potential)
+    if spec.kind == "one-body":
+        x, y, z, px, py, pz = s
+        kin = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2
+        rho_e = sp.sqrt((x**2 + y**2) ** 2 + 16 * z**2)
+        return kin + W.subs({z_w: z, rho_w: rho_e}, simultaneous=True)
+    x1, y1, z1, x2, y2, z2, px1, py1, pz1, px2, py2, pz2 = s
+    kin1 = ((px1 - y1 * pz1 / 2) ** 2 + (py1 + x1 * pz1 / 2) ** 2) / (2 * spec.m1_exact)
+    kin2 = ((px2 - y2 * pz2 / 2) ** 2 + (py2 + x2 * pz2 / 2) ** 2) / (2 * spec.m2_exact)
+    xd = x2 - x1
+    yd = y2 - y1
+    zd = z2 - z1 + (x2 * y1 - x1 * y2) / 2
+    rho_e = sp.sqrt((xd**2 + yd**2) ** 2 + 16 * zd**2)
+    return kin1 + kin2 + W.subs({z_w: zd, rho_w: rho_e}, simultaneous=True)
+
+
+@functools.cache
+def h_fn(spec):
+    """H lambdified."""
+    return sp.lambdify(symbols(spec), h_expr(spec), modules="numpy")
+
+
+@functools.cache
+def rhs_fn(spec):
+    """The vector field (dH/dp, -dH/dq) lambdified."""
+    s = symbols(spec)
+    n = len(s) // 2
+    dq = [sp.diff(h_expr(spec), p) for p in s[n:]]
+    dp = [-sp.diff(h_expr(spec), q) for q in s[:n]]
+    return sp.lambdify(s, dq + dp, modules="numpy")
+
+
+@functools.cache
+def lift_fns(spec):
+    """The one-body lift's K and grad K in (x, y, z, p_x, p_y, p_z, u),
+    lambdified: K is the kinetic energy plus W(z, u)."""
+    x, y, z, px, py, pz, u = sp.symbols("x y z p_x p_y p_z u", real=True)
+    z_w, rho_w = sp.symbols("z rho", real=True)
+
+    K = ((px - y * pz / 2) ** 2 + (py + x * pz / 2) ** 2) / 2 + potential_expr(
+        spec.potential).subs({z_w: z, rho_w: u}, simultaneous=True)
+    xs = (x, y, z, px, py, pz, u)
+    return (sp.lambdify(xs, K, modules="numpy"),
+            sp.lambdify(xs, [sp.diff(K, v) for v in xs], modules="numpy"))

@@ -461,7 +461,7 @@ def test_criterion_9_condition_fixtures():
     # boundary fixture: V = z^2 (x^2+y^2)^2 = z^2 rho^2 - 16 z^4 gives a = 0
     flat = SystemSpec(
         "one-body", 1,
-        potential=PotentialSpec.from_table([[2, 2, "1"], [4, 0, "-16"]]),
+        potential=PotentialSpec([[2, 2, "1"], [4, 0, "-16"]]),
     )
     assert condition_coefficient_a(flat, Fraction(1, 2)) == 0
 

@@ -23,6 +23,8 @@ from heisenkep.galois import o3r_operator, parabolic_from_ode
 from heisenkep.heisenmodel import PotentialSpec, SystemSpec, condition_coefficient_a
 from heisenkep.variational import generic_reduction, ve_twobody_blocks
 
+from oracles import rhs_fn
+
 
 @pytest.fixture()
 def runner():
@@ -254,6 +256,32 @@ def test_bad_exact_config_is_rejected(runner, tmp_path, command, cfg, message):
     assert not out.exists() or not any(out.iterdir())
 
 
+# A config that is not JSON or not a JSON object, a system table that is
+# not one, and a = 0 used to end in a traceback (a JSONDecodeError, a
+# TypeError, an AttributeError and a ZeroDivisionError); each is a usage
+# error
+@pytest.mark.parametrize("command, text, message", [
+    pytest.param("galois", '{"branch": "kepler", "a": "0"}', "a must be nonzero", id="galois-a0"),
+    pytest.param("ve", '{"system": "kepler", "a": "0"}', "a must be nonzero", id="ve-a0"),
+    pytest.param("factorize", '{"a": "0"}', "a must be nonzero", id="factorize-a0"),
+    pytest.param("simulate", "[1, 2]", "config must be a JSON object", id="simulate-list"),
+    pytest.param("ve", "[1, 2]", "config must be a JSON object", id="ve-list"),
+    pytest.param("verify", '{"system": "kepler"', "config is not JSON", id="verify-not-json"),
+    pytest.param("simulate", '{"system": [1, 2], "state": [1, 0, 0, 0, 0, 0]}',
+                 "bad system table: it must be a JSON object", id="simulate-system-list"),
+    pytest.param("sweep", '{"system": "kepler", "states": [[1, 0, 0, 0, 0, 0]]}',
+                 "bad system table: it must be a JSON object", id="sweep-system-name"),
+])
+def test_bad_top_level_config_is_rejected(runner, tmp_path, command, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 # -- simulate ---------------------------------------------------------------
 
 def test_simulate_invariant_line(runner, tmp_path):
@@ -318,6 +346,23 @@ def test_verify_onebody_extended_rows(runner, tmp_path):
     for expected in ("rank(J) = 2n", "{P,.} Casimir",
                      "extended-flow projection", "P drift"):
         assert expected in names
+
+
+@pytest.mark.parametrize("suites, message", [
+    # a typo used to write no row, all_pass true, and exit 0
+    (["nope"], 'extended, not ["nope"]'),
+    (["brackets", "extended", "Brackets"], 'extended, not ["brackets", "extended", "Brackets"]'),
+    ([], "suites must be a non-empty list of brackets and extended, not []"),
+    ("brackets", 'extended, not "brackets"'),
+])
+def test_verify_rejects_an_unknown_or_empty_suite_list(runner, tmp_path, suites, message):
+    cfg = {**_load(preset_path("verify_onebody")), "suites": suites}
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["verify", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_verify_csv_rows(runner, tmp_path):
@@ -499,6 +544,11 @@ def test_bad_config_entry_is_rejected(runner, tmp_path, command, preset, table, 
     pytest.param({"potential": {"num": [[0, 0, -1]], "den": [[0, 1, 0]]}},
                  "potential denominator is identically zero", id="den-zero"),
     pytest.param({"potential": {"den": [[0, 1, 1]]}}, "missing key 'num'", id="num-missing"),
+    # used to end in a TypeError from float() of a complex H
+    pytest.param({"potential": {"num": [[0, 0, "1+1*i"]], "den": [[0, 1, 1]]}},
+                 "the potential's coefficients must be real", id="num-complex"),
+    # used to end in a TypeError from indexing the string
+    pytest.param({"potential": "coulomb"}, "bad system table", id="potential-name"),
 ])
 def test_bad_system_entry_is_rejected(runner, tmp_path, command, preset, entry, message):
     cfg = _load(preset_path(preset))
@@ -525,6 +575,40 @@ def test_start_on_the_collision_set_is_rejected(runner, tmp_path, command, prese
     res = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "initial state on the collision set" in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, preset, key", [("simulate", "simulate_scatter", "state"),
+                                                  ("sweep", "sweep_onebody", "states")])
+def test_start_at_a_singularity_of_the_potential_is_rejected(runner, tmp_path, command, preset,
+                                                             key):
+    # W = 1/z at z = 0, off the collision set: the integrator's first step
+    # used to divide by a zero step size
+    cfg = _load(preset_path(preset))
+    cfg["system"] = {**cfg["system"], "potential": {"num": [[0, 0, 1]], "den": [[1, 0, 1]]}}
+    state = [1.0, 0.0, 0.0, 0.3, 1.2, 0.1]
+    cfg[key] = state if key == "state" else [cfg[key][0], state]
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    where = "state 1: " if key == "states" else ""
+    assert f"Error: {where}the vector field is not finite at the initial state" in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_extended_suite_start_at_a_singularity_of_the_potential_is_rejected(runner, tmp_path):
+    # W = 1/(z - 1/5) is singular at the suite's start (1, 0, 1/5)
+    cfg = _load(preset_path("verify_onebody"))
+    cfg["system"] = {**cfg["system"],
+                     "potential": {"num": [[0, 0, 1]], "den": [[1, 0, 1], [0, 0, "-1/5"]]}}
+    cfg.update(suites=["extended"], n_points=5)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["verify", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Error: extended suite: the vector field is not finite at the initial state" in (
+        res.output)
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -817,10 +901,9 @@ print(json.dumps(seen))
 
 
 def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
-    # the exact presets run first, and verify_onebody last: numpy and sympy,
-    # once loaded, stay in sys.modules
+    # the exact presets run first: numpy, once loaded, stays in sys.modules
     exact = sorted(EXACT_ARTIFACTS)
-    numeric = sorted(NUMERIC_ARTIFACTS, key=lambda p: (p == "verify_onebody", p))
+    numeric = sorted(NUMERIC_ARTIFACTS)
     packaged = {p.stem for p in preset_path("ve_kepler_a2").parent.glob("*.json")}
     assert packaged == {*exact, *numeric}
     proc = subprocess.run(
@@ -832,11 +915,11 @@ def test_exact_subcommands_load_neither_scipy_nor_sympy(tmp_path):
     exact_steps = ["import", *exact]
     assert {step: seen[step] for step in exact_steps} == dict.fromkeys(
         exact_steps, [0, False, False])
-    # every numeric preset loads numpy (positive control) and runs without
-    # scipy, and only verify_onebody loads sympy, for the extended lift: the
-    # Kepler evaluators are printed in the package
+    # every numeric preset loads numpy (positive control), runs without
+    # scipy, and loads no sympy: every evaluator, the extended lift's too, is
+    # printed in the package
     assert {p: seen[p] for p in numeric} == {
-        p: [NUMERIC_ARTIFACTS[p][1], p == "verify_onebody", True] for p in numeric}
+        p: [NUMERIC_ARTIFACTS[p][1], False, True] for p in numeric}
 
 
 def _loaded_by_import(module: str, candidates) -> str:
@@ -861,9 +944,11 @@ def test_exactalg_import_loads_no_numeric_layer():
 
 # SHA-256 of every artifact of every numeric preset, with the exit code of
 # its run (simulate_collision stops at the collision guard and exits 1).
-# The floats come from lambdified sympy expressions and the in-package RK45
-# on numpy, so the digests hold for the numpy and sympy versions they were
-# taken with (and the OpenBLAS kernel and libm variant: see the README).
+# The floats come from the evaluators heisenmodel prints (sympy 1.14's
+# lambdify text, on these Kepler systems) and the in-package RK45 on numpy,
+# so the digests hold for the numpy version they were taken with (and the
+# OpenBLAS kernel and libm variant: see the README).  The evaluator-source
+# digests below hold for the sympy version of their oracle.
 NUMERIC_VERSIONS = {"numpy": "2.4.6", "sympy": "1.14.0"}
 NUMERIC_ARTIFACTS = {
     "simulate_collision": ("simulate", 1, {
@@ -899,7 +984,7 @@ def _require_versions(names):
 
 @pytest.mark.parametrize("preset", sorted(NUMERIC_ARTIFACTS))
 def test_numeric_preset_artifact_digest(runner, tmp_path, preset):
-    _require_versions(("numpy", "sympy"))
+    _require_versions(("numpy",))
     command, code, digests = NUMERIC_ARTIFACTS[preset]
     res = _run(runner, [command, "--config", preset, "--out", str(tmp_path)])
     assert res.exit_code == code
@@ -911,9 +996,10 @@ def test_numeric_preset_artifact_digest(runner, tmp_path, preset):
 # SHA-256 of the generated source of the numeric evaluators.  The numeric
 # artifacts depend on the term order of these expressions, which depends on
 # sympy's printer only.  A Kepler spec's _h_fn and _rhs come from the
-# package's copy of that printer's text, and _rhs_fn from sympy itself.
-# _rhs is that text with its repeated subexpressions hoisted, as
-# ast.unparse writes it.
+# package's copy of that printer's text, and _rhs_fn is the oracle's, from
+# sympy itself.  _rhs is that text with its repeated subexpressions
+# hoisted, as ast.unparse writes it.  A table potential's evaluators are
+# the package's own text (heisenmodel._table_sources), pinned by no digest.
 LAMBDIFY_SOURCES = {
     "kepler_1b": (
         lambda: SystemSpec("one-body", 1), {
@@ -927,11 +1013,9 @@ LAMBDIFY_SOURCES = {
             "_rhs": "d8d3a9ba196a1e7ca46d1bfec1d3c5fc9a023f360ea0c56c142ce83d68718477"}),
     # W = (z^2 rho/3 + z - 2)/(rho^2 + 1)
     "table": (
-        lambda: SystemSpec("one-body", 1, potential=PotentialSpec.from_table(
+        lambda: SystemSpec("one-body", 1, potential=PotentialSpec(
             [[1, 0, 1], [0, 0, -2], [2, 1, "1/3"]], [[0, 2, 1], [0, 0, 1]])), {
-            "_h_fn": "6218f2c72649fc4c57b17e28d1aea58fe7329448529620457238d8d1c5b981a3",
-            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c",
-            "_rhs": "b7081cf8b255796d0f42ca8c228743fae22d6b69eb615762acc422e532ec9174"}),
+            "_rhs_fn": "f0b216f5785957b567f2675978d3da4dbf153ee65efec9fef2049877935a685c"}),
 }
 
 
@@ -940,6 +1024,7 @@ def test_lambdified_evaluator_source_digest(name):
     _require_versions(("sympy",))
     build, digests = LAMBDIFY_SOURCES[name]
     spec = build()
-    got = {fn: hashlib.sha256(inspect.getsource(getattr(spec, fn)).encode()).hexdigest()
-           for fn in digests}
+    got = {fn: hashlib.sha256(inspect.getsource(
+        rhs_fn(spec) if fn == "_rhs_fn" else getattr(spec, fn)).encode()).hexdigest()
+        for fn in digests}
     assert got == digests

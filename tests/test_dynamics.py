@@ -27,6 +27,7 @@ from heisenkep.heisenmodel import (
     GroupElement,
     PhaseState1B,
     PhaseState2B,
+    PotentialSpec,
     SystemSpec,
     _on_floats,
     condition_coefficient_a,
@@ -34,7 +35,7 @@ from heisenkep.heisenmodel import (
     particular_solution,
     state_rho,
 )
-from oracles import per_point_monitor
+from oracles import per_point_monitor, rhs_fn
 
 TIGHT = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0)
 
@@ -255,7 +256,7 @@ def _solve_ivp_orbit(spec, s0, cfg):
         return state_rho(spec, y) - cfg.rho_min
 
     near_collision.terminal, near_collision.direction = True, -1
-    return solve_ivp(lambda t, y: np.asarray(_on_floats(spec._rhs_fn, y), dtype=float),
+    return solve_ivp(lambda t, y: np.asarray(_on_floats(rhs_fn(spec), y), dtype=float),
                      (0.0, cfg.t_end), s0, method="RK45", rtol=cfg.rel_tol,
                      atol=cfg.abs_tol, dense_output=True, events=near_collision)
 
@@ -564,6 +565,15 @@ def test_extended_flow_is_solve_ivp_bit_for_bit(lifted, noise, tol, t_end):
 def test_extended_rejects_off_leaf(lifted):
     with pytest.raises(ValueError):
         integrate_extended(lifted, ExtendedState((1, 0, 0.2), (0, 0, 0), 5.0), TIGHT)
+
+
+def test_extended_rejects_a_start_where_the_field_is_not_finite():
+    # W = 1/z at z = 0: the first step size used to be NaN, and the step
+    # loop never ended
+    spec = SystemSpec("one-body", 1, potential=PotentialSpec([[0, 0, 1]], [[1, 0, 1]]))
+    x0 = ExtendedState((1.0, 0.0, 0.0), (0.3, 1.2, 0.1), 1.0)
+    with pytest.raises(CollisionError, match="vector field is not finite at the initial state"):
+        integrate_extended(extended_poisson_build(spec), x0, TIGHT)
 
 
 def test_extended_rejects_two_body(kepler2b):

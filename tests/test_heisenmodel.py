@@ -4,14 +4,16 @@ import inspect
 import json
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
+from heisenkep.dynamics import extended_poisson_build
 from heisenkep.heisenmodel import (
     CollisionError,
     GroupElement,
@@ -24,9 +26,11 @@ from heisenkep.heisenmodel import (
     group_inv,
     group_mul,
     hamiltonian,
+    _compile_def,
     _hoisted,
     _kepler_sources,
     _on_floats,
+    _table_sources,
     particular_solution,
     poisson_bracket,
     rho,
@@ -34,10 +38,14 @@ from heisenkep.heisenmodel import (
 )
 
 from oracles import (
+    h_fn,
+    lift_fns,
     numpy_scalar_first_integrals,
     numpy_scalar_h,
     numpy_scalar_rhs,
     numpy_scalar_state_rho,
+    potential_expr,
+    rhs_fn,
 )
 from test_cli import LAMBDIFY_SOURCES, _require_versions
 
@@ -84,7 +92,7 @@ def test_group_associativity():
         a, b, c = _rand_g(rng), _rand_g(rng), _rand_g(rng)
         lhs = group_mul(group_mul(a, b), c)
         rhs = group_mul(a, group_mul(b, c))
-        assert lhs.as_tuple() == pytest.approx(rhs.as_tuple(), abs=1e-12)
+        assert astuple(lhs) == pytest.approx(astuple(rhs), abs=1e-12)
 
 
 def test_rho_values():
@@ -214,14 +222,14 @@ def test_condition_a_kepler_exact(kepler1b):
 
 
 def test_condition_a_fails_for_z2r4_potential():
-    pot = PotentialSpec.from_table([[2, 2, "1"], [4, 0, "-16"]])
+    pot = PotentialSpec([[2, 2, "1"], [4, 0, "-16"]])
     spec = SystemSpec("one-body", 1, potential=pot)
     for c in (Fraction(1), Fraction(-2), Fraction(3, 5)):
         assert condition_coefficient_a(spec, c) == 0
 
 
 def test_condition_a_linear_potential():
-    pot = PotentialSpec.from_table([[0, 1, "1"]])  # W = rho
+    pot = PotentialSpec([[0, 1, "1"]])  # W = rho
     spec = SystemSpec("one-body", 1, potential=pot)
     assert condition_coefficient_a(spec, Fraction(2)) == 2
     assert condition_coefficient_a(spec, Fraction(-2)) == -2
@@ -272,20 +280,20 @@ def test_system_spec_json_round_trip(kepler2b):
 
 
 def test_system_spec_json_custom_potential():
-    pot = PotentialSpec.from_table([[2, 2, "1"], [4, 0, "-16"]])
+    pot = PotentialSpec([[2, 2, "1"], [4, 0, "-16"]])
     spec = SystemSpec("one-body", "3/2", potential=pot)
     back = SystemSpec.from_json(spec.to_json())
-    assert sp.simplify(back.potential.expr - spec.potential.expr) == 0
+    assert sp.simplify(potential_expr(back.potential) - potential_expr(spec.potential)) == 0
     assert back.kappa_exact == sp.Rational(3, 2)
 
 
 def test_potential_json_tables_are_canonical():
     # sorted by (i, j), equal monomials merged, zero coefficients dropped
-    pot = PotentialSpec.from_table(
+    pot = PotentialSpec(
         [[1, 0, "1/2"], [0, 2, "0"], [0, 0, 1], [1, 0, "1/2+1*i"]], [[0, 1, 2]])
     assert pot.to_json() == {"num": [[0, 0, "1"], [1, 0, "1+1*i"]],
                              "den": [[0, 1, "2"]]}
-    assert PotentialSpec.from_table(*pot.to_json().values()).to_json() == pot.to_json()
+    assert PotentialSpec(*pot.to_json().values()).to_json() == pot.to_json()
 
 
 @pytest.mark.parametrize(
@@ -315,17 +323,17 @@ _tables = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _nonz
 def test_system_spec_json_round_trip_exact(kappa, m1, m2, table):
     # exact rationals are written as they are (no nsimplify, which can turn
     # -1/13718 into a product of fractional powers), so they read back
-    pot = None if table is None else PotentialSpec.from_table(
+    pot = None if table is None else PotentialSpec(
         [[i, j, c] for (i, j), c in table.items()], [[0, 2, 1], [0, 0, 1]])
     spec = SystemSpec("one-body", kappa, m1, m2, potential=pot)
     doc = spec.to_json()
     assert doc["kappa"] == str(kappa) and doc["m1"] == str(m1) and doc["m2"] == str(m2)
-    back = SystemSpec.from_json(json.dumps(doc))
+    back = SystemSpec.from_json(json.loads(json.dumps(doc)))
     assert (back.kappa_exact, back.m1_exact, back.m2_exact) == (
         spec.kappa_exact, spec.m1_exact, spec.m2_exact)
     assert back.to_json() == doc
     if pot is not None:
-        assert sp.cancel(back.potential.expr - pot.expr) == 0
+        assert sp.cancel(potential_expr(back.potential) - potential_expr(pot)) == 0
 
 
 # -- evaluation on Python floats --------------------------------------------
@@ -380,8 +388,14 @@ def _hoist_spec(source):
     if isinstance(source, str):
         return _lambdify_spec(source)
     kind, table = source
-    return SystemSpec(kind, 1, m1=2, m2=3, potential=PotentialSpec.from_table(
+    return SystemSpec(kind, 1, m1=2, m2=3, potential=PotentialSpec(
         [[i, j, c] for (i, j), c in table], [[0, 2, 1], [0, 0, 1]]))
+
+
+def _printed_rhs(spec):
+    """spec's vector field compiled from its printed source, not hoisted."""
+    printed = _kepler_sources(spec) or _table_sources(spec)
+    return _compile_def(printed[1], "printed rhs", {"sqrt": math.sqrt})
 
 
 def _raises(fn, *args):
@@ -405,11 +419,15 @@ def _raises(fn, *args):
 @example("kepler_2b", [1e160, 0.0, 1.0, -1e160, 0.5, 0.0, 1.0, 2.0, 3.0, 1e160, -2.0, 1.0])
 @example("table", [0.5, 3e159, -1.0, 1.0, 1e160, 0.25] + [0.0] * 6)
 def test_hoisted_rhs_is_the_printed_rhs_bit_for_bit(source, values):
+    # the printed source is lambdify's text on a Kepler table, and the
+    # package's chain rule on any other (held to sympy's values by
+    # test_table_evaluators_match_the_sympy_oracle)
     spec = _hoist_spec(source)
+    printed = _printed_rhs(spec)
     a = np.array(values[: spec.dim])
-    with np.errstate(all="ignore"):  # numpy's sqrt makes numpy scalars of floats
-        assert _raises(spec._rhs, *a.tolist()) == _raises(spec._rhs_fn, *a.tolist())
-        assert np.array_equal(_bits(_on_floats(spec._rhs, a)), _bits(spec._rhs_fn(*a)))
+    with np.errstate(all="ignore"):
+        assert _raises(spec._rhs, *a.tolist()) == _raises(printed, *a.tolist())
+        assert np.array_equal(_bits(_on_floats(spec._rhs, a)), _bits(printed(*a)))
 
 
 @pytest.mark.parametrize("name", sorted(LAMBDIFY_SOURCES))
@@ -449,8 +467,7 @@ def test_hoist_leaves_a_lazy_expression_alone():
 
 def _lambdify_sources(spec):
     """The source that sympy's lambdify prints for spec's H and vector field."""
-    return (inspect.getsource(sp.lambdify(spec._symbols, spec.h_expr, modules="numpy")),
-            inspect.getsource(spec._rhs_fn))
+    return inspect.getsource(h_fn(spec)), inspect.getsource(rhs_fn(spec))
 
 
 # numerators and denominators up to 10^6, and the coefficients that print
@@ -472,6 +489,27 @@ def test_printed_kepler_evaluators_are_lambdify_source(kind, kappa, negative, m1
     assert inspect.getsource(spec._h_fn) == printed[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).filter(bool))
+@example(Fraction(1))
+@example(Fraction(-1))
+@example(Fraction(-2))
+@example(Fraction(1, 3))
+@example(Fraction(-5, 7))
+@example(Fraction(1, 16))
+def test_printed_kepler_lift_is_lambdify_source(kappa):
+    # sympy prints 1/u and 1/u**2 apart from the other coefficients
+    _require_versions(("sympy",))
+    spec = SystemSpec("one-body", kappa)
+    assert _kepler_sources(spec, lift=True) == tuple(map(inspect.getsource, lift_fns(spec)))
+
+
+# Off the Kepler tables the evaluators are the package's chain rule on float
+# coefficients, not sympy's text, so they agree with the oracle to within a
+# relative tolerance: |value - oracle| <= REL_TOL * (1 + |oracle|).
+REL_TOL = 1e-10
+
+
 @pytest.mark.parametrize("kind,num,den,printed", [
     ("one-body", [[1, 0, 1], [0, 0, -2]], [[0, 1, 1]], False),  # not a constant over rho
     ("one-body", [[0, 0, -1]], [[0, 1, 2]], False),              # den 2 rho
@@ -482,13 +520,54 @@ def test_printed_kepler_evaluators_are_lambdify_source(kind, kappa, negative, m1
 ])
 def test_evaluators_fall_back_to_sympy_off_the_kepler_tables(kind, num, den, printed):
     _require_versions(("sympy",))
-    spec = SystemSpec(kind, 1, 2, 3, potential=PotentialSpec.from_table(num, den))
+    spec = SystemSpec(kind, 1, 2, 3, potential=PotentialSpec(num, den))
     assert spec.potential.label == "custom"
     assert (_kepler_sources(spec) is not None) == printed
-    assert inspect.getsource(spec._h_fn) == _lambdify_sources(spec)[0]
-    assert spec._h_fn.__code__.co_filename.startswith("<kepler" if printed else "<lambdify")
+    state = [1.0, 0.5, 0.25, 0.1, 0.2, 0.3, -0.5, 0.75, 2.0, 0.4, -0.1, 0.6][: spec.dim]
+    if not spec.potential.num[0, 0].is_real():  # the evaluators need real coefficients
+        with pytest.raises(ValueError, match="real potential coefficients"):
+            spec._h_fn
+        return
+    assert spec._h_fn.__code__.co_filename.startswith("<kepler" if printed else "<table")
     if printed:
-        assert _kepler_sources(spec)[1] == _lambdify_sources(spec)[1]
+        assert _kepler_sources(spec) == _lambdify_sources(spec)
+        assert inspect.getsource(spec._h_fn) == _lambdify_sources(spec)[0]
         # its sqrt is numpy's, as in lambdify's namespace
-        state = [1.0, 0.5, 0.25, 0.1, 0.2, 0.3, -0.5, 0.75, 2.0, 0.4, -0.1, 0.6]
-        assert type(spec._h_fn(*state[: spec.dim])) is np.float64
+        assert type(spec._h_fn(*state)) is np.float64
+        return
+    pairs = [(spec._h_fn(*state), h_fn(spec)(*state)),
+             *zip(spec._rhs(*state), rhs_fn(spec)(*state))]
+    assert all(abs(a - b) <= REL_TOL * (1 + abs(b)) for a, b in pairs), pairs
+
+
+_small_q = st.fractions(min_value=-10, max_value=10, max_denominator=20).filter(bool)
+# denominators positive wherever rho >= 0: 1, rho^2 + 1 and z^2 + rho + 1/2
+_positive_dens = st.sampled_from([None, [[0, 2, 1], [0, 0, 1]],
+                                  [[2, 0, 1], [0, 1, 1], [0, 0, "1/2"]]])
+
+
+# no shrinking: each example lambdifies its own sympy oracle
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.sampled_from(["one-body", "two-body"]),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _small_q,
+                       min_size=1, max_size=4),
+       _positive_dens, _small_q.map(abs), _small_q.map(abs), st.integers(0, 2**32 - 1))
+def test_table_evaluators_match_the_sympy_oracle(kind, num, den, m1, m2, seed):
+    # H, its vector field (-grad H in the momenta's rows) and the one-body
+    # lift's K and grad K, against sympy's derivatives of the same tables, at
+    # 25 states with coordinates in [-2, 2] (and u in [0.1, 3])
+    _require_versions(("sympy",))
+    pot = PotentialSpec([[i, j, c] for (i, j), c in num.items()], den)
+    spec = SystemSpec(kind, 1, m1, m2, potential=pot)
+    assume(_kepler_sources(spec) is None)
+    lift = extended_poisson_build(spec) if kind == "one-body" else None
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        a, u = rng.uniform(-2, 2, size=spec.dim), rng.uniform(0.1, 3)
+        pairs = [(spec._h_fn(*a.tolist()), h_fn(spec)(*a)),
+                 *zip(spec._rhs(*a.tolist()), rhs_fn(spec)(*a))]
+        if kind == "one-body":
+            lifted = [*a.tolist(), u]
+            pairs += [(lift._K(*lifted), lift_fns(spec)[0](*a, u)),
+                      *zip(lift._gradK(*lifted), lift_fns(spec)[1](*a, u))]
+        assert all(abs(x - y) <= REL_TOL * (1 + abs(y)) for x, y in pairs), pairs

@@ -47,7 +47,9 @@ from oracles import (
     bessel_closed_form,
     evaluate,
     fundamental_solution,
+    h_expr,
     row_derivation,
+    symbols,
     system_residual,
     transform_vars_q1h1,
     transform_vars_q1h1_inverse,
@@ -128,9 +130,9 @@ def _reference_ve_along(spec, c):
     read each entry as a polynomial in t."""
     a = condition_coefficient_a(spec, c)
     t = sp.Symbol("t", real=True)
-    syms = spec._symbols
-    field = [sp.diff(spec.h_expr, p) for p in syms[3:]] + [
-        -sp.diff(spec.h_expr, q) for q in syms[:3]
+    syms = symbols(spec)
+    field = [sp.diff(h_expr(spec), p) for p in syms[3:]] + [
+        -sp.diff(h_expr(spec), q) for q in syms[:3]
     ]
     aq = sp.Rational(a.numerator, a.denominator)
     point = dict(zip(syms, (0, 0, sp.Rational(c.numerator, c.denominator), 0, 0, -2 * aq * t)))
@@ -150,7 +152,7 @@ def _reference_ve_along(spec, c):
 def _spec(kappa, table):
     if table is None:
         return SystemSpec("one-body", kappa)
-    return SystemSpec("one-body", kappa, potential=PotentialSpec.from_table(*table))
+    return SystemSpec("one-body", kappa, potential=PotentialSpec(*table))
 
 
 # -1/(rho + 1) and (z - 2)/rho^2
@@ -261,7 +263,8 @@ def test_exact_path_builds_no_sympy_expression(table):
     condition_coefficient_a(spec, Fraction(1, 2))
     ve_along(spec, {"c": Fraction(-3, 2)})
     ve_blocks_transformed(spec, Fraction(1, 2))
-    assert "expr" not in spec.potential.__dict__
+    # nor any numeric evaluator
+    assert not {"_h_fn", "_rhs"} & spec.__dict__.keys()
 
 
 # -- change of variables ----------------------------------------------------
