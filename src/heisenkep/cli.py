@@ -133,11 +133,14 @@ def _frac(v) -> Fraction:
 
 
 def _integrator_config(rc: RunConfig) -> IntegratorConfig:
-    """IntegratorConfig from the config's "integrator" table.  A key that
-    is not one of its fields, or a value it rejects, is a usage error."""
+    """IntegratorConfig from the config's "integrator" table.  A table that
+    is not a JSON object, a key that is not one of its fields, or a value it
+    rejects is a usage error."""
     from .dynamics import IntegratorConfig
 
     opts = rc.config.get("integrator", {})
+    if not isinstance(opts, dict):
+        raise click.ClickException("the integrator table must be a JSON object")
     unknown = sorted(set(opts) - {f.name for f in fields(IntegratorConfig)})
     if unknown:
         raise click.ClickException(f"unknown integrator key(s): {', '.join(unknown)}")
@@ -167,13 +170,20 @@ def _system(rc: RunConfig) -> SystemSpec:
 
 
 def _thresholds(rc: RunConfig, spec: SystemSpec) -> dict:
-    """The config's "thresholds" table, each key a quantity _orbit checks."""
+    """The config's "thresholds" table, each key a quantity _orbit checks
+    and each value a number; anything else is a usage error, raised before
+    any orbit is integrated."""
     from .dynamics import drift_names
 
     thresholds = rc.config.get("thresholds", {"H": 1e-9})
+    if not isinstance(thresholds, dict):
+        raise click.ClickException("the thresholds table must be a JSON object")
     unknown = sorted(set(thresholds) - {"line", "djdt", "j_drift", *drift_names(spec)})
     if unknown:
         raise click.ClickException(f"unknown threshold key(s): {', '.join(unknown)}")
+    for key, tol in thresholds.items():
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+            raise click.ClickException(f"threshold {key} must be a number, not {tol!r}")
     return thresholds
 
 
@@ -226,6 +236,8 @@ def _initial_state(spec: SystemSpec, cfg: dict) -> np.ndarray:
         except ValueError as e:
             raise click.ClickException(f"state 0: {e}") from e
         return s.to_array()
+    if "state" not in cfg:
+        raise click.ClickException('the config needs a "state" or a "particular" table')
     return _state_array(spec, cfg["state"], "state 0: ")
 
 
@@ -664,6 +676,8 @@ def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
 
     if "states" in cfg:
         return [_state_array(spec, s, f"state {i}: ") for i, s in enumerate(cfg["states"])]
+    if "random" not in cfg:
+        raise click.ClickException('the config needs a "states" or a "random" table')
     rnd = cfg["random"]
     unknown = sorted(set(rnd) - {"n", "rho_min", "min_p_theta", "q_low", "q_high",
                                  "p_low", "p_high"})

@@ -35,6 +35,7 @@ import math
 import operator
 import re as _re
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ExactScalar",
@@ -43,6 +44,7 @@ __all__ = [
     "ExactMatrix",
     "clear_denominators",
     "scalar_nullspace",
+    "Derivation",
     "tower_annihilator",
     "gaussian_roots",
 ]
@@ -711,7 +713,14 @@ def squarefree_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
 
 class ExactRatFunc:
     """Quotient of ExactPoly values, canonical at construction:
-    gcd(num, den) = 1 and den monic."""
+    gcd(num, den) = 1 and den monic.
+
+    A canonical constant denominator is 1.  When both operands of ``+``,
+    ``-`` or ``*`` have den = 1, the result is the sum, difference or
+    product of the numerators over 1, canonical as it stands; a nonzero
+    ExactScalar factor keeps num and den coprime and den monic.  Only the
+    general case forms num * den' +- num' * den over den * den' and
+    normalizes it with a gcd."""
 
     __slots__ = ("num", "den")
 
@@ -770,8 +779,14 @@ class ExactRatFunc:
             raise ValueError("not a polynomial")
         return self.num.scale(self.den.coeff(0).inverse())
 
+    def _over_one(self, other) -> bool:
+        """Both denominators are 1, in one variable."""
+        return len(self.den.re) == 1 == len(other.den.re) and self.den.var == other.den.var
+
     def __add__(self, other):
         other = ExactRatFunc.coerce(other, self.var)
+        if self._over_one(other):
+            return _ratfunc(self.num + other.num, self.den)
         return ExactRatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -779,18 +794,27 @@ class ExactRatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-ExactRatFunc.coerce(other, self.var))
+        other = ExactRatFunc.coerce(other, self.var)
+        if self._over_one(other):
+            return _ratfunc(self.num - other.num, self.den)
+        return ExactRatFunc(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __rsub__(self, other):
         return ExactRatFunc.coerce(other, self.var) - self
 
     def __neg__(self):
-        return ExactRatFunc(-self.num, self.den, _canonical=True)
+        return _ratfunc(-self.num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, ExactScalar):
-            return ExactRatFunc(self.num.scale(other), self.den)
+            if not other:
+                return ExactRatFunc(0, var=self.var)
+            return _ratfunc(self.num.scale(other), self.den)
         other = ExactRatFunc.coerce(other, self.var)
+        if self._over_one(other):
+            return _ratfunc(self.num * other.num, self.den)
         return ExactRatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -840,6 +864,19 @@ class ExactRatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+
+_set_num = ExactRatFunc.num.__set__
+_set_den = ExactRatFunc.den.__set__
+
+
+def _ratfunc(num: ExactPoly, den: ExactPoly) -> ExactRatFunc:
+    """The ExactRatFunc of a canonical (num, den)."""
+    f = _new(ExactRatFunc)
+    _set_num(f, num)
+    _set_den(f, den)
+    return f
+
 
 def clear_denominators(fs, var: str):
     """(D, [f * D for f in fs]): D is the monic lcm of the denominators of
@@ -1112,12 +1149,15 @@ def scalar_nullspace(rows) -> tuple[list[list[ExactScalar]], int]:
 
 _MODULI: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p), extended on use
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES, which is deterministic (exact)
-    for every n below 3.3 * 10^24."""
+    """Miller-Rabin to the bases _MR_BASES, the primes up to 41, which is
+    deterministic (exact) for every n below psi_13 =
+    3317044064679887385961981, the least strong pseudoprime to them all
+    (Sorenson and Webster, Math. Comp. 2017).  The primes up to 37 alone
+    pass psi_12 = 318665857834031151167461."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -1270,11 +1310,49 @@ def _lift_gaussian(acc, p: int, s: int, plus: list[int], minus: list[int]):
 # Certified annihilators of derivative towers over Q(i)(t)
 # ---------------------------------------------------------------------------
 
-def _poly_mod(f: ExactPoly, p: int, root: int) -> list[int]:
-    """Coefficients of f modulo p under i -> root; ValueError if p divides
-    a coefficient denominator."""
-    inv = pow(f.d, -1, p)
-    return [(a + root * b) * inv % p for a, b in zip(f.re, f.im)]
+class Derivation(NamedTuple):
+    """The derivation v -> v' + A v / dz of vectors of length `dim` over
+    Q(i)(var), as data.
+
+    dz is a nonzero polynomial of Z[i][t], given by its lists of real and
+    imaginary integer coefficients, whose leading coefficient is a positive
+    integer DA, so that d = dz / DA is monic.  A is a dim x dim matrix over
+    Z[i][t], held as its nonzero entries: (source, target, re, im) adds
+    (re + im*i) v[source] to entry `target` of A v.  `Derivation.of` builds
+    it from v' + act(v) / d over Q(i)[t]."""
+
+    dz: tuple
+    act: list
+    dim: int
+    var: str
+
+    @staticmethod
+    def of(d: ExactPoly, act: dict, dim: int) -> "Derivation":
+        """The derivation v -> v' + act(v) / d for d monic and act given by
+        its entries {(source, target): ExactPoly}: DA is the least integer
+        that clears d and every entry, dz = DA d and A = DA act."""
+        DA = math.lcm(d.d, *(f.d for f in act.values()))
+
+        def scaled(f):
+            k = DA // f.d
+            return [x * k for x in f.re], [x * k for x in f.im]
+
+        return Derivation(scaled(d), [(s, t, *scaled(f)) for (s, t), f in act.items() if f],
+                          dim, d.var)
+
+
+def _level(polys) -> tuple:
+    """The polynomials as one tower level: (pairs, den), their real and
+    imaginary integer coefficients over one positive integer den, with
+    gcd(den, the integers) = 1 as over the lcm of canonical denominators."""
+    den = math.lcm(*(f.d for f in polys))
+    return [([a * (den // f.d) for a in f.re], [b * (den // f.d) for b in f.im])
+            for f in polys], den
+
+
+def _poly_mod(re: list, im: list, p: int, root: int, scale: int = 1) -> list[int]:
+    """Coefficients of (re + im*i) * scale modulo p under i -> root."""
+    return [(a + root * b) * scale % p for a, b in zip(re, im)]
 
 
 def _eval_mod(f: list[int], x: int, p: int) -> int:
@@ -1387,17 +1465,22 @@ def _tower_at(cols, x: int, p: int):
     return [[sum(map(operator.mul, f, powers)) % p for f in col] for col in cols]
 
 
-def _residues(cache: dict, tower, d: ExactPoly, p: int, root: int):
-    """The residues modulo p under i -> root of d, of each vector N_j
-    divided by the highest power d^(j - f_j) of d that divides it, and the
-    f_j, kept in `cache` so that each vector is reduced once per (p, root)
-    however often the tower grows; ValueError when p divides a coefficient
-    denominator."""
+def _residues(cache: dict, tower, dz: tuple, p: int, root: int):
+    """The residues modulo p under i -> root of dz, of each level N_j
+    divided by the highest power dz^(j - f_j) of dz that divides it, and
+    the f_j, kept in `cache` so that each level is reduced once per
+    (p, root) however often the tower grows.  A level takes one inverse,
+    of its denominator.  ValueError when p divides that denominator or the
+    leading coefficient of dz."""
     if (p, root) not in cache:
-        cache[p, root] = (_poly_mod(d, p, root), [], [])
+        dp = _poly_mod(*dz, p, root)
+        if not dp[-1]:
+            raise ValueError("p divides the leading coefficient of dz")
+        cache[p, root] = (dp, [], [])
     dp, cols, fs = cache[p, root]
-    for vec in tower[len(cols):]:
-        col, f = [_poly_mod(e, p, root) for e in vec], len(cols)
+    for entries, den in tower[len(cols):]:
+        inv = pow(den, -1, p)
+        col, f = [_poly_mod(re, im, p, root, inv) for re, im in entries], len(cols)
         while len(dp) > 1 and any(map(any, col)):
             qr = [_divmod_mod(e, dp, p) for e in col]
             if any(r for _, r in qr):
@@ -1415,12 +1498,12 @@ def _residues(cache: dict, tower, d: ExactPoly, p: int, root: int):
 _STEP = 0x9E3779B97F4A7C15
 
 
-def _tower_image(cache: dict, tower, d: ExactPoly, p: int, root: int, T: int, skips: int):
-    """The dependency sum_{j<m} b_j v_j + v_m = 0 of the tower v_j = N_j / d^j,
+def _tower_image(cache: dict, tower, dz: tuple, p: int, root: int, T: int, skips: int):
+    """The dependency sum_{j<m} b_j v_j + v_m = 0 of the tower v_j = N_j / dz^j,
     j <= m, modulo p, under i -> root, by interpolating its Cramer
     polynomials; the tower's residues come from `cache` (see _residues).
 
-    The columns are c_j = d^f_j v_j, polynomials modulo p (see _residues).
+    The columns are c_j = dz^f_j v_j, polynomials modulo p (see _residues).
     Sample points are k G mod p (see _STEP).  A point where all m + 1
     columns are independent proves that over Q(i)(t) too, and _GREW is
     returned so that the caller derives v_{m+1}.  The first point where the first m columns are
@@ -1432,16 +1515,17 @@ def _tower_image(cache: dict, tower, d: ExactPoly, p: int, root: int, T: int, sk
     tower_annihilator); the elimination at each point gives beta_j(x) and
     Delta(x), which extend one interpolant each.  Once all m + 1 fit a
     fresh point, or at T + 1 points, where they are exact, the image
-    b_j = P_j d^(f_j - f_m) / Delta is returned, reduced by one gcd over
+    b_j = P_j dz^(f_j - f_m) / Delta is returned, reduced by one gcd over
     F_p, as [(num_j, den_j)] with den_j monic.
 
-    Returns None when p is unlucky: it divides a coefficient denominator,
+    Returns None when p is unlucky: it divides a level's denominator or the
+    leading coefficient of dz,
     or more than `skips` points are skipped.  Unless the first m columns are
     dependent modulo p, at most sum_{i<m} delta_i are: the roots of the
     fixed minor's Delta, of that degree at most and nonzero at the point
     that fixed it."""
     try:
-        dp, cols, f = _residues(cache, tower, d, p, root)
+        dp, cols, f = _residues(cache, tower, dz, p, root)
     except ValueError:
         return None
     m = len(cols) - 1
@@ -1479,71 +1563,99 @@ def _tower_image(cache: dict, tower, d: ExactPoly, p: int, root: int, T: int, sk
     return image
 
 
-def _z_i(polys) -> list[tuple[list[int], list[int]]]:
-    """Real and imaginary integer coefficients of the polynomials, all
-    scaled by the lcm of their denominators."""
-    den = math.lcm(*(f.d for f in polys))
-    return [([a * (den // f.d) for a in f.re], [b * (den // f.d) for b in f.im])
-            for f in polys]
-
-
-def _certified(tower, d: ExactPoly, m: int, coeffs) -> bool:
+def _certified(tower, dz: tuple, m: int, coeffs) -> bool:
     """sum_{j<m} b_j v_j + v_m = 0 exactly, for b_j = num_j / den_j and
-    v_j = N_j / d^j.
+    v_j = N_j / dz^j.
 
     With the b_j and 1 brought to the lcm of the den_j, as a_j, and times
-    d^m, this is the polynomial identity sum_{j<=m} a_j d^(m-j) N_j = 0 per
-    row; it is checked over Z[i] with products and sums only."""
-    D, lhs = clear_denominators([ExactRatFunc(*c, _canonical=True) for c in coeffs], d.var)
-    lhs = _z_i([f * d ** (m - j) for j, f in enumerate(lhs + [D])])
-    for r in range(len(tower[0])):
-        rhs = _z_i([vec[r] for vec in tower[: m + 1]])
+    dz^m, this is the polynomial identity sum_{j<=m} a_j dz^(m-j) N_j = 0 per
+    entry.  Each a_j dz^(m-j) is brought over the one denominator of all
+    the terms, and the identity is checked over Z[i] with products and sums
+    only."""
+    D, lhs = clear_denominators([ExactRatFunc(*c, _canonical=True) for c in coeffs],
+                                coeffs[0][1].var)
+    lhs.append(D)
+    den = math.lcm(*(a.d * level_den for a, (_, level_den) in zip(lhs, tower)))
+    factors, power = [None] * (m + 1), ([1], [0])  # power = dz^(m-j)
+    for j in range(m, -1, -1):
+        a = lhs[j]
+        if a.re:
+            k = den // (a.d * tower[j][1])
+            factors[j] = _zi_mul([x * k for x in a.re], [x * k for x in a.im], *power)
+        power = _zi_mul(*power, *dz)
+    for r in range(len(tower[0][0])):
         tot_re, tot_im = [], []
-        for (ar, ai), (br, bi) in zip(lhs, rhs):
-            if ar and br:
-                _add_into(tot_re, tot_im, *_zi_mul(ar, ai, br, bi))
+        for factor, (entries, _) in zip(factors, tower):
+            re, im = entries[r]
+            if factor and re:
+                _add_into(tot_re, tot_im, *_zi_mul(*factor, re, im))
         if any(tot_re) or any(tot_im):
             return False
     return True
 
 
-def _prime_budget(tower, d: ExactPoly, m: int) -> int:
-    """K of tower_annihilator at order m, for the tower N_0, ..., N_m over
-    powers of d."""
-    den_lcm = math.lcm(d.d, *(f.d for vec in tower for f in vec))
-    if d.degree:
-        tower = [[f * d ** (m - j) for f in vec] for j, vec in enumerate(tower)]
-    delta = [max(0, *(f.degree for f in vec)) for vec in tower]
+def _prime_budget(tower, dz: tuple, m: int) -> int:
+    """K of tower_annihilator at order m, for the levels N_0, ..., N_m over
+    powers of dz."""
+    den = math.lcm(*(level_den for _, level_den in tower))
+    den_lcm = math.lcm(dz[0][-1], den)
+    delta, log_h, power = [0] * (m + 1), 0, ([1], [0])  # power = dz^(m-j)
+    for j in range(m, -1, -1):
+        entries, level_den = tower[j]
+        cols = [_zi_mul(re, im, *power) for re, im in entries if re]
+        delta[j] = max([0] + [len(re) - 1 for re, _ in cols])
+        norm = sum(abs(a) + abs(b) for re, im in cols for a, b in zip(re, im))
+        log_h += max(1, norm * (den // level_den)).bit_length()
+        power = _zi_mul(*power, *dz)
     T = sum(delta[:m]) + sum(delta) - min(delta[:m])
-    cols, k = _z_i([f for vec in tower for f in vec]), len(tower[0])
-    log_h = sum(
-        max(1, sum(abs(a) + abs(b) for re, im in cols[i : i + k] for a, b in zip(re, im)))
-        .bit_length()
-        for i in range(0, len(cols), k)
-    )
     log_c = T + (T + 1).bit_length() + log_h
     unlucky = (den_lcm.bit_length() + 2 * log_h
                + m * (4 * log_c + T * ((T + 1).bit_length() + 2 * log_c)))
     return -(-unlucky // 61) - (-((4 * m + 4) * log_c + 1) // 61) + 1
 
 
-def _derive(N: list, j: int, d: ExactPoly, act) -> list:
-    """N_{j+1} = d N_j' - j d' N_j + act(N_j), the numerator over d^(j+1)
-    of v_j' + act(v_j) / d for v_j = N_j / d^j."""
-    dd = d.derivative().scale(j)
-    return [(d * f.derivative() - dd * f if d.degree else f.derivative()) + g
-            for f, g in zip(N, act(N))]
+def _derive(level: tuple, j: int, der: Derivation) -> tuple:
+    """N_{j+1} = dz N_j' - j dz' N_j + A N_j, the numerator over dz^(j+1)
+    of v_j' + A v_j / dz for v_j = N_j / dz^j: one pass over the level's
+    integers, which keeps its denominator, and one gcd (see _level)."""
+    entries, den = level
+    zr, zi = der.dz
+    wr, wi = [-j * k * x for k, x in enumerate(zr)][1:], [-j * k * x for k, x in enumerate(zi)][1:]
+    out = []
+    for re, im in entries:
+        sr, si = [k * x for k, x in enumerate(re)][1:], [k * x for k, x in enumerate(im)][1:]
+        if sr and zr != [1]:
+            sr, si = _zi_mul(zr, zi, sr, si)
+        if j and wr and re:  # -j dz' N_j, zero for a constant dz
+            _add_into(sr, si, *_zi_mul(wr, wi, re, im))
+        out.append((sr, si))
+    for source, target, ar, ai in der.act:
+        re, im = entries[source]
+        if re:
+            _add_into(*out[target], *_zi_mul(ar, ai, re, im))
+    for re, im in out:
+        n = len(re)
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        del re[n:], im[n:]
+    if den != 1:
+        g = math.gcd(den, *(x for re, im in out for part in (re, im) for x in part))
+        if g != 1:
+            out = [([x // g for x in re], [x // g for x in im]) for re, im in out]
+            den //= g
+    return out, den
 
 
-def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
+def tower_annihilator(w, der: Derivation) -> list[ExactRatFunc]:
     """Coefficients [b_0, ..., b_{m-1}, 1] of the first Q(i)(t)-linear
     dependency v_m + sum_j b_j v_j = 0 in the derivative tower v_0 = w,
-    v_{j+1} = v_j' + act(v_j) / d, of a nonzero vector w of ExactPoly, for
-    d monic and `act` Q(i)[t]-linear; v_j = N_j / d^j is held as N_j (see
-    _derive).
+    v_{j+1} = v_j' + A v_j / dz, of a nonzero vector w of ExactPoly, for the
+    derivation `der` (see Derivation).  The tower is derived over Z[i][t]:
+    v_j = N_j / dz^j is held as the level N_j, Gaussian-integer
+    coefficients over one integer denominator (see _level and _derive).
 
     The order m and the b_j are found modulo primes p = 1 (mod 4), under
-    both embeddings i -> +-sqrt(-1), or one when d and the N_j are real,
+    both embeddings i -> +-sqrt(-1), or one when dz and the N_j are real,
     by sampling modulo p and interpolating the Cramer
     polynomials of one minor (see _tower_image); they are lifted to
     Q(i)(t) by CRT and rational reconstruction, and returned only once they
@@ -1566,13 +1678,13 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
     num_j and den_j would, by Gauss's lemma over Z[i] localized at p, be
     p-integral, and reduce to a common factor of that image modulo p.
 
-    Bring the columns to polynomials c_j = N_j d^(m-j) = d^m v_j, of
+    Bring the columns to polynomials c_j = N_j dz^(m-j) = dz^m v_j, of
     degrees delta_j, and then into Z[i][t] with one integer.  By Cramer's
     rule b_j = Delta_j / Delta for the m x m minor Delta of any m rows on
     which c_0, ..., c_{m-1} are independent, with Delta_j that minor with
     column j replaced by -c_m, so deg Delta <= sum_{i<m} delta_i and
     deg Delta_j + deg Delta <= T = sum_{i<=m} delta_i - delta_j
-    + sum_{i<m} delta_i.  _tower_image samples the N_j, with a power of d
+    + sum_{i<m} delta_i.  _tower_image samples the N_j, with a power of dz
     divided out, and T from their degrees bounds its interpolants.
     Expanding a determinant shows that every minor has coefficients at
     most H = prod_i max(1, |c_i|_1), with |c_i|_1 the sum of |re| + |im|
@@ -1584,12 +1696,12 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
     most C = 2^T sqrt(T + 1) H, and the coefficients of n_j / lc(d_j) and
     d_j / lc(d_j) have real and imaginary parts with numerators, and a
     denominator |lc(d_j)|^2, at most C^2.  Fix one nonzero minor Delta.
-    Call p unlucky if it divides a coefficient denominator of d or the N_j,
-    the norm (at most H^2) of a nonzero coefficient of Delta, or for some j
-    the norm of lc(n_j), of lc(d_j) (at most C^2 each) or of Res(n_j, d_j)
-    (at most ((T + 1) C^2)^T by Hadamard).  At any other p, Delta does not
-    vanish modulo p, so the columns, with any power of the monic d divided
-    out, are independent modulo p and no image is skipped as unlucky.  The
+    Call p unlucky if it divides the leading coefficient of dz or the
+    denominator of a level, the norm (at most H^2) of a nonzero coefficient
+    of Delta, or for some j the norm of lc(n_j), of lc(d_j) (at most C^2
+    each) or of Res(n_j, d_j) (at most ((T + 1) C^2)^T by Hadamard).  At
+    any other p, Delta does not vanish modulo p, so the columns, with any
+    power of dz divided out, are independent modulo p and no image is skipped as unlucky.  The
     minor that an image fixes may be another, but it does not vanish modulo
     p either, and any such minor gives b_j modulo p; so every image at such
     a p is that of the b_j, with their degrees.  At any p the image is b_j
@@ -1609,32 +1721,32 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
     of a nonzero polynomial that the tower fixes; a wrong image of higher
     degrees than the true ones would hold the lift back, and K turns that
     into this error too."""
-    var = d.var
+    var, dz = der.var, der.dz
     if all(f.is_zero() for f in w):
         raise ValueError("the zero vector has no annihilator")
-    tower, n = [list(w)], 0
-    residues = {}  # (p, root) -> residues of d and the tower, for the current p
+    tower, n = [_level(w)], 0
+    residues = {}  # (p, root) -> residues of dz and the tower, for the current p
     while True:  # once per order m
         m = len(tower)
-        tower.append(_derive(tower[-1], m - 1, d, act))
-        delta = [max(0, *(f.degree for f in vec)) for vec in tower]
+        tower.append(_derive(tower[-1], m - 1, der))
+        delta = [max(0, *(len(re) - 1 for re, _ in entries)) for entries, _ in tower]
         cramer = sum(delta[:m])
         T = cramer + sum(delta) - min(delta[:m])
-        real = not any(d.im) and not any(any(f.im) for vec in tower for f in vec)
+        real = not any(dz[1]) and not any(any(im) for entries, _ in tower for _, im in entries)
         best = acc = None
         first, stop = n, None
         for n in itertools.count(n):
             if n > first:
                 # the first prime neither proved growth nor certified
                 if stop is None:
-                    stop = first + _prime_budget(tower, d, m)
+                    stop = first + _prime_budget(tower, dz, m)
                 if n == stop:
                     raise RuntimeError("tower_annihilator exceeded its bound on the primes")
             p, s = _modulus(n)
             residues = {key: cols for key, cols in residues.items() if key[0] == p}
             images = []
             for root in (s,) if real else (s, p - s):
-                image = _tower_image(residues, tower, d, p, root, T, cramer)
+                image = _tower_image(residues, tower, dz, p, root, T, cramer)
                 if image is None or image is _GREW:
                     break
                 images.append(image)
@@ -1661,7 +1773,7 @@ def tower_annihilator(w, d: ExactPoly, act) -> list[ExactRatFunc]:
             it = iter(vals)
             coeffs = [tuple(ExactPoly([next(it) for _ in range(size)], var=var) for size in ab)
                       for ab in shape]
-            if _certified(tower, d, m, coeffs):
+            if _certified(tower, dz, m, coeffs):
                 return ([ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
                         + [ExactRatFunc.coerce(1, var)])
 

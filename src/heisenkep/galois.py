@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    Derivation,
     ExactMatrix,
     ExactPoly,
     ExactRatFunc,
@@ -29,7 +30,7 @@ from .exactalg import (
     tower_annihilator,
 )
 from . import variational
-from .variational import DiffOperator, _minimal_annihilator, _twist
+from .variational import DiffOperator, _minimal_annihilator, _row_module, _twist
 
 __all__ = [
     "DiffOperator",
@@ -454,37 +455,29 @@ def exp_solutions(L: DiffOperator) -> list:
 # ---------------------------------------------------------------------------
 
 def _sym_module(L: DiffOperator, k: int):
-    """(w, d, act) for tower_annihilator: w = y^k in the monomial module,
-    and its derivation v' + act(v) / d, with L cleared to polynomials
-    a_0, ..., a_n, d = a_n monic, and y^(o) -> y^(o+1) = d y^(o+1) / d, or
-    -sum_j a_j y^(j) / d for o = n - 1, at each place of a monomial.
+    """(w, der) for tower_annihilator: w = y^k in the monomial module, and
+    its derivation v' + act(v) / d as a Derivation, built once, with L
+    cleared to polynomials a_0, ..., a_n, d = a_n monic, and
+    y^(o) -> y^(o+1) = d y^(o+1) / d, or -sum_j a_j y^(j) / d for
+    o = n - 1, at each place of a monomial: act sends basis monomial b to
+    the sum of those terms, entry (b, b') of act summing the ones at b'.
 
     Basis: size-k multisets of derivative orders < n, as sorted tuples."""
     n = L.order
     var = L.var
     basis = sorted(itertools.combinations_with_replacement(range(n), k))
     index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    zero = ExactPoly((), var=var)
     *low, d = L.cleared()
     red = [(j, -a) for j, a in enumerate(low) if a]
-
-    def act(vec):
-        out = [zero] * dim
-        for b, c in zip(basis, vec):
-            if not c:
-                continue
-            shifted = c if not d.degree else d * c
-            reduced = [(j, c * a) for j, a in red] if b[-1] == n - 1 else ()
-            for pos, o in enumerate(b):
-                for j, e in ([(o + 1, shifted)] if o + 1 < n else reduced):
-                    nb = index[tuple(sorted(b[:pos] + (j,) + b[pos + 1 :]))]
-                    out[nb] = out[nb] + e
-        return out
-
-    w = [zero] * dim
+    act = {}
+    for source, b in enumerate(basis):
+        for pos, o in enumerate(b):
+            for j, e in ([(o + 1, d)] if o + 1 < n else red):
+                key = (source, index[tuple(sorted(b[:pos] + (j,) + b[pos + 1 :]))])
+                act[key] = act[key] + e if key in act else e
+    w = [ExactPoly((), var=var)] * len(basis)
     w[index[(0,) * k]] = ExactPoly.constant(1, var=var)
-    return w, d, act
+    return w, Derivation.of(d, act, len(basis))
 
 
 def sym_power(L: DiffOperator, k: int) -> DiffOperator:
@@ -792,10 +785,11 @@ def system_exp_solutions(sys) -> list:
     n = B.rows
     var = B.var
 
+    rows = _row_module(B, var)
     searches = {}  # cleared annihilator, as (re, im, d) tuples -> its candidates
     keys = []  # the annihilator of each coordinate
     for i in range(n):
-        polys = _minimal_annihilator(B, i, var).cleared()
+        polys = _minimal_annihilator(rows, i).cleared()
         key = tuple((p.re, p.im, p.d) for p in polys)
         if key not in searches:
             searches[key] = _poly_part_candidates(polys, var)[0]

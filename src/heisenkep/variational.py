@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar, _add_into,
-                       _pmk, _zi_mul, clear_denominators, tower_annihilator)
+from .exactalg import (Derivation, ExactMatrix, ExactPoly, ExactRatFunc, ExactScalar,
+                       _add_into, _pmk, _zi_mul, clear_denominators, tower_annihilator)
 from .heisenmodel import SystemSpec, axis_potential
 
 __all__ = [
@@ -351,25 +351,22 @@ def resonant_reduction(a1: LinearSystem) -> tuple:
     return g, ode, exp_substitution(ode, ExactPoly([0, 0, Fraction(2, 3)], var="tau"))
 
 
-def _row_module(B: ExactMatrix, index: int, var: str):
-    """(e, d, act) for tower_annihilator: the row e_index, and the rows'
-    derivation (row . y)' = (row' + row B) . y of y' = B y, with B = Bt / d
-    cleared by the lcm d of its denominators and act(row) = row Bt."""
+def _row_module(B: ExactMatrix, var: str) -> Derivation:
+    """The rows' derivation (row . y)' = (row' + row B) . y of y' = B y, as
+    a Derivation: with B = Bt / d cleared by the lcm d of its denominators,
+    act(row) = row Bt has the entries (i, j, Bt[i][j]).  B is cleared once,
+    and every row tower of y' = B y derives with it."""
     n = B.rows
     d, flat = clear_denominators([f for row in B.entries for f in row], var)
-    zero = ExactPoly((), var=var)
-
-    def act(row):
-        return [sum((f * g for f, g in zip(row, flat[j::n]) if f and g), zero)
-                for j in range(n)]
-
-    return [ExactPoly.constant(1 if j == index else 0, var=var) for j in range(n)], d, act
+    return Derivation.of(d, {(i, j): flat[i * n + j] for i in range(n) for j in range(n)}, n)
 
 
-def _minimal_annihilator(B: ExactMatrix, index: int, var: str) -> DiffOperator:
+def _minimal_annihilator(rows: Derivation, index: int) -> DiffOperator:
     """Minimal monic operator annihilating component `index` of every
-    solution of y' = B y; its order is at most the dimension."""
-    return DiffOperator(tower_annihilator(*_row_module(B, index, var)), var=var)
+    solution of y' = B y, for the rows' derivation of B (see _row_module);
+    its order is at most the dimension."""
+    w = [ExactPoly.constant(1 if j == index else 0, var=rows.var) for j in range(rows.dim)]
+    return DiffOperator(tower_annihilator(w, rows), var=rows.var)
 
 
 def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:
@@ -377,7 +374,7 @@ def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:
 
     Requires the component to be a cyclic vector: the rows e, eA + e',
     ... must span; otherwise NotCyclicError."""
-    L = _minimal_annihilator(sys.A, index, sys.var)
+    L = _minimal_annihilator(_row_module(sys.A, sys.var), index)
     if L.order < sys.dim:
         raise NotCyclicError(f"component {index} is not cyclic for this system")
     return L

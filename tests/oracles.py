@@ -27,7 +27,14 @@ printed its own, kept as the reference its printed ones are held to.
 ``sym_module`` and ``row_derivation`` derive the two derivative towers of
 the package in ExactRatFunc arithmetic, each entry in lowest terms: the
 model of the numerator towers over one denominator that
-``exactalg.tower_annihilator`` reads.
+``exactalg.tower_annihilator`` reads.  ``derive`` is one step of such a
+numerator tower in ExactPoly arithmetic, as the package took it before it
+derived its towers over Z[i][t].
+
+``ratfunc_add``, ``ratfunc_sub``, ``ratfunc_mul`` and ``ratfunc_scale`` are
+ExactRatFunc arithmetic by the general formula, num * den' +- num' * den
+over den * den' normalized by the constructor, whatever the operands: the
+model of its fast paths for operands over 1 and for scalar factors.
 """
 
 import functools
@@ -37,7 +44,7 @@ import math
 import numpy as np
 import sympy as sp
 
-from heisenkep.exactalg import ExactRatFunc, ExactScalar, _dot
+from heisenkep.exactalg import ExactRatFunc, ExactScalar, _dot, _pmk
 from heisenkep.dynamics import MonitorReport, drift_names
 from heisenkep.heisenmodel import (
     CollisionError,
@@ -282,6 +289,39 @@ def row_derivation(B, var: str):
         return [_dot(row + [row[j].derivative()], cols[j], var) for j in range(n)]
 
     return derive
+
+
+def level_polys(level, var: str = "t") -> list:
+    """The entries of a tower level (pairs, den) as ExactPoly."""
+    pairs, den = level
+    return [_pmk(list(re), list(im), den, var) for re, im in pairs]
+
+
+def derive(N, j: int, d, act):
+    """N_{j+1} = d N_j' - j d' N_j + act(N_j), the numerator over d^(j+1) of
+    v_j' + act(v_j) / d for v_j = N_j / d^j, for a vector N_j of ExactPoly,
+    d monic and act given by its entries {(source, target): ExactPoly}."""
+    dd = d.derivative().scale(j)
+    out = [d * f.derivative() - dd * f if d.degree else f.derivative() for f in N]
+    for (source, target), a in act.items():
+        out[target] = out[target] + a * N[source]
+    return out
+
+
+def ratfunc_add(f, g):
+    return ExactRatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ratfunc_sub(f, g):
+    return ExactRatFunc(f.num * g.den - g.num * f.den, f.den * g.den)
+
+
+def ratfunc_mul(f, g):
+    return ExactRatFunc(f.num * g.num, f.den * g.den)
+
+
+def ratfunc_scale(f, s):
+    return ExactRatFunc(f.num.scale(s), f.den)
 
 
 def numpy_scalar_state_rho(spec, a) -> float:

@@ -282,6 +282,40 @@ def test_bad_top_level_config_is_rejected(runner, tmp_path, command, text, messa
     assert not out.exists() or not any(out.iterdir())
 
 
+# A simulate config without "state" or "particular", a sweep config without
+# "states" or "random", an integrator table that is a list and a threshold
+# that is not a number used to end in a traceback (a KeyError, a KeyError, a
+# TypeError, and a ValueError raised after the orbit was integrated); each
+# is a usage error, raised before any orbit is integrated
+@pytest.mark.parametrize("command, preset, edit, message", [
+    pytest.param("simulate", "simulate_scatter", {"state": None},
+                 'needs a "state" or a "particular" table', id="simulate-no-state"),
+    pytest.param("sweep", "sweep_onebody", {"states": None},
+                 'needs a "states" or a "random" table', id="sweep-no-states"),
+    pytest.param("simulate", "simulate_twobody", {"integrator": [1, 2]},
+                 "the integrator table must be a JSON object", id="integrator-list"),
+    pytest.param("simulate", "simulate_scatter", {"thresholds": {"H": "x"}},
+                 "threshold H must be a number, not 'x'", id="threshold-string"),
+])
+def test_malformed_numeric_config_is_rejected(runner, tmp_path, monkeypatch, command, preset,
+                                              edit, message):
+    cfg = _load(preset_path(preset))
+    for key, value in edit.items():
+        if value is None:
+            cfg.pop(key)
+        else:
+            cfg[key] = value
+    integrated = []
+    monkeypatch.setattr(dynamics, "integrate", lambda *args: integrated.append(args))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not integrated
+    assert not out.exists() or not any(out.iterdir())
+
+
 # -- simulate ---------------------------------------------------------------
 
 def test_simulate_invariant_line(runner, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep.exactalg import (
+    Derivation,
     ExactMatrix,
     ExactPoly,
     ExactRatFunc,
@@ -22,6 +23,7 @@ from heisenkep.exactalg import (
     _derive,
     _eval_mod,
     _is_prime,
+    _level,
     _modulus,
     _poly_mod,
     _ratrec,
@@ -288,6 +290,55 @@ def test_ratfunc_product_normalization_property():
         )
 
 
+_RF_T = ExactPoly([0, 1])
+# denominators' factors: rational, Gaussian, and irreducible over Q(i)
+_RF_FACTORS = (_RF_T - 2, _RF_T - Fraction(1, 3), _RF_T - ExactScalar(0, 1),
+               _RF_T * _RF_T + 2)
+
+
+@st.composite
+def ratfunc_operands(draw):
+    """(f, g, s): rational functions over a shared part of their
+    denominators and a part of each (all three may be empty, so both over
+    1, equal, coprime or sharing a factor), numerators that may be zero and
+    a scalar that may be zero."""
+    shared = draw(st.lists(st.sampled_from(_RF_FACTORS), max_size=2))
+
+    def operand():
+        num = ExactPoly(draw(st.lists(scalars, max_size=3)))
+        own = draw(st.lists(st.sampled_from(_RF_FACTORS), max_size=2))
+        lead = draw(nonzero_scalars)  # the constructor makes den monic
+        return ExactRatFunc(num, math.prod(shared + own, start=ExactPoly([lead])))
+
+    return operand(), operand(), draw(st.just(ExactScalar(0)) | scalars)
+
+
+def _assert_canonical(f):
+    assert f.den.leading() == ExactScalar(1)
+    assert f.num.gcd(f.den) == ExactPoly([1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratfunc_operands())
+@example((ExactRatFunc(_RF_T + 1), ExactRatFunc(_RF_T * _RF_T), ExactScalar(0)))
+@example((ExactRatFunc(1, _RF_T - 2), ExactRatFunc(_RF_T, _RF_T - 2), ExactScalar(2, 1)))
+@example((ExactRatFunc(1, _RF_T - 2), ExactRatFunc(3, _RF_T * _RF_T + 2), ExactScalar(1)))
+@example((ExactRatFunc(1, (_RF_T - 2) * (_RF_T - Fraction(1, 3))),
+          ExactRatFunc(ExactPoly([ExactScalar(0, 1)]), _RF_T - 2), ExactScalar(0)))
+@example((ExactRatFunc(0), ExactRatFunc(0, _RF_T - 2), ExactScalar(Fraction(1, 2))))
+def test_ratfunc_arithmetic_matches_the_general_formula(operands):
+    # +, - and * by an operand or a scalar are the general formula,
+    # num * den' +- num' * den over den * den' normalized, byte for byte,
+    # however they get there, and canonical
+    f, g, s = operands
+    cases = [(f + g, oracles.ratfunc_add(f, g)), (f - g, oracles.ratfunc_sub(f, g)),
+             (f * g, oracles.ratfunc_mul(f, g)), (f * s, oracles.ratfunc_scale(f, s)),
+             (g * s, oracles.ratfunc_scale(g, s)), (-f, oracles.ratfunc_scale(f, ExactScalar(-1)))]
+    for got, want in cases:
+        assert got == want and str(got) == str(want) and got.to_json() == want.to_json()
+        _assert_canonical(got)
+
+
 # -- matrices ---------------------------------------------------------------
 
 def test_nullspace_identity_empty():
@@ -529,8 +580,10 @@ def test_miller_rabin_against_trial_division():
              if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
     assert [n for n in range(3000) if _is_prime(n)] == small
     # strong pseudoprimes to the first bases, and Carmichael numbers
+    # psi_12 = 399165290221 * 798330580441 passes the twelve bases up to 37
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
-              3474749660383, 341550071728321, 3825123056546413051, 561, 41041):
+              3474749660383, 341550071728321, 3825123056546413051, 561, 41041,
+              318665857834031151167461):
         assert not _is_prime(n)
     assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) * (2**61 - 1))
 
@@ -671,22 +724,26 @@ def test_clear_denominators():
     assert clear_denominators([], "x") == (ExactPoly([1], var="x"), [])
 
 
-def test_tower_annihilator_derives_lazily():
+def test_tower_annihilator_derives_lazily(monkeypatch):
     # rows of y' = B y with B = [[1, 0, 0], [1, 0, 0], [0, 1, 0]], so
     # y_0' = y_0: the first component has order 1 in a 3-dimensional
     # module, and only w' may be formed
     one, zero = ExactPoly([1]), ExactPoly(())
     calls = []
+    derive = exactalg._derive
 
-    def act(row):  # row B
-        calls.append(row)
-        return [row[0] + row[1], row[2], zero]
+    def spy(level, j, der):
+        calls.append(level)
+        return derive(level, j, der)
 
-    assert tower_annihilator([one, zero, zero], one, act) == [
+    monkeypatch.setattr(exactalg, "_derive", spy)
+    # act(row) = row B = [row[0] + row[1], row[2], 0]
+    rows = Derivation.of(one, {(0, 0): one, (1, 0): one, (2, 1): one}, 3)
+    assert tower_annihilator([one, zero, zero], rows) == [
         -ExactRatFunc.coerce(1), ExactRatFunc.coerce(1)]
     assert len(calls) == 1
     with pytest.raises(ValueError):
-        tower_annihilator([zero, zero], one, act)
+        tower_annihilator([zero, zero], rows)
 
 
 @st.composite
@@ -729,7 +786,7 @@ def test_incremental_interpolant_fits_a_planted_polynomial(planted):
 def _one_dimensional_tower(r):
     """w = [1] and its derivation v' + v r for y' = r y, as tower_annihilator
     takes them."""
-    return [ExactPoly([1])], r.den, lambda v: [v[0] * r.num]
+    return [ExactPoly([1])], Derivation.of(r.den, {(0, 0): r.num}, 1)
 
 
 def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
@@ -817,9 +874,24 @@ def _companion_tower(b0, b1):
     """w = y, w' = y' and w'' = -b_0 y - b_1 y' in the coordinates (y, y')
     of y'' + b_1 y' + b_0 y = 0, whose annihilator is [b_0, b_1, 1]: with
     b_j = c_j / d over the lcm d of their denominators, the derivation
-    v -> (v_0' - b_0 v_1, v_1' + v_0 - b_1 v_1) is v' + act(v) / d."""
+    v -> (v_0' - b_0 v_1, v_1' + v_0 - b_1 v_1) is v' + act(v) / d, with
+    act(v) = (-c_0 v_1, d v_0 - c_1 v_1)."""
     d, (c0, c1) = clear_denominators([b0, b1], "t")
-    return [ExactPoly([1]), ExactPoly(())], d, lambda v: [-c0 * v[1], d * v[0] - c1 * v[1]]
+    act = {(1, 0): -c0, (0, 1): d, (1, 1): -c1}
+    return [ExactPoly([1]), ExactPoly(())], Derivation.of(d, act, 2)
+
+
+def _image(f, p, s):
+    """The coefficients of the ExactPoly f modulo p under i -> s."""
+    return tuple(_poly_mod(f.re, f.im, p, s, pow(f.d, -1, p)))
+
+
+def _tower(w, der, order):
+    """The levels N_0, ..., N_order of the tower of w."""
+    tower = [_level(w)]
+    for j in range(order):
+        tower.append(_derive(tower[-1], j, der))
+    return tower
 
 
 _T = ExactPoly([0, 1])
@@ -835,17 +907,14 @@ _T = ExactPoly([0, 1])
     (ExactRatFunc(3, _T - 7) + ExactRatFunc(1, _T + 2), ExactRatFunc(-1, _T - 7)),
 ])
 def test_tower_image_is_the_reduced_cramer_quotient(monkeypatch, b0, b1):
-    w, d, act = _companion_tower(b0, b1)
-    assert tower_annihilator(w, d, act) == [b0, b1, ExactRatFunc.coerce(1)]
-    tower = [w]
-    for j in range(2):
-        tower.append(_derive(tower[-1], j, d, act))
+    w, der = _companion_tower(b0, b1)
+    assert tower_annihilator(w, der) == [b0, b1, ExactRatFunc.coerce(1)]
+    tower = _tower(w, der, 2)
     p, s = _modulus(0)
     T, skips = 20, 20
-    image = _tower_image({}, tower, d, p, s, T, skips)
+    image = _tower_image({}, tower, der.dz, p, s, T, skips)
     # the images of b_0 and b_1, their denominators monic
-    assert image == [(tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s)))
-                     for b in (b0, b1)]
+    assert image == [(_image(b.num, p, s), _image(b.den, p, s)) for b in (b0, b1)]
     # with no early stop, the interpolants are exact at T + 1 points and
     # give the same image
     points = []
@@ -856,8 +925,45 @@ def test_tower_image_is_the_reduced_cramer_quotient(monkeypatch, b0, b1):
         return add(fs, M, x, vs, q) or grow(M, x, q)
 
     monkeypatch.setattr(exactalg, "_add_point", no_fit)
-    assert _tower_image({}, tower, d, p, s, T, skips) == image
+    assert _tower_image({}, tower, der.dz, p, s, T, skips) == image
     assert len(points) == T + 1
+
+
+@st.composite
+def derivations(draw):
+    """(w, d, act): a vector of dimension 1 to 3, d monic of degree 0 to 2
+    made of _POLE_FACTORS, and act's entries, all with Gaussian-rational
+    coefficients."""
+    dim = draw(st.integers(1, 3))
+    polys = st.lists(_GAUSSIAN, max_size=3).map(ExactPoly)
+    d = math.prod(draw(st.lists(st.sampled_from(_POLE_FACTORS), max_size=2)),
+                  start=ExactPoly([1]))
+    index = st.integers(0, dim - 1)
+    keys = draw(st.lists(st.tuples(index, index), unique=True, max_size=4))
+    return [draw(polys) for _ in range(dim)], d, {key: draw(polys) for key in keys}
+
+
+@settings(max_examples=60, deadline=None)
+@given(derivations())
+@example(([ExactPoly([1, ExactScalar(Fraction(1, 2), 1)]), ExactPoly([Fraction(2, 3)])],
+          (_T - Fraction(1, 2)) * (_T - ExactScalar(0, 1)),
+          {(0, 1): ExactPoly([ExactScalar(0, Fraction(1, 3)), Fraction(1, 4)]),
+           (1, 0): ExactPoly([Fraction(-3, 2)]), (1, 1): _T * _T + 1}))
+def test_integer_levels_are_the_reference_numerators(drawn):
+    # the levels derived over Z[i][t] are the numerators N_j over d^j of
+    # the reference step times DA^j, since dz = DA d; each level is
+    # canonical: trimmed, its denominator prime to its integers
+    w, d, act = drawn
+    der = Derivation.of(d, act, len(w))
+    DA = der.dz[0][-1]
+    assert oracles.level_polys(([der.dz], 1))[0] == d.scale(DA)
+    level, N = _level(w), w
+    for j in range(3):
+        assert oracles.level_polys(level) == [f.scale(DA**j) for f in N]
+        pairs, den = level
+        assert all(not re or re[-1] or im[-1] for re, im in pairs)
+        assert math.gcd(den, *(x for re, im in pairs for x in re + im)) == 1
+        level, N = _derive(level, j, der), oracles.derive(N, j, d, act)
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 3])
@@ -869,7 +975,7 @@ def test_tower_annihilator_divides_powers_of_d_out_of_the_columns(power):
     d = (_T - 2) * (_T * _T + 1)
     s = ExactPoly([3, ExactScalar(0, 1)])
     r = ExactRatFunc(s * d**power, d)
-    ann = tower_annihilator([ExactPoly([1])], d, lambda v: [v[0] * s * d**power])
+    ann = tower_annihilator([ExactPoly([1])], Derivation.of(d, {(0, 0): s * d**power}, 1))
     assert ann == [-r, ExactRatFunc.coerce(1)]
 
 
@@ -884,12 +990,10 @@ def test_tower_image_keeps_its_minor_through_a_pivot_swap():
     u = _T - a
     b0 = ExactRatFunc(2, u * u - 1)
     b1 = -b0 * u
-    _, d, act = _companion_tower(ExactRatFunc.coerce(0), ExactRatFunc.coerce(0))
-    tower = [[u, ExactPoly([1])]]
-    for j in range(2):
-        tower.append(_derive(tower[-1], j, d, act))
-    assert _tower_image({}, tower, d, p, s, 20, 20) == [
-        (tuple(_poly_mod(b.num, p, s)), tuple(_poly_mod(b.den, p, s))) for b in (b0, b1)]
+    _, der = _companion_tower(ExactRatFunc.coerce(0), ExactRatFunc.coerce(0))
+    tower = _tower([u, ExactPoly([1])], der, 2)
+    assert _tower_image({}, tower, der.dz, p, s, 20, 20) == [
+        (_image(b.num, p, s), _image(b.den, p, s)) for b in (b0, b1)]
 
 
 _GAUSSIAN = st.builds(ExactScalar, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),

@@ -19,8 +19,10 @@ from heisenkep.exactalg import (
     _derive,
     _GREW,
     _dependency_mod,
+    _level,
     _modulus,
     _poly_mod,
+    _residues,
     clear_denominators,
     scalar_nullspace,
 )
@@ -52,7 +54,8 @@ from heisenkep.galois import (
     system_exp_solutions,
 )
 from heisenkep.heisenmodel import SystemSpec
-from heisenkep.variational import LinearSystem, _minimal_annihilator, gauge_transform, ve_along
+from heisenkep.variational import (LinearSystem, _minimal_annihilator, _row_module,
+                                   gauge_transform, ve_along)
 
 import oracles
 
@@ -425,14 +428,15 @@ def test_poly_mod_images_and_primes_dividing_a_denominator():
              + root * c.im.numerator * pow(c.im.denominator, -1, p)) % p
             for c in f.coeffs
         ]
-        assert _poly_mod(f, p, root) == want
+        assert _poly_mod(f.re, f.im, p, root, pow(f.d, -1, p)) == want
+    # a tower level over a denominator that p divides is not reduced
     for bad in (
         ExactScalar(Fraction(1, 26)),
         ExactScalar(1, Fraction(2, 13)),
         ExactScalar(Fraction(1, 2), Fraction(5, 39)),
     ):
         with pytest.raises(ValueError):
-            _poly_mod(ExactPoly([1, bad]), p, root)
+            _residues({}, [_level([ExactPoly([1, bad])])], ([1], [0]), p, root)
 
 
 @st.composite
@@ -450,33 +454,39 @@ def operators_with_a_pole(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(operators_with_a_pole())
+# a Gaussian d = t + 3/4 + (3/2) i, whose DA is 4
+@example((DiffOperator([ExactPoly([ExactScalar(0, Fraction(1, 2))]), ExactPoly([1, Fraction(1, 3)]),
+                        ExactPoly([ExactScalar(Fraction(1, 2), 1), Fraction(2, 3)])]), 3))
 def test_sym_module_numerators_match_the_rational_tower(drawn):
-    # the tower of y^k as numerators N_j over d^j, d the leading coefficient
-    # of L cleared, equals entry by entry the tower derived in ExactRatFunc
-    # arithmetic
+    # the tower of y^k as levels N_j over dz^j, dz = DA d for d the leading
+    # coefficient of L cleared and DA a positive integer, equals entry by
+    # entry the tower derived in ExactRatFunc arithmetic
     L, k = drawn
-    w, d, act = _sym_module(L, k)
-    assume(d.degree > 0)
-    assert d.leading() == 1
+    w, der = _sym_module(L, k)
+    dz = oracles.level_polys(([der.dz], 1))[0]
+    assume(dz.degree > 0)
+    DA = dz.leading()
+    assert DA.d == 1 and DA.b == 0 and DA.a > 0
+    assert dz.scale(DA.inverse()) == L.cleared()[-1]
     v, d_vec = oracles.sym_module(L, k)
-    N = w
+    level = _level(w)
     for j in range(4):
-        assert [ExactRatFunc(f, d**j) for f in N] == v
-        N, v = _derive(N, j, d, act), d_vec(v)
+        assert [ExactRatFunc(f, dz**j) for f in oracles.level_polys(level)] == v
+        level, v = _derive(level, j, der), d_vec(v)
 
 
 def test_sym_power_certificate_rejects_a_wrong_coefficient():
     L = _euler_operator((0, Fraction(1, 2)), 2)
     S = sym_power(L, 2)
-    w, d, act = _sym_module(L, 2)
-    tower = [w]
+    w, der = _sym_module(L, 2)
+    tower = [_level(w)]
     for j in range(S.order):
-        tower.append(_derive(tower[-1], j, d, act))
+        tower.append(_derive(tower[-1], j, der))
     coeffs = [(c.num, c.den) for c in S.coeffs[:-1]]
-    assert _certified(tower, d, S.order, coeffs)
+    assert _certified(tower, der.dz, S.order, coeffs)
     num, den = coeffs[1]
     coeffs[1] = (num + ExactPoly([Fraction(1, 10**9)]), den)
-    assert not _certified(tower, d, S.order, coeffs)
+    assert not _certified(tower, der.dz, S.order, coeffs)
 
 
 def _count_image_points(monkeypatch) -> list:
@@ -508,15 +518,15 @@ def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
     # a prime (1960 before residues were kept), each entry reduced once per
     # prime and embedding, and primes at the final order (2 before
     # reconstruction guessed past the balanced bound).  The tower is
-    # polynomial numerators over powers of one d, so each entry is one
-    # reduction, and d one more (2 x 10 x 11 while each entry was a
+    # polynomial numerators over powers of one dz, so each entry is one
+    # reduction, and dz one more (2 x 10 x 11 while each entry was a
     # numerator and a denominator)
     reductions = {}
     poly_mod = exactalg._poly_mod
 
-    def count_poly_mod(f, p, root):
+    def count_poly_mod(re, im, p, root, *scale):
         reductions[p, root] = reductions.get((p, root), 0) + 1
-        return poly_mod(f, p, root)
+        return poly_mod(re, im, p, root, *scale)
 
     monkeypatch.setattr(exactalg, "_poly_mod", count_poly_mod)
     images = _count_image_points(monkeypatch)
@@ -537,9 +547,10 @@ def test_factorize_default_tower_work_counts(weil_block, monkeypatch):
     # real) at that order
     E = exterior_square(weil_block.A)
     images = _count_image_points(monkeypatch)
+    rows = _row_module(E, E.var)
     for i, (order, most) in enumerate([(3, 7), (3, 4), (5, 6), (5, 6), (3, 10), (3, 7)]):
         images.clear()
-        assert _minimal_annihilator(E, i, E.var).order == order
+        assert _minimal_annihilator(rows, i).order == order
         final = [k for n, _, k in images if n == order + 1]
         assert len(final) == 1 and final[0] <= most
 
@@ -1019,7 +1030,7 @@ def _reference_system_exp_solutions(B):
     var = B.var
     s_candidates = [ExactPoly((), var=var)]
     for i in range(B.rows):
-        ode = _minimal_annihilator(B, i, var)
+        ode = _minimal_annihilator(_row_module(B, var), i)
         cands, _split = _poly_part_candidates(clear_denominators(ode.coeffs, var)[1], var)
         for spoly in cands:
             s = _integrate_poly(spoly)
@@ -1087,7 +1098,8 @@ def test_system_exp_solutions_searches_distinct_annihilators_apart(monkeypatch):
     calls = _count_searches(monkeypatch)
     sols = system_exp_solutions(B)
     assert calls["search"] == 3
-    assert sorted(_minimal_annihilator(B, i, "t").order for i in range(3)) == [1, 1, 2]
+    rows = _row_module(B, "t")
+    assert sorted(_minimal_annihilator(rows, i).order for i in range(3)) == [1, 1, 2]
     assert sols == _reference_system_exp_solutions(B)
     assert {str(s) for s, _v in sols} == {"t^2", "(1/2*i)*t^2"}
 

@@ -16,6 +16,7 @@ from heisenkep.exactalg import (
     ExactScalar,
     SingularMatrixError,
     _derive,
+    _level,
     _modulus,
     clear_denominators,
 )
@@ -48,6 +49,7 @@ from oracles import (
     evaluate,
     fundamental_solution,
     h_expr,
+    level_polys,
     row_derivation,
     symbols,
     system_residual,
@@ -550,7 +552,7 @@ def test_minimal_annihilator_matches_exact_elimination():
         ])
         index = rng.randrange(n)
         ref = _reference_annihilator(B, index, "t")
-        assert _minimal_annihilator(B, index, "t") == ref
+        assert _minimal_annihilator(_row_module(B, "t"), index) == ref
         if ref.order < n:
             short += 1
             with pytest.raises(NotCyclicError):
@@ -583,18 +585,28 @@ def systems_with_poles(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(systems_with_poles())
+# d = (t - 1/3)(t^2 + 1), whose DA is 3, and a Gaussian entry
+@example((ExactMatrix([[ExactRatFunc(ExactPoly([ExactScalar(0, 1)]), _T - Fraction(1, 3)),
+                        ExactRatFunc.coerce(1)],
+                       [ExactRatFunc(ExactPoly([Fraction(1, 2)]), _T * _T + 1),
+                        ExactRatFunc.coerce(0)]]), 0))
 def test_row_module_numerators_match_the_rational_tower(drawn):
-    # the rows e, eB + e', ... as numerators N_k over d^k, with B = Bt / d,
-    # equal entry by entry the rows derived in ExactRatFunc arithmetic
+    # the rows e, eB + e', ... as levels N_k over dz^k, with B = Bt / d and
+    # dz = DA d for a positive integer DA, equal entry by entry the rows
+    # derived in ExactRatFunc arithmetic
     B, index = drawn
-    w, d, act = _row_module(B, index, "t")
-    assume(d.degree > 0)
-    assert d.leading() == 1
+    rows = _row_module(B, "t")
+    dz = level_polys(([rows.dz], 1))[0]
+    assume(dz.degree > 0)
+    DA = dz.leading()
+    assert DA.d == 1 and DA.b == 0 and DA.a > 0
+    assert dz.scale(DA.inverse()) == clear_denominators([f for r in B.entries for f in r], "t")[0]
     derive = row_derivation(B, "t")
-    N, v = w, [ExactRatFunc.coerce(1 if j == index else 0) for j in range(B.rows)]
+    v = [ExactRatFunc.coerce(1 if j == index else 0) for j in range(B.rows)]
+    level = _level([f.num for f in v])
     for k in range(B.rows + 1):
-        assert [ExactRatFunc(f, d**k) for f in N] == v
-        N, v = _derive(N, k, d, act), derive(v)
+        assert [ExactRatFunc(f, dz**k) for f in level_polys(level)] == v
+        level, v = _derive(level, k, rows), derive(v)
 
 
 def test_companion_round_trip():
