@@ -724,26 +724,25 @@ class ExactRatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, var: str = "t", _canonical: bool = False):
+    def __init__(self, num, den=1, var: str = "t"):
         num = ExactPoly.coerce(num, var)
         den = ExactPoly.coerce(den, num.var if not num.is_zero() else var)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in ExactRatFunc")
-        if not _canonical:
-            if num.is_zero():
-                den = ExactPoly.constant(1, var=den.var)
-            else:
-                # the monic gcd with a nonzero constant is 1
-                if den.degree > 0:
-                    g = num.gcd(den)
-                    if g.degree > 0:
-                        num = num.exact_div(g)
-                        den = den.exact_div(g)
-                lead = den.leading()
-                if lead != _ONE:
-                    inv = lead.inverse()
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+        if num.is_zero():
+            den = ExactPoly.constant(1, var=den.var)
+        else:
+            # the monic gcd with a nonzero constant is 1
+            if den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            lead = den.leading()
+            if lead != _ONE:
+                inv = lead.inverse()
+                num = num.scale(inv)
+                den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -751,7 +750,7 @@ class ExactRatFunc:
         raise AttributeError("ExactRatFunc is immutable")
 
     def __reduce__(self):
-        return ExactRatFunc, (self.num, self.den, self.var, True)
+        return _ratfunc, (self.num, self.den)
 
     @staticmethod
     def coerce(f, var: str = "t") -> "ExactRatFunc":
@@ -1572,7 +1571,7 @@ def _certified(tower, dz: tuple, m: int, coeffs) -> bool:
     entry.  Each a_j dz^(m-j) is brought over the one denominator of all
     the terms, and the identity is checked over Z[i] with products and sums
     only."""
-    D, lhs = clear_denominators([ExactRatFunc(*c, _canonical=True) for c in coeffs],
+    D, lhs = clear_denominators([_ratfunc(*c) for c in coeffs],
                                 coeffs[0][1].var)
     lhs.append(D)
     den = math.lcm(*(a.d * level_den for a, (_, level_den) in zip(lhs, tower)))
@@ -1774,7 +1773,7 @@ def tower_annihilator(w, der: Derivation) -> list[ExactRatFunc]:
             coeffs = [tuple(ExactPoly([next(it) for _ in range(size)], var=var) for size in ab)
                       for ab in shape]
             if _certified(tower, dz, m, coeffs):
-                return ([ExactRatFunc(num, den, _canonical=True) for num, den in coeffs]
+                return ([_ratfunc(num, den) for num, den in coeffs]
                         + [ExactRatFunc.coerce(1, var)])
 
 

@@ -422,16 +422,27 @@ def _evaluator(spec: SystemSpec, k: int, lift: bool = False):
     """Entry k of spec's (H, vector field), or with lift of the one-body
     lift's (K, grad K), compiled from the printed source: _kepler_sources'
     for a Kepler table, whose sqrt is numpy's as in lambdify's namespace,
-    and _table_sources' otherwise.  A vector field or gradient evaluates
-    each repeated subexpression once (_hoisted)."""
+    and _table_sources' otherwise, whose sqrt is _sqrt.  A vector field or
+    gradient evaluates each repeated subexpression once (_hoisted)."""
     printed = _kepler_sources(spec, lift)
     if printed is not None:
         import numpy as np
 
         fn = _compile_def(printed[k], "kepler", {"sqrt": np.sqrt})
     else:
-        fn = _compile_def(_table_sources(spec, lift)[k], "table", {"sqrt": math.sqrt})
+        fn = _compile_def(_table_sources(spec, lift)[k], "table", {"sqrt": _sqrt})
     return _hoisted(fn) if k else fn
+
+
+def _sqrt(x):
+    """math.sqrt on a Python float, numpy's on a numpy scalar: the numpy
+    fallback of _on_floats then stays on numpy's scalars past a sqrt, and
+    returns inf or nan where a Python float ** would raise."""
+    if x.__class__ is float:
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
 
 
 # numbers each compiled source's linecache entry, as lambdify numbers its

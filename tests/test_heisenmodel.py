@@ -30,6 +30,7 @@ from heisenkep.heisenmodel import (
     _hoisted,
     _kepler_sources,
     _on_floats,
+    _sqrt,
     _table_sources,
     particular_solution,
     poisson_bracket,
@@ -393,9 +394,10 @@ def _hoist_spec(source):
 
 
 def _printed_rhs(spec):
-    """spec's vector field compiled from its printed source, not hoisted."""
+    """spec's vector field compiled from its printed source, not hoisted,
+    with the table evaluators' sqrt."""
     printed = _kepler_sources(spec) or _table_sources(spec)
-    return _compile_def(printed[1], "printed rhs", {"sqrt": math.sqrt})
+    return _compile_def(printed[1], "printed rhs", {"sqrt": _sqrt})
 
 
 def _raises(fn, *args):
@@ -418,6 +420,9 @@ def _raises(fn, *args):
 @example("kepler_1b", [1e160, 0.5, -0.25, 1.0, 2.0, -1.0] + [0.0] * 6)
 @example("kepler_2b", [1e160, 0.0, 1.0, -1e160, 0.5, 0.0, 1.0, 2.0, 3.0, 1e160, -2.0, 1.0])
 @example("table", [0.5, 3e159, -1.0, 1.0, 1e160, 0.25] + [0.0] * 6)
+# a sqrt of 1e120 whose cube overflows, on floats and on numpy's scalars
+@example(("two-body", (((1, 3), Fraction(1343, 56)), ((3, 0), Fraction(-118, 271)))),
+         [1e60] + [0.0] * 11)
 def test_hoisted_rhs_is_the_printed_rhs_bit_for_bit(source, values):
     # the printed source is lambdify's text on a Kepler table, and the
     # package's chain rule on any other (held to sympy's values by
