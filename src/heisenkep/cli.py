@@ -129,7 +129,12 @@ def _write_json(rc: RunConfig, name: str, doc: dict) -> Path:
 
 
 def _frac(v) -> Fraction:
-    return Fraction(str(v))
+    """A config number as a Fraction; ValueError for anything else, a zero
+    denominator too."""
+    try:
+        return Fraction(str(v))
+    except ZeroDivisionError:
+        raise ValueError(f"{v} has a zero denominator") from None
 
 
 def _integrator_config(rc: RunConfig) -> IntegratorConfig:

@@ -239,7 +239,10 @@ class ExactScalar:
             m = ExactScalar._TOKEN.match(tok)
             if not m:
                 raise ValueError(f"malformed ExactScalar token {tok!r} in {s!r}")
-            val = Fraction(m.group(1))
+            try:
+                val = Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in ExactScalar token {tok!r}") from None
             if m.group(2):
                 im_part += val
             else:
@@ -1514,8 +1517,12 @@ def _tower_image(cache: dict, tower, dz: tuple, p: int, root: int, T: int, skips
     tower_annihilator); the elimination at each point gives beta_j(x) and
     Delta(x), which extend one interpolant each.  Once all m + 1 fit a
     fresh point, or at T + 1 points, where they are exact, the image
-    b_j = P_j dz^(f_j - f_m) / Delta is returned, reduced by one gcd over
-    F_p, as [(num_j, den_j)] with den_j monic.
+    b_j = P_j dz^(f_j - f_m) / Delta is returned in one common form: with
+    lo = min f, B_j = P_j dz^(f_j - lo) and D = Delta dz^(f_m - lo), so
+    that b_j = B_j / D, divided by G = gcd(D, B_0, ..., B_{m-1}) over F_p
+    and scaled so that D is monic, as the tuples [B_0, ..., B_{m-1}, D].
+    G takes one full gcd, of D and the first nonzero B_j; the others are
+    taken against G, which only shrinks.
 
     Returns None when p is unlucky: it divides a level's denominator or the
     leading coefficient of dz,
@@ -1547,37 +1554,36 @@ def _tower_image(cache: dict, tower, dz: tuple, p: int, root: int, T: int, skips
         M = _add_point(fs, M, x, [v * det % p for v in b] + [det], p)
         if M is None or len(M) > T + 1:
             break
-    *ps, delta = fs
+    lo = min(f)
     image = []
-    for j, num in enumerate(ps):
-        den = delta
-        for _ in range(f[j] - f[m]):
-            num = _trim([c % p for c in _conv(num, dp)])
-        for _ in range(f[m] - f[j]):
-            den = _trim([c % p for c in _conv(den, dp)])
-        g = _gcd_mod(den, num, p)
-        num, den = _divmod_mod(num, g, p)[0], _divmod_mod(den, g, p)[0]
-        inv = pow(den[-1], -1, p)
-        image.append((tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)))
-    return image
+    for poly, fj in zip(fs, f):
+        for _ in range(fj - lo):
+            poly = _trim([c % p for c in _conv(poly, dp)])
+        image.append(poly)
+    g = image[-1]
+    for poly in image[:-1]:
+        if len(g) == 1:
+            break
+        if poly:
+            g = _gcd_mod(poly, g, p)
+    if len(g) > 1:
+        image = [_divmod_mod(poly, g, p)[0] for poly in image]
+    inv = pow(image[-1][-1], -1, p)
+    return [tuple(c * inv % p for c in poly) for poly in image]
 
 
-def _certified(tower, dz: tuple, m: int, coeffs) -> bool:
-    """sum_{j<m} b_j v_j + v_m = 0 exactly, for b_j = num_j / den_j and
-    v_j = N_j / dz^j.
+def _certified(tower, dz: tuple, m: int, polys) -> bool:
+    """sum_{j<=m} a_j v_j = 0 exactly, for the polynomials a_j of `polys`
+    and v_j = N_j / dz^j.
 
-    With the b_j and 1 brought to the lcm of the den_j, as a_j, and times
-    dz^m, this is the polynomial identity sum_{j<=m} a_j dz^(m-j) N_j = 0 per
-    entry.  Each a_j dz^(m-j) is brought over the one denominator of all
-    the terms, and the identity is checked over Z[i] with products and sums
-    only."""
-    D, lhs = clear_denominators([_ratfunc(*c) for c in coeffs],
-                                coeffs[0][1].var)
-    lhs.append(D)
-    den = math.lcm(*(a.d * level_den for a, (_, level_den) in zip(lhs, tower)))
+    Times dz^m this is the polynomial identity sum_j a_j dz^(m-j) N_j = 0
+    per entry.  Each a_j dz^(m-j) is brought over the one denominator of
+    all the terms, and the identity is checked over Z[i] with products and
+    sums only."""
+    den = math.lcm(*(a.d * level_den for a, (_, level_den) in zip(polys, tower)))
     factors, power = [None] * (m + 1), ([1], [0])  # power = dz^(m-j)
     for j in range(m, -1, -1):
-        a = lhs[j]
+        a = polys[j]
         if a.re:
             k = den // (a.d * tower[j][1])
             factors[j] = _zi_mul([x * k for x in a.re], [x * k for x in a.im], *power)
@@ -1608,9 +1614,9 @@ def _prime_budget(tower, dz: tuple, m: int) -> int:
         power = _zi_mul(*power, *dz)
     T = sum(delta[:m]) + sum(delta) - min(delta[:m])
     log_c = T + (T + 1).bit_length() + log_h
-    unlucky = (den_lcm.bit_length() + 2 * log_h
-               + m * (4 * log_c + T * ((T + 1).bit_length() + 2 * log_c)))
-    return -(-unlucky // 61) - (-((4 * m + 4) * log_c + 1) // 61) + 1
+    unlucky = (den_lcm.bit_length() + 2 * log_h + 2 * (m + 1) * log_c
+               + 4 * T * ((2 * m * (T + 1)).bit_length() + log_c))
+    return -(-unlucky // 61) - (-(4 * log_c + 1) // 61) + 1
 
 
 def _derive(level: tuple, j: int, der: Derivation) -> tuple:
@@ -1645,37 +1651,42 @@ def _derive(level: tuple, j: int, der: Derivation) -> tuple:
     return out, den
 
 
-def tower_annihilator(w, der: Derivation) -> list[ExactRatFunc]:
-    """Coefficients [b_0, ..., b_{m-1}, 1] of the first Q(i)(t)-linear
-    dependency v_m + sum_j b_j v_j = 0 in the derivative tower v_0 = w,
-    v_{j+1} = v_j' + A v_j / dz, of a nonzero vector w of ExactPoly, for the
-    derivation `der` (see Derivation).  The tower is derived over Z[i][t]:
-    v_j = N_j / dz^j is held as the level N_j, Gaussian-integer
-    coefficients over one integer denominator (see _level and _derive).
+def tower_annihilator(w, der: Derivation) -> list[ExactPoly]:
+    """The first Q(i)(t)-linear dependency sum_{j<=m} a_j v_j = 0 in the
+    derivative tower v_0 = w, v_{j+1} = v_j' + A v_j / dz, of a nonzero
+    vector w of ExactPoly, for the derivation `der` (see Derivation), as
+    the cleared list [a_0, ..., a_{m-1}, a_m]: polynomials with no common
+    factor of positive degree and a_m monic, so that a_j / a_m = b_j for
+    the monic dependency v_m + sum_j b_j v_j = 0.  The tower is derived
+    over Z[i][t]: v_j = N_j / dz^j is held as the level N_j,
+    Gaussian-integer coefficients over one integer denominator (see _level
+    and _derive).
 
-    The order m and the b_j are found modulo primes p = 1 (mod 4), under
+    The order m and the a_j are found modulo primes p = 1 (mod 4), under
     both embeddings i -> +-sqrt(-1), or one when dz and the N_j are real,
-    by sampling modulo p and interpolating the Cramer
-    polynomials of one minor (see _tower_image); they are lifted to
-    Q(i)(t) by CRT and rational reconstruction, and returned only once they
-    pass an exact substitution into the tower.  Reconstruction guesses when
-    its balanced bound is not met yet (see _reconstruct), so the lift often
-    ends at fewer primes than the bound below needs; a wrong guess fails the
-    substitution, and the next prime is folded in as before.  A real tower has the two
-    embeddings' images equal, and its first monic dependency is unique,
-    hence its own conjugate, with real b_j: one image per prime gives it,
-    with imaginary parts 0.  K below counts primes, not images, so it is
-    the same either way.
+    by sampling modulo p and interpolating the Cramer polynomials of one
+    minor, which each image brings to one common form (see _tower_image);
+    they are lifted to Q(i)[t] by CRT and rational reconstruction, all of
+    them over one running denominator, and returned only once they pass
+    an exact substitution into the tower.  Reconstruction guesses when its
+    balanced bound is not met yet (see _reconstruct), so the lift often
+    ends at fewer primes than the bound below needs; a wrong guess fails
+    the substitution, and the next prime is folded in as before.  A real
+    tower has the two embeddings' images equal, and its cleared first
+    dependency is unique, hence its own conjugate, with real a_j: one
+    image per prime gives it, with imaginary parts 0.  K below counts
+    primes, not images, so it is the same either way.
 
     The tower is derived lazily: v_{m+1} is formed only when a sample point
     proves v_0, ..., v_m independent, so independence of v_0, ..., v_{m-1}
     is proved by their full rank modulo p at a point.
 
-    The certified b_j = num_j / den_j are returned without a gcd over
-    Q(i)[t].  They reduce modulo the last prime p to its image, which is
-    coprime over F_p with den_j monic.  A monic common factor over Q(i) of
-    num_j and den_j would, by Gauss's lemma over Z[i] localized at p, be
-    p-integral, and reduce to a common factor of that image modulo p.
+    The certified a_j are returned without a gcd over Q(i)[t].  They
+    reduce modulo the last prime p to its image, whose entries have no
+    common factor over F_p, with a_m monic.  A monic common factor over
+    Q(i) of the a_j divides the monic a_m, so by Gauss's lemma over Z[i]
+    localized at p it is p-integral, and it would reduce to a common
+    factor of that image modulo p of the same degree.
 
     Bring the columns to polynomials c_j = N_j dz^(m-j) = dz^m v_j, of
     degrees delta_j, and then into Z[i][t] with one integer.  By Cramer's
@@ -1689,37 +1700,49 @@ def tower_annihilator(w, der: Derivation) -> list[ExactRatFunc]:
     most H = prod_i max(1, |c_i|_1), with |c_i|_1 the sum of |re| + |im|
     over the coefficients of column i.
 
-    After K primes at one order RuntimeError is raised.  Write
-    b_j = n_j / d_j with n_j, d_j coprime in Z[i][t].  They divide
-    Delta_j and Delta, so by Mignotte's bound their coefficients are at
-    most C = 2^T sqrt(T + 1) H, and the coefficients of n_j / lc(d_j) and
-    d_j / lc(d_j) have real and imaginary parts with numerators, and a
-    denominator |lc(d_j)|^2, at most C^2.  Fix one nonzero minor Delta.
-    Call p unlucky if it divides the leading coefficient of dz or the
-    denominator of a level, the norm (at most H^2) of a nonzero coefficient
-    of Delta, or for some j the norm of lc(n_j), of lc(d_j) (at most C^2
-    each) or of Res(n_j, d_j) (at most ((T + 1) C^2)^T by Hadamard).  At
-    any other p, Delta does not vanish modulo p, so the columns, with any
-    power of dz divided out, are independent modulo p and no image is skipped as unlucky.  The
-    minor that an image fixes may be another, but it does not vanish modulo
-    p either, and any such minor gives b_j modulo p; so every image at such
-    a p is that of the b_j, with their degrees.  At any p the image is b_j
-    modulo p reduced, so it has the true degrees only if it is the true
-    image, and lower ones otherwise.  So the lift keeps the lucky primes, which are
-    all but U / 61 of the primes, U being the bit length of the product of
-    those integers; every prime exceeds 2^61.  The running denominator of the lift is at most C^(2m), so the
-    balanced attempt of reconstruction succeeds once the lucky primes
-    multiply to more than 2 C^(4m + 4), whatever guesses came before.  K is
-    the two counts, rounded up, plus one, so at least 2, and it restarts at
-    each order, counted from the order's first prime.  It is computed only
-    when a second prime is needed, that is, when the first neither proved
-    v_0, ..., v_m independent nor gave a certified dependency; most orders
-    never need it.  The count takes each image to be exact, as it is from
-    T + 1 points on.  An image ended earlier can be wrong, or below the final order miss
-    every point of full rank, only when its fresh points are roots modulo p
-    of a nonzero polynomial that the tower fixes; a wrong image of higher
-    degrees than the true ones would hold the lift back, and K turns that
-    into this error too."""
+    After K primes at one order RuntimeError is raised.  The vector
+    (Delta_0, ..., Delta_{m-1}, Delta) over Z[i][t] divided by the gcd of
+    its entries is the primitive dependency V = (A_0, ..., A_m), and
+    a_j = A_j / lc(A_m).  A_m divides Delta and A_j divides Delta_j, of
+    degrees at most T, so by Mignotte's bound every coefficient of V is at
+    most C = 2^T sqrt(T + 1) H, and the coefficients of the a_j have real
+    and imaginary parts with numerators at most C^2 over the one
+    denominator N(lc(A_m)) = |lc(A_m)|^2 <= C^2.  Fix one nonzero minor
+    Delta.  Call p unlucky if it divides the leading coefficient of dz or
+    the denominator of a level, the norm (at most H^2) of a nonzero
+    coefficient of Delta, the norm of lc(A_j) for some nonzero A_j (at
+    most C^2 each), or, when deg A_m > 0, the norm of a nonzero
+    coefficient of R(y) = Res_t(A_m, sum_{j<m} y^j A_j).  R is not zero,
+    since a common factor of A_m and that sum for every y would divide
+    every A_j; bounding the determinant of the Sylvester matrix by the
+    product of its rows' sums of |re| + |im|, each at most 2 m (T + 1) C,
+    over at most 2T rows, that norm is at most (2 m (T + 1) C)^(4T).
+    At any p that does not
+    divide lc(dz) or a level's denominator, V modulo p is a nonzero
+    dependency of the columns modulo p, so unless every minor vanishes and
+    every point is skipped, the image is V modulo p divided by the gcd of
+    its entries, scaled so that its last entry is monic: its degrees are
+    at most those of V, and all equal to them only if it is the true image
+    V / lc(A_m) modulo p.  At a lucky p, Delta does not vanish, so no image
+    is skipped as unlucky, every lc(A_j) survives, and the gcd is 1, as R
+    does not vanish modulo p; every image there is the true one.  So the
+    lift keeps the lucky primes, which are all but U / 61 of the primes, U
+    being the bit length of the product of those integers; every prime
+    exceeds 2^61.  Each value the lift reconstructs has a denominator
+    dividing N(lc(A_m)), and so does the running denominator, so it and
+    the numerator of each value times it are at most C^2: the balanced
+    attempt of reconstruction succeeds once the lucky primes multiply to
+    more than 2 C^4, whatever guesses came before.  K is the two counts,
+    rounded up, plus one, so at least 2, and it restarts at each order,
+    counted from the order's first prime.  It is computed only when a second prime is
+    needed, that is, when the first neither proved v_0, ..., v_m
+    independent nor gave a certified dependency; most orders never need
+    it.  The count takes each image to be exact, as it is from T + 1
+    points on.  An image ended earlier can be wrong, or below the final
+    order miss every point of full rank, only when its fresh points are
+    roots modulo p of a nonzero polynomial that the tower fixes; a wrong
+    image of higher degrees than the true ones would hold the lift back,
+    and K turns that into this error too."""
     var, dz = der.var, der.dz
     if all(f.is_zero() for f in w):
         raise ValueError("the zero vector has no annihilator")
@@ -1754,27 +1777,23 @@ def tower_annihilator(w, der: Derivation) -> list[ExactRatFunc]:
             if image is None:
                 continue
             plus, minus = images[0], images[-1]
-            shape = [(len(num), len(den)) for num, den in plus]
-            if shape != [(len(num), len(den)) for num, den in minus]:
+            shape = [len(poly) for poly in plus]
+            if shape != [len(poly) for poly in minus]:
                 continue
             # an unlucky prime gives lower degrees: keep the highest seen
-            key = (sum(a + b for a, b in shape), shape)
+            key = (sum(shape), shape)
             if best is not None and key < best:
                 continue
-            acc, vals = _lift_gaussian(
-                acc if key == best else None, p, s,
-                [c for num, den in plus for c in num + den],
-                [c for num, den in minus for c in num + den],
-            )
+            acc, vals = _lift_gaussian(acc if key == best else None, p, s,
+                                       [c for poly in plus for c in poly],
+                                       [c for poly in minus for c in poly])
             best = key
             if vals is None:
                 continue
             it = iter(vals)
-            coeffs = [tuple(ExactPoly([next(it) for _ in range(size)], var=var) for size in ab)
-                      for ab in shape]
-            if _certified(tower, dz, m, coeffs):
-                return ([_ratfunc(num, den) for num, den in coeffs]
-                        + [ExactRatFunc.coerce(1, var)])
+            polys = [ExactPoly([next(it) for _ in range(size)], var=var) for size in shape]
+            if _certified(tower, dz, m, polys):
+                return polys
 
 
 # ---------------------------------------------------------------------------
@@ -1783,7 +1802,19 @@ def tower_annihilator(w, der: Derivation) -> list[ExactRatFunc]:
 
 def gaussian_roots(f: ExactPoly) -> list[ExactScalar]:
     """The distinct roots of f in Q(i), sorted by real and then imaginary
-    part; exact and complete.
+    part; exact and complete.  A squarefree part of degree 1, c_0 + c_1 t,
+    has the one root -c_0 / c_1; any other is rooted by _modular_roots."""
+    if f.degree < 1:
+        return []
+    f = f.exact_div(f.gcd(f.derivative()))
+    if f.degree == 1:
+        return [-f.coeff(0) / f.coeff(1)]
+    return _modular_roots(f)
+
+
+def _modular_roots(f: ExactPoly) -> list[ExactScalar]:
+    """The roots in Q(i) of the squarefree f of positive degree, sorted as
+    gaussian_roots sorts them.
 
     A root z = u/v in lowest terms has v | lc in Z[i], so N(lc) z lies in
     Z[i], with parts at most B = N(lc) times Cauchy's bound on |z|.  The
@@ -1795,9 +1826,6 @@ def gaussian_roots(f: ExactPoly) -> list[ExactScalar]:
     dividing N(lc), or with a root that is not simple, is skipped; such
     primes divide N(lc Res(f, f')), whose Hadamard bound caps their count,
     past which RuntimeError is raised."""
-    if f.degree < 1:
-        return []
-    f = f.exact_div(f.gcd(f.derivative()))
     re, im = f.re, f.im
     norms = [a * a + b * b for a, b in zip(re, im)]
     lc, n = norms[-1], f.degree

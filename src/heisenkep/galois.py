@@ -30,7 +30,7 @@ from .exactalg import (
     tower_annihilator,
 )
 from . import variational
-from .variational import DiffOperator, _minimal_annihilator, _row_module, _twist
+from .variational import DiffOperator, _minimal_annihilator, _operator, _row_module, _twist
 
 __all__ = [
     "DiffOperator",
@@ -487,8 +487,8 @@ def sym_power(L: DiffOperator, k: int) -> DiffOperator:
     if k < 1:
         raise ValueError("k must be positive")
     if k == 1:
-        return DiffOperator(list(L.coeffs), var=L.var)
-    return DiffOperator(tower_annihilator(*_sym_module(L, k)), var=L.var)
+        return _operator(L.cleared(), L.var)
+    return _operator(tower_annihilator(*_sym_module(L, k)), L.var)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,15 @@ class LinearSystem:
 
 
 class DiffOperator:
-    """Monic scalar operator D^n + a_{n-1} D^{n-1} + ... + a_0 over C(t)."""
+    """Scalar operator a_n D^n + ... + a_1 D + a_0 over C(t), held in one
+    form: its cleared coefficients, polynomials a_j with no common factor
+    of positive degree and a_n monic.  They are unique, so `order` and
+    equality read them.  The monic coefficients coeff(j) = a_j / a_n,
+    which `to_json` writes, are normalized on first read.
+
+    DiffOperator(coeffs) takes rational coefficients, divides them by the
+    last nonzero one and clears them once; _operator takes a cleared list
+    as it stands."""
 
     def __init__(self, coeffs, var: str = "t"):
         cs = [ExactRatFunc.coerce(c, var) for c in coeffs]
@@ -79,28 +87,35 @@ class DiffOperator:
         lead = cs[-1]
         if not (lead.is_poly() and lead.num == 1):
             cs = [c / lead for c in cs]
-        self.coeffs = tuple(cs)
+        self._cleared = tuple(clear_denominators(cs, var)[1])
+        self._coeffs = tuple(cs)
         self.var = var
-        self._cleared = None
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._cleared) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The monic coefficients a_j / a_n, as ExactRatFunc."""
+        if self._coeffs is None:
+            *low, d = self._cleared
+            self._coeffs = (*(ExactRatFunc(a, d, var=self.var) for a in low),
+                            ExactRatFunc.coerce(1, self.var))
+        return self._coeffs
 
     def coeff(self, k: int) -> ExactRatFunc:
         return self.coeffs[k]
 
     def cleared(self) -> list:
-        """Coefficients as polynomials a_j = D * coeff(j), with D the monic
-        lcm of their denominators, as a new list on each call.
-
-        The a_j have no common factor of positive degree.  It would divide
-        a_n = D, and for each irreducible q dividing D, some coeff(j) has a
-        denominator that q divides as often as it divides D; then D divided
-        by that denominator is prime to q, and so is the numerator, which
-        is prime to its denominator, so q does not divide a_j."""
-        if self._cleared is None:
-            self._cleared = tuple(clear_denominators(self.coeffs, self.var)[1])
+        """The cleared coefficients a_0, ..., a_n, as a new list on each
+        call.  Cleared from monic rational coefficients, a_n is the monic
+        lcm D of their denominators and a_j = D * coeff(j).  They have no
+        common factor of positive degree: it would divide a_n = D, and for
+        each irreducible q dividing D, some coeff(j) has a denominator that
+        q divides as often as it divides D; then D divided by that
+        denominator is prime to q, and so is the numerator, which is prime
+        to its denominator, so q does not divide a_j."""
         return list(self._cleared)
 
     def apply_exp_ansatz(self, r) -> ExactRatFunc:
@@ -123,7 +138,7 @@ class DiffOperator:
         return LinearSystem(ExactMatrix(rows, var=self.var), var=self.var)
 
     def __eq__(self, other):
-        return isinstance(other, DiffOperator) and self.coeffs == other.coeffs
+        return isinstance(other, DiffOperator) and self._cleared == other._cleared
 
     def __repr__(self):
         return f"DiffOperator(order={self.order}, var={self.var!r})"
@@ -134,6 +149,15 @@ class DiffOperator:
             "var": self.var,
             "coeffs": [c.to_json() for c in self.coeffs],
         }
+
+
+def _operator(polys, var: str) -> DiffOperator:
+    """The DiffOperator of a cleared list: polynomials with no common factor
+    of positive degree, the last monic, as tower_annihilator returns them
+    and a twist by a polynomial keeps them (see _twist)."""
+    L = object.__new__(DiffOperator)
+    L._cleared, L._coeffs, L.var = tuple(polys), None, var
+    return L
 
 
 class GaugeMatrix:
@@ -366,7 +390,7 @@ def _minimal_annihilator(rows: Derivation, index: int) -> DiffOperator:
     solution of y' = B y, for the rows' derivation of B (see _row_module);
     its order is at most the dimension."""
     w = [ExactPoly.constant(1 if j == index else 0, var=rows.var) for j in range(rows.dim)]
-    return DiffOperator(tower_annihilator(w, rows), var=rows.var)
+    return _operator(tower_annihilator(w, rows), rows.var)
 
 
 def cyclic_to_scalar(sys: LinearSystem, index: int) -> DiffOperator:
@@ -390,9 +414,12 @@ def _twist(coeffs, rprime, var):
 
     Over ExactPoly no gcd is taken: twisting by a polynomial commutes with
     multiplying the coefficients by a common denominator, so a cleared
-    operator twists to a cleared operator.  There the recurrence runs in
-    one pass over Z[i][t]: with rprime = R / e and coeffs[j] = C_j / D for
-    integers e and D, Bt[j][i] = e^j B[j][i] has
+    operator twists to a cleared operator.  B is unitriangular over
+    Q(i)[t] (B[j][j] = 1), and so is its inverse, the twist by -rprime:
+    a common factor of the twisted coefficients divides the given ones,
+    and the last coefficient stays as it is, monic if it was.  There the
+    recurrence runs in one pass over Z[i][t]: with rprime = R / e and
+    coeffs[j] = C_j / D for integers e and D, Bt[j][i] = e^j B[j][i] has
     Bt[j+1][i] = e (Bt[j][i]' + Bt[j][i-1]) + R Bt[j][i], and coefficient i
     is sum_j C_j e^(n-j) Bt[j][i] over D e^n, normalized once."""
     n = len(coeffs) - 1
@@ -439,4 +466,4 @@ def _twist(coeffs, rprime, var):
 def exp_substitution(ode: DiffOperator, s: ExactPoly) -> DiffOperator:
     """Operator satisfied by w where y = w * exp(s(t)), s polynomial; exact."""
     ds = ExactPoly.coerce(s, ode.var).derivative()
-    return DiffOperator(_twist(ode.cleared(), ds, ode.var), var=ode.var)
+    return _operator(_twist(ode.cleared(), ds, ode.var), ode.var)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep import dynamics
@@ -314,6 +314,73 @@ def test_malformed_numeric_config_is_rejected(runner, tmp_path, monkeypatch, com
     assert message in res.output
     assert not integrated
     assert not out.exists() or not any(out.iterdir())
+
+
+# What an exact config key may hold: numbers, exact or not, at and off the
+# boundaries the chains reject (0, mu = -1), and what is no number: other
+# strings, a zero denominator, and JSON values of every other type
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/3", 0, 1, -1, 2, 0.5]),
+    st.sampled_from([float("nan"), "abc", "1/0", "i", "1+2*i", None, True, [], {}, [1]]))
+_MATRIX_ENTRIES = st.sampled_from([0, 1, -1, 2, "1/2", "i", "-i", 0.5, "abc", "1/0", None, []])
+_EXACT_KEYS = {"ve": ("system", "kappa", "c", "a", "mu", "tau0", "w2"),
+               "galois": ("branch", "kappa", "c", "a", "mu", "tau0", "w2"),
+               "factorize": ("kappa", "c", "a", "plucker_only", "matrix")}
+_DELETE = object()
+
+
+@st.composite
+def exact_configs(draw):
+    """(command, config): an exact preset with up to two of the keys its
+    command reads deleted or set to a drawn value; a matrix is 4 x 4 or
+    of any smaller shape."""
+    preset = draw(st.sampled_from([
+        "ve_kepler_a2", "ve_twobody_mu_half", "ve_twobody_resonant", "galois_kepler",
+        "galois_twobody_generic", "galois_twobody_resonant", "factorize_default",
+        "factorize_plucker"]))
+    command, cfg = preset.split("_")[0], _load(preset_path(preset))
+    matrix = st.one_of(
+        st.lists(st.lists(_MATRIX_ENTRIES, min_size=4, max_size=4), min_size=4, max_size=4),
+        st.lists(st.lists(_MATRIX_ENTRIES, max_size=4), max_size=4))
+    names = st.sampled_from(["kepler", "twobody", "other", 1, None])
+    for key in draw(st.lists(st.sampled_from(_EXACT_KEYS[command]), max_size=2)):
+        value = draw(st.one_of(st.just(_DELETE), {"matrix": matrix, "system": names,
+                                                 "branch": names}.get(key, _CONFIG_VALUES)))
+        if value is _DELETE:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return command, cfg
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(exact_configs())
+# each ended in a ZeroDivisionError traceback
+@example(("ve", {"system": "kepler", "c": "1/0"}))
+@example(("galois", {"branch": "twobody", "mu": "1/0"}))
+@example(("factorize", {"matrix": [["1/0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}))
+# no decomposable solution: FAIL, with the artifact
+@example(("factorize", {"matrix": [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 3, 0]]}))
+def test_exact_config_ends_in_a_report_or_a_usage_error(runner, tmp_path_factory, drawn):
+    # exit 0 with PASS and the artifact, exit 1 with FAIL and the artifact
+    # (a verdict that proves nothing, or a factorization that is not
+    # complete), or exit 1 with a usage error and no artifact at all; never
+    # another exception
+    command, cfg = drawn
+    tmp = tmp_path_factory.mktemp("cfg")
+    out = tmp / "out"
+    res = runner.invoke(main, [command, "--config", _write_config(tmp, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    if res.output.startswith("Error: "):
+        assert res.exit_code == 1
+        assert not out.exists() or not any(out.iterdir())
+        return
+    artifact = out / f"{command}.json"
+    assert res.output == f"{'FAIL' if res.exit_code else 'PASS'} {artifact}\n"
+    assert res.exit_code in (0, 1) and [p.name for p in out.iterdir()] == [artifact.name]
+    assert _load(artifact)["header"]["config"] == "cfg.json"
 
 
 # -- simulate ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heisenkep.exactalg import (
@@ -34,6 +34,7 @@ from heisenkep.exactalg import (
     tower_annihilator,
 )
 from heisenkep import exactalg
+from heisenkep.variational import DiffOperator, _operator
 
 import oracles
 
@@ -78,6 +79,9 @@ def test_scalar_parse_forms():
     assert ExactScalar.parse("-1/2+3/4*i") == ExactScalar(Fraction(-1, 2), Fraction(3, 4))
     assert ExactScalar.parse("1*i") == ExactScalar.i()
     assert ExactScalar.parse("0") == ExactScalar(0)
+    # a zero denominator is a malformed token, as a config reader expects
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExactScalar.parse("1+1/0*i")
 
 
 def test_scalar_rejects_inexact_parts():
@@ -789,10 +793,18 @@ def _one_dimensional_tower(r):
     return [ExactPoly([1])], Derivation.of(r.den, {(0, 0): r.num}, 1)
 
 
+def _cleared(*bs):
+    """The cleared list of the dependency v_m + sum_j b_j v_j = 0, as
+    tower_annihilator returns it."""
+    return clear_denominators([*bs, ExactRatFunc.coerce(1)], "t")[1]
+
+
 def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
     # y' = r y with r = 1/(t - 2) - 1/(t - 2 - p) = -p / ((t - 2)(t - 2 - p))
-    # for the first modulus p: the image modulo p is b_0 = 0, of lower
-    # degree than the true b_0 = -r, and a later prime gives -r
+    # for the first modulus p: the true dependency is
+    # [p, (t - 2)(t - 2 - p)], which is [0, (t - 2)^2] modulo p, so the
+    # image divides out (t - 2)^2 and is [0, 1], of lower degree; a later
+    # prime gives the true one
     p = _modulus(0)[0]
     r = ExactRatFunc(1, ExactPoly([-2, 1])) - ExactRatFunc(1, ExactPoly([-2 - p, 1]))
     images = []
@@ -804,9 +816,10 @@ def test_tower_annihilator_recovers_from_an_unlucky_first_prime(monkeypatch):
         return out
 
     monkeypatch.setattr(exactalg, "_tower_image", spy)
-    assert tower_annihilator(*_one_dimensional_tower(r)) == [-r, ExactRatFunc.coerce(1)]
+    assert tower_annihilator(*_one_dimensional_tower(r)) == _cleared(-r)
+    assert _cleared(-r) == [ExactPoly([p]), ExactPoly([-2, 1]) * ExactPoly([-2 - p, 1])]
     (q0, coeffs0), *rest = images
-    assert q0 == p and coeffs0 == [((), (1,))]
+    assert q0 == p and coeffs0 == [(), (1,)]
     assert any(q != p for q, _ in rest)
 
 
@@ -833,7 +846,7 @@ def _tower_images_per_prime(monkeypatch, r):
 ])
 def test_tower_annihilator_takes_one_image_per_prime_for_a_real_tower(monkeypatch, r, primes):
     ann, calls = _tower_images_per_prime(monkeypatch, r)
-    assert ann == [-r, ExactRatFunc.coerce(1)]
+    assert ann == _cleared(-r)
     assert len(calls) >= primes and set(calls.values()) == {1}
 
 
@@ -841,7 +854,7 @@ def test_tower_annihilator_takes_two_images_per_prime_for_a_gaussian_tower(monke
     t = ExactPoly([0, 1])
     r = ExactRatFunc(ExactPoly([ExactScalar(0, 1)]), t) + ExactRatFunc(1, ExactPoly([-2, 1]))
     ann, calls = _tower_images_per_prime(monkeypatch, r)
-    assert ann == [-r, ExactRatFunc.coerce(1)]
+    assert ann == _cleared(-r)
     assert set(calls.values()) == {2}
 
 
@@ -872,7 +885,8 @@ def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeyp
 
 def _companion_tower(b0, b1):
     """w = y, w' = y' and w'' = -b_0 y - b_1 y' in the coordinates (y, y')
-    of y'' + b_1 y' + b_0 y = 0, whose annihilator is [b_0, b_1, 1]: with
+    of y'' + b_1 y' + b_0 y = 0, whose annihilator is [b_0, b_1, 1], cleared
+    [c_0, c_1, d] (see _cleared): with
     b_j = c_j / d over the lcm d of their denominators, the derivation
     v -> (v_0' - b_0 v_1, v_1' + v_0 - b_1 v_1) is v' + act(v) / d, with
     act(v) = (-c_0 v_1, d v_0 - c_1 v_1)."""
@@ -901,20 +915,23 @@ _T = ExactPoly([0, 1])
     # b_j = N_j / D with one D = (t - 7)(t + 2)
     (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)),
      ExactRatFunc(3 * _T - 1, (_T - 7) * (_T + 2))),
-    # b_1 = (t + 2) / D reduces to 1 / (t - 7): P_1 / Delta needs the gcd
+    # b_1 = (t + 2) / D reduces to 1 / (t - 7), but the common form keeps D
     (ExactRatFunc(_T * _T + 1, (_T - 7) * (_T + 2)), ExactRatFunc(1, _T - 7)),
     # b_0 = 3 / (t - 7) + 1 / (t + 2) and b_1 = -1 / (t - 7)
     (ExactRatFunc(3, _T - 7) + ExactRatFunc(1, _T + 2), ExactRatFunc(-1, _T - 7)),
 ])
 def test_tower_image_is_the_reduced_cramer_quotient(monkeypatch, b0, b1):
+    # the Cramer polynomials carry the content D^2 of the companion tower
+    # (see test_tower_annihilator_recovers_planted_companion_towers), and
+    # the image divides it out: it is the cleared dependency modulo p, its
+    # last entry monic
     w, der = _companion_tower(b0, b1)
-    assert tower_annihilator(w, der) == [b0, b1, ExactRatFunc.coerce(1)]
+    assert tower_annihilator(w, der) == _cleared(b0, b1)
     tower = _tower(w, der, 2)
     p, s = _modulus(0)
     T, skips = 20, 20
     image = _tower_image({}, tower, der.dz, p, s, T, skips)
-    # the images of b_0 and b_1, their denominators monic
-    assert image == [(_image(b.num, p, s), _image(b.den, p, s)) for b in (b0, b1)]
+    assert image == [_image(a, p, s) for a in _cleared(b0, b1)]
     # with no early stop, the interpolants are exact at T + 1 points and
     # give the same image
     points = []
@@ -970,13 +987,13 @@ def test_integer_levels_are_the_reference_numerators(drawn):
 def test_tower_annihilator_divides_powers_of_d_out_of_the_columns(power):
     # y' = r y with r = s d^power / d, given over d whatever the power: so
     # d^power divides N_1 = s d^power, and each image divides it out of
-    # that column and puts d^(power - 1) back into the numerator of
-    # b_0 = -r, or d into its denominator
+    # that column and puts d^(power - 1) back into the first entry of the
+    # cleared [-r d, d] / d^lo, or d into the last
     d = (_T - 2) * (_T * _T + 1)
     s = ExactPoly([3, ExactScalar(0, 1)])
     r = ExactRatFunc(s * d**power, d)
     ann = tower_annihilator([ExactPoly([1])], Derivation.of(d, {(0, 0): s * d**power}, 1))
-    assert ann == [-r, ExactRatFunc.coerce(1)]
+    assert ann == _cleared(-r)
 
 
 def test_tower_image_keeps_its_minor_through_a_pivot_swap():
@@ -984,7 +1001,7 @@ def test_tower_image_keeps_its_minor_through_a_pivot_swap():
     # the first prime: there the first row's pivot vanishes and elimination
     # swaps rows, but Delta must stay the determinant of the minor that the
     # first point fixed.  The dependency has b_0 = 2 / ((t - a)^2 - 1) and
-    # b_1 = -(t - a) b_0.
+    # b_1 = -(t - a) b_0, cleared [2, -2 (t - a), (t - a)^2 - 1].
     p, s = _modulus(0)
     a = 2 * exactalg._STEP % p
     u = _T - a
@@ -992,8 +1009,9 @@ def test_tower_image_keeps_its_minor_through_a_pivot_swap():
     b1 = -b0 * u
     _, der = _companion_tower(ExactRatFunc.coerce(0), ExactRatFunc.coerce(0))
     tower = _tower([u, ExactPoly([1])], der, 2)
+    assert _cleared(b0, b1) == [ExactPoly([2]), u.scale(-2), u * u - 1]
     assert _tower_image({}, tower, der.dz, p, s, 20, 20) == [
-        (_image(b.num, p, s), _image(b.den, p, s)) for b in (b0, b1)]
+        _image(a, p, s) for a in _cleared(b0, b1)]
 
 
 _GAUSSIAN = st.builds(ExactScalar, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
@@ -1044,10 +1062,51 @@ def test_tower_annihilator_recovers_planted_companion_towers(planted):
         mp.setattr(exactalg, "_tower_at", count_points)
         mp.setattr(exactalg, "_tower_image", count_images)
         ann = tower_annihilator(*_companion_tower(b0, b1))
-    assert ann == [b0, b1, ExactRatFunc.coerce(1)]
-    # canonical as returned, with no gcd over Q(i)[t]
-    assert all(ExactRatFunc(b.num, b.den) == b for b in ann)
+    assert ann == _cleared(b0, b1)
     assert all(n <= T + 1 + skips for size, T, skips, n in images if size == 3)
+
+
+@st.composite
+def planted_operators(draw):
+    """b_0 and b_1 with Gaussian-rational coefficients, one of them zero at
+    times, over denominators made of _POLE_FACTORS that share at least one,
+    so that d of their companion tower has positive degree."""
+    shared = draw(st.lists(st.sampled_from(_POLE_FACTORS), min_size=1, max_size=2))
+    nonzero = st.lists(_GAUSSIAN, min_size=1, max_size=3).map(ExactPoly).filter(bool)
+
+    def fraction():
+        own = draw(st.lists(st.sampled_from(_POLE_FACTORS), max_size=2))
+        return ExactRatFunc(draw(nonzero), math.prod(shared + own, start=ExactPoly([1])))
+
+    b0, b1, zero = fraction(), fraction(), ExactRatFunc.coerce(0)
+    return draw(st.sampled_from([(b0, b1), (zero, b1), (b0, zero)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_operators())
+@example((ExactRatFunc(0), ExactRatFunc(ExactPoly([ExactScalar(0, 1)]), (_T - 3) ** 2)))
+@example((ExactRatFunc(ExactPoly([ExactScalar(Fraction(1, 2), -1), 3]), (_T - 2) * (_T * _T + 1)),
+          ExactRatFunc(ExactPoly([Fraction(-3, 4)]), (_T - 2) ** 2)))
+def test_tower_annihilator_returns_the_primitive_cleared_operator(planted):
+    # the returned list has no common factor and a monic last entry, so it
+    # is the planted operator cleared; built from it as it stands, the
+    # operator equals the one built from b_0, b_1 and 1, and writes the
+    # same JSON.  dz divides the companion tower's N_1 = (0, dz) and N_2
+    # once each, so f = (0, 0, 1) and the image scales Delta by dz^(f_2 - lo)
+    b0, b1 = planted
+    w, der = _companion_tower(b0, b1)
+    assume(len(der.dz[0]) > 1)
+    p, s = _modulus(0)
+    assert exactalg._residues({}, _tower(w, der, 2), der.dz, p, s)[2] == [0, 0, 1]
+    ann = tower_annihilator(w, der)
+    g = ExactPoly(())
+    for a in ann:
+        g = g.gcd(a)
+    assert g == 1 and ann[-1].leading() == 1
+    assert ann == _cleared(b0, b1)
+    L, cleared = DiffOperator([b0, b1, 1]), _operator(ann, "t")
+    assert L == cleared and cleared.coeffs == (b0, b1, ExactRatFunc.coerce(1))
+    assert L.to_json() == cleared.to_json()
 
 
 # -- copying and pickling -----------------------------------------------------

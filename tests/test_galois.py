@@ -169,6 +169,18 @@ def test_parabolic_from_ode_rejections():
 
 # -- exact roots ------------------------------------------------------------
 
+@settings(max_examples=60, deadline=None)
+@given(any_gaussian_rationals, any_gaussian_rationals.filter(bool))
+@example(ExactScalar(0), ExactScalar(Fraction(-7, 10**9 + 7), 3))
+def test_linear_roots_match_the_modular_search(c0, c1):
+    # a linear f has its one root -c_0 / c_1 in closed form, which is what
+    # the modular search finds
+    f = ExactPoly([c0, c1])
+    roots = gaussian_roots(f)
+    assert roots == exactalg._modular_roots(f) == [-c0 / c1]
+    assert f(roots[0]).is_zero()
+
+
 def test_gaussian_roots_fourfold_root():
     r = ExactScalar(Fraction(7, 13))
     assert gaussian_roots(ExactPoly([-r, 1]) ** 4) == [r]
@@ -482,11 +494,10 @@ def test_sym_power_certificate_rejects_a_wrong_coefficient():
     tower = [_level(w)]
     for j in range(S.order):
         tower.append(_derive(tower[-1], j, der))
-    coeffs = [(c.num, c.den) for c in S.coeffs[:-1]]
-    assert _certified(tower, der.dz, S.order, coeffs)
-    num, den = coeffs[1]
-    coeffs[1] = (num + ExactPoly([Fraction(1, 10**9)]), den)
-    assert not _certified(tower, der.dz, S.order, coeffs)
+    polys = S.cleared()
+    assert _certified(tower, der.dz, S.order, polys)
+    polys[1] = polys[1] + ExactPoly([Fraction(1, 10**9)])
+    assert not _certified(tower, der.dz, S.order, polys)
 
 
 def _count_image_points(monkeypatch) -> list:
