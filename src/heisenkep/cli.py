@@ -137,6 +137,29 @@ def _frac(v) -> Fraction:
         raise ValueError(f"{v} has a zero denominator") from None
 
 
+def _real(table: dict, key: str, default: float) -> float:
+    """table[key], or default, as a float from any form _frac reads;
+    anything else is a usage error."""
+    v = table.get(key, default)
+    try:
+        return float(_frac(v))
+    except (ValueError, OverflowError):
+        raise click.ClickException(f"{key} must be a finite number, not {json.dumps(v)}") from None
+
+
+def _count(table: dict, key: str, default: int) -> int:
+    """table[key], or default, as an int of at least 1; anything else is a
+    usage error."""
+    v = table.get(key, default)
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise click.ClickException(f"{key} must be a whole number, not {json.dumps(v)}") from None
+    if n < 1:
+        raise click.ClickException(f"{key} must be at least 1, not {n}")
+    return n
+
+
 def _integrator_config(rc: RunConfig) -> IntegratorConfig:
     """IntegratorConfig from the config's "integrator" table.  A table that
     is not a JSON object, a key that is not one of its fields, or a value it
@@ -232,15 +255,18 @@ def main():
 
 def _initial_state(spec: SystemSpec, cfg: dict) -> np.ndarray:
     if "particular" in cfg:
+        if not isinstance(cfg["particular"], dict):
+            raise click.ClickException("state 0: the particular table must be a JSON object")
+        t0 = _real(cfg, "t0", 0.0)
         try:
             s = particular_solution(spec, {
                 k: float(_frac(v)) for k, v in cfg["particular"].items()
-            }, cfg.get("t0", 0.0))
+            }, t0)
         except KeyError as e:
             raise click.ClickException(f"state 0: particular misses key {e}") from e
         except ValueError as e:
             raise click.ClickException(f"state 0: {e}") from e
-        return s.to_array()
+        return _state_array(spec, s.to_array(), "state 0: ")
     if "state" not in cfg:
         raise click.ClickException('the config needs a "state" or a "particular" table')
     return _state_array(spec, cfg["state"], "state 0: ")
@@ -276,6 +302,11 @@ def _line_deviation(spec: SystemSpec, traj, n: int = 300) -> float:
     return max(max_line_deviation(pts[:, :3]), max_line_deviation(pts[:, 3:6]))
 
 
+# The numeric evaluators hold the system's parameters as exact literals; a
+# product of them past the float range overflows at every evaluation
+_OVERFLOW = "the system's coefficients overflow a float"
+
+
 def _orbit(spec: SystemSpec, s0, icfg, thresholds: dict, where="", line=False) -> tuple:
     """Integrate one orbit from s0 and check it against the thresholds.
 
@@ -290,6 +321,8 @@ def _orbit(spec: SystemSpec, s0, icfg, thresholds: dict, where="", line=False) -
         traj = integrate(spec, s0, icfg)
     except CollisionError as e:
         raise click.ClickException(f"{where}{e}") from e
+    except OverflowError as e:
+        raise click.ClickException(f"{where}{_OVERFLOW}") from e
     except IntegrationError as e:
         return None, {"flagged_event": "integration_failure", "last_t": float(e.last_t),
                       "last_state": list(map(float, e.last_state)), "pass": False}
@@ -447,19 +480,19 @@ def verify(config, out_dir, seed, fmt):
             name not in ("brackets", "extended") for name in suites):
         raise click.ClickException(f"suites must be a non-empty list of brackets and "
                                    f"extended, not {json.dumps(suites)}")
-    counts = {"n_probes": int(rc.config.get("n_probes", 50)),
-              "n_points": int(rc.config.get("n_points", 100))}
-    for key, n in counts.items():
-        if n < 1:
-            raise click.ClickException(f"{key} must be at least 1, not {n}")
+    counts = {"n_probes": _count(rc.config, "n_probes", 50),
+              "n_points": _count(rc.config, "n_points", 100)}
     rng = np.random.default_rng(rc.seed)
+    if "extended" in suites and spec.kind != "one-body":
+        raise click.ClickException("extended suite requires the one-body system")
     rows = []
-    if "brackets" in suites:
-        rows += _bracket_rows(spec, _probe_states(spec, rng, counts["n_probes"]))
-    if "extended" in suites:
-        if spec.kind != "one-body":
-            raise click.ClickException("extended suite requires the one-body system")
-        rows += _extended_rows(spec, rng, counts["n_points"])
+    try:
+        if "brackets" in suites:
+            rows += _bracket_rows(spec, _probe_states(spec, rng, counts["n_probes"]))
+        if "extended" in suites:
+            rows += _extended_rows(spec, rng, counts["n_points"])
+    except OverflowError as e:
+        raise click.ClickException(_OVERFLOW) from e
     ok = all(r["pass"] for r in rows)
     if rc.fmt == "csv":
         _write_csv(rc.out_dir / "verify.csv", rc.header(), ["name", "residual", "tol", "pass"],
@@ -680,25 +713,30 @@ def _sweep_states(spec: SystemSpec, cfg: dict, seed: int) -> list:
     import numpy as np
 
     if "states" in cfg:
+        if not isinstance(cfg["states"], list) or not cfg["states"]:
+            raise click.ClickException("states must be a non-empty list of states")
         return [_state_array(spec, s, f"state {i}: ") for i, s in enumerate(cfg["states"])]
     if "random" not in cfg:
         raise click.ClickException('the config needs a "states" or a "random" table')
     rnd = cfg["random"]
+    if not isinstance(rnd, dict):
+        raise click.ClickException("the random table must be a JSON object")
     unknown = sorted(set(rnd) - {"n", "rho_min", "min_p_theta", "q_low", "q_high",
                                  "p_low", "p_high"})
     if unknown:
         raise click.ClickException(f"unknown random key(s): {', '.join(unknown)}")
+    n = _count(rnd, "n", 4)
+    rho_min, min_p_theta = _real(rnd, "rho_min", 0.5), _real(rnd, "min_p_theta", 0.0)
+    q_range = _real(rnd, "q_low", -1.5), _real(rnd, "q_high", 1.5)
+    p_range = _real(rnd, "p_low", -1.0), _real(rnd, "p_high", 1.0)
     rng = np.random.default_rng(seed)
-    n = int(rnd.get("n", 4))
-    rho_min = float(rnd.get("rho_min", 0.5))
-    min_p_theta = float(rnd.get("min_p_theta", 0.0))
     half = spec.dim // 2
     out = []
     for _ in range(_DRAWS_PER_STATE * n):
         if len(out) == n:
             break
-        q = rng.uniform(rnd.get("q_low", -1.5), rnd.get("q_high", 1.5), size=half)
-        p = rng.uniform(rnd.get("p_low", -1.0), rnd.get("p_high", 1.0), size=half)
+        q = rng.uniform(*q_range, size=half)
+        p = rng.uniform(*p_range, size=half)
         a = np.concatenate([q, p])
         # min_p_theta only filters the drawn states: it does not keep orbits
         # off the centre, so a random sweep can still trip the collision

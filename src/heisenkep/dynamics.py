@@ -274,7 +274,10 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    d2 = _rms((np.asarray(fun((y + h0 * f).tolist()), dtype=float) - f) / scale) / h0
+    # h0 underflows to 0 when f dwarfs y; solve_ivp's numpy division then
+    # makes d2 = 0 / 0 = nan, and max(d1, d2) below is d1
+    d2 = (_rms((np.asarray(fun((y + h0 * f).tolist()), dtype=float) - f) / scale) / h0
+          if h0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -1159,7 +1159,9 @@ def _is_prime(n: int) -> bool:
     deterministic (exact) for every n below psi_13 =
     3317044064679887385961981, the least strong pseudoprime to them all
     (Sorenson and Webster, Math. Comp. 2017).  The primes up to 37 alone
-    pass psi_12 = 318665857834031151167461."""
+    pass psi_12 = 318665857834031151167461.  The moduli of _modulus exceed
+    psi_13; for them this is only a cheap filter for composites, and
+    _sqrt_minus_one proves primality."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -1181,24 +1183,44 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _sqrt_minus_one(p: int) -> int | None:
+    """The smaller square root min(r, p - r) of -1 modulo p = 1 (mod 4),
+    r = g^((p-1)/4) for the first g of _MR_BASES with g^((p-1)/2) = -1
+    (mod p); None if there is none.  For a prime p such a g is a quadratic
+    non-residue, and the least non-residue is prime, so this misses only a
+    prime whose least non-residue exceeds 41.  For p = c 2^e + 1 with c
+    odd and c < 2^e, the g found is a Proth certificate: p is prime (Proth,
+    1878)."""
+    for g in _MR_BASES:
+        r = pow(g, (p - 1) // 4, p)
+        if r * r % p == p - 1:
+            return min(r, p - r)
+    return None
+
+
 def _modulus(k: int) -> tuple[int, int]:
-    """The k-th prime p = 1 (mod 4) below 2^62, counting down, with the
-    smaller square root of -1 modulo p."""
+    """The k-th proven prime p = c 2^60 + 1 with c odd, counting c down
+    from 2^30 - 1, with the smaller square root of -1 modulo p.
+
+    2^89 < p < 2^90, and p = 1 (mod 4) by its form.  Such a p fills three
+    30-bit digits of a CPython int, as a prime below 2^62 does, but carries
+    89 bits where that carries 61, so fewer primes lift the same values.
+    A candidate is kept only when _is_prime passes it and _sqrt_minus_one
+    finds a Proth certificate, which also gives the root."""
     while len(_MODULI) <= k:
-        _MODULI.append(_modulus_from((_MODULI[-1][0] if _MODULI else (1 << 62) + 1) - 4, -4))
+        c = (_MODULI[-1][0] >> 60 if _MODULI else 1 << 30 | 1) - 2
+        while not (_is_prime(p := c << 60 | 1) and (s := _sqrt_minus_one(p))):
+            c -= 2
+        _MODULI.append((p, s))
     return _MODULI[k]
 
 
 def _modulus_from(p: int, step: int) -> tuple[int, int]:
-    """The first prime q of p, p + step, ... (each 1 mod 4) with the smaller
-    square root min(r, q - r) of -1 modulo q, r = g^((q-1)/4) for the first
-    g = 2, 3, ... whose r squares to -1."""
-    while not _is_prime(p):
+    """The first prime q of p, p + step, ... (each 1 mod 4, below psi_13)
+    for which _sqrt_minus_one finds a root, with that root."""
+    while not (_is_prime(p) and (s := _sqrt_minus_one(p))):
         p += step
-    g = 2
-    while (r := pow(g, (p - 1) // 4, p)) * r % p != p - 1:
-        g += 1
-    return p, min(r, p - r)
+    return p, s
 
 
 def _ratrec(u: int, M: int, bound: int):
@@ -1616,7 +1638,7 @@ def _prime_budget(tower, dz: tuple, m: int) -> int:
     log_c = T + (T + 1).bit_length() + log_h
     unlucky = (den_lcm.bit_length() + 2 * log_h + 2 * (m + 1) * log_c
                + 4 * T * ((2 * m * (T + 1)).bit_length() + log_c))
-    return -(-unlucky // 61) - (-(4 * log_c + 1) // 61) + 1
+    return -(-unlucky // 89) - (-(4 * log_c + 1) // 89) + 1
 
 
 def _derive(level: tuple, j: int, der: Derivation) -> tuple:
@@ -1662,7 +1684,7 @@ def tower_annihilator(w, der: Derivation) -> list[ExactPoly]:
     Gaussian-integer coefficients over one integer denominator (see _level
     and _derive).
 
-    The order m and the a_j are found modulo primes p = 1 (mod 4), under
+    The order m and the a_j are found modulo the primes p of _modulus, under
     both embeddings i -> +-sqrt(-1), or one when dz and the N_j are real,
     by sampling modulo p and interpolating the Cramer polynomials of one
     minor, which each image brings to one common form (see _tower_image);
@@ -1726,10 +1748,10 @@ def tower_annihilator(w, der: Derivation) -> list[ExactPoly]:
     V / lc(A_m) modulo p.  At a lucky p, Delta does not vanish, so no image
     is skipped as unlucky, every lc(A_j) survives, and the gcd is 1, as R
     does not vanish modulo p; every image there is the true one.  So the
-    lift keeps the lucky primes, which are all but U / 61 of the primes, U
+    lift keeps the lucky primes, which are all but U / 89 of the primes, U
     being the bit length of the product of those integers; every prime
-    exceeds 2^61.  Each value the lift reconstructs has a denominator
-    dividing N(lc(A_m)), and so does the running denominator, so it and
+    exceeds 2^89 (see _modulus).  Each value the lift reconstructs has a
+    denominator dividing N(lc(A_m)), and so does the running denominator, so it and
     the numerator of each value times it are at most C^2: the balanced
     attempt of reconstruction succeeds once the lucky primes multiply to
     more than 2 C^4, whatever guesses came before.  K is the two counts,

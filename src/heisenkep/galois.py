@@ -378,7 +378,7 @@ def _solve_indicial(ind, f: ExactPoly, var: str):
 # Exponential solutions
 # ---------------------------------------------------------------------------
 
-def exp_solutions(L: DiffOperator) -> list:
+def exp_solutions(L: DiffOperator, *, _sing: SingularityData | None = None) -> list:
     """Right factors D - r of L with r in C(t), each certified by exact
     substitution, as (r, certificate) pairs.  An empty list proves that
     there is none; a search that could not cover all of C(t) raises
@@ -394,11 +394,14 @@ def exp_solutions(L: DiffOperator) -> list:
     least exponent is nonnegative.  A part with two or more choices is
     split into its points in Q(i), and the rest, at whose points the
     residue is then taken to be the same.  For each choice of s' and the
-    tail, one r is returned for each basis vector of the solutions q."""
+    tail, one r is returned for each basis vector of the solutions q.
+
+    _sing, when given, is singularity_analysis(L), which the caller has
+    already computed."""
     var = L.var
     incomplete = []
     pieces = []  # (squarefree factor, residue choices at its points)
-    for rec in singularity_analysis(L).finite:
+    for rec in (singularity_analysis(L) if _sing is None else _sing).finite:
         f = rec["factor"]
         if not rec["regular"]:
             incomplete.append(f"irregular singular point at the roots of {f}")
@@ -579,9 +582,11 @@ def singularity_analysis(L: DiffOperator) -> SingularityData:
     )
 
 
-def fuchsian_check(L: DiffOperator) -> dict:
-    """Regular/irregular classification of every singular point."""
-    data = singularity_analysis(L)
+def fuchsian_check(L: DiffOperator, *, _sing: SingularityData | None = None) -> dict:
+    """Regular/irregular classification of every singular point.  _sing,
+    when given, is singularity_analysis(L), which the caller has already
+    computed."""
+    data = singularity_analysis(L) if _sing is None else _sing
     return {
         "fuchsian": data.fuchsian,
         "finite": [
@@ -657,7 +662,8 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
     L = operator if operator is not None else o3r_operator()
     evidence = {"operator_order": L.order}
 
-    fc = fuchsian_check(L)
+    sing = singularity_analysis(L)  # shared by the case-1 and case-3 checks
+    fc = fuchsian_check(L, _sing=sing)
     irregular = [rec["factor"] for rec in fc["finite"] if not rec["regular"]]
     if irregular:
         evidence["case1"] = {"excluded": False, "irregular_finite_points": irregular}
@@ -665,7 +671,7 @@ def liouvillian_verdict_o3r(operator: DiffOperator | None = None) -> GaloisVerdi
             "reason": "irregular finite singular point: case-1 search incomplete"})
 
     try:
-        sols = exp_solutions(L)
+        sols = exp_solutions(L, _sing=sing)
     except IncompleteSearchError as e:
         evidence["case1"] = {"excluded": False, "incomplete": str(e)}
         return GaloisVerdict("Inconclusive", evidence | {

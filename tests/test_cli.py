@@ -383,6 +383,141 @@ def test_exact_config_ends_in_a_report_or_a_usage_error(runner, tmp_path_factory
     assert _load(artifact)["header"]["config"] == "cfg.json"
 
 
+# What a numeric config key may hold.  Valid values keep each run short: no
+# t_end above 0.5, no small max_step or mass, few probes and states, and no
+# system for verify but kappa = 1 (its extended suite integrates one fixed
+# orbit to t = 10 whatever the config says)
+_JUNK = st.sampled_from(["abc", "1/0", "i", None, True, [], {}, [1], float("nan"),
+                         float("inf"), -float("inf")])
+_NUMBERS = st.one_of(st.sampled_from([0, -1, 1, 2, 0.5, "1/2", "-3/2", 1e300]), _JUNK)
+_COUNTS = st.one_of(st.sampled_from([0, -1, 1, 2, 1.5, "2"]), _JUNK)
+_INTEGRATOR = {"t_end": st.sampled_from([0, -1, 1e-9, 0.25, 0.5]),
+               "abs_tol": st.sampled_from([0, -1, 1e-12, 1e-6, 1.0]),
+               "rel_tol": st.sampled_from([0, -1, 1e-12, 1e-6, 1.0]),
+               "max_step": st.sampled_from([0, -1, 0.1, float("inf")]),
+               "rho_min": st.sampled_from([0, -1, 1e-8, 0.5, 10.0]),
+               "bogus": st.just(1)}
+_STATE_ENTRIES = st.one_of(st.sampled_from([0, 0.0, 1, -1.5, 0.3, 1e-9]), _JUNK)
+_STATES = st.one_of(
+    st.lists(_STATE_ENTRIES, max_size=13),
+    st.sampled_from([[0.0] * 6, [0.0] * 12, [1e-9, 0, 0, 0, 0, 0], "abc", None, 1, {}, [[1.0] * 6]]))
+_SYSTEMS = {"kind": st.sampled_from(["one-body", "two-body", "three-body", 1, None]),
+            "kappa": _NUMBERS, "m1": _NUMBERS, "m2": _NUMBERS,
+            "potential": st.sampled_from(["kepler", "other", None, [], {}, {"num": {}},
+                                          {"num": {"0,0,0": 1}, "den": {"0,0,1": 1}}])}
+_SUITES = st.sampled_from([["brackets"], ["extended"], ["brackets", "extended"], [], ["nope"],
+                           "brackets", None, [1], [[]], {}])
+_RANDOM = st.fixed_dictionaries(
+    {}, optional={"n": _COUNTS, "rho_min": _NUMBERS, "min_p_theta": _NUMBERS,
+                  "q_low": _NUMBERS, "q_high": _NUMBERS, "p_low": _NUMBERS, "p_high": _NUMBERS,
+                  "bogus": st.just(1)})
+
+
+def _numeric_edits(command):
+    """(path, strategy) of the config entries a numeric command reads; a
+    path ends in a key of a table or an index of a list."""
+    edits = [(("system",), st.one_of(_JUNK, st.just([1, 2])))]
+    if command == "verify":
+        edits += [(("system", "kind"), _SYSTEMS["kind"]), (("system", "kappa"), _JUNK)]
+    else:
+        edits += [(("system", key), values) for key, values in _SYSTEMS.items()]
+    if command != "verify":
+        edits += [(("integrator",), _JUNK)]
+        edits += [(("integrator", key), values) for key, values in _INTEGRATOR.items()]
+        edits += [(("thresholds",), st.one_of(_JUNK, st.just({"nope": 1}))),
+                  (("thresholds", "H"), _NUMBERS), (("thresholds", "line"), _NUMBERS)]
+    if command == "simulate":
+        edits += [(("state",), _STATES), (("state", 0), _STATE_ENTRIES),
+                  (("particular",), st.one_of(_JUNK, st.just({}), st.just({"w2": 1}))),
+                  (("particular", "c"), _NUMBERS), (("t0",), _NUMBERS)]
+    if command == "sweep":
+        edits += [(("states",), st.one_of(_STATES, st.lists(_STATES, max_size=2))),
+                  (("states", 0), _STATES), (("random",), st.one_of(_JUNK, _RANDOM))]
+    if command == "verify":
+        edits += [(("suites",), _SUITES), (("n_probes",), _COUNTS), (("n_points",), _COUNTS)]
+    return edits
+
+
+@st.composite
+def numeric_configs(draw):
+    """(command, config, format): a simulate, sweep or verify preset, made
+    short (t_end at most 0.25, two probes, three points), with up to two
+    entries deleted or set to a drawn value."""
+    preset = draw(st.sampled_from([
+        "simulate_collision", "simulate_invariant_line", "simulate_scatter", "simulate_twobody",
+        "simulate_zero_energy", "sweep_onebody", "verify_onebody", "verify_twobody"]))
+    command, cfg = preset.split("_")[0], _load(preset_path(preset))
+    if command == "verify":
+        cfg.update(n_probes=2, n_points=3)
+    else:
+        cfg["integrator"]["t_end"] = min(cfg["integrator"]["t_end"], 0.25)
+    for path, values in draw(st.lists(st.sampled_from(_numeric_edits(command)), max_size=2)):
+        value = draw(st.one_of(st.just(_DELETE), values))
+        *parents, last = path
+        table = cfg
+        for key in parents:
+            table = table.get(key) if isinstance(table, dict) else None
+        if isinstance(table, dict) and value is _DELETE:
+            table.pop(last, None)
+        elif isinstance(table, dict):
+            table[last] = value
+        elif isinstance(table, list) and isinstance(last, int) and last < len(table) \
+                and value is not _DELETE:
+            table[last] = value
+        if path == ("random",) and value is not _DELETE:
+            cfg.pop("states", None)  # else the states are swept
+    return command, cfg, draw(st.sampled_from(["json", "csv"]))
+
+
+_ARTIFACTS = {"simulate": ("report.json", {"trajectory.json", "trajectory.csv"}),
+              "sweep": ("sweep.json", {"sweep.csv"}),
+              "verify": ("verify.json", {"verify.csv"})}
+
+
+_ONE_BODY = {"kind": "one-body", "kappa": 1}
+_SHORT = {"t_end": 0.25}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(numeric_configs())
+# each ended in a traceback: AttributeError, TypeError (a t0 of "-3/2" or a
+# states or random table that is a number), ValueError, and a
+# ZeroDivisionError in the first step size, which a huge kappa makes 0
+@example(("simulate", {"system": _ONE_BODY, "particular": "abc"}, "json"))
+@example(("simulate", {"system": _ONE_BODY, "integrator": _SHORT, "particular": {"c": 1},
+                       "t0": "-3/2"}, "json"))
+@example(("sweep", {"system": _ONE_BODY, "integrator": _SHORT, "states": 5}, "json"))
+@example(("sweep", {"system": _ONE_BODY, "integrator": _SHORT, "random": 5}, "json"))
+@example(("verify", {"system": _ONE_BODY, "suites": ["brackets"], "n_probes": "abc"}, "json"))
+@example(("simulate", {"system": {"kind": "one-body", "kappa": 1e300}, "integrator": _SHORT,
+                       "state": [1, 0, 0.2, 0, 1.25, 0]}, "csv"))
+# an OverflowError: kappa m2 = 1e600, a literal of the evaluators, exceeds a float
+@example(("verify", {"system": {"kind": "two-body", "kappa": 1e300, "m2": 1e300},
+                     "suites": ["brackets"], "n_probes": 2}, "json"))
+def test_numeric_config_ends_in_a_report_or_a_usage_error(runner, tmp_path_factory, drawn):
+    # exit 0 with PASS and the artifacts, exit 1 with FAIL and the artifacts
+    # (a check that failed, or an orbit that ended flagged), or exit 1 with
+    # a usage error and no artifact at all; never another exception
+    command, cfg, fmt = drawn
+    tmp = tmp_path_factory.mktemp("cfg")
+    out = tmp / "out"
+    res = runner.invoke(main, [command, "--config", _write_config(tmp, "cfg.json", cfg),
+                               "--out", str(out), "--format", fmt])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    if res.output.startswith("Error: "):
+        assert res.exit_code == 1
+        assert not out.exists() or not any(out.iterdir())
+        return
+    main_artifact, extras = _ARTIFACTS[command]
+    artifact = out / main_artifact
+    assert res.output == f"{'FAIL' if res.exit_code else 'PASS'} {artifact}\n"
+    assert res.exit_code in (0, 1)
+    names = {p.name for p in out.iterdir()}
+    assert main_artifact in names and names <= {main_artifact, *extras}
+    assert _load(artifact)["header"]["format"] == fmt
+
+
 # -- simulate ---------------------------------------------------------------
 
 def test_simulate_invariant_line(runner, tmp_path):

@@ -569,14 +569,29 @@ def test_scalar_nullspace_matches_gauss_jordan(rows):
 
 
 def test_modulus_matches_sympy():
-    from sympy import prevprime, sqrt_mod
+    # the k-th prime c 2^60 + 1, c odd, counting c down from 2^30 - 1, with
+    # the smaller square root of -1; sympy.isprime is the oracle
+    from sympy import isprime, sqrt_mod
 
-    p = 1 << 62
+    c = 1 << 30 | 1
     for k in range(40):
-        p = prevprime(p)
-        while p % 4 != 1:
-            p = prevprime(p)
+        c -= 2
+        while not isprime(c << 60 | 1):
+            c -= 2
+        p = c << 60 | 1
         assert _modulus(k) == (p, sqrt_mod(-1, p))
+
+
+def test_first_moduli_carry_a_proth_certificate():
+    # p = c 2^60 + 1 with c odd and c < 2^60, and a base g with
+    # g^((p-1)/2) = -1 (mod p): p is prime by Proth's theorem, whatever
+    # Miller-Rabin says; the smaller root s squares to -1
+    for k in range(8):
+        p, s = _modulus(k)
+        c = p >> 60
+        assert p == c << 60 | 1 and c % 2 == 1 and 1 << 29 < c < 1 << 30
+        assert any(pow(g, (p - 1) // 2, p) == p - 1 for g in range(2, 42))
+        assert s * s % p == p - 1 and 0 < s < p - s
 
 
 def test_miller_rabin_against_trial_division():
@@ -681,17 +696,19 @@ def test_reconstruct_agrees_with_the_balanced_reference(case):
 @given(st.integers(640, 1023), st.data())
 @example(d=641, data=None)
 def test_reconstruct_recovers_unbalanced_values_from_one_prime(d, data):
-    # n_j / d with |n_j| d 2^12 < p, zero and negative numerators included,
-    # from the one prime p.  With n_0 prime to d the running denominator is
-    # d after the first value.  Every Euclidean pair past the true (n_j, 1)
-    # has a denominator of at least p // |n_j| > d 2^12, and d^2 2^12 exceeds
-    # sqrt(p / 2), so the balanced attempt returns the truth or fails.  The
-    # guess then takes n_0 / d by its quotient, at least p / (|n_0| d) - 2,
-    # above every other (none exceeds max(|n_0|, d)); no integer has n_0 / d
-    # as residue and size below p / 2^10 since d < 2^10; every later value is
-    # the integer n_j over d.
+    # n_j / d with |n_j| d F <= p, zero and negative numerators included,
+    # from the one prime p, for F with 640^2 F > sqrt(p / 2).  With n_0 prime
+    # to d the running denominator is d after the first value.  Every
+    # Euclidean pair past the true (n_j, 1) has a denominator of at least
+    # p // |n_j| >= d F, and d^2 F exceeds sqrt(p / 2), so the balanced
+    # attempt returns the truth or fails.  The guess then takes n_0 / d by
+    # its quotient, at least p / (|n_0| d) - 2, above every other (none
+    # exceeds max(|n_0|, d)); no integer has n_0 / d as residue and size
+    # below p / 2^10 since d < 2^10; every later value is the integer n_j
+    # over d, below p / 2^10 since d F > 2^10.
     p = _modulus(0)[0]
-    big = p // (d << 12)
+    F = math.isqrt(p // 2) // 640**2 + 1
+    big = p // (d * F)
     if data is None:  # the balanced attempt fails on the second value
         numerators = [-1, big, 0, -big]
     else:
@@ -842,7 +859,9 @@ def _tower_images_per_prime(monkeypatch, r):
 @pytest.mark.parametrize("r, primes", [
     (ExactRatFunc(ExactPoly([3, 0, 1]), ExactPoly([5, -1, 1])), 1),
     # large coefficients need more than one prime
-    (ExactRatFunc(ExactPoly([1, 3**40]), ExactPoly([-(5**30), 0, Fraction(1, 7)])), 2),
+    # large coefficients need more than one prime: 3^90 exceeds every modulus
+    (ExactRatFunc(ExactPoly([1, 3 ** _modulus(0)[0].bit_length()]),
+                  ExactPoly([-(5**30), 0, Fraction(1, 7)])), 2),
 ])
 def test_tower_annihilator_takes_one_image_per_prime_for_a_real_tower(monkeypatch, r, primes):
     ann, calls = _tower_images_per_prime(monkeypatch, r)
@@ -859,16 +878,17 @@ def test_tower_annihilator_takes_two_images_per_prime_for_a_gaussian_tower(monke
 
 
 def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeypatch):
-    # y' = r y with r = t + p + 2^31 for the first modulus p.  Modulo p the
-    # constant of b_0 = -r is -2^31, past sqrt(p / 2), and every other
-    # Euclidean pair of it has a denominator above that bound, so the
-    # balanced attempt fails and the guess takes the integer -2^31.  The
-    # exact check rejects it, and the second prime gives r, one prime before
-    # the balanced bound alone would.
+    # y' = r y with r = t + p + 2^e for the first modulus p and the least
+    # power 2^e past sqrt(p / 2).  Modulo p the constant of b_0 = -r is
+    # -2^e, and every other Euclidean pair of it has a denominator above
+    # that bound, so the balanced attempt fails and the guess takes the
+    # integer -2^e.  The exact check rejects it, and the second prime gives
+    # r, one prime before the balanced bound alone would.
     p = _modulus(0)[0]
-    residues = [-(2**31) % p, p - 1, 1]  # b_0 = -t - p - 2^31, over 1
+    power = 1 << math.isqrt(p // 2).bit_length()
+    residues = [-power % p, p - 1, 1]  # b_0 = -t - p - 2^e, over 1
     assert _reference_reconstruct(residues, p) is None
-    assert _reconstruct(residues, p) == [-(2**31), -1, 1]
+    assert _reconstruct(residues, p) == [-power, -1, 1]
     certified = []
     check = exactalg._certified
 
@@ -877,7 +897,7 @@ def test_a_wrong_guess_fails_the_certificate_and_one_more_prime_recovers(monkeyp
         return certified[-1]
 
     monkeypatch.setattr(exactalg, "_certified", spy)
-    r = ExactRatFunc(ExactPoly([p + 2**31, 1]))
+    r = ExactRatFunc(ExactPoly([p + power, 1]))
     ann, calls = _tower_images_per_prime(monkeypatch, r)
     assert ann == [-r, ExactRatFunc.coerce(1)]
     assert certified == [False, True] and len(calls) == 2

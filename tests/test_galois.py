@@ -550,6 +550,54 @@ def test_sym_cube_work_counts(o3r, sym3, monkeypatch):
     assert set(reductions.values()) == {10 * 11 + 1}
 
 
+def _rescaled(L, lam):
+    """The operator of u(s) = v(lam s) when L v = 0, from L's cleared
+    polynomials: a_j(t) D^j becomes lam^(n - j) a_j(lam s) D^j."""
+    n = L.order
+    return DiffOperator([a.compose_linear(lam, 0).scale(lam ** (n - j))
+                         for j, a in enumerate(L.cleared())], var=L.var)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)))
+def test_sym_cube_commutes_with_rescaling(o3r, sym3, lam):
+    # the products of three solutions v(lam s) of the rescaled o3r are the
+    # rescaled products, so both sides are the minimal monic operator of
+    # one solution space
+    assert sym_power(_rescaled(o3r, lam), 3) == _rescaled(sym3, lam)
+
+
+@pytest.mark.parametrize("lam", [Fraction(3, 2), Fraction(2, 3), Fraction(4, 3), Fraction(-3, 2)])
+def test_rescaled_sym_cube_lifts_from_one_prime(o3r, sym3, lam, monkeypatch):
+    # the rescalings the resonant benchmark draws: each took a second prime,
+    # and a second image, while the moduli were primes below 2^62
+    primes = []
+    lift = exactalg._lift_gaussian
+
+    def spy(acc, p, s, plus, minus):
+        primes.append(p)
+        return lift(acc, p, s, plus, minus)
+
+    monkeypatch.setattr(exactalg, "_lift_gaussian", spy)
+    assert sym_power(_rescaled(o3r, lam), 3) == _rescaled(sym3, lam)
+    assert primes == [_modulus(0)[0]]
+
+
+def test_verdict_analyses_each_operator_once(monkeypatch):
+    # fuchsian_check and exp_solutions share the verdict's one analysis of
+    # o3r; the symmetric cube is analysed once more
+    analysed = []
+    analyse = galois.singularity_analysis
+
+    def spy(L):
+        analysed.append(L)
+        return analyse(L)
+
+    monkeypatch.setattr(galois, "singularity_analysis", spy)
+    v = liouvillian_verdict_o3r()
+    assert [L.order for L in analysed] == [3, v.evidence["case2"]["sym3_order"]]
+
+
 def test_factorize_default_tower_work_counts(weil_block, monkeypatch):
     # sample points of each image at the final order of the six minimal
     # annihilators of factorize_default's exterior square, one per
