@@ -445,6 +445,10 @@ def _extended_rows(spec: SystemSpec, rng, n_points: int) -> list:
     tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0)
     try:
         direct = integrate(spec, np.array(q0 + p0), tight)
+        if direct.flagged_event:  # the projection would read an extrapolated orbit
+            raise click.ClickException(
+                f"extended suite: the reference orbit reaches the collision guard at "
+                f"t = {float(direct.t[-1])!r}, before t = 10")
         ext = integrate_extended(lifted, ExtendedState(q0, p0, u0), tight)
     except CollisionError as e:
         raise click.ClickException(f"extended suite: {e}") from e

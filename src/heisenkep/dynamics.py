@@ -11,14 +11,17 @@ explicit adaptive scheme serves all three systems uniformly.
 The step runs on Python floats around its BLAS products.  numpy makes only
 the products whose summation order pins the bits (the stages, the 5th- and
 4th-order combinations, the dense output's Q and the error norm's ddot);
-the vector field, the collision guard and the rest of the step take the
-step's list of floats, which round as numpy's elementwise ops do at a
-fraction of the cost.  H runs on Python floats too.  The monitor batches
-what rounds as the scalar path does: ``Trajectory.at_each`` has the bits of
-per-point dense output, and the other integrals are IEEE ``+ - * /`` on
-float64 columns.  H stays per point (array ``**2`` and ``**1.5`` round apart
-from C ``pow``), and the grid keeps the bits of OdeSolution's array call,
-one BLAS product per run of times in one segment (see README).
+the rest of the step is IEEE arithmetic on floats, which round as numpy's
+elementwise ops do at a fraction of the cost.  Each step attempt is one
+straight-line function, generated and compiled once per state dimension,
+that hands the vector field each stage state as positional floats; the
+collision guard takes the step's list of floats.  H runs on Python floats
+too.  The monitor batches what rounds as the scalar path does:
+``Trajectory.at_each`` has the bits of per-point dense output, and the
+other integrals are IEEE ``+ - * /`` on float64 columns.  H stays per
+point (array ``**2`` and ``**1.5`` round apart from C ``pow``), and the
+grid keeps the bits of OdeSolution's array call, one BLAS product per run
+of times in one segment (see README).
 
 Every evaluator, the extended lift's K and grad K included, is compiled
 from source that ``heisenmodel`` prints, so neither sympy nor scipy is
@@ -28,6 +31,7 @@ imported: both serve only as the tests' oracles.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -38,6 +42,7 @@ import numpy as np
 from .heisenmodel import (
     CollisionError,
     SystemSpec,
+    _compile_def,
     _evaluator,
     _hamiltonian_rows,
     _num_grad,
@@ -195,7 +200,7 @@ def integrate(spec: SystemSpec, s0, cfg: IntegratorConfig) -> Trajectory:
 
     rhs, kind, rho_min = spec._rhs, spec.kind, cfg.rho_min
 
-    def f(v):
+    def f(*v):
         try:
             return rhs(*v)
         except (ZeroDivisionError, OverflowError):  # numpy's inf or nan, as _on_floats
@@ -246,15 +251,54 @@ def _rk_dense(t_old, h, Q, y_old, t):
     return y
 
 
+@functools.cache
+def _attempt(n: int):
+    """The factory of one RK45 step attempt in dimension n, generated and
+    compiled once per n.  It takes the stage array K, the bound products
+    K[:s].T.dot of stages s = 1..5, K[:-1].T.dot and K.T.dot, fun, atol and
+    rtol, and returns attempt(y, abs_y, h): rk_step from the state y, a list
+    of floats, with |y| as abs_y, which returns y_new, |y_new| and the
+    scaled error e * h / (atol + max(|y|, |y_new|) * rtol), whose max keeps
+    a NaN as np.maximum does.  It is rk_step's straight-line form, each
+    float operation and BLAS product in rk_step's order, so its bits are
+    scipy's: the stage states y + d * h go to fun as positional floats, and
+    fun's sequence goes straight into a row of K."""
+    def each(form):
+        return ", ".join(form.format(i=i) for i in range(n))
+
+    body = [f"{each('y{i}')}, = y"]
+    for s in range(1, _C.size):
+        body += [f"{each('d{i}')}, = dot{s}(_A{s}).tolist()",
+                 f"K[{s}] = fun({each('y{i} + d{i} * h')})"]
+    body += [f"{each('d{i}')}, = dot_B(_B).tolist()",
+             f"{each('n{i}')}, = y_new = [{each('y{i} + h * d{i}')}]",
+             f"K[{_C.size}] = fun({each('n{i}')})",
+             f"{each('a{i}')}, = abs_y",
+             f"{each('b{i}')}, = abs_y_new = [{each('abs(n{i})')}]",
+             f"{each('e{i}')}, = dot_E(_E).tolist()",
+             "return y_new, abs_y_new, ["
+             + each("e{i} * h / (atol + (a{i} if a{i} >= b{i} or a{i} != a{i} else b{i}) * rtol)")
+             + "]"]
+    src = (f"def attempt_{n}(K, dot1, dot2, dot3, dot4, dot5, dot_B, dot_E, fun, atol, rtol):\n"
+           "    def attempt(y, abs_y, h):\n"
+           + "".join(f"        {line}\n" for line in body)
+           + "    return attempt\n")
+    coefficients = {f"_A{s}": _A[s, :s] for s in range(1, _C.size)}
+    return _compile_def(src, "rk45 attempt", {**coefficients, "_B": _B, "_E": _E})
+
+
 def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Trajectory:
     """solve_ivp(fun, (0, cfg.t_end), y0, method="RK45", dense_output=True,
-    events=event) with cfg's tolerances and max_step, op for op.  fun and the
-    event take the state as a list of floats (the system is autonomous); fun
-    returns a sequence of floats, which goes straight into a row of the stage
-    array.  The event is terminal and fires where it falls through zero.  A
-    failed run raises IntegrationError("<what> failed: ...").  Only the BLAS
-    products K.a_s, K.b, K.e, K.P and the error norm's ddot run in numpy.  A
-    fun(y0) that is not finite raises CollisionError (solve_ivp hangs or fails)."""
+    events=event) with cfg's tolerances and max_step, op for op.  fun takes
+    the state as positional floats (the system is autonomous) and returns a
+    sequence of floats, which goes straight into a row of the stage array;
+    the event takes the state as a list of floats.  The event is terminal
+    and fires where it falls through zero.  A failed run raises
+    IntegrationError("<what> failed: ...").  A step attempt is the
+    straight-line code _attempt generates for the state's dimension.  Only
+    the BLAS products K.a_s, K.b, K.e (in the attempt), K.P and the error
+    norm's ddot run in numpy.  A fun(y0) that is not finite raises
+    CollisionError (solve_ivp hangs or fails)."""
     t_bound, max_step, rtol, atol = float(cfg.t_end), cfg.max_step, cfg.rel_tol, cfg.abs_tol
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
@@ -264,7 +308,7 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     with np.errstate(all="ignore"):  # a singular start raises below
-        t, f = 0.0, np.asarray(fun(y.tolist()), dtype=float)
+        t, f = 0.0, np.asarray(fun(*y.tolist()), dtype=float)
     if not np.isfinite(f).all():
         raise CollisionError("the vector field is not finite at the initial state")
 
@@ -276,7 +320,7 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     h0 = min(h0, t_bound)
     # h0 underflows to 0 when f dwarfs y; solve_ivp's numpy division then
     # makes d2 = 0 / 0 = nan, and max(d1, d2) below is d1
-    d2 = (_rms((np.asarray(fun((y + h0 * f).tolist()), dtype=float) - f) / scale) / h0
+    d2 = (_rms((np.asarray(fun(*(y + h0 * f).tolist()), dtype=float) - f) / scale) / h0
           if h0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -288,8 +332,9 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
     # transposed views are bound once, since K is written in place; K[-1],
     # f at a step's end, becomes K[0] when the step is accepted
     K = np.empty((_E.size, y.size))
-    stages = [(K[:s].T.dot, _A[s, :s]) for s in range(1, _C.size)]
-    dot_B, dot_E = K[:-1].T.dot, K.T.dot
+    dot_E = K.T.dot
+    attempt = _attempt(y.size)(K, *(K[:s].T.dot for s in range(1, _C.size)), K[:-1].T.dot,
+                               dot_E, fun, atol, rtol)
     K[0] = f
     y, abs_y = y.tolist(), abs_y.tolist()
     ts, ys, dense = [t], [y0], []
@@ -308,18 +353,9 @@ def _solve(fun, y0, cfg: IntegratorConfig, event=None, what="integration") -> Tr
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            # rk_step
-            for s, (dot, a_s) in enumerate(stages, start=1):
-                K[s] = fun([v + d * h for v, d in zip(y, dot(a_s).tolist())])
-            y_new = [v + h * d for v, d in zip(y, dot_B(_B).tolist())]
-            K[-1] = fun(y_new)
+            y_new, abs_y_new, scaled_error = attempt(y, abs_y, h)
             attempts += 1
-
-            # the scale takes np.maximum(|y|, |y_new|), which keeps a NaN
-            abs_y_new = [abs(v) for v in y_new]
-            error_norm = _rms(np.array([
-                e * h / (atol + (a if a >= b or a != a else b) * rtol)
-                for e, a, b in zip(dot_E(_E).tolist(), abs_y, abs_y_new)]))
+            error_norm = _rms(np.array(scaled_error))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -593,7 +629,7 @@ def integrate_extended(sys: ExtendedSystem, x0, cfg: IntegratorConfig) -> Trajec
     if abs(sys.P(a0)) > 1e-12:
         raise ValueError("initial state is off the physical leaf P(u) = 0")
 
-    traj = _solve(lambda v: sys.rhs(np.array(v)), a0, cfg, what="extended integration")
+    traj = _solve(lambda *v: sys.rhs(np.array(v)), a0, cfg, what="extended integration")
     p_res = max(abs(sys.P(row)) for row in traj.y)
     traj.flagged_event = "leaf_departure" if p_res > 1e-6 else None
     traj.stats["max_casimir_residual"] = float(p_res)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -845,6 +846,22 @@ def test_extended_suite_start_at_a_singularity_of_the_potential_is_rejected(runn
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "Error: extended suite: the vector field is not finite at the initial state" in (
         res.output)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_extended_suite_reference_orbit_reaching_the_guard_is_rejected(runner, tmp_path):
+    # at kappa = 2 the suite's orbit reaches the collision guard at t ~ 6.63;
+    # the projection used to read the direct orbit extrapolated out to t = 10
+    # against ~376k evaluations of the extended system, and report 4.7e44
+    cfg = {"system": {"kind": "one-body", "kappa": 2}, "suites": ["extended"], "n_points": 3}
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    res = runner.invoke(main, ["verify", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                               "--out", str(out)])
+    assert time.perf_counter() - start < 2.0
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: extended suite: the reference orbit reaches the "
+                                 "collision guard at t = 6.6")
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -315,9 +315,88 @@ def test_rk45_step_underflow_is_solve_ivps():
     assert res.status == -1
     cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, t_end=2.0)
     with pytest.raises(IntegrationError, match=f"integration failed: {res.message}") as err:
-        dynamics._solve(lambda v: [v[0] * v[0]], np.array([1.0]), cfg)
+        dynamics._solve(lambda v: [v * v], np.array([1.0]), cfg)
     assert err.value.last_t == res.t[-1]
     assert err.value.last_state.tobytes() == res.y[:, -1].tobytes()
+
+
+# a monomial of a polynomial field: (coefficient, j, k) is c * v[j] * v[k],
+# where index n stands for the constant 1, so the degree is at most 2
+def _field(n, rows):
+    def field(*v):
+        v = (*v, 1.0)
+        return [sum((c * v[j] * v[k] for c, j, k in row), 0.0) for row in rows]
+    return field
+
+
+@st.composite
+def _polynomial_fields(draw):
+    n = draw(st.integers(1, 12))
+    monomial = st.tuples(st.sampled_from([-1.0, -0.5, 0.25, 0.5, 1.0]),
+                         st.integers(0, n), st.integers(0, n))
+    rows = draw(st.lists(st.lists(monomial, min_size=1, max_size=3), min_size=n, max_size=n))
+    y0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return n, rows, np.array(y0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=_polynomial_fields(), tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+       t_end=st.floats(0.5, 2.0), max_step=st.sampled_from([math.inf, 0.25]))
+def test_solve_is_solve_ivp_bit_for_bit_in_every_dimension(drawn, tol, t_end, max_step):
+    # the step attempt is generated per dimension: hold each n in 1..12 to
+    # solve_ivp on a polynomial field, a blow-up's failed run included
+    from scipy.integrate import solve_ivp
+
+    n, rows, y0 = drawn
+    field = _field(n, rows)
+    res = solve_ivp(lambda t, y: field(*y.tolist()), (0.0, t_end), y0, method="RK45",
+                    rtol=tol, atol=tol, max_step=max_step, dense_output=True)
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, t_end=t_end, max_step=max_step)
+    if res.status == -1:
+        with pytest.raises(IntegrationError, match=res.message) as err:
+            dynamics._solve(field, y0, cfg)
+        assert err.value.last_t == res.t[-1]
+        assert err.value.last_state.tobytes() == res.y[:, -1].tobytes()
+        return
+    traj = dynamics._solve(field, y0, cfg)
+    assert traj.t.tobytes() == res.t.tobytes()
+    assert traj.y.tobytes() == res.y.T.tobytes()
+    assert (traj.stats == {"nfev": res.nfev, "steps": res.t.size - 1, "status": res.status,
+                           "message": res.message})
+    grid = np.linspace(0.0, t_end, 50)
+    assert traj.at(grid).tobytes() == res.sol(grid).T.tobytes()
+
+
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_numpy_fallback_in_each_stage_keeps_the_bits(monkeypatch, stage):
+    # the vector field raises on Python floats at this stage of every step
+    # attempt (and at the two calls before the first step): integrate's
+    # fallback evaluates it on numpy scalars, which round as floats do
+    spec = SystemSpec("one-body", 1)
+    s0 = PhaseState1B(1.0, 0.0, 0.2, 0.3, 1.2, 0.1)
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=2.0)
+    want = integrate(spec, s0, cfg)
+    rhs, on_floats, on_numpy = spec._rhs, [], []
+
+    def rhs_raising_on_floats(*v):
+        if type(v[0]) is float:
+            on_floats.append(v)
+            # calls 0 and 1 precede the first step, then 6 per attempt
+            k = len(on_floats) - 1
+            if k < 2 or (k - 2) % 6 == stage - 1:
+                raise OverflowError("(34, 'Numerical result out of range')")
+        else:
+            on_numpy.append(v)
+        return rhs(*v)
+
+    monkeypatch.setattr(spec, "_rhs", rhs_raising_on_floats)
+    got = integrate(spec, s0, cfg)
+    assert len(on_floats) == want.stats["nfev"]
+    assert len(on_numpy) == 2 + (len(on_floats) - 2) // 6
+    assert all(type(x) is np.float64 for v in on_numpy for x in v)
+    for name in ("t", "y", "h", "Q"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.stats == want.stats
 
 
 def _tracing(f, xs):
